@@ -1,0 +1,101 @@
+"""Golden bundle corpus: every generated bundle stays byte-identical.
+
+``data/golden_bundles.json`` holds the sha256 of ``MatrixBundle.dumps()``
+for every admissible quadruple x source x block choice, at unit parameters
+for doubled spins <= 4 and at multi-term radical parameters for doubled
+spins <= 2.  A refactor of any construction route, of the momentum
+projection or of the serializer must leave every digest unchanged.
+
+Re-record (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import itertools
+import json
+from fractions import Fraction
+from pathlib import Path
+
+from poincarerep.bundle import MatrixBundle
+from poincarerep.cg import LambdaParams, cg_vector_matrices
+from poincarerep.generators import direct_sum
+from poincarerep.momentum import BlockChoice, momentum_from_vectors
+from poincarerep.radical import ONE, RadicalScalar
+from poincarerep.spins import Spin, SpinPair
+from poincarerep.vectors import (
+    CaseTag,
+    FreeParams,
+    classify_case,
+    closed_form_vectors,
+    recursion_solve,
+    vectors_from_coefficients,
+)
+
+DATA = Path(__file__).parent / "data" / "golden_bundles.json"
+
+SOURCES = ("closed-form", "recursion", "clebsch-gordan")
+BLOCKS = ("both", "keep12", "keep21")
+
+# (bound on doubled spins, t12, t21) per corpus section.
+# dressed: t12 = 3/4*sqrt(6) + 2/5*i*sqrt(10), t21 = -5/7*sqrt(3) + 1/3*i*sqrt(14)
+SECTIONS = {
+    "unit": (4, FreeParams(ONE, ONE)),
+    "dressed": (
+        2,
+        FreeParams(
+            RadicalScalar.from_terms([(6, Fraction(3, 4), 0), (10, 0, Fraction(2, 5))]),
+            RadicalScalar.from_terms([(3, Fraction(-5, 7), 0), (14, 0, Fraction(1, 3))]),
+        ),
+    ),
+}
+
+
+def _vectors(source, spins, params):
+    if source == "closed-form":
+        return closed_form_vectors(*spins, params)
+    if source == "recursion":
+        return vectors_from_coefficients(recursion_solve(*spins, params))
+    return cg_vector_matrices(*spins, LambdaParams(params.t12, params.t21))
+
+
+def digests(bound, params):
+    """sha256 of every bundle in one corpus section, keyed "2A,2B,2C,2D/source/block"."""
+    out = {}
+    for quad in itertools.product(range(bound + 1), repeat=4):
+        spins = tuple(Spin(t) for t in quad)
+        if classify_case(*spins) is CaseTag.NO_SOLUTION:
+            continue
+        gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
+        label = ",".join(str(t) for t in quad)
+        for source in SOURCES:
+            full = _vectors(source, spins, params)
+            for block in BLOCKS:
+                vec = full if block == "both" else momentum_from_vectors(full, BlockChoice(block))
+                bundle = MatrixBundle(
+                    spins=quad,
+                    case=vec.case,
+                    source=source,
+                    block=block,
+                    params=params,
+                    generators=gen,
+                    vectors=vec,
+                )
+                text = bundle.dumps().encode("utf-8")
+                out[f"{label}/{source}/{block}"] = hashlib.sha256(text).hexdigest()
+    return out
+
+
+def test_golden_bundle_digests():
+    golden = json.loads(DATA.read_text())
+    assert set(golden) == set(SECTIONS)
+    for name, (bound, params) in SECTIONS.items():
+        got = digests(bound, params)
+        changed = sorted(k for k in golden[name] if got.get(k) != golden[name][k])
+        assert set(got) == set(golden[name]), name
+        assert not changed, f"{name}: {len(changed)} bundles changed, first {changed[:5]}"
+
+
+if __name__ == "__main__":
+    corpus = {name: digests(bound, params) for name, (bound, params) in SECTIONS.items()}
+    DATA.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    print({name: len(d) for name, d in corpus.items()})
