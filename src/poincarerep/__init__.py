@@ -12,7 +12,6 @@ from .matrix import Matrix, commutator, anticommutator, kron, block_diag
 from .generators import (
     GeneratorSet,
     direct_sum,
-    generators_for,
     irrep_generators,
     ladder_coeff_r,
     ladder_coeff_s,
@@ -32,12 +31,10 @@ from .vectors import (
     vectors_from_coefficients,
 )
 from .cg import (
-    CGKey,
     LambdaParams,
     RatioFit,
     RatioMismatch,
-    cg_block_12,
-    cg_block_21,
+    cg_block,
     cg_vector_matrices,
     clebsch_gordan,
     equivalence_ratio,
@@ -59,13 +56,13 @@ __all__ = [
     "RadicalScalar", "normalize_radical", "sqrt_of_rational", "ZERO", "ONE", "I_UNIT",
     "HalfInt", "Spin", "SpinPair", "flatten_index",
     "Matrix", "commutator", "anticommutator", "kron", "block_diag",
-    "GeneratorSet", "direct_sum", "generators_for", "irrep_generators",
+    "GeneratorSet", "direct_sum", "irrep_generators",
     "ladder_coeff_r", "ladder_coeff_s", "rotation_rep", "spin",
     "CaseTag", "FreeParams", "NoSolutionError", "SELECTION_RULE",
     "TUCoefficients", "VectorSet", "classify_case", "closed_form_vectors",
     "recursion_solve", "vectors_from_coefficients",
-    "CGKey", "LambdaParams", "RatioFit", "RatioMismatch",
-    "cg_block_12", "cg_block_21", "cg_vector_matrices", "clebsch_gordan",
+    "LambdaParams", "RatioFit", "RatioMismatch",
+    "cg_block", "cg_vector_matrices", "clebsch_gordan",
     "equivalence_ratio",
     "BlockChoice", "momentum_from_vectors", "noncommutativity_witness",
     "translation_combination",

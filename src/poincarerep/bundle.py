@@ -40,9 +40,13 @@ def scalar_to_json(value: RadicalScalar) -> list[dict]:
 
 
 def scalar_from_json(terms: list[dict]) -> RadicalScalar:
-    return RadicalScalar.from_terms(
-        (t["d"], Fraction(*t["re"]), Fraction(*t["im"])) for t in terms
-    )
+    """Decode a term list; a malformed term raises ValueError (or KeyError)."""
+    try:
+        return RadicalScalar.from_terms(
+            (t["d"], Fraction(*t["re"]), Fraction(*t["im"])) for t in terms
+        )
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed scalar term: {exc}") from exc
 
 
 def matrix_to_json(mat: Matrix) -> list[list[dict]]:
@@ -79,10 +83,13 @@ class MatrixBundle:
     def dimension(self) -> int:
         return self.generators.dimension
 
+    def matrices(self) -> dict[str, Matrix]:
+        """The ten matrices keyed by MATRIX_KEYS, in that order."""
+        return dict(
+            zip(MATRIX_KEYS, (*self.generators.J, *self.generators.K, *self.vectors.components()))
+        )
+
     def to_json_dict(self) -> dict:
-        mats = dict(zip(("Jx", "Jy", "Jz"), self.generators.J))
-        mats.update(zip(("Kx", "Ky", "Kz"), self.generators.K))
-        mats.update(zip(("Vx", "Vy", "Vz", "Vt"), self.vectors.components()))
         return {
             "schemaVersion": SCHEMA_VERSION,
             "layout": LAYOUT_NOTE,
@@ -95,7 +102,7 @@ class MatrixBundle:
                 "t21": scalar_to_json(self.params.t21),
             },
             "dimension": self.dimension,
-            "matrices": {key: matrix_to_json(mats[key]) for key in MATRIX_KEYS},
+            "matrices": {key: matrix_to_json(mat) for key, mat in self.matrices().items()},
         }
 
     def dumps(self) -> str:

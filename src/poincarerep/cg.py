@@ -17,7 +17,8 @@ factors per entry.  For the 12-block (rows (a,b), columns (c,d)):
 
     (V_mu_12)_{ab,cd} = lam12 * sum_{m,n} T_mu[m,n] <1/2 m, C c|A a> <1/2 n, B b|D d>
 
-and for the 21-block the mirrored couplings <1/2 m, A a|C c> <1/2 n, D d|B b>.
+and the 21-block (rows (c,d), columns (a,b)) is the same formula with the
+roles of the two irreps exchanged: <1/2 m, A a|C c> <1/2 n, D d|B b>.
 The seed tables T_mu are the 12-block of the spin (1/2,0)+(0,1/2) vector
 matrices in this package's basis and metric convention; relative to the
 usual contravariant tabulation this flips the sign of the t component.
@@ -42,16 +43,6 @@ from .vectors import (
     VectorSet,
     classify_case,
 )
-
-
-@dataclass(frozen=True)
-class CGKey:
-    j1: Spin
-    j2: Spin
-    J: Spin
-    m1: HalfInt
-    m2: HalfInt
-    M: HalfInt
 
 
 def _as_rational(value: RadicalScalar) -> Fraction:
@@ -124,10 +115,6 @@ def clebsch_gordan(
     )
 
 
-def cg_for_key(key: CGKey) -> RadicalScalar:
-    return clebsch_gordan(key.j1, key.m1, key.j2, key.m2, key.J, key.M)
-
-
 # Seed tables over doubled (m, n) in {-1, +1}; see the module docstring.
 _SEED: dict[str, dict[tuple[int, int], RadicalScalar]] = {
     "x": {(-1, 1): ONE, (1, -1): ONE},
@@ -138,21 +125,27 @@ _SEED: dict[str, dict[tuple[int, int], RadicalScalar]] = {
 _HALF = Spin(1)
 
 
-def cg_block_12(
-    A: Spin, B: Spin, C: Spin, D: Spin, lam12: RadicalScalar
+def cg_block(
+    P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar
 ) -> dict[str, Matrix]:
-    """The four 12-blocks (rows (a,b), cols (c,d)), scaled by lam12."""
-    pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
-    blocks = {mu: Matrix(pair1.dimension, pair2.dimension) for mu in _SEED}
-    if lam12.is_zero():
+    """The four coupling blocks with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
+
+    (V_mu)_{pq,rs} = lam * sum_{m,n} T_mu[m,n] <1/2 m, R r|P p> <1/2 n, Q q|S s>.
+    The 12-block is cg_block(A, B, C, D, lam12); the 21-block is the same
+    coupling with the roles of the two irreps exchanged,
+    cg_block(C, D, A, B, lam21).
+    """
+    rows, cols = SpinPair(P, Q), SpinPair(R, S)
+    blocks = {mu: Matrix(rows.dimension, cols.dimension) for mu in _SEED}
+    if lam.is_zero():
         return blocks
-    for i, (a, b) in enumerate(pair1.basis()):
-        for j, (c, d) in enumerate(pair2.basis()):
+    for i, (p, q) in enumerate(rows.basis()):
+        for j, (r, s) in enumerate(cols.basis()):
             first = {
-                tm: clebsch_gordan(_HALF, HalfInt(tm), C, c, A, a) for tm in (-1, 1)
+                tm: clebsch_gordan(_HALF, HalfInt(tm), R, r, P, p) for tm in (-1, 1)
             }
             second = {
-                tn: clebsch_gordan(_HALF, HalfInt(tn), B, b, D, d) for tn in (-1, 1)
+                tn: clebsch_gordan(_HALF, HalfInt(tn), Q, q, S, s) for tn in (-1, 1)
             }
             for mu, seed in _SEED.items():
                 acc = ZERO
@@ -162,35 +155,7 @@ def cg_block_12(
                         continue
                     acc = acc + weight * f1 * f2
                 if not acc.is_zero():
-                    blocks[mu].set(i, j, acc * lam12)
-    return blocks
-
-
-def cg_block_21(
-    A: Spin, B: Spin, C: Spin, D: Spin, lam21: RadicalScalar
-) -> dict[str, Matrix]:
-    """The four 21-blocks (rows (c,d), cols (a,b)), scaled by lam21."""
-    pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
-    blocks = {mu: Matrix(pair2.dimension, pair1.dimension) for mu in _SEED}
-    if lam21.is_zero():
-        return blocks
-    for j, (c, d) in enumerate(pair2.basis()):
-        for i, (a, b) in enumerate(pair1.basis()):
-            first = {
-                tm: clebsch_gordan(_HALF, HalfInt(tm), A, a, C, c) for tm in (-1, 1)
-            }
-            second = {
-                tn: clebsch_gordan(_HALF, HalfInt(tn), D, d, B, b) for tn in (-1, 1)
-            }
-            for mu, seed in _SEED.items():
-                acc = ZERO
-                for (tm, tn), weight in seed.items():
-                    f1, f2 = first[tm], second[tn]
-                    if f1.is_zero() or f2.is_zero():
-                        continue
-                    acc = acc + weight * f1 * f2
-                if not acc.is_zero():
-                    blocks[mu].set(j, i, acc * lam21)
+                    blocks[mu].set(i, j, acc * lam)
     return blocks
 
 
@@ -210,8 +175,8 @@ def cg_vector_matrices(
     pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
     n1 = pair1.dimension
     n = n1 + pair2.dimension
-    b12 = cg_block_12(A, B, C, D, lams.lambda12)
-    b21 = cg_block_21(A, B, C, D, lams.lambda21)
+    b12 = cg_block(A, B, C, D, lams.lambda12)
+    b21 = cg_block(C, D, A, B, lams.lambda21)
     mats = {}
     for mu in ("x", "y", "z", "t"):
         full = Matrix.zeros(n)

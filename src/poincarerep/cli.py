@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from .bundle import (
+    SCHEMA_VERSION,
     MatrixBundle,
     load_bundle,
     save_bundle,
@@ -70,7 +71,10 @@ def parse_scalar(text: str) -> RadicalScalar:
         m = _TERM_RE.match(term)
         if not m or (m.group("num") is None and m.group("i") is None and m.group("d") is None):
             raise CliError(f"cannot parse scalar term {term!r}")
-        coeff = Fraction(m.group("num")) if m.group("num") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("num")) if m.group("num") else Fraction(1)
+        except ZeroDivisionError:
+            raise CliError(f"zero denominator in scalar term {term!r}") from None
         if m.group("sign") == "-":
             coeff = -coeff
         d = int(m.group("d")) if m.group("d") else 1
@@ -107,6 +111,13 @@ def _write_text(text: str, out: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise CliError(f"cannot write {out}: {exc}") from exc
+
+
+def _load(path: str) -> MatrixBundle:
+    try:
+        return load_bundle(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _build_vectors(source: str, spins, params: FreeParams):
@@ -149,7 +160,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _verify_bundle(path: str) -> dict:
-    bundle = load_bundle(path)
+    bundle = _load(path)
     reports = check_poincare(bundle.generators, bundle.vectors)
     return {
         "bundle": path,
@@ -220,10 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if (args.infile is None) == (args.sweep is None):
         raise CliError("verify needs exactly one of --in or --sweep")
     if args.infile is not None:
-        try:
-            report = _verify_bundle(args.infile)
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"cannot verify {args.infile}: {exc}") from exc
+        report = _verify_bundle(args.infile)
     else:
         if args.sweep < 0:
             raise CliError("--sweep bound must be nonnegative")
@@ -238,7 +246,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     lams = LambdaParams(parse_scalar(args.lambda12), parse_scalar(args.lambda21))
     reference = closed_form_vectors(*spins, params)
     candidate = cg_vector_matrices(*spins, lams)
-    fit = equivalence_ratio(reference, candidate)
+    try:
+        fit = equivalence_ratio(reference, candidate)
+    except ValueError as exc:
+        raise CliError(f"{exc}; --lambda12 and --lambda21 must each be a single term") from exc
     if isinstance(fit, RatioFit):
         payload = {
             "spins": [s.twice for s in spins],
@@ -267,19 +278,14 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    try:
-        bundle = load_bundle(args.infile)
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot read {args.infile}: {exc}") from exc
+    bundle = _load(args.infile)
     if args.format == "exact-json":
         _write_text(bundle.dumps(), args.out)
         return EXIT_OK
-    mats = dict(zip(("Jx", "Jy", "Jz"), bundle.generators.J))
-    mats.update(zip(("Kx", "Ky", "Kz"), bundle.generators.K))
-    mats.update(zip(("Vx", "Vy", "Vz", "Vt"), bundle.vectors.components()))
+    mats = bundle.matrices()
     if args.format == "float-json":
         payload = {
-            "schemaVersion": bundle.to_json_dict()["schemaVersion"],
+            "schemaVersion": SCHEMA_VERSION,
             "spins": list(bundle.spins),
             "caseTag": bundle.case.value,
             "block": bundle.block,
@@ -302,10 +308,10 @@ def cmd_export(args: argparse.Namespace) -> int:
             f"  dimension: {bundle.dimension}",
             f"t12 = {bundle.params.t12}   t21 = {bundle.params.t21}",
         ]
-        for key in ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vx", "Vy", "Vz", "Vt"):
+        for key, mat in mats.items():
             lines.append("")
             lines.append(f"{key}:")
-            lines.append(str(mats[key]))
+            lines.append(str(mat))
         _write_text("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     raise CliError(f"unknown format {args.format!r}")

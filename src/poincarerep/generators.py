@@ -64,12 +64,6 @@ class GeneratorSet:
     def dimension(self) -> int:
         return self.J[0].rows
 
-    def j_plus(self) -> Matrix:
-        return self.J[0] + self.J[1].times_i()
-
-    def j_minus(self) -> Matrix:
-        return self.J[0] - self.J[1].times_i()
-
 
 def _cartesian_from_ladder(plus: Matrix, minus: Matrix) -> tuple[Matrix, Matrix]:
     """(X, Y) with plus = X + iY and minus = X - iY."""
@@ -106,16 +100,6 @@ def direct_sum(p1: SpinPair, p2: SpinPair) -> GeneratorSet:
         J=tuple(block_diag(a, b) for a, b in zip(g1.J, g2.J)),
         K=tuple(block_diag(a, b) for a, b in zip(g1.K, g2.K)),
     )
-
-
-def generators_for(spins: "tuple[SpinPair, ...] | SpinPair") -> GeneratorSet:
-    if isinstance(spins, SpinPair):
-        return irrep_generators(spins)
-    if len(spins) == 1:
-        return irrep_generators(spins[0])
-    if len(spins) == 2:
-        return direct_sum(spins[0], spins[1])
-    raise ValueError("only one- and two-block representations are supported")
 
 
 def spin(twice: int) -> Spin:

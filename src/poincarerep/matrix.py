@@ -62,9 +62,6 @@ class Matrix:
         else:
             row[j] = value
 
-    def add_to(self, i: int, j: int, value: RadicalScalar) -> None:
-        self.set(i, j, self.get(i, j) + value)
-
     def _check(self, i: int, j: int) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols} matrix")
@@ -195,9 +192,6 @@ class Matrix:
 
     # -- export ---------------------------------------------------------------
 
-    def to_lists(self) -> list[list[RadicalScalar]]:
-        return [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
     def to_numpy(self) -> np.ndarray:
         arr = np.zeros((self.rows, self.cols), dtype=complex)
         for i, j, v in self.nonzero_items():
@@ -240,10 +234,3 @@ def anticommutator(m: Matrix, n: Matrix) -> Matrix:
     if m.rows != m.cols or n.rows != n.cols or m.rows != n.rows:
         raise ValueError("anticommutator needs square matrices of equal dimension")
     return (m @ n) + (n @ m)
-
-
-def scalar_diag(n: int, value: RadicalScalar) -> Matrix:
-    out = Matrix(n, n)
-    for i in range(n):
-        out.set(i, i, value)
-    return out

@@ -23,17 +23,12 @@ class BlockChoice(enum.Enum):
 def momentum_from_vectors(vec: VectorSet, choice: BlockChoice) -> VectorSet:
     """Zero the non-chosen off-diagonal block of every component."""
     n1 = vec.block1_dim
-    n = vec.dimension
+    which = "12" if choice is BlockChoice.KEEP_12 else "21"
+    r0, c0 = (0, n1) if which == "12" else (n1, 0)
 
     def keep(mat: Matrix) -> Matrix:
-        out = Matrix.zeros(n)
-        for i, j, v in mat.nonzero_items():
-            in12 = i < n1 <= j
-            in21 = j < n1 <= i
-            if (choice is BlockChoice.KEEP_12 and in12) or (
-                choice is BlockChoice.KEEP_21 and in21
-            ):
-                out.set(i, j, v)
+        out = Matrix.zeros(vec.dimension)
+        out.paste(vec.block(mat, which), r0, c0)
         return out
 
     return VectorSet(
@@ -44,7 +39,7 @@ def momentum_from_vectors(vec: VectorSet, choice: BlockChoice) -> VectorSet:
         Vy=keep(vec.Vy),
         Vz=keep(vec.Vz),
         Vt=keep(vec.Vt),
-        kept_block="12" if choice is BlockChoice.KEEP_12 else "21",
+        kept_block=which,
     )
 
 

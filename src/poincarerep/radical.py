@@ -91,9 +91,6 @@ class RadicalScalar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_rational(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and 1 in self._terms)
-
     @property
     def terms(self) -> dict[int, tuple[Fraction, Fraction]]:
         return dict(self._terms)

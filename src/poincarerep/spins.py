@@ -21,10 +21,6 @@ class HalfInt:
     def __setattr__(self, name, value):
         raise AttributeError("HalfInt is immutable")
 
-    @classmethod
-    def whole(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
     @property
     def value(self) -> Fraction:
         return Fraction(self.twice, 2)

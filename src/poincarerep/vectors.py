@@ -208,6 +208,7 @@ def closed_form_vectors(
 
     plus, minus = Matrix.zeros(n), Matrix.zeros(n)
     zt_plus, zt_minus = Matrix.zeros(n), Matrix.zeros(n)
+    targets = {"pm": (plus, minus), "zt": (zt_plus, zt_minus)}
 
     def family(name: str, sigma: int, indices: dict[str, HalfInt]) -> RadicalScalar:
         sign, f1, f2 = forms[name]
@@ -218,21 +219,19 @@ def closed_form_vectors(
     basis1, basis2 = pair1.basis(), pair2.basis()
     for i, (a, b) in enumerate(basis1):
         for j, (c, d) in enumerate(basis2):
-            idx = {"a": a, "b": b, "c": c, "d": d}
             da, db = a.twice - c.twice, b.twice - d.twice
-            for sigma in (+1, -1):
-                if da == sigma and db == sigma:
-                    target = plus if sigma > 0 else minus
-                    target.set(i, n1 + j, family("pm12", sigma, idx) * params.t12)
-                if da == sigma and db == -sigma:
-                    target = zt_plus if sigma > 0 else zt_minus
-                    target.set(i, n1 + j, family("zt12", sigma, idx) * params.t12)
-                if -da == sigma and -db == sigma:
-                    target = plus if sigma > 0 else minus
-                    target.set(n1 + j, i, family("pm21", sigma, idx) * params.t21)
-                if -da == sigma and -db == -sigma:
-                    target = zt_plus if sigma > 0 else zt_minus
-                    target.set(n1 + j, i, family("zt21", sigma, idx) * params.t21)
+            if abs(da) != 1 or abs(db) != 1:
+                continue
+            kind = "pm" if da == db else "zt"
+            idx = {"a": a, "b": b, "c": c, "d": d}
+            # In the 21-block the index differences flip sign.
+            for which, flip, t, row, col in (
+                ("12", +1, params.t12, i, n1 + j),
+                ("21", -1, params.t21, n1 + j, i),
+            ):
+                sigma = flip * da
+                target = targets[kind][0 if sigma > 0 else 1]
+                target.set(row, col, family(kind + which, sigma, idx) * t)
 
     return _vector_set_from_families(
         (pair1, pair2), case, params, plus, minus, zt_plus, zt_minus
@@ -340,6 +339,46 @@ def recursion_solve(
     )
 
 
+def _place_block(
+    roles: tuple[Spin, Spin, Spin, Spin],
+    tau: dict[tuple[int, int], RadicalScalar],
+    ups: dict[tuple[int, int], RadicalScalar],
+    rows: dict[tuple[int, int], int],
+    cols: dict[tuple[int, int], int],
+    families: tuple[Matrix, Matrix, Matrix, Matrix],
+) -> None:
+    """Place one block's t/u coefficients and its V_z, V_t entries.
+
+    ``roles`` is (P, Q, R, S) with rows (p,q) of (P,Q) and columns (r,s) of
+    (R,S); ``rows``/``cols`` map doubled index pairs to positions in the
+    full matrix.  ``families`` is (V+, V-, (V_z+V_t)/2, (V_z-V_t)/2).
+    """
+    P, Q, R, S = roles
+    plus, minus, zt_plus, zt_minus = families
+    for (p, q), val in tau.items():
+        j = cols.get((p - 1, q - 1))
+        if j is not None:
+            plus.set(rows[(p, q)], j, val)
+    for (p, q), val in ups.items():
+        j = cols.get((p + 1, q + 1))
+        if j is not None:
+            minus.set(rows[(p, q)], j, val)
+
+    for (p, q), i in rows.items():
+        j = cols.get((p - 1, q + 1))
+        if j is not None:
+            term = ladder_coeff_r(P, HalfInt(p - 2)) * ups.get((p - 2, q), ZERO) - ladder_coeff_r(
+                R, HalfInt(p - 1)
+            ) * ups.get((p, q), ZERO)
+            zt_plus.set(i, j, term)
+        j = cols.get((p + 1, q - 1))
+        if j is not None:
+            term = ladder_coeff_r(Q, HalfInt(q - 2)) * ups.get((p, q - 2), ZERO) - ladder_coeff_r(
+                S, HalfInt(q - 1)
+            ) * ups.get((p, q), ZERO)
+            zt_minus.set(i, j, term)
+
+
 def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:
     """Place t/u coefficients on their delta patterns and derive V_z, V_t.
 
@@ -353,63 +392,11 @@ def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:
     C, D = pair2.left, pair2.right
     n1 = pair1.dimension
     n = n1 + pair2.dimension
-    plus, minus = Matrix.zeros(n), Matrix.zeros(n)
-    zt_plus, zt_minus = Matrix.zeros(n), Matrix.zeros(n)
+    families = tuple(Matrix.zeros(n) for _ in range(4))
 
     pos1 = {(a.twice, b.twice): i for i, (a, b) in enumerate(pair1.basis())}
-    pos2 = {(c.twice, d.twice): j for j, (c, d) in enumerate(pair2.basis())}
+    pos2 = {(c.twice, d.twice): n1 + j for j, (c, d) in enumerate(pair2.basis())}
+    _place_block((A, B, C, D), coeffs.t12, coeffs.u12, pos1, pos2, families)
+    _place_block((C, D, A, B), coeffs.t21, coeffs.u21, pos2, pos1, families)
 
-    for (a, b), val in coeffs.t12.items():
-        j = pos2.get((a - 1, b - 1))
-        if j is not None:
-            plus.set(pos1[(a, b)], n1 + j, val)
-    for (a, b), val in coeffs.u12.items():
-        j = pos2.get((a + 1, b + 1))
-        if j is not None:
-            minus.set(pos1[(a, b)], n1 + j, val)
-    for (c, d), val in coeffs.t21.items():
-        i = pos1.get((c - 1, d - 1))
-        if i is not None:
-            plus.set(n1 + pos2[(c, d)], i, val)
-    for (c, d), val in coeffs.u21.items():
-        i = pos1.get((c + 1, d + 1))
-        if i is not None:
-            minus.set(n1 + pos2[(c, d)], i, val)
-
-    def u12_at(a: int, b: int) -> RadicalScalar:
-        return coeffs.u12.get((a, b), ZERO)
-
-    def u21_at(c: int, d: int) -> RadicalScalar:
-        return coeffs.u21.get((c, d), ZERO)
-
-    for (a, b), i in pos1.items():
-        j = pos2.get((a - 1, b + 1))
-        if j is not None:
-            term = ladder_coeff_r(A, HalfInt(a - 2)) * u12_at(a - 2, b) - ladder_coeff_r(
-                C, HalfInt(a - 1)
-            ) * u12_at(a, b)
-            zt_plus.set(i, n1 + j, term)
-        j = pos2.get((a + 1, b - 1))
-        if j is not None:
-            term = ladder_coeff_r(B, HalfInt(b - 2)) * u12_at(a, b - 2) - ladder_coeff_r(
-                D, HalfInt(b - 1)
-            ) * u12_at(a, b)
-            zt_minus.set(i, n1 + j, term)
-
-    for (c, d), j in pos2.items():
-        i = pos1.get((c - 1, d + 1))
-        if i is not None:
-            term = ladder_coeff_r(C, HalfInt(c - 2)) * u21_at(c - 2, d) - ladder_coeff_r(
-                A, HalfInt(c - 1)
-            ) * u21_at(c, d)
-            zt_plus.set(n1 + j, i, term)
-        i = pos1.get((c + 1, d - 1))
-        if i is not None:
-            term = ladder_coeff_r(D, HalfInt(d - 2)) * u21_at(c, d - 2) - ladder_coeff_r(
-                B, HalfInt(d - 1)
-            ) * u21_at(c, d)
-            zt_minus.set(n1 + j, i, term)
-
-    return _vector_set_from_families(
-        coeffs.spins, coeffs.case, coeffs.params, plus, minus, zt_plus, zt_minus
-    )
+    return _vector_set_from_families(coeffs.spins, coeffs.case, coeffs.params, *families)

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bundle import scalar_to_json
 from .generators import GeneratorSet
 from .matrix import Matrix, anticommutator, commutator
 from .radical import ZERO, RadicalScalar
@@ -56,10 +57,7 @@ class RuleReport:
             out["firstViolation"] = {
                 "row": row,
                 "col": col,
-                "residual": [
-                    {"d": d, "re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator]}
-                    for d, re, im in residual.sorted_terms()
-                ],
+                "residual": scalar_to_json(residual),
             }
         return out
 

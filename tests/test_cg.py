@@ -7,13 +7,10 @@ import pytest
 from oracles import racah_cg_signed_square
 
 from poincarerep.cg import (
-    CGKey,
     LambdaParams,
     RatioFit,
     RatioMismatch,
-    cg_block_12,
-    cg_block_21,
-    cg_for_key,
+    cg_block,
     cg_vector_matrices,
     clebsch_gordan,
     equivalence_ratio,
@@ -83,10 +80,6 @@ class TestClebschGordan:
             spin(1), HalfInt(1), spin(1), HalfInt(-1), spin(4), HalfInt(0)
         ).is_zero()
 
-    def test_cg_key_wrapper(self):
-        key = CGKey(spin(1), spin(1), spin(2), HalfInt(1), HalfInt(-1), HalfInt(0))
-        assert cg_for_key(key) == sqrt_of_rational(Fraction(1, 2))
-
     def test_exhaustive_against_racah_sum(self):
         for tj1, tj2 in itertools.product(range(5), repeat=2):
             for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
@@ -128,19 +121,19 @@ class TestClebschGordan:
 
 class TestCouplingBlocks:
     def test_zero_scale_gives_zero(self):
-        blocks = cg_block_21(spin(1), spin(0), spin(0), spin(1), ZERO)
+        blocks = cg_block(spin(0), spin(1), spin(1), spin(0), ZERO)
         assert all(m.is_zero() for m in blocks.values())
-        blocks12 = cg_block_12(spin(1), spin(0), spin(0), spin(1), ZERO)
+        blocks12 = cg_block(spin(1), spin(0), spin(0), spin(1), ZERO)
         assert all(m.is_zero() for m in blocks12.values())
 
     def test_triangle_rule_kills_distant_spins(self):
-        blocks = cg_block_21(spin(4), spin(0), spin(0), spin(0), ONE)
+        blocks = cg_block(spin(0), spin(0), spin(4), spin(0), ONE)
         assert all(m.is_zero() for m in blocks.values())
 
     def test_weyl_t_block_is_multiple_of_identity(self):
         # (1/2,0)+(0,1/2): both couplings collapse to singlet factors, so
         # the t component's 21-block is a multiple of the identity pattern.
-        blocks = cg_block_21(spin(1), spin(0), spin(0), spin(1), ONE)
+        blocks = cg_block(spin(0), spin(1), spin(1), spin(0), ONE)
         bt = blocks["t"]
         half = RadicalScalar.from_rational(Fraction(1, 2))
         assert bt.get(0, 0) == half

@@ -45,7 +45,7 @@ class TestScalarLiterals:
         assert parse_scalar("sqrt(8)") == sqrt_of_rational(8)
 
     def test_rejects_garbage(self):
-        for text in ("", "q", "sqrt(", "1**2", "2..5"):
+        for text in ("", "q", "sqrt(", "1**2", "2..5", "1/0"):
             with pytest.raises(CliError):
                 parse_scalar(text)
 
@@ -106,6 +106,14 @@ class TestCommands:
         assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
         missing = tmp_path / "missing.json"
         assert main(["verify", "--in", str(missing)]) == EXIT_BAD_INPUT
+        good = tmp_path / "good.json"
+        main(["gen", "--spins", "1,1,0,0", "--out", str(good)])
+        for term in ({"d": 1, "re": [1, 0], "im": [0, 1]}, {"d": "x", "re": [1, 1], "im": [0, 1]}):
+            data = json.loads(good.read_text())
+            data["matrices"]["Jz"][0] = [term]
+            bad.write_text(json.dumps(data))
+            assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+            assert main(["export", "--in", str(bad), "--format", "plain"]) == EXIT_BAD_INPUT
 
     def test_hand_corrupted_matrix_lists_failures(self, tmp_path):
         out = tmp_path / "p.json"
@@ -156,6 +164,13 @@ class TestCommands:
         report = json.loads(report_path.read_text())
         assert report["ratio12"]["display"] == "1"
         assert report["ratio21"]["display"] == "1"
+
+    def test_equiv_multi_term_lambda_is_input_error(self, capsys):
+        rc = main(["equiv", "--spins", "2,1,1,2", "--lambda12", "1+sqrt(2)"])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "single term" in err
 
     def test_equiv_no_solution(self):
         assert main(["equiv", "--spins", "2,0,0,0"]) == EXIT_NO_SOLUTION
