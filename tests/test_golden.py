@@ -5,6 +5,7 @@ for every admissible quadruple x source x block choice, at unit parameters
 for doubled spins <= 4 and at multi-term radical parameters for doubled
 spins <= 2.  A refactor of any construction route, of the momentum
 projection or of the serializer must leave every digest unchanged.
+``SWEEP_DIGESTS`` does the same for the ``verify --sweep N`` report.
 
 Re-record (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -17,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from poincarerep.bundle import MatrixBundle
+from poincarerep.cli import main
 from poincarerep.cg import LambdaParams, cg_vector_matrices
 from poincarerep.generators import direct_sum
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
@@ -32,6 +34,13 @@ from poincarerep.vectors import (
 )
 
 DATA = Path(__file__).parent / "data" / "golden_bundles.json"
+
+# sha256 of the `verify --sweep N` report bytes, keyed by N.
+SWEEP_DIGESTS = {
+    0: "eb8230b9acd3d6bee9334a79b9b945b2a691d51c6d86bfc3128d3402d99adae3",
+    1: "9c406a216113da5da0b9034e16dc7fadb2a8b6df868a0e0a3fa7f87fd154d502",
+    2: "1a88541ea5cb110117f453606a00eab72d3dfc070ed2ec0a4ecb18e9a6facb52",
+}
 
 SOURCES = ("closed-form", "recursion", "clebsch-gordan")
 BLOCKS = ("both", "keep12", "keep21")
@@ -93,6 +102,13 @@ def test_golden_bundle_digests():
         changed = sorted(k for k in golden[name] if got.get(k) != golden[name][k])
         assert set(got) == set(golden[name]), name
         assert not changed, f"{name}: {len(changed)} bundles changed, first {changed[:5]}"
+
+
+def test_golden_sweep_reports(tmp_path):
+    for bound, want in SWEEP_DIGESTS.items():
+        out = tmp_path / f"sweep{bound}.json"
+        assert main(["verify", "--sweep", str(bound), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, bound
 
 
 if __name__ == "__main__":

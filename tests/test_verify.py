@@ -1,5 +1,6 @@
 """The rule checker itself: completeness, fault sensitivity, numeric probes."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar
 from poincarerep.spins import SpinPair
-from poincarerep.vectors import FreeParams, closed_form_vectors
+from poincarerep.vectors import CaseTag, FreeParams, classify_case, closed_form_vectors
 from poincarerep.verify import (
     SeriesDivergenceError,
     check_clifford,
@@ -149,6 +150,54 @@ class TestTranslationsAndCount:
             spin(1), spin(1), spin(0), spin(0), FreeParams(ZERO, ZERO)
         )
         assert all(r.holds for r in check_translations(v))
+
+
+def _verdicts(reports):
+    return [(r.rule_id, r.holds) for r in reports]
+
+
+def _composed(first, second):
+    """Verdicts of a direct sum from those of its two blocks, rule by rule."""
+    assert [r.rule_id for r in first] == [r.rule_id for r in second]
+    return [(a.rule_id, a.holds and b.holds) for a, b in zip(first, second)]
+
+
+class TestBlockComposition:
+    """J, K are block-diagonal and V is off-diagonal, so residuals split by block."""
+
+    def test_verdicts_compose_over_blocks(self):
+        count = 0
+        for quad in itertools.product(range(3), repeat=4):
+            A, B, C, D = (spin(t) for t in quad)
+            if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
+                continue
+            p1, p2 = SpinPair(A, B), SpinPair(C, D)
+            gen = direct_sum(p1, p2)
+            assert _verdicts(check_lorentz(gen)) == _composed(
+                check_lorentz(irrep_generators(p1)), check_lorentz(irrep_generators(p2))
+            ), quad
+            vec = closed_form_vectors(A, B, C, D, UNIT)
+            halves = [check_vector_rules(gen, momentum_from_vectors(vec, c)) for c in BlockChoice]
+            assert _verdicts(check_vector_rules(gen, vec)) == _composed(*halves), quad
+            count += 1
+        assert count == 16
+
+    def test_corrupted_21_block_fails_same_ids(self):
+        A, B, C, D = spin(2), spin(1), spin(1), spin(2)
+        gen = direct_sum(SpinPair(A, B), SpinPair(C, D))
+        vec = closed_form_vectors(A, B, C, D, UNIT)
+        n = vec.dimension
+        bump = Matrix.from_entries(n, n, {(vec.block1_dim, 0): ONE})
+        broken = replace(vec, Vz=vec.Vz + bump)
+        keep12, keep21 = (
+            check_vector_rules(gen, momentum_from_vectors(broken, c)) for c in BlockChoice
+        )
+        full = _verdicts(check_vector_rules(gen, broken))
+        assert full == _composed(keep12, keep21)
+        assert all(r.holds for r in keep12)
+        failing = [rid for rid, holds in full if not holds]
+        assert failing == [r.rule_id for r in keep21 if not r.holds]
+        assert failing
 
 
 class TestClifford:
