@@ -50,6 +50,7 @@ from .verify import (
     check_vector_rules,
     finite_covariance_check,
     matrix_exp,
+    sweep,
 )
 
 __all__ = [
@@ -68,7 +69,7 @@ __all__ = [
     "translation_combination",
     "CliffordReport", "RuleReport", "check_clifford", "check_lorentz",
     "check_poincare", "check_translations", "check_vector_rules",
-    "finite_covariance_check", "matrix_exp",
+    "finite_covariance_check", "matrix_exp", "sweep",
 ]
 
 __version__ = "0.1.0"

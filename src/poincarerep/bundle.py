@@ -20,7 +20,7 @@ from .generators import GeneratorSet
 from .matrix import Matrix
 from .radical import RadicalScalar
 from .spins import Spin, SpinPair
-from .vectors import CaseTag, FreeParams, VectorSet
+from .vectors import CaseTag, FreeParams, VectorSet, classify_case
 
 SCHEMA_VERSION = 1
 LAYOUT_NOTE = (
@@ -30,6 +30,8 @@ LAYOUT_NOTE = (
 )
 
 MATRIX_KEYS = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vx", "Vy", "Vz", "Vt")
+SOURCES = ("closed-form", "recursion", "clebsch-gordan")
+BLOCKS = ("both", "keep12", "keep21")
 
 
 def scalar_to_json(value: RadicalScalar) -> list[dict]:
@@ -39,11 +41,21 @@ def scalar_to_json(value: RadicalScalar) -> list[dict]:
     ]
 
 
+_JSON_TYPES = {dict: "object", list: "array", int: "integer"}
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
 def scalar_from_json(terms: list[dict]) -> RadicalScalar:
     """Decode a term list; a malformed term raises ValueError (or KeyError)."""
     try:
         return RadicalScalar.from_terms(
-            (t["d"], Fraction(*t["re"]), Fraction(*t["im"])) for t in terms
+            (_expect(t["d"], int, "a radicand"), Fraction(*t["re"]), Fraction(*t["im"]))
+            for t in terms
         )
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed scalar term: {exc}") from exc
@@ -58,7 +70,7 @@ def matrix_to_json(mat: Matrix) -> list[list[dict]]:
 
 
 def matrix_from_json(entries: list[list[dict]], rows: int, cols: int) -> Matrix:
-    if len(entries) != rows * cols:
+    if len(_expect(entries, list, "a matrix")) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(entries)}")
     mat = Matrix(rows, cols)
     for pos, terms in enumerate(entries):
@@ -74,7 +86,7 @@ class MatrixBundle:
     spins: tuple[int, int, int, int]  # doubled (2A, 2B, 2C, 2D)
     case: CaseTag
     source: str
-    block: str  # "both", "keep12", or "keep21"
+    block: str  # one of BLOCKS
     params: FreeParams
     generators: GeneratorSet
     vectors: VectorSet
@@ -110,25 +122,32 @@ class MatrixBundle:
 
 
 def bundle_from_json_dict(data: dict) -> MatrixBundle:
-    if data.get("schemaVersion") != SCHEMA_VERSION:
+    """Decode a bundle, checking its metadata against its spins and matrices.
+
+    A malformed or inconsistent bundle raises ValueError (or KeyError).
+    """
+    if _expect(data, dict, "a bundle").get("schemaVersion") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schemaVersion {data.get('schemaVersion')!r}")
-    spins = tuple(int(t) for t in data["spins"])
+    spins = tuple(_expect(t, int, "a spin") for t in _expect(data["spins"], list, "spins"))
     if len(spins) != 4:
         raise ValueError("spins must hold four doubled integers")
-    pair1 = SpinPair(Spin(spins[0]), Spin(spins[1]))
-    pair2 = SpinPair(Spin(spins[2]), Spin(spins[3]))
-    n = int(data["dimension"])
+    A, B, C, D = (Spin(t) for t in spins)
+    pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
+    n = _expect(data["dimension"], int, "dimension")
     if n != pair1.dimension + pair2.dimension:
         raise ValueError("dimension field inconsistent with spins")
-    mats = {
-        key: matrix_from_json(data["matrices"][key], n, n) for key in MATRIX_KEYS
-    }
-    params = FreeParams(
-        scalar_from_json(data["params"]["t12"]),
-        scalar_from_json(data["params"]["t21"]),
-    )
+    matrices = _expect(data["matrices"], dict, "matrices")
+    mats = {key: matrix_from_json(matrices[key], n, n) for key in MATRIX_KEYS}
+    terms = _expect(data["params"], dict, "params")
+    params = FreeParams(scalar_from_json(terms["t12"]), scalar_from_json(terms["t21"]))
     case = CaseTag(data["caseTag"])
-    block = data["block"]
+    if case is not classify_case(A, B, C, D):
+        raise ValueError(f"caseTag {case.value!r} disagrees with spins {list(spins)}")
+    block, source = data["block"], data["source"]
+    if block not in BLOCKS:
+        raise ValueError(f"block must be one of {', '.join(BLOCKS)}, not {block!r}")
+    if source not in SOURCES:
+        raise ValueError(f"source must be one of {', '.join(SOURCES)}, not {source!r}")
     generators = GeneratorSet(
         spins=(pair1, pair2),
         J=(mats["Jx"], mats["Jy"], mats["Jz"]),
@@ -144,10 +163,14 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
         Vt=mats["Vt"],
         kept_block={"keep12": "12", "keep21": "21"}.get(block),
     )
+    if block != "both":
+        dropped = "21" if block == "keep12" else "12"
+        if not all(vectors.block(mat, dropped).is_zero() for mat in vectors.components()):
+            raise ValueError(f"block {block!r} but the {dropped}-block of V is nonzero")
     return MatrixBundle(
         spins=spins,
         case=case,
-        source=data["source"],
+        source=source,
         block=block,
         params=params,
         generators=generators,

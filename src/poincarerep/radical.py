@@ -141,7 +141,10 @@ class RadicalScalar:
         acc: dict[int, tuple[Fraction, Fraction]] = {}
         for d1, (re1, im1) in self._terms.items():
             for d2, (re2, im2) in other._terms.items():
-                out, core = normalize_radical(d1 * d2)
+                # Both radicands are squarefree: d1*d2 = g**2 * (d1/g)*(d2/g),
+                # and the cofactor is squarefree, so no factoring is needed.
+                out = math.gcd(d1, d2)
+                core = (d1 // out) * (d2 // out)
                 re = (re1 * re2 - im1 * im2) * out
                 im = (re1 * im2 + im1 * re2) * out
                 pre, pim = acc.get(core, (_ZERO_FRAC, _ZERO_FRAC))

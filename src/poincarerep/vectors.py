@@ -3,9 +3,10 @@
 Two independent construction routes are provided and must agree exactly:
 
 * ``closed_form_vectors`` evaluates the solved component formulas for the
-  four admissible spin cases.  Per case there are four formula families:
-  the combinations V+/- = (V_x +/- i V_y)/2 on the delta pattern
-  a-c = b-d = +/-1/2, and (V_z +/- V_t)/2 on a-c = -(b-d) = +/-1/2.
+  four admissible spin cases.  Per case there are two 12-block formula
+  families: the combinations V+/- = (V_x +/- i V_y)/2 on the delta pattern
+  a-c = b-d = +/-1/2, and (V_z +/- V_t)/2 on a-c = -(b-d) = +/-1/2; the
+  21-block is the 12-block with the roles of the two irreps exchanged.
 
 * ``recursion_solve`` + ``vectors_from_coefficients`` re-derives the same
   matrices by anchoring the two free parameters at the extreme index of
@@ -137,34 +138,26 @@ def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:
 #   factor (slot, eps, normalized): sqrt(spin_slot + eps*sigma*index_slot),
 #     divided by sqrt(2*spin_slot) when normalized.
 # Families and their delta patterns (doubled-index differences):
-#   pm12: rows (a,b), a-c = sigma, b-d = sigma      -> V+ (sigma=+1) / V- (sigma=-1)
-#   zt12: rows (a,b), a-c = sigma, b-d = -sigma     -> (V_z + sigma*V_t)/2
-#   pm21: rows (c,d), c-a = sigma, d-b = sigma
-#   zt21: rows (c,d), c-a = sigma, d-b = -sigma
+#   pm: rows (a,b), a-c = sigma, b-d = sigma      -> V+ (sigma=+1) / V- (sigma=-1)
+#   zt: rows (a,b), a-c = sigma, b-d = -sigma     -> (V_z + sigma*V_t)/2
+# The tables give the 12-block; the 21-block of (A,B)+(C,D) is the 12-block
+# of (C,D)+(A,B), whose case is the mirror one (1 <-> 4, 2 <-> 3).
 _CASE_FORMS: dict[CaseTag, dict[str, tuple[object, tuple, tuple]]] = {
     CaseTag.CASE_1: {
-        "pm12": ("s", ("A", +1, True), ("B", +1, True)),
-        "zt12": (-1, ("A", +1, True), ("B", -1, True)),
-        "pm21": ("s", ("A", -1, False), ("B", -1, False)),
-        "zt21": (+1, ("A", -1, False), ("B", +1, False)),
+        "pm": ("s", ("A", +1, True), ("B", +1, True)),
+        "zt": (-1, ("A", +1, True), ("B", -1, True)),
     },
     CaseTag.CASE_2: {
-        "pm12": (+1, ("A", +1, True), ("D", -1, False)),
-        "zt12": ("s", ("A", +1, True), ("D", +1, False)),
-        "pm21": (+1, ("A", -1, False), ("D", +1, True)),
-        "zt21": ("-s", ("A", -1, False), ("D", -1, True)),
+        "pm": (+1, ("A", +1, True), ("D", -1, False)),
+        "zt": ("s", ("A", +1, True), ("D", +1, False)),
     },
     CaseTag.CASE_3: {
-        "pm12": (+1, ("C", -1, False), ("B", +1, True)),
-        "zt12": ("-s", ("C", -1, False), ("B", -1, True)),
-        "pm21": (+1, ("C", +1, True), ("B", -1, False)),
-        "zt21": ("s", ("C", +1, True), ("B", +1, False)),
+        "pm": (+1, ("C", -1, False), ("B", +1, True)),
+        "zt": ("-s", ("C", -1, False), ("B", -1, True)),
     },
     CaseTag.CASE_4: {
-        "pm12": ("s", ("C", -1, False), ("D", -1, False)),
-        "zt12": (+1, ("C", -1, False), ("D", +1, False)),
-        "pm21": ("s", ("C", +1, True), ("D", +1, True)),
-        "zt21": (-1, ("C", +1, True), ("D", -1, True)),
+        "pm": ("s", ("C", -1, False), ("D", -1, False)),
+        "zt": (+1, ("C", -1, False), ("D", +1, False)),
     },
 }
 
@@ -200,8 +193,6 @@ def closed_form_vectors(
     case = classify_case(A, B, C, D)
     if case is CaseTag.NO_SOLUTION:
         raise NoSolutionError(A, B, C, D)
-    forms = _CASE_FORMS[case]
-    spins = {"A": A, "B": B, "C": C, "D": D}
     pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
     n1 = pair1.dimension
     n = n1 + pair2.dimension
@@ -210,28 +201,25 @@ def closed_form_vectors(
     zt_plus, zt_minus = Matrix.zeros(n), Matrix.zeros(n)
     targets = {"pm": (plus, minus), "zt": (zt_plus, zt_minus)}
 
-    def family(name: str, sigma: int, indices: dict[str, HalfInt]) -> RadicalScalar:
-        sign, f1, f2 = forms[name]
-        coeff = _factor(*f1, sigma, spins, indices) * _factor(*f2, sigma, spins, indices)
-        s = _form_sign(sign, sigma)
-        return -coeff if s < 0 else coeff
-
-    basis1, basis2 = pair1.basis(), pair2.basis()
-    for i, (a, b) in enumerate(basis1):
-        for j, (c, d) in enumerate(basis2):
-            da, db = a.twice - c.twice, b.twice - d.twice
-            if abs(da) != 1 or abs(db) != 1:
-                continue
-            kind = "pm" if da == db else "zt"
-            idx = {"a": a, "b": b, "c": c, "d": d}
-            # In the 21-block the index differences flip sign.
-            for which, flip, t, row, col in (
-                ("12", +1, params.t12, i, n1 + j),
-                ("21", -1, params.t21, n1 + j, i),
-            ):
-                sigma = flip * da
+    pos1 = list(enumerate(pair1.basis()))
+    pos2 = [(n1 + j, cd) for j, cd in enumerate(pair2.basis())]
+    for roles, t, rows, cols in (
+        ((A, B, C, D), params.t12, pos1, pos2),
+        ((C, D, A, B), params.t21, pos2, pos1),
+    ):
+        forms = _CASE_FORMS[classify_case(*roles)]
+        spins = dict(zip("ABCD", roles))
+        for i, (a, b) in rows:
+            for j, (c, d) in cols:
+                sigma, db = a.twice - c.twice, b.twice - d.twice
+                if abs(sigma) != 1 or abs(db) != 1:
+                    continue
+                kind = "pm" if sigma == db else "zt"
+                sign, f1, f2 = forms[kind]
+                idx = {"a": a, "b": b, "c": c, "d": d}
+                coeff = _factor(*f1, sigma, spins, idx) * _factor(*f2, sigma, spins, idx) * t
                 target = targets[kind][0 if sigma > 0 else 1]
-                target.set(row, col, family(kind + which, sigma, idx) * t)
+                target.set(i, j, -coeff if _form_sign(sign, sigma) < 0 else coeff)
 
     return _vector_set_from_families(
         (pair1, pair2), case, params, plus, minus, zt_plus, zt_minus

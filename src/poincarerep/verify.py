@@ -6,12 +6,15 @@ letters are x, y, z for generators and x, y, z, t for vector components.
 A full representation produces exactly 45 reports: 15 homogeneous rules,
 24 rules linear in the vector components, and 6 commuting-momentum rules.
 
-Every pass/fail verdict rests on exact RadicalScalar zero tests; only
-``finite_covariance_check`` and ``matrix_exp`` work in floating point.
+``sweep`` runs every construction route and check over all quadruples
+up to a spin bound.  Every pass/fail verdict rests on exact RadicalScalar
+zero tests; only ``finite_covariance_check`` and ``matrix_exp`` work in
+floating point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,10 +22,22 @@ from fractions import Fraction
 import numpy as np
 
 from .bundle import scalar_to_json
-from .generators import GeneratorSet
+from .cg import LambdaParams, RatioFit, cg_vector_matrices, equivalence_ratio
+from .generators import GeneratorSet, direct_sum, irrep_generators
 from .matrix import Matrix, anticommutator, commutator
-from .radical import ZERO, RadicalScalar
-from .vectors import VectorSet
+from .momentum import BlockChoice, momentum_from_vectors
+from .radical import ONE, ZERO, RadicalScalar
+from .spins import Spin, SpinPair
+from .vectors import (
+    CaseTag,
+    FreeParams,
+    NoSolutionError,
+    VectorSet,
+    classify_case,
+    closed_form_vectors,
+    recursion_solve,
+    vectors_from_coefficients,
+)
 
 AXES = ("x", "y", "z")
 COMPONENTS = ("x", "y", "z", "t")
@@ -136,6 +151,78 @@ def check_translations(mom: VectorSet) -> list[RuleReport]:
 def check_poincare(gen: GeneratorSet, mom: VectorSet) -> list[RuleReport]:
     """All 45 rules for a candidate full Poincare set (J, K, P)."""
     return check_lorentz(gen) + check_vector_rules(gen, mom) + check_translations(mom)
+
+
+def _both_blocks(first: list[RuleReport], second: list[RuleReport]) -> list[RuleReport]:
+    """Verdicts on a set whose residuals are those of two blocks in disjoint positions."""
+    return [RuleReport(a.rule_id, a.holds and b.holds) for a, b in zip(first, second)]
+
+
+def sweep(bound: int) -> dict:
+    """Check every quadruple with doubled spins <= bound, exactly.
+
+    J and K are block-diagonal and V, P live in the off-diagonal blocks, so
+    each residual of a direct sum is its blocks' residuals side by side.  The
+    Lorentz rules are therefore checked once per distinct irrep, and the
+    vector rules on V = keep12 + keep21 as the AND of the two momentum sets.
+    """
+    one = FreeParams(ONE, ONE)
+    total = admissible = checks = 0
+    failures: list[str] = []
+    lorentz: dict[SpinPair, list[RuleReport]] = {}
+
+    def run(tag: str, reports) -> None:
+        nonlocal checks
+        for rep in reports:
+            checks += 1
+            if not rep.holds:
+                failures.append(f"{tag}:{rep.rule_id}")
+
+    def irrep_rules(pair: SpinPair) -> list[RuleReport]:
+        if pair not in lorentz:
+            lorentz[pair] = check_lorentz(irrep_generators(pair))
+        return lorentz[pair]
+
+    for quad in itertools.product(range(bound + 1), repeat=4):
+        total += 1
+        A, B, C, D = (Spin(t) for t in quad)
+        label = ",".join(str(t) for t in quad)
+        if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
+            try:
+                closed_form_vectors(A, B, C, D, one)
+                failures.append(f"{label}:expected-no-solution")
+            except NoSolutionError:
+                pass
+            continue
+        admissible += 1
+        pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
+        gen = direct_sum(pair1, pair2)
+        run(label + ":lorentz", _both_blocks(irrep_rules(pair1), irrep_rules(pair2)))
+        closed = closed_form_vectors(A, B, C, D, one)
+        recursed = vectors_from_coefficients(recursion_solve(A, B, C, D, one))
+        cg = cg_vector_matrices(A, B, C, D, LambdaParams(ONE, ONE))
+        if any(recursed.component(mu) != closed.component(mu) for mu in COMPONENTS):
+            failures.append(f"{label}:recursion-mismatch")
+        if not isinstance(equivalence_ratio(closed, cg), RatioFit):
+            failures.append(f"{label}:cg-not-proportional")
+        for source, vec in (("closed-form", closed), ("clebsch-gordan", cg)):
+            moms = {choice: momentum_from_vectors(vec, choice) for choice in BlockChoice}
+            rules = {choice: check_vector_rules(gen, mom) for choice, mom in moms.items()}
+            halves = zip(*(mom.components() for mom in moms.values()), vec.components())
+            if any(p12 + p21 != v for p12, p21, v in halves):
+                failures.append(f"{label}:{source}:block-split")
+            run(f"{label}:{source}:V", _both_blocks(*rules.values()))
+            for choice, mom in moms.items():
+                run(f"{label}:{source}:{choice.value}", rules[choice])
+                run(f"{label}:{source}:{choice.value}", check_translations(mom))
+    return {
+        "sweepBound": bound,
+        "quadruples": total,
+        "admissible": admissible,
+        "rulesChecked": checks,
+        "failures": failures,
+        "allHold": not failures,
+    }
 
 
 # ---------------------------------------------------------------------------

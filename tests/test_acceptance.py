@@ -17,7 +17,7 @@ import pytest
 from oracles import racah_cg_signed_square, vector_rule_nullspace_dim
 
 from poincarerep.cg import LambdaParams, RatioFit, cg_vector_matrices, equivalence_ratio
-from poincarerep.cli import _verify_sweep, parse_scalar
+from poincarerep.cli import parse_scalar
 from poincarerep.generators import direct_sum, spin
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import (
@@ -38,6 +38,7 @@ from poincarerep.vectors import (
     vectors_from_coefficients,
 )
 from poincarerep.verify import check_clifford, finite_covariance_check, matrix_exp
+from poincarerep.verify import sweep as _verify_sweep
 
 SWEEP_BOUND = 4
 UNIT = FreeParams(ONE, ONE)

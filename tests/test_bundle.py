@@ -15,6 +15,7 @@ from poincarerep.bundle import (
 )
 from poincarerep.generators import direct_sum, spin
 from poincarerep.matrix import Matrix
+from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import ONE, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
 from poincarerep.vectors import FreeParams, closed_form_vectors
@@ -24,6 +25,8 @@ def _make_bundle(block="both"):
     spins = (spin(1), spin(0), spin(0), spin(1))
     params = FreeParams(ONE + sqrt_of_rational(2).times_i(), ONE)
     vec = closed_form_vectors(*spins, params)
+    if block != "both":
+        vec = momentum_from_vectors(vec, BlockChoice(block))
     gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
     return MatrixBundle(
         spins=tuple(s.twice for s in spins),

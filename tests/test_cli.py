@@ -45,7 +45,7 @@ class TestScalarLiterals:
         assert parse_scalar("sqrt(8)") == sqrt_of_rational(8)
 
     def test_rejects_garbage(self):
-        for text in ("", "q", "sqrt(", "1**2", "2..5", "1/0"):
+        for text in ("", "q", "sqrt(", "1**2", "2..5", "1/0", "sqrt(2305843009213693951)"):
             with pytest.raises(CliError):
                 parse_scalar(text)
 
@@ -108,12 +108,44 @@ class TestCommands:
         assert main(["verify", "--in", str(missing)]) == EXIT_BAD_INPUT
         good = tmp_path / "good.json"
         main(["gen", "--spins", "1,1,0,0", "--out", str(good)])
-        for term in ({"d": 1, "re": [1, 0], "im": [0, 1]}, {"d": "x", "re": [1, 1], "im": [0, 1]}):
+        for term in (
+            {"d": 1, "re": [1, 0], "im": [0, 1]},
+            {"d": "x", "re": [1, 1], "im": [0, 1]},
+            {"d": 2.5, "re": [1, 1], "im": [0, 1]},
+        ):
             data = json.loads(good.read_text())
             data["matrices"]["Jz"][0] = [term]
             bad.write_text(json.dumps(data))
             assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
             assert main(["export", "--in", str(bad), "--format", "plain"]) == EXIT_BAD_INPUT
+        doc = json.loads(good.read_text())
+        for data in ([], {**doc, "matrices": []}, {**doc, "params": "x"}, {**doc, "dimension": [5]}):
+            bad.write_text(json.dumps(data))
+            assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("caseTag", "case1"), ("block", "weird"), ("block", "keep21"), ("source", "nonsense")],
+    )
+    def test_metadata_must_agree_with_content(self, tmp_path, capsys, field, value):
+        path = tmp_path / "p.json"
+        main(["gen", "--spins", "1,0,0,1", "--block", "keep12", "--out", str(path)])
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_large_prime_parameter_round_trip(self, tmp_path):
+        path = tmp_path / "p.json"
+        t = "sqrt(2147483647)"  # a prime; products of its root must not be factored
+        assert main([
+            "gen", "--spins", "1,0,0,1", "--t12", t, "--t21", t, "--block", "keep12",
+            "--out", str(path),
+        ]) == EXIT_OK
+        assert main(["verify", "--in", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_OK
 
     def test_hand_corrupted_matrix_lists_failures(self, tmp_path):
         out = tmp_path / "p.json"

@@ -96,6 +96,11 @@ class TestArithmetic:
     def test_sqrt2_times_sqrt3(self):
         assert sqrt_of_rational(2) * sqrt_of_rational(3) == sqrt_of_rational(6)
 
+    def test_products_of_squarefree_radicands(self):
+        assert sqrt_of_rational(6) * sqrt_of_rational(10) == sqrt_of_rational(15) * 2
+        p = 2**31 - 1  # prime: the product must not be factored by trial division
+        assert sqrt_of_rational(p) * sqrt_of_rational(p) == RadicalScalar.from_rational(p)
+
     def test_gaussian_product(self):
         # (1 + i sqrt(3)) (1 - i sqrt(3)) = 1 + 3 = 4
         a = ONE + sqrt_of_rational(3).times_i()
