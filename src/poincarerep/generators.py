@@ -94,9 +94,13 @@ def irrep_generators(pair: SpinPair) -> GeneratorSet:
 
 def direct_sum(p1: SpinPair, p2: SpinPair) -> GeneratorSet:
     """Block-diagonal generators for (A,B) + (C,D), first block first."""
-    g1, g2 = irrep_generators(p1), irrep_generators(p2)
+    return block_sum(irrep_generators(p1), irrep_generators(p2))
+
+
+def block_sum(g1: GeneratorSet, g2: GeneratorSet) -> GeneratorSet:
+    """Block-diagonal generators of two representations, g1's block first."""
     return GeneratorSet(
-        spins=(p1, p2),
+        spins=g1.spins + g2.spins,
         J=tuple(block_diag(a, b) for a, b in zip(g1.J, g2.J)),
         K=tuple(block_diag(a, b) for a, b in zip(g1.K, g2.K)),
     )

@@ -3,10 +3,20 @@
 Entries are held sparsely (zeros dropped) so products of the very sparse
 spin matrices stay cheap, but the interface is an ordinary rows x cols
 matrix and serialization emits the full row-major grid.
+
+Products (``@``, ``commutator``, ``anticommutator``) share one kernel that
+computes a signed sum of products exactly.  It rewrites each operand as
+integer numerators over one denominator, the lcm of all the operand's
+coefficient denominators, multiplies and sums with Python ints, and forms
+RadicalScalar values only at the boundary: once per nonzero coefficient of
+the result, never per scalar product.  Nothing is rounded, so the result
+equals the sum of RadicalScalar products entry for entry.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -114,21 +124,7 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = Matrix(self.rows, other.cols)
-        for i, arow in self._rows.items():
-            acc: dict[int, RadicalScalar] = {}
-            for k, aval in arow.items():
-                brow = other._rows.get(k)
-                if not brow:
-                    continue
-                for j, bval in brow.items():
-                    prev = acc.get(j)
-                    prod = aval * bval
-                    acc[j] = prod if prev is None else prev + prod
-            acc = {j: v for j, v in acc.items() if not v.is_zero()}
-            if acc:
-                out._rows[i] = acc
-        return out
+        return _signed_products(self.rows, other.cols, [(1, self, other)])
 
     def scale(self, factor: RadicalScalar | RationalLike) -> "Matrix":
         factor = _coerce(factor)
@@ -227,10 +223,91 @@ def commutator(m: Matrix, n: Matrix) -> Matrix:
     """M @ N - N @ M for square matrices of equal dimension."""
     if m.rows != m.cols or n.rows != n.cols or m.rows != n.rows:
         raise ValueError("commutator needs square matrices of equal dimension")
-    return (m @ n) - (n @ m)
+    return _signed_products(m.rows, m.cols, [(1, m, n), (-1, n, m)])
 
 
 def anticommutator(m: Matrix, n: Matrix) -> Matrix:
     if m.rows != m.cols or n.rows != n.cols or m.rows != n.rows:
         raise ValueError("anticommutator needs square matrices of equal dimension")
-    return (m @ n) + (n @ m)
+    return _signed_products(m.rows, m.cols, [(1, m, n), (1, n, m)])
+
+
+# -- the product kernel -------------------------------------------------------
+
+def _pack(m: Matrix) -> tuple[int, dict[int, list]]:
+    """(L, rows): every entry as (radicand, re*L, im*L) integer terms, L one lcm."""
+    scale = math.lcm(*{
+        c.denominator
+        for row in m._rows.values()
+        for v in row.values()
+        for pair in v._terms.values()
+        for c in pair
+    })
+    rows = {
+        i: [
+            (j, [
+                (d, re.numerator * (scale // re.denominator),
+                 im.numerator * (scale // im.denominator))
+                for d, (re, im) in v._terms.items()
+            ])
+            for j, v in row.items()
+        ]
+        for i, row in m._rows.items()
+    }
+    return scale, rows
+
+
+def _signed_products(
+    rows: int, cols: int, pairs: list[tuple[int, Matrix, Matrix]]
+) -> Matrix:
+    """The sum of sign * X @ Y over (sign, X, Y), exactly.
+
+    Each operand is packed once.  Products and sums run on Python ints over
+    the common denominator of the pairs, and only the nonzero coefficients
+    left at the end become Fractions.
+    """
+    packed = {}
+    for _, x, y in pairs:
+        for m in (x, y):
+            if id(m) not in packed:
+                packed[id(m)] = _pack(m)
+    den = math.lcm(*(packed[id(x)][0] * packed[id(y)][0] for _, x, y in pairs))
+    gcd = math.gcd
+    acc: dict[tuple[int, int, int], list[int]] = {}
+    for sign, x, y in pairs:
+        lx, xrows = packed[id(x)]
+        ly, yrows = packed[id(y)]
+        factor = sign * (den // (lx * ly))
+        for i, xrow in xrows.items():
+            for k, xterms in xrow:
+                yrow = yrows.get(k)
+                if yrow is None:
+                    continue
+                if factor != 1:
+                    xterms = [(d, factor * a, factor * b) for d, a, b in xterms]
+                for j, yterms in yrow:
+                    for d1, a, b in xterms:
+                        for d2, c, e in yterms:
+                            # Squarefree radicands: d1*d2 = g**2 * (d1/g)*(d2/g).
+                            g = gcd(d1, d2)
+                            key = (i, j, (d1 // g) * (d2 // g))
+                            re = (a * c - b * e) * g
+                            im = (a * e + b * c) * g
+                            prev = acc.get(key)
+                            if prev is None:
+                                acc[key] = [re, im]
+                            else:
+                                prev[0] += re
+                                prev[1] += im
+    entries: dict[int, dict[int, dict[int, tuple[Fraction, Fraction]]]] = {}
+    for (i, j, core), (re, im) in acc.items():
+        if re or im:
+            entries.setdefault(i, {}).setdefault(j, {})[core] = (
+                Fraction(re, den), Fraction(im, den)
+            )
+    out = Matrix(rows, cols)
+    out._rows = {
+        i: {j: RadicalScalar(terms) for j, terms in row.items()}
+        for i, row in entries.items()
+    }
+    return out

@@ -23,9 +23,17 @@ RationalLike = Union[int, Fraction]
 _ZERO_FRAC = Fraction(0)
 
 
+_TRIAL_LIMIT = 2**20
+
+
 @lru_cache(maxsize=None)
 def normalize_radical(n: int) -> tuple[int, int]:
-    """Split n >= 0 as outside**2 * core with core squarefree; 0 -> (0, 1)."""
+    """Split n >= 0 as outside**2 * core with core squarefree; 0 -> (0, 1).
+
+    Trial division stops past 2**20.  A cofactor left below 2**40 has no
+    factor it missed, so it is prime; a larger one raises ValueError, since
+    splitting it would mean factoring it.
+    """
     if n < 0:
         raise ValueError(f"radicand must be nonnegative, got {n}")
     if n == 0:
@@ -35,6 +43,8 @@ def normalize_radical(n: int) -> tuple[int, int]:
     m = n
     p = 2
     while p * p <= m:
+        if p > _TRIAL_LIMIT:
+            raise ValueError(f"radicand {n} has a factor too large to split")
         if m % p == 0:
             exp = 0
             while m % p == 0:

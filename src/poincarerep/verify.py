@@ -23,7 +23,7 @@ import numpy as np
 
 from .bundle import scalar_to_json
 from .cg import LambdaParams, RatioFit, cg_vector_matrices, equivalence_ratio
-from .generators import GeneratorSet, direct_sum, irrep_generators
+from .generators import GeneratorSet, block_sum, irrep_generators
 from .matrix import Matrix, anticommutator, commutator
 from .momentum import BlockChoice, momentum_from_vectors
 from .radical import ONE, ZERO, RadicalScalar
@@ -162,14 +162,14 @@ def sweep(bound: int) -> dict:
     """Check every quadruple with doubled spins <= bound, exactly.
 
     J and K are block-diagonal and V, P live in the off-diagonal blocks, so
-    each residual of a direct sum is its blocks' residuals side by side.  The
-    Lorentz rules are therefore checked once per distinct irrep, and the
-    vector rules on V = keep12 + keep21 as the AND of the two momentum sets.
+    each residual of a direct sum is its blocks' residuals side by side.  So
+    each distinct irrep is built and Lorentz-checked once, and the verdicts
+    on V = keep12 + keep21 are the AND of those on the two momentum sets.
     """
     one = FreeParams(ONE, ONE)
     total = admissible = checks = 0
     failures: list[str] = []
-    lorentz: dict[SpinPair, list[RuleReport]] = {}
+    irreps: dict[SpinPair, tuple[GeneratorSet, list[RuleReport]]] = {}
 
     def run(tag: str, reports) -> None:
         nonlocal checks
@@ -178,10 +178,11 @@ def sweep(bound: int) -> dict:
             if not rep.holds:
                 failures.append(f"{tag}:{rep.rule_id}")
 
-    def irrep_rules(pair: SpinPair) -> list[RuleReport]:
-        if pair not in lorentz:
-            lorentz[pair] = check_lorentz(irrep_generators(pair))
-        return lorentz[pair]
+    def irrep(pair: SpinPair) -> tuple[GeneratorSet, list[RuleReport]]:
+        if pair not in irreps:
+            gen = irrep_generators(pair)
+            irreps[pair] = (gen, check_lorentz(gen))
+        return irreps[pair]
 
     for quad in itertools.product(range(bound + 1), repeat=4):
         total += 1
@@ -196,8 +197,9 @@ def sweep(bound: int) -> dict:
             continue
         admissible += 1
         pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
-        gen = direct_sum(pair1, pair2)
-        run(label + ":lorentz", _both_blocks(irrep_rules(pair1), irrep_rules(pair2)))
+        (gen1, rules1), (gen2, rules2) = irrep(pair1), irrep(pair2)
+        gen = block_sum(gen1, gen2)
+        run(label + ":lorentz", _both_blocks(rules1, rules2))
         closed = closed_form_vectors(A, B, C, D, one)
         recursed = vectors_from_coefficients(recursion_solve(A, B, C, D, one))
         cg = cg_vector_matrices(A, B, C, D, LambdaParams(ONE, ONE))

@@ -1,14 +1,18 @@
 """Independent desk-check oracles shared by the test modules.
 
 These deliberately avoid the library's own computation paths: the CG
-oracle is the closed factorial sum in exact Fractions, and the nullspace
-oracle solves the 24 vector rules as one dense linear system in floats.
+oracle is the closed factorial sum in exact Fractions, the nullspace
+oracle solves the 24 vector rules as one dense linear system in floats,
+and the matrix product oracle sums RadicalScalar products entry by entry.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from poincarerep.matrix import Matrix
+from poincarerep.radical import ZERO
 
 
 def _fact(n) -> int:
@@ -117,3 +121,25 @@ def vector_rule_nullspace_dim(gen, tol: float = 1e-8) -> int:
     eigenvalues = np.linalg.eigvalsh(gram)
     top = max(float(eigenvalues[-1]), 1.0)
     return int(np.sum(eigenvalues < tol * top))
+
+
+def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b with one RadicalScalar product and sum per scalar term."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    out = Matrix(a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = ZERO
+            for k in range(a.cols):
+                acc = acc + a.get(i, k) * b.get(k, j)
+            out.set(i, j, acc)
+    return out
+
+
+def reference_commutator(m: Matrix, n: Matrix) -> Matrix:
+    return reference_matmul(m, n) - reference_matmul(n, m)
+
+
+def reference_anticommutator(m: Matrix, n: Matrix) -> Matrix:
+    return reference_matmul(m, n) + reference_matmul(n, m)

@@ -112,6 +112,7 @@ class TestCommands:
             {"d": 1, "re": [1, 0], "im": [0, 1]},
             {"d": "x", "re": [1, 1], "im": [0, 1]},
             {"d": 2.5, "re": [1, 1], "im": [0, 1]},
+            {"d": 2**61 - 1, "re": [1, 1], "im": [0, 1]},  # too large a prime to split
         ):
             data = json.loads(good.read_text())
             data["matrices"]["Jz"][0] = [term]

@@ -1,0 +1,106 @@
+"""The sparse product kernel against the entry-by-entry RadicalScalar oracle."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import reference_anticommutator, reference_commutator, reference_matmul
+from poincarerep.matrix import Matrix, anticommutator, commutator
+from poincarerep.radical import RadicalScalar
+
+# Shared and coprime radicands, one non-squarefree (12 = 2**2 * 3) and one
+# large prime; denominators are mixed so each operand needs a real lcm.
+_radicand = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 12, 15, 2147483647])
+_coefficient = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+
+
+@st.composite
+def scalars(draw):
+    n_terms = draw(st.integers(min_value=1, max_value=3))
+    return RadicalScalar.from_terms(
+        (draw(_radicand), draw(_coefficient), draw(_coefficient)) for _ in range(n_terms)
+    )
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    positions = draw(st.sets(cells, max_size=rows * cols))
+    return Matrix.from_entries(rows, cols, {ij: draw(scalars()) for ij in positions})
+
+
+@st.composite
+def product_operands(draw):
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(matrices(n, k)), draw(matrices(k, m))
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(matrices(n, n)), draw(matrices(n, n))
+
+
+def _canonical(m: Matrix) -> bool:
+    return all(not v.is_zero() for _, _, v in m.nonzero_items())
+
+
+@given(product_operands())
+@settings(max_examples=100, deadline=None)
+def test_matmul_matches_reference(operands):
+    a, b = operands
+    out = a @ b
+    assert out == reference_matmul(a, b)
+    assert (out.rows, out.cols) == (a.rows, b.cols)
+    assert _canonical(out)
+
+
+@given(square_pairs())
+@settings(max_examples=100, deadline=None)
+def test_commutator_and_anticommutator_match_reference(pair):
+    m, n = pair
+    comm, anti = commutator(m, n), anticommutator(m, n)
+    assert comm == reference_commutator(m, n)
+    assert anti == reference_anticommutator(m, n)
+    assert _canonical(comm) and _canonical(anti)
+
+
+@given(square_pairs(), scalars(), scalars())
+@settings(max_examples=60, deadline=None)
+def test_cancelling_results_are_the_zero_matrix(pair, r, s):
+    m, n = pair
+    size = m.rows
+    # m commutes with r*m + s*I; (n - n) and [m, m] vanish term by term.
+    partner = m.scale(r) + Matrix.identity(size).scale(s)
+    assert commutator(m, partner).is_zero()
+    assert reference_commutator(m, partner).is_zero()
+    assert commutator(m, m).is_zero()
+    assert anticommutator(n, -n) == (n @ n).scale(-2)
+    assert (m @ (n - n)).is_zero()
+
+
+def test_hand_cancellation_across_radicands():
+    # sqrt2*sqrt6 - 2*sqrt3 = 0: the product's radicand 12 splits as 2**2 * 3.
+    root2 = RadicalScalar.from_terms([(2, 1, 0)])
+    root3 = RadicalScalar.from_terms([(3, 1, 0)])
+    row = Matrix.from_entries(1, 2, {(0, 0): root2, (0, 1): root3})
+    col = Matrix.from_entries(
+        2, 1, {(0, 0): RadicalScalar.from_terms([(6, 1, 0)]), (1, 0): RadicalScalar.from_rational(-2)}
+    )
+    assert (row @ col).is_zero()
+    nilpotent = Matrix.from_entries(2, 2, {(0, 1): root3.times_i()})
+    assert (nilpotent @ nilpotent).is_zero()
+    assert anticommutator(nilpotent, nilpotent).is_zero()
+
+
+def test_shape_mismatches_raise():
+    with pytest.raises(ValueError):
+        Matrix(2, 3) @ Matrix(2, 3)
+    with pytest.raises(ValueError):
+        commutator(Matrix(2, 3), Matrix(3, 2))
+    with pytest.raises(ValueError):
+        commutator(Matrix.identity(2), Matrix.identity(3))
+    with pytest.raises(ValueError):
+        anticommutator(Matrix(3, 2), Matrix(3, 2))
+    with pytest.raises(ValueError):
+        anticommutator(Matrix.identity(2), Matrix.identity(3))

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: canonical form, ring axioms, square roots."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,16 @@ class TestNormalizeRadical:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             normalize_radical(-4)
+
+    def test_prime_cofactor_below_2_40_splits(self):
+        prime = 2**40 - 87  # the largest prime below 2**40
+        assert normalize_radical(prime * 12) == (2, prime * 3)
+
+    def test_unsplittable_radicand_rejected_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            normalize_radical(2**61 - 1)  # a Mersenne prime
+        assert time.perf_counter() - start < 5
 
     @given(st.integers(min_value=0, max_value=5000))
     def test_matches_oracle_and_is_squarefree(self, n):
