@@ -16,11 +16,19 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cg import LambdaParams, cg_vector_matrices
 from .generators import GeneratorSet
 from .matrix import Matrix
 from .radical import RadicalScalar
 from .spins import Spin, SpinPair
-from .vectors import CaseTag, FreeParams, VectorSet, classify_case
+from .vectors import (
+    CaseTag,
+    FreeParams,
+    VectorSet,
+    closed_form_vectors,
+    recursion_solve,
+    vectors_from_coefficients,
+)
 
 SCHEMA_VERSION = 1
 LAYOUT_NOTE = (
@@ -32,6 +40,24 @@ LAYOUT_NOTE = (
 MATRIX_KEYS = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vx", "Vy", "Vz", "Vt")
 SOURCES = ("closed-form", "recursion", "clebsch-gordan")
 BLOCKS = ("both", "keep12", "keep21")
+
+
+def vectors_from_source(
+    source: str, spins: tuple[Spin, Spin, Spin, Spin], params: FreeParams
+) -> VectorSet:
+    """The full vector set of (A,B)+(C,D) built by the route named ``source``.
+
+    For clebsch-gordan, t12 and t21 act as the route's scale factors
+    lambda12 and lambda21.
+    """
+    A, B, C, D = spins
+    if source == "closed-form":
+        return closed_form_vectors(A, B, C, D, params)
+    if source == "recursion":
+        return vectors_from_coefficients(recursion_solve(A, B, C, D, params))
+    if source == "clebsch-gordan":
+        return cg_vector_matrices(A, B, C, D, LambdaParams(params.t12, params.t21))
+    raise ValueError(f"source must be one of {', '.join(SOURCES)}, not {source!r}")
 
 
 def scalar_to_json(value: RadicalScalar) -> list[dict]:
@@ -62,10 +88,9 @@ def scalar_from_json(terms: list[dict]) -> RadicalScalar:
 
 
 def matrix_to_json(mat: Matrix) -> list[list[dict]]:
-    flat = []
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            flat.append(scalar_to_json(mat.get(i, j)))
+    flat: list[list[dict]] = [[] for _ in range(mat.rows * mat.cols)]
+    for i, j, value in mat.nonzero_items():
+        flat[i * mat.cols + j] = scalar_to_json(value)
     return flat
 
 
@@ -81,15 +106,34 @@ def matrix_from_json(entries: list[list[dict]], rows: int, cols: int) -> Matrix:
 
 @dataclass(frozen=True)
 class MatrixBundle:
-    """One generated representation: metadata plus the ten matrices."""
+    """One generated representation: its route and its ten matrices.
 
-    spins: tuple[int, int, int, int]  # doubled (2A, 2B, 2C, 2D)
-    case: CaseTag
-    source: str
-    block: str  # one of BLOCKS
-    params: FreeParams
+    The spins, case, parameters and block choice are read off the vectors.
+    """
+
+    source: str  # one of SOURCES
     generators: GeneratorSet
     vectors: VectorSet
+
+    @property
+    def spins(self) -> tuple[int, int, int, int]:
+        """Doubled (2A, 2B, 2C, 2D)."""
+        pair1, pair2 = self.vectors.spins
+        return (pair1.left.twice, pair1.right.twice, pair2.left.twice, pair2.right.twice)
+
+    @property
+    def case(self) -> CaseTag:
+        return self.vectors.case
+
+    @property
+    def params(self) -> FreeParams:
+        return self.vectors.params
+
+    @property
+    def block(self) -> str:
+        """One of BLOCKS."""
+        kept = self.vectors.kept_block
+        return "both" if kept is None else f"keep{kept}"
 
     @property
     def dimension(self) -> int:
@@ -140,42 +184,32 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
     mats = {key: matrix_from_json(matrices[key], n, n) for key in MATRIX_KEYS}
     terms = _expect(data["params"], dict, "params")
     params = FreeParams(scalar_from_json(terms["t12"]), scalar_from_json(terms["t21"]))
-    case = CaseTag(data["caseTag"])
-    if case is not classify_case(A, B, C, D):
-        raise ValueError(f"caseTag {case.value!r} disagrees with spins {list(spins)}")
     block, source = data["block"], data["source"]
     if block not in BLOCKS:
         raise ValueError(f"block must be one of {', '.join(BLOCKS)}, not {block!r}")
     if source not in SOURCES:
         raise ValueError(f"source must be one of {', '.join(SOURCES)}, not {source!r}")
-    generators = GeneratorSet(
-        spins=(pair1, pair2),
-        J=(mats["Jx"], mats["Jy"], mats["Jz"]),
-        K=(mats["Kx"], mats["Ky"], mats["Kz"]),
-    )
     vectors = VectorSet(
         spins=(pair1, pair2),
-        case=case,
         params=params,
         Vx=mats["Vx"],
         Vy=mats["Vy"],
         Vz=mats["Vz"],
         Vt=mats["Vt"],
-        kept_block={"keep12": "12", "keep21": "21"}.get(block),
+        kept_block=None if block == "both" else block.removeprefix("keep"),
     )
-    if block != "both":
-        dropped = "21" if block == "keep12" else "12"
+    if data["caseTag"] != vectors.case.value:
+        raise ValueError(f"caseTag {data['caseTag']!r} disagrees with spins {list(spins)}")
+    if vectors.kept_block is not None:
+        dropped = "21" if vectors.kept_block == "12" else "12"
         if not all(vectors.block(mat, dropped).is_zero() for mat in vectors.components()):
             raise ValueError(f"block {block!r} but the {dropped}-block of V is nonzero")
-    return MatrixBundle(
-        spins=spins,
-        case=case,
-        source=source,
-        block=block,
-        params=params,
-        generators=generators,
-        vectors=vectors,
+    generators = GeneratorSet(
+        spins=(pair1, pair2),
+        J=(mats["Jx"], mats["Jy"], mats["Jz"]),
+        K=(mats["Kx"], mats["Ky"], mats["Kz"]),
     )
+    return MatrixBundle(source=source, generators=generators, vectors=vectors)
 
 
 def load_bundle(path: str) -> MatrixBundle:

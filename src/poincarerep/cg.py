@@ -169,28 +169,15 @@ def cg_vector_matrices(
     A: Spin, B: Spin, C: Spin, D: Spin, lams: LambdaParams
 ) -> VectorSet:
     """Full vector matrices from the coupling route."""
-    case = classify_case(A, B, C, D)
-    if case is CaseTag.NO_SOLUTION:
+    if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
         raise NoSolutionError(A, B, C, D)
-    pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
-    n1 = pair1.dimension
-    n = n1 + pair2.dimension
     b12 = cg_block(A, B, C, D, lams.lambda12)
     b21 = cg_block(C, D, A, B, lams.lambda21)
-    mats = {}
-    for mu in ("x", "y", "z", "t"):
-        full = Matrix.zeros(n)
-        full.paste(b12[mu], 0, n1)
-        full.paste(b21[mu], n1, 0)
-        mats[mu] = full
-    return VectorSet(
-        spins=(pair1, pair2),
-        case=case,
-        params=FreeParams(lams.lambda12, lams.lambda21),
-        Vx=mats["x"],
-        Vy=mats["y"],
-        Vz=mats["z"],
-        Vt=mats["t"],
+    return VectorSet.from_blocks(
+        (SpinPair(A, B), SpinPair(C, D)),
+        FreeParams(lams.lambda12, lams.lambda21),
+        tuple(b12.values()),  # x, y, z, t: the order of _SEED
+        tuple(b21.values()),
     )
 
 

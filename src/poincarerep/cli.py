@@ -27,19 +27,14 @@ from .bundle import (
     load_bundle,
     save_bundle,
     scalar_to_json,
+    vectors_from_source,
 )
 from .cg import LambdaParams, RatioFit, cg_vector_matrices, equivalence_ratio
 from .generators import direct_sum
 from .momentum import BlockChoice, momentum_from_vectors
 from .radical import RadicalScalar
 from .spins import Spin, SpinPair
-from .vectors import (
-    FreeParams,
-    NoSolutionError,
-    closed_form_vectors,
-    recursion_solve,
-    vectors_from_coefficients,
-)
+from .vectors import FreeParams, NoSolutionError, closed_form_vectors
 from .verify import check_poincare, sweep
 
 EXIT_OK = 0
@@ -120,34 +115,14 @@ def _load(path: str) -> MatrixBundle:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _build_vectors(source: str, spins, params: FreeParams):
-    A, B, C, D = spins
-    if source == "closed-form":
-        return closed_form_vectors(A, B, C, D, params)
-    if source == "recursion":
-        return vectors_from_coefficients(recursion_solve(A, B, C, D, params))
-    if source == "clebsch-gordan":
-        return cg_vector_matrices(A, B, C, D, LambdaParams(params.t12, params.t21))
-    raise CliError(f"unknown source {source!r}")
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     spins = parse_spins(args.spins)
     params = FreeParams(parse_scalar(args.t12), parse_scalar(args.t21))
-    vec = _build_vectors(args.source, spins, params)
+    vec = vectors_from_source(args.source, spins, params)
     gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
     if args.block != "both":
-        choice = BlockChoice.KEEP_12 if args.block == "keep12" else BlockChoice.KEEP_21
-        vec = momentum_from_vectors(vec, choice)
-    bundle = MatrixBundle(
-        spins=tuple(s.twice for s in spins),
-        case=vec.case,
-        source=args.source,
-        block=args.block,
-        params=params,
-        generators=gen,
-        vectors=vec,
-    )
+        vec = momentum_from_vectors(vec, BlockChoice(args.block))
+    bundle = MatrixBundle(source=args.source, generators=gen, vectors=vec)
     try:
         save_bundle(bundle, args.out)
     except OSError as exc:

@@ -22,25 +22,10 @@ class BlockChoice(enum.Enum):
 
 def momentum_from_vectors(vec: VectorSet, choice: BlockChoice) -> VectorSet:
     """Zero the non-chosen off-diagonal block of every component."""
-    n1 = vec.block1_dim
     which = "12" if choice is BlockChoice.KEEP_12 else "21"
-    r0, c0 = (0, n1) if which == "12" else (n1, 0)
-
-    def keep(mat: Matrix) -> Matrix:
-        out = Matrix.zeros(vec.dimension)
-        out.paste(vec.block(mat, which), r0, c0)
-        return out
-
-    return VectorSet(
-        spins=vec.spins,
-        case=vec.case,
-        params=vec.params,
-        Vx=keep(vec.Vx),
-        Vy=keep(vec.Vy),
-        Vz=keep(vec.Vz),
-        Vt=keep(vec.Vt),
-        kept_block=which,
-    )
+    kept = tuple(vec.block(mat, which) for mat in vec.components())
+    b12, b21 = (kept, None) if which == "12" else (None, kept)
+    return VectorSet.from_blocks(vec.spins, vec.params, b12, b21, kept_block=which)
 
 
 def translation_combination(vec: VectorSet, x: tuple) -> Matrix:

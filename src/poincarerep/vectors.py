@@ -67,6 +67,10 @@ class FreeParams:
         return cls(_coerce(t12), _coerce(t21))
 
 
+# The (x, y, z, t) components of one off-diagonal block.
+Block = tuple[Matrix, Matrix, Matrix, Matrix]
+
+
 @dataclass(frozen=True)
 class VectorSet:
     """Four vector matrices with their construction metadata.
@@ -76,13 +80,39 @@ class VectorSet:
     """
 
     spins: tuple[SpinPair, SpinPair]
-    case: CaseTag
     params: FreeParams
     Vx: Matrix
     Vy: Matrix
     Vz: Matrix
     Vt: Matrix
     kept_block: str | None = None
+
+    @classmethod
+    def from_blocks(
+        cls,
+        spins: tuple[SpinPair, SpinPair],
+        params: FreeParams,
+        b12: Block | None,
+        b21: Block | None,
+        kept_block: str | None = None,
+    ) -> "VectorSet":
+        """Place the 12-block at (0, n1) and the 21-block at (n1, 0); None is zero.
+
+        b12 has the rows of spins[0] and the columns of spins[1], b21 the
+        reverse.  This is the only place that knows where a block sits.
+        """
+        n1 = spins[0].dimension
+        n = n1 + spins[1].dimension
+        comps = [Matrix.zeros(n) for _ in range(4)]
+        for block, r0, c0 in ((b12, 0, n1), (b21, n1, 0)):
+            for full, part in zip(comps, block or ()):
+                full.paste(part, r0, c0)
+        return cls(spins, params, *comps, kept_block=kept_block)
+
+    @property
+    def case(self) -> CaseTag:
+        pair1, pair2 = self.spins
+        return classify_case(pair1.left, pair1.right, pair2.left, pair2.right)
 
     @property
     def dimension(self) -> int:
@@ -186,61 +216,51 @@ def _form_sign(mode: object, sigma: int) -> int:
     return int(mode)  # type: ignore[arg-type]
 
 
+def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> Block:
+    """The closed-form block with rows (p,q) of (P,Q) and columns (r,s) of (R,S)."""
+    rows, cols = SpinPair(P, Q), SpinPair(R, S)
+    families = [Matrix(rows.dimension, cols.dimension) for _ in range(4)]
+    targets = {"pm": families[:2], "zt": families[2:]}
+    forms = _CASE_FORMS[classify_case(P, Q, R, S)]
+    spins = dict(zip("ABCD", (P, Q, R, S)))
+    for i, (a, b) in enumerate(rows.basis()):
+        for j, (c, d) in enumerate(cols.basis()):
+            sigma, db = a.twice - c.twice, b.twice - d.twice
+            if abs(sigma) != 1 or abs(db) != 1:
+                continue
+            kind = "pm" if sigma == db else "zt"
+            sign, f1, f2 = forms[kind]
+            idx = {"a": a, "b": b, "c": c, "d": d}
+            coeff = _factor(*f1, sigma, spins, idx) * _factor(*f2, sigma, spins, idx) * t
+            target = targets[kind][0 if sigma > 0 else 1]
+            target.set(i, j, -coeff if _form_sign(sign, sigma) < 0 else coeff)
+    return _components_from_families(*families)
+
+
 def closed_form_vectors(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> VectorSet:
     """Assemble V_x, V_y, V_z, V_t from the per-case component tables."""
-    case = classify_case(A, B, C, D)
-    if case is CaseTag.NO_SOLUTION:
+    if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
         raise NoSolutionError(A, B, C, D)
-    pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
-    n1 = pair1.dimension
-    n = n1 + pair2.dimension
-
-    plus, minus = Matrix.zeros(n), Matrix.zeros(n)
-    zt_plus, zt_minus = Matrix.zeros(n), Matrix.zeros(n)
-    targets = {"pm": (plus, minus), "zt": (zt_plus, zt_minus)}
-
-    pos1 = list(enumerate(pair1.basis()))
-    pos2 = [(n1 + j, cd) for j, cd in enumerate(pair2.basis())]
-    for roles, t, rows, cols in (
-        ((A, B, C, D), params.t12, pos1, pos2),
-        ((C, D, A, B), params.t21, pos2, pos1),
-    ):
-        forms = _CASE_FORMS[classify_case(*roles)]
-        spins = dict(zip("ABCD", roles))
-        for i, (a, b) in rows:
-            for j, (c, d) in cols:
-                sigma, db = a.twice - c.twice, b.twice - d.twice
-                if abs(sigma) != 1 or abs(db) != 1:
-                    continue
-                kind = "pm" if sigma == db else "zt"
-                sign, f1, f2 = forms[kind]
-                idx = {"a": a, "b": b, "c": c, "d": d}
-                coeff = _factor(*f1, sigma, spins, idx) * _factor(*f2, sigma, spins, idx) * t
-                target = targets[kind][0 if sigma > 0 else 1]
-                target.set(i, j, -coeff if _form_sign(sign, sigma) < 0 else coeff)
-
-    return _vector_set_from_families(
-        (pair1, pair2), case, params, plus, minus, zt_plus, zt_minus
+    return VectorSet.from_blocks(
+        (SpinPair(A, B), SpinPair(C, D)),
+        params,
+        _closed_form_block(A, B, C, D, params.t12),
+        _closed_form_block(C, D, A, B, params.t21),
     )
 
 
-def _vector_set_from_families(
-    spins: tuple[SpinPair, SpinPair],
-    case: CaseTag,
-    params: FreeParams,
-    plus: Matrix,
-    minus: Matrix,
-    zt_plus: Matrix,
-    zt_minus: Matrix,
-) -> VectorSet:
+def _components_from_families(
+    plus: Matrix, minus: Matrix, zt_plus: Matrix, zt_minus: Matrix
+) -> Block:
     """Recover Cartesian components from V+/-, (V_z +/- V_t)/2."""
-    vx = plus + minus
-    vy = (plus - minus).times_i().scale(-1)
-    vz = zt_plus + zt_minus
-    vt = zt_plus - zt_minus
-    return VectorSet(spins=spins, case=case, params=params, Vx=vx, Vy=vy, Vz=vz, Vt=vt)
+    return (
+        plus + minus,
+        (plus - minus).times_i().scale(-1),
+        zt_plus + zt_minus,
+        zt_plus - zt_minus,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +278,6 @@ class TUCoefficients:
     """
 
     spins: tuple[SpinPair, SpinPair]
-    case: CaseTag
     params: FreeParams
     t12: dict[tuple[int, int], RadicalScalar]
     u12: dict[tuple[int, int], RadicalScalar]
@@ -309,8 +328,7 @@ def recursion_solve(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> TUCoefficients:
     """Populate every in-range t/u coefficient from the two anchors."""
-    case = classify_case(A, B, C, D)
-    if case is CaseTag.NO_SOLUTION:
+    if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
         raise NoSolutionError(A, B, C, D)
     t12, u12 = _solve_block(A, B, C, D, params.t12)
     # The 21-block obeys the same recursions with the roles of the two
@@ -318,7 +336,6 @@ def recursion_solve(
     t21, u21 = _solve_block(C, D, A, B, params.t21)
     return TUCoefficients(
         spins=(SpinPair(A, B), SpinPair(C, D)),
-        case=case,
         params=params,
         t12=t12,
         u12=u12,
@@ -331,18 +348,17 @@ def _place_block(
     roles: tuple[Spin, Spin, Spin, Spin],
     tau: dict[tuple[int, int], RadicalScalar],
     ups: dict[tuple[int, int], RadicalScalar],
-    rows: dict[tuple[int, int], int],
-    cols: dict[tuple[int, int], int],
-    families: tuple[Matrix, Matrix, Matrix, Matrix],
-) -> None:
-    """Place one block's t/u coefficients and its V_z, V_t entries.
+) -> Block:
+    """One block from its t/u coefficients, with its V_z, V_t entries.
 
     ``roles`` is (P, Q, R, S) with rows (p,q) of (P,Q) and columns (r,s) of
     (R,S); ``rows``/``cols`` map doubled index pairs to positions in the
-    full matrix.  ``families`` is (V+, V-, (V_z+V_t)/2, (V_z-V_t)/2).
+    block.
     """
     P, Q, R, S = roles
-    plus, minus, zt_plus, zt_minus = families
+    rows = {(p.twice, q.twice): i for i, (p, q) in enumerate(SpinPair(P, Q).basis())}
+    cols = {(r.twice, s.twice): j for j, (r, s) in enumerate(SpinPair(R, S).basis())}
+    plus, minus, zt_plus, zt_minus = (Matrix(len(rows), len(cols)) for _ in range(4))
     for (p, q), val in tau.items():
         j = cols.get((p - 1, q - 1))
         if j is not None:
@@ -365,6 +381,7 @@ def _place_block(
                 S, HalfInt(q - 1)
             ) * ups.get((p, q), ZERO)
             zt_minus.set(i, j, term)
+    return _components_from_families(plus, minus, zt_plus, zt_minus)
 
 
 def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:
@@ -376,15 +393,10 @@ def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:
     they differ by a sign; likewise for the 21-block with a<->c, b<->d.
     """
     pair1, pair2 = coeffs.spins
-    A, B = pair1.left, pair1.right
-    C, D = pair2.left, pair2.right
-    n1 = pair1.dimension
-    n = n1 + pair2.dimension
-    families = tuple(Matrix.zeros(n) for _ in range(4))
-
-    pos1 = {(a.twice, b.twice): i for i, (a, b) in enumerate(pair1.basis())}
-    pos2 = {(c.twice, d.twice): n1 + j for j, (c, d) in enumerate(pair2.basis())}
-    _place_block((A, B, C, D), coeffs.t12, coeffs.u12, pos1, pos2, families)
-    _place_block((C, D, A, B), coeffs.t21, coeffs.u21, pos2, pos1, families)
-
-    return _vector_set_from_families(coeffs.spins, coeffs.case, coeffs.params, *families)
+    A, B, C, D = pair1.left, pair1.right, pair2.left, pair2.right
+    return VectorSet.from_blocks(
+        coeffs.spins,
+        coeffs.params,
+        _place_block((A, B, C, D), coeffs.t12, coeffs.u12),
+        _place_block((C, D, A, B), coeffs.t21, coeffs.u21),
+    )

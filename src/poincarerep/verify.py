@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bundle import scalar_to_json
-from .cg import LambdaParams, RatioFit, cg_vector_matrices, equivalence_ratio
+from .bundle import SOURCES, scalar_to_json, vectors_from_source
+from .cg import RatioFit, equivalence_ratio
 from .generators import GeneratorSet, block_sum, irrep_generators
 from .matrix import Matrix, anticommutator, commutator
 from .momentum import BlockChoice, momentum_from_vectors
@@ -35,8 +35,6 @@ from .vectors import (
     VectorSet,
     classify_case,
     closed_form_vectors,
-    recursion_solve,
-    vectors_from_coefficients,
 )
 
 AXES = ("x", "y", "z")
@@ -200,14 +198,14 @@ def sweep(bound: int) -> dict:
         (gen1, rules1), (gen2, rules2) = irrep(pair1), irrep(pair2)
         gen = block_sum(gen1, gen2)
         run(label + ":lorentz", _both_blocks(rules1, rules2))
-        closed = closed_form_vectors(A, B, C, D, one)
-        recursed = vectors_from_coefficients(recursion_solve(A, B, C, D, one))
-        cg = cg_vector_matrices(A, B, C, D, LambdaParams(ONE, ONE))
-        if any(recursed.component(mu) != closed.component(mu) for mu in COMPONENTS):
+        vecs = {source: vectors_from_source(source, (A, B, C, D), one) for source in SOURCES}
+        closed = vecs["closed-form"]
+        if any(vecs["recursion"].component(mu) != closed.component(mu) for mu in COMPONENTS):
             failures.append(f"{label}:recursion-mismatch")
-        if not isinstance(equivalence_ratio(closed, cg), RatioFit):
+        if not isinstance(equivalence_ratio(closed, vecs["clebsch-gordan"]), RatioFit):
             failures.append(f"{label}:cg-not-proportional")
-        for source, vec in (("closed-form", closed), ("clebsch-gordan", cg)):
+        for source in ("closed-form", "clebsch-gordan"):
+            vec = vecs[source]
             moms = {choice: momentum_from_vectors(vec, choice) for choice in BlockChoice}
             rules = {choice: check_vector_rules(gen, mom) for choice, mom in moms.items()}
             halves = zip(*(mom.components() for mom in moms.values()), vec.components())

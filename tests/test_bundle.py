@@ -18,7 +18,7 @@ from poincarerep.matrix import Matrix
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import ONE, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
-from poincarerep.vectors import FreeParams, closed_form_vectors
+from poincarerep.vectors import CaseTag, FreeParams, closed_form_vectors
 
 
 def _make_bundle(block="both"):
@@ -28,15 +28,7 @@ def _make_bundle(block="both"):
     if block != "both":
         vec = momentum_from_vectors(vec, BlockChoice(block))
     gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
-    return MatrixBundle(
-        spins=tuple(s.twice for s in spins),
-        case=vec.case,
-        source="closed-form",
-        block=block,
-        params=params,
-        generators=gen,
-        vectors=vec,
-    )
+    return MatrixBundle(source="closed-form", generators=gen, vectors=vec)
 
 
 def test_scalar_terms_sorted_and_exact():
@@ -96,3 +88,26 @@ def test_unknown_schema_rejected():
     data["schemaVersion"] = 99
     with pytest.raises(ValueError):
         bundle_from_json_dict(data)
+
+
+@pytest.mark.parametrize("choice", [None, *BlockChoice])
+def test_metadata_is_read_off_the_vectors(choice):
+    spins = (spin(2), spin(1), spin(1), spin(2))
+    params = FreeParams(sqrt_of_rational(2), ONE.times_i())
+    vec = closed_form_vectors(*spins, params)
+    if choice is not None:
+        vec = momentum_from_vectors(vec, choice)
+    gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
+    bundle = MatrixBundle(source="recursion", generators=gen, vectors=vec)
+    assert bundle.spins == (2, 1, 1, 2)
+    assert bundle.case is vec.case is CaseTag.CASE_2
+    assert bundle.params is vec.params
+    assert bundle.block == ("both" if choice is None else choice.value)
+    data = json.loads(bundle.dumps())
+    assert (data["spins"], data["caseTag"], data["block"]) == ([2, 1, 1, 2], "case2", bundle.block)
+
+
+def test_keep21_bundle_reports_keep21():
+    bundle = _make_bundle(block="keep21")
+    assert bundle.block == "keep21"
+    assert bundle_from_json_dict(json.loads(bundle.dumps())).block == "keep21"

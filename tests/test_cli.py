@@ -1,9 +1,17 @@
 """Command-line interface: literals, exit codes, files, reports."""
 
+import copy
+import io
 import json
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarerep.cli import (
     EXIT_BAD_INPUT,
@@ -241,3 +249,111 @@ class TestCommands:
 
     def test_unknown_flag_is_input_error(self):
         assert main(["gen", "--nope", "1"]) == EXIT_BAD_INPUT
+
+
+# Values a mutated bundle subtree is replaced with: wrong types, wrong
+# shapes, bad terms, huge and negative numbers, and valid-looking metadata.
+POOL = (
+    None, True, 0, 1, -1, 7, 2.5, 2**61 - 1, "", "x", "1", "keep12", "keep21", "both",
+    "case1", "case2", "nosolution", "recursion", [], [0], [1, 0], [1, 1, 0, 0], [[]], {},
+    {"d": 1, "re": [1, 1], "im": [0, 1]}, {"d": 3, "re": [1, 0], "im": [0, 1]},
+    [{"d": 2, "re": [1, 2], "im": [0, 1]}], [{"d": 2**61 - 1, "re": [1, 1], "im": [0, 1]}],
+    [{"d": -2, "re": [1, 1], "im": [0, 1]}], [{"re": [1, 1], "im": [0, 1]}],
+)
+FUZZ_SECONDS = 5.0  # per example; a sane run takes milliseconds
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _run(argv):
+    """main(argv) with its exit code, stderr text and wall time."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue(), time.perf_counter() - start
+
+
+def _assert_clean_exit(code, err, seconds):
+    assert code in (EXIT_OK, EXIT_RULE_FAILURE, EXIT_NO_SOLUTION, EXIT_BAD_INPUT)
+    if code == EXIT_BAD_INPUT:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert seconds < FUZZ_SECONDS
+
+
+@pytest.fixture(scope="module")
+def keep12_bundle():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        assert main(["gen", "--spins", "1,0,0,1", "--t12", "1/2*sqrt(3)+i", "--block", "keep12",
+                     "--out", str(path)]) == EXIT_OK
+        return json.loads(path.read_text())
+
+
+class TestFuzz:
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_verify_mutated_bundle(self, keep12_bundle, data):
+        tree = copy.deepcopy(keep12_bundle)
+        by_depth = {}
+        for path in _paths(tree):
+            by_depth.setdefault(len(path), []).append(path)
+        for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+            # Draw the depth first, so the few metadata fields are hit as often as matrix terms.
+            depth = data.draw(st.sampled_from(sorted(by_depth)), label="depth")
+            path = data.draw(st.sampled_from(by_depth[depth]), label="path")
+            if not path:
+                tree = data.draw(st.sampled_from(POOL), label="root")
+                continue
+            parent = tree
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]]
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier mutation removed this path
+            if data.draw(st.booleans(), label="delete"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(POOL), label="value"))
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "bad.json"
+            bad.write_text(json.dumps(tree))
+            _assert_clean_exit(*_run(["verify", "--in", str(bad)]))
+
+    @given(
+        text=st.one_of(
+            st.text(alphabet="0123456789/+-*i sqrt()", max_size=24),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["", "-"]),
+                    st.sampled_from(["", "0", "1", "3/4", "7/0", "12345678901234567"]),
+                    st.sampled_from(["", "i", "*i"]),
+                    st.sampled_from(
+                        ["", "sqrt(2)", "*sqrt(8)", "*sqrt(0)", "*sqrt(1099511627775)"]
+                    ),
+                ).map("".join),
+                min_size=1,
+                max_size=3,
+            ).map("+".join),
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gen_literals(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = str(Path(tmp) / "p.json")
+            code, err, seconds = _run(["gen", "--spins", "1,0,0,1", f"--t12={text}", "--out", out])
+        assert code in (EXIT_OK, EXIT_BAD_INPUT)
+        _assert_clean_exit(code, err, seconds)

@@ -17,21 +17,13 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from poincarerep.bundle import MatrixBundle
+from poincarerep.bundle import MatrixBundle, vectors_from_source
 from poincarerep.cli import main
-from poincarerep.cg import LambdaParams, cg_vector_matrices
 from poincarerep.generators import direct_sum
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import ONE, RadicalScalar
 from poincarerep.spins import Spin, SpinPair
-from poincarerep.vectors import (
-    CaseTag,
-    FreeParams,
-    classify_case,
-    closed_form_vectors,
-    recursion_solve,
-    vectors_from_coefficients,
-)
+from poincarerep.vectors import CaseTag, FreeParams, classify_case
 
 DATA = Path(__file__).parent / "data" / "golden_bundles.json"
 
@@ -59,14 +51,6 @@ SECTIONS = {
 }
 
 
-def _vectors(source, spins, params):
-    if source == "closed-form":
-        return closed_form_vectors(*spins, params)
-    if source == "recursion":
-        return vectors_from_coefficients(recursion_solve(*spins, params))
-    return cg_vector_matrices(*spins, LambdaParams(params.t12, params.t21))
-
-
 def digests(bound, params):
     """sha256 of every bundle in one corpus section, keyed "2A,2B,2C,2D/source/block"."""
     out = {}
@@ -77,18 +61,10 @@ def digests(bound, params):
         gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
         label = ",".join(str(t) for t in quad)
         for source in SOURCES:
-            full = _vectors(source, spins, params)
+            full = vectors_from_source(source, spins, params)
             for block in BLOCKS:
                 vec = full if block == "both" else momentum_from_vectors(full, BlockChoice(block))
-                bundle = MatrixBundle(
-                    spins=quad,
-                    case=vec.case,
-                    source=source,
-                    block=block,
-                    params=params,
-                    generators=gen,
-                    vectors=vec,
-                )
+                bundle = MatrixBundle(source=source, generators=gen, vectors=vec)
                 text = bundle.dumps().encode("utf-8")
                 out[f"{label}/{source}/{block}"] = hashlib.sha256(text).hexdigest()
     return out

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from poincarerep.bundle import SOURCES, vectors_from_source
 from poincarerep.generators import direct_sum, spin
 from poincarerep.matrix import Matrix
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
@@ -13,6 +14,7 @@ from poincarerep.vectors import (
     CaseTag,
     FreeParams,
     NoSolutionError,
+    VectorSet,
     classify_case,
     closed_form_vectors,
     recursion_solve,
@@ -238,3 +240,51 @@ def test_unsatisfiable_half_step_lattice():
             pairs_a = any(a - c == sign for a in a_vals for c in c_vals)
             pairs_b = any(b - d == sign for b in b_vals for d in d_vals)
             assert not (pairs_a and pairs_b), q
+
+
+class TestFromBlocks:
+    def test_rectangular_blocks_land_off_the_diagonal(self):
+        spins = (SpinPair(spin(1), spin(1)), SpinPair(spin(0), spin(0)))  # n1 = 4, n2 = 1
+        b12 = tuple(
+            Matrix.from_entries(4, 1, {(i, 0): RadicalScalar.from_rational(10 * k + i + 1)
+                                       for i in range(4)})
+            for k in range(4)
+        )
+        b21 = tuple(
+            Matrix.from_entries(1, 4, {(0, j): sqrt_of_rational(k + j + 2) for j in range(4)})
+            for k in range(4)
+        )
+        vec = VectorSet.from_blocks(spins, UNIT, b12, b21)
+        assert vec.dimension == 5 and vec.kept_block is None
+        for comp, p12, p21 in zip(vec.components(), b12, b21):
+            assert comp.rows == comp.cols == 5
+            assert comp.nnz() == p12.nnz() + p21.nnz()
+            for i in range(4):
+                assert comp.get(i, 4) == p12.get(i, 0)
+                assert comp.get(4, i) == p21.get(0, i)
+
+    def test_none_block_stays_zero(self):
+        spins = (SpinPair(spin(1), spin(1)), SpinPair(spin(0), spin(0)))
+        b21 = tuple(Matrix.from_entries(1, 4, {(0, k): ONE}) for k in range(4))
+        vec = VectorSet.from_blocks(spins, UNIT, None, b21, kept_block="21")
+        assert vec.kept_block == "21"
+        for comp, part in zip(vec.components(), b21):
+            assert vec.block(comp, "12").is_zero()
+            assert vec.block(comp, "21") == part
+        empty = VectorSet.from_blocks(spins, UNIT, None, None)
+        assert all(comp.is_zero() for comp in empty.components())
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_round_trip_through_block(self, source):
+        params = FreeParams(sqrt_of_rational(3) + I_UNIT, -ONE)
+        count = 0
+        for q in admissible(2):
+            vec = vectors_from_source(source, q, params)
+            b12, b21 = (
+                tuple(vec.block(m, which) for m in vec.components()) for which in ("12", "21")
+            )
+            again = VectorSet.from_blocks(vec.spins, vec.params, b12, b21)
+            assert again == vec, q
+            assert again.case is classify_case(*q)
+            count += 1
+        assert count == 16
