@@ -27,11 +27,11 @@ from .vectors import (
     VectorSet,
     classify_case,
     closed_form_vectors,
+    pattern_block,
     recursion_solve,
     vectors_from_coefficients,
 )
 from .cg import (
-    LambdaParams,
     RatioFit,
     RatioMismatch,
     cg_block,
@@ -61,8 +61,8 @@ __all__ = [
     "ladder_coeff_r", "ladder_coeff_s", "rotation_rep", "spin",
     "CaseTag", "FreeParams", "NoSolutionError", "SELECTION_RULE",
     "TUCoefficients", "VectorSet", "classify_case", "closed_form_vectors",
-    "recursion_solve", "vectors_from_coefficients",
-    "LambdaParams", "RatioFit", "RatioMismatch",
+    "pattern_block", "recursion_solve", "vectors_from_coefficients",
+    "RatioFit", "RatioMismatch",
     "cg_block", "cg_vector_matrices", "clebsch_gordan",
     "equivalence_ratio",
     "BlockChoice", "momentum_from_vectors", "noncommutativity_witness",

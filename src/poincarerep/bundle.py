@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cg import LambdaParams, cg_vector_matrices
+from .cg import cg_vector_matrices
 from .generators import GeneratorSet
 from .matrix import Matrix
 from .radical import RadicalScalar
@@ -45,18 +45,14 @@ BLOCKS = ("both", "keep12", "keep21")
 def vectors_from_source(
     source: str, spins: tuple[Spin, Spin, Spin, Spin], params: FreeParams
 ) -> VectorSet:
-    """The full vector set of (A,B)+(C,D) built by the route named ``source``.
-
-    For clebsch-gordan, t12 and t21 act as the route's scale factors
-    lambda12 and lambda21.
-    """
+    """The full vector set of (A,B)+(C,D) built by the route named ``source``."""
     A, B, C, D = spins
     if source == "closed-form":
         return closed_form_vectors(A, B, C, D, params)
     if source == "recursion":
         return vectors_from_coefficients(recursion_solve(A, B, C, D, params))
     if source == "clebsch-gordan":
-        return cg_vector_matrices(A, B, C, D, LambdaParams(params.t12, params.t21))
+        return cg_vector_matrices(A, B, C, D, params)
     raise ValueError(f"source must be one of {', '.join(SOURCES)}, not {source!r}")
 
 
@@ -71,16 +67,22 @@ _JSON_TYPES = {dict: "object", list: "array", int: "integer"}
 
 
 def _expect(value, kind: type, what: str):
-    if not isinstance(value, kind):
+    if type(value) is not kind:  # exact JSON types: a Python bool is an int
         raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}")
     return value
+
+
+def _rational(pair, what: str) -> Fraction:
+    if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+        raise ValueError(f"{what} must be a pair of JSON integers")
+    return Fraction(*pair)
 
 
 def scalar_from_json(terms: list[dict]) -> RadicalScalar:
     """Decode a term list; a malformed term raises ValueError (or KeyError)."""
     try:
         return RadicalScalar.from_terms(
-            (_expect(t["d"], int, "a radicand"), Fraction(*t["re"]), Fraction(*t["im"]))
+            (_expect(t["d"], int, "a radicand"), _rational(t["re"], "re"), _rational(t["im"], "im"))
             for t in terms
         )
     except (TypeError, ZeroDivisionError) as exc:
@@ -200,10 +202,13 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
     )
     if data["caseTag"] != vectors.case.value:
         raise ValueError(f"caseTag {data['caseTag']!r} disagrees with spins {list(spins)}")
-    if vectors.kept_block is not None:
-        dropped = "21" if vectors.kept_block == "12" else "12"
-        if not all(vectors.block(mat, dropped).is_zero() for mat in vectors.components()):
-            raise ValueError(f"block {block!r} but the {dropped}-block of V is nonzero")
+    for which, param in (("12", params.t12), ("21", params.t21)):
+        zero = all(vectors.block(mat, which).is_zero() for mat in vectors.components())
+        if vectors.kept_block not in (None, which):
+            if not zero:
+                raise ValueError(f"block {block!r} but the {which}-block of V is nonzero")
+        elif zero != param.is_zero():
+            raise ValueError(f"t{which} must be zero exactly when the {which}-block of V is")
     generators = GeneratorSet(
         spins=(pair1, pair2),
         J=(mats["Jx"], mats["Jy"], mats["Jz"]),

@@ -12,14 +12,18 @@ Every value is (rational) * sqrt(positive integer), so the whole table is
 exact in RadicalScalar.  The closed Racah sum is deliberately not used
 here; it serves as the independent oracle in the test suite.
 
-The vector construction dresses a fixed 2x2 seed table with two CG
-factors per entry.  For the 12-block (rows (a,b), columns (c,d)):
+The vector construction gives each of a block's four families (see
+``vectors.FAMILIES``) one product of two CG factors.  For the 12-block
+(rows (a,b), columns (c,d)), the family (dp, dq) on a-c = dp/2,
+b-d = dq/2 has the entries
 
-    (V_mu_12)_{ab,cd} = lam12 * sum_{m,n} T_mu[m,n] <1/2 m, C c|A a> <1/2 n, B b|D d>
+    lam12 * <1/2 dp/2, C c|A a> <1/2 -dq/2, B b|D d>,
 
-and the 21-block (rows (c,d), columns (a,b)) is the same formula with the
-roles of the two irreps exchanged: <1/2 m, A a|C c> <1/2 n, D d|B b>.
-The seed tables T_mu are the 12-block of the spin (1/2,0)+(0,1/2) vector
+negated on (dp, dq) = (-1, +1); the families are V+, V-, (V_z + V_t)/2
+and (V_z - V_t)/2, and ``vectors.pattern_block`` combines them.  The
+21-block (rows (c,d), columns (a,b)) is the same formula with the roles
+of the two irreps exchanged: <1/2 dp/2, A a|C c> <1/2 -dq/2, D d|B b>.
+The signs are those of the 12-block of the spin (1/2,0)+(0,1/2) vector
 matrices in this package's basis and metric convention; relative to the
 usual contravariant tabulation this flips the sign of the t component.
 Coupling selection rules enforce A = C +/- 1/2, B = D +/- 1/2, so
@@ -33,15 +37,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .generators import ladder_coeff_r, ladder_coeff_s
-from .matrix import Matrix
-from .radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
+from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair
 from .vectors import (
+    Block,
     CaseTag,
     FreeParams,
     NoSolutionError,
     VectorSet,
     classify_case,
+    pattern_block,
 )
 
 
@@ -115,69 +120,41 @@ def clebsch_gordan(
     )
 
 
-# Seed tables over doubled (m, n) in {-1, +1}; see the module docstring.
-_SEED: dict[str, dict[tuple[int, int], RadicalScalar]] = {
-    "x": {(-1, 1): ONE, (1, -1): ONE},
-    "y": {(-1, 1): I_UNIT, (1, -1): -I_UNIT},
-    "z": {(-1, -1): -ONE, (1, 1): ONE},
-    "t": {(-1, -1): ONE, (1, 1): ONE},
-}
 _HALF = Spin(1)
 
 
-def cg_block(
-    P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar
-) -> dict[str, Matrix]:
-    """The four coupling blocks with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
+def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Block:
+    """The (x, y, z, t) coupling block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
 
-    (V_mu)_{pq,rs} = lam * sum_{m,n} T_mu[m,n] <1/2 m, R r|P p> <1/2 n, Q q|S s>.
-    The 12-block is cg_block(A, B, C, D, lam12); the 21-block is the same
-    coupling with the roles of the two irreps exchanged,
-    cg_block(C, D, A, B, lam21).
+    The family (dp, dq) entry is lam * <1/2 dp/2, R r|P p> <1/2 -dq/2, Q q|S s>,
+    negated on (-1, +1).  The 12-block is cg_block(A, B, C, D, lam12); the
+    21-block is the same coupling with the roles of the two irreps
+    exchanged, cg_block(C, D, A, B, lam21).
     """
-    rows, cols = SpinPair(P, Q), SpinPair(R, S)
-    blocks = {mu: Matrix(rows.dimension, cols.dimension) for mu in _SEED}
-    if lam.is_zero():
-        return blocks
-    for i, (p, q) in enumerate(rows.basis()):
-        for j, (r, s) in enumerate(cols.basis()):
-            first = {
-                tm: clebsch_gordan(_HALF, HalfInt(tm), R, r, P, p) for tm in (-1, 1)
-            }
-            second = {
-                tn: clebsch_gordan(_HALF, HalfInt(tn), Q, q, S, s) for tn in (-1, 1)
-            }
-            for mu, seed in _SEED.items():
-                acc = ZERO
-                for (tm, tn), weight in seed.items():
-                    f1, f2 = first[tm], second[tn]
-                    if f1.is_zero() or f2.is_zero():
-                        continue
-                    acc = acc + weight * f1 * f2
-                if not acc.is_zero():
-                    blocks[mu].set(i, j, acc * lam)
-    return blocks
 
+    def coeff(dp: int, dq: int, p: HalfInt, q: HalfInt) -> RadicalScalar:
+        r, s = HalfInt(p.twice - dp), HalfInt(q.twice - dq)
+        value = (
+            lam
+            * clebsch_gordan(_HALF, HalfInt(dp), R, r, P, p)
+            * clebsch_gordan(_HALF, HalfInt(-dq), Q, q, S, s)
+        )
+        return -value if (dp, dq) == (-1, 1) else value
 
-@dataclass(frozen=True)
-class LambdaParams:
-    lambda12: RadicalScalar
-    lambda21: RadicalScalar
+    return pattern_block(P, Q, R, S, coeff)
 
 
 def cg_vector_matrices(
-    A: Spin, B: Spin, C: Spin, D: Spin, lams: LambdaParams
+    A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> VectorSet:
-    """Full vector matrices from the coupling route."""
+    """Full vector matrices from the coupling route; t12 and t21 scale the blocks."""
     if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
         raise NoSolutionError(A, B, C, D)
-    b12 = cg_block(A, B, C, D, lams.lambda12)
-    b21 = cg_block(C, D, A, B, lams.lambda21)
     return VectorSet.from_blocks(
         (SpinPair(A, B), SpinPair(C, D)),
-        FreeParams(lams.lambda12, lams.lambda21),
-        tuple(b12.values()),  # x, y, z, t: the order of _SEED
-        tuple(b21.values()),
+        params,
+        cg_block(A, B, C, D, params.t12),
+        cg_block(C, D, A, B, params.t21),
     )
 
 
@@ -209,7 +186,8 @@ def equivalence_ratio(
 ) -> "RatioFit | RatioMismatch":
     """Fit one constant per off-diagonal block or report the first mismatch.
 
-    Blocks that are identically zero on both sides fit with ratio 1.
+    An all-zero candidate block fits with ratio 1, so it matches only an
+    all-zero reference block.
     """
     if reference.spins != candidate.spins:
         raise ValueError("vector sets live on different representations")
@@ -230,18 +208,11 @@ def equivalence_ratio(
                     break
             if ratio is not None:
                 break
-        if ratio is None and saw_nonzero:
-            raise ValueError(
-                "cannot fit a ratio: candidate block has no single-term entries"
-            )
         if ratio is None:
-            hot = next(
-                ((mu, ref) for mu, ref, _ in pairs if not ref.is_zero()), None
-            )
-            if hot is not None:
-                mu, ref = hot
-                row, col, val = ref.first_nonzero()
-                return RatioMismatch(which, mu, row, col, val, ZERO)
+            if saw_nonzero:
+                raise ValueError(
+                    "cannot fit a ratio: candidate block has no single-term entries"
+                )
             ratio = ONE
         for mu, ref, cand in pairs:
             residual = ref - cand.scale(ratio)

@@ -29,7 +29,7 @@ from .bundle import (
     scalar_to_json,
     vectors_from_source,
 )
-from .cg import LambdaParams, RatioFit, cg_vector_matrices, equivalence_ratio
+from .cg import RatioFit, cg_vector_matrices, equivalence_ratio
 from .generators import direct_sum
 from .momentum import BlockChoice, momentum_from_vectors
 from .radical import RadicalScalar
@@ -163,7 +163,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_equiv(args: argparse.Namespace) -> int:
     spins = parse_spins(args.spins)
     params = FreeParams(parse_scalar(args.t12), parse_scalar(args.t21))
-    lams = LambdaParams(parse_scalar(args.lambda12), parse_scalar(args.lambda21))
+    lams = FreeParams(parse_scalar(args.lambda12), parse_scalar(args.lambda21))
     reference = closed_form_vectors(*spins, params)
     candidate = cg_vector_matrices(*spins, lams)
     try:

@@ -14,6 +14,9 @@ Two independent construction routes are provided and must agree exactly:
   index lattice, then assembling V_z and V_t from commutators with the
   ladder coefficients.
 
+Both routes, like the Clebsch-Gordan route in ``cg``, supply only the
+entry formula of each family; ``pattern_block`` places the entries.
+
 Nonzero solutions exist only when A = C +/- 1/2 and B = D +/- 1/2; every
 other spin choice admits exactly the zero solution and is reported as
 ``CaseTag.NO_SOLUTION`` rather than a zero matrix.
@@ -24,11 +27,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .matrix import Matrix
 from .radical import ZERO, RadicalScalar, RationalLike, _coerce, sqrt_of_rational
-from .spins import HalfInt, Spin, SpinPair
-from .generators import ladder_coeff_r, ladder_coeff_s
+from .spins import HalfInt, Spin, SpinPair, flatten_index
+from .generators import ladder_coeff_r
 
 
 class CaseTag(enum.Enum):
@@ -69,6 +73,39 @@ class FreeParams:
 
 # The (x, y, z, t) components of one off-diagonal block.
 Block = tuple[Matrix, Matrix, Matrix, Matrix]
+
+# The delta patterns (2(p-r), 2(q-s)) of a block's four families: V+ and V-,
+# then F+ = (V_z + V_t)/2 and F- = (V_z - V_t)/2.
+FAMILIES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def pattern_block(
+    P: Spin, Q: Spin, R: Spin, S: Spin,
+    coeff: Callable[[int, int, HalfInt, HalfInt], RadicalScalar],
+) -> Block:
+    """The block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
+
+    coeff(dp, dq, p, q) is the entry of family (dp, dq) at row (p, q) and
+    column (p - dp/2, q - dq/2); it is asked only where that column exists.
+    The families combine as V_x = V+ + V-, V_y = -i(V+ - V-), V_z = F+ + F-
+    and V_t = F+ - F-.  Every route builds its blocks here.
+    """
+    rows, cols = SpinPair(P, Q), SpinPair(R, S)
+    x, y, z, t = (Matrix(rows.dimension, cols.dimension) for _ in range(4))
+    for i, (p, q) in enumerate(rows.basis()):
+        for dp, dq in FAMILIES:
+            try:
+                j = flatten_index(cols, HalfInt(p.twice - dp), HalfInt(q.twice - dq))
+            except ValueError:
+                continue  # no such column
+            value = coeff(dp, dq, p, q)
+            if dp == dq:
+                x.set(i, j, value)
+                y.set(i, j, (value if dp < 0 else -value).times_i())
+            else:
+                z.set(i, j, value)
+                t.set(i, j, value if dp > 0 else -value)
+    return x, y, z, t
 
 
 @dataclass(frozen=True)
@@ -163,15 +200,13 @@ def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:
 # ---------------------------------------------------------------------------
 
 # Component tables, one entry per case and family.  A family entry is
-# (sign, (factor, factor)) evaluated on the branch sigma = +/-1:
+# (sign, (factor, factor)) evaluated on the branch sigma = dp = +/-1:
 #   sign: "s" -> sigma, "-s" -> -sigma, +1/-1 -> fixed
 #   factor (slot, eps, normalized): sqrt(spin_slot + eps*sigma*index_slot),
 #     divided by sqrt(2*spin_slot) when normalized.
-# Families and their delta patterns (doubled-index differences):
-#   pm: rows (a,b), a-c = sigma, b-d = sigma      -> V+ (sigma=+1) / V- (sigma=-1)
-#   zt: rows (a,b), a-c = sigma, b-d = -sigma     -> (V_z + sigma*V_t)/2
-# The tables give the 12-block; the 21-block of (A,B)+(C,D) is the 12-block
-# of (C,D)+(A,B), whose case is the mirror one (1 <-> 4, 2 <-> 3).
+# "pm" gives V+ (sigma = +1) and V- (sigma = -1), "zt" gives F+ and F-; see
+# FAMILIES.  The tables give the 12-block; the 21-block of (A,B)+(C,D) is
+# the 12-block of (C,D)+(A,B), whose case is the mirror one (1 <-> 4, 2 <-> 3).
 _CASE_FORMS: dict[CaseTag, dict[str, tuple[object, tuple, tuple]]] = {
     CaseTag.CASE_1: {
         "pm": ("s", ("A", +1, True), ("B", +1, True)),
@@ -218,23 +253,16 @@ def _form_sign(mode: object, sigma: int) -> int:
 
 def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> Block:
     """The closed-form block with rows (p,q) of (P,Q) and columns (r,s) of (R,S)."""
-    rows, cols = SpinPair(P, Q), SpinPair(R, S)
-    families = [Matrix(rows.dimension, cols.dimension) for _ in range(4)]
-    targets = {"pm": families[:2], "zt": families[2:]}
     forms = _CASE_FORMS[classify_case(P, Q, R, S)]
     spins = dict(zip("ABCD", (P, Q, R, S)))
-    for i, (a, b) in enumerate(rows.basis()):
-        for j, (c, d) in enumerate(cols.basis()):
-            sigma, db = a.twice - c.twice, b.twice - d.twice
-            if abs(sigma) != 1 or abs(db) != 1:
-                continue
-            kind = "pm" if sigma == db else "zt"
-            sign, f1, f2 = forms[kind]
-            idx = {"a": a, "b": b, "c": c, "d": d}
-            coeff = _factor(*f1, sigma, spins, idx) * _factor(*f2, sigma, spins, idx) * t
-            target = targets[kind][0 if sigma > 0 else 1]
-            target.set(i, j, -coeff if _form_sign(sign, sigma) < 0 else coeff)
-    return _components_from_families(*families)
+
+    def coeff(dp: int, dq: int, p: HalfInt, q: HalfInt) -> RadicalScalar:
+        sign, f1, f2 = forms["pm" if dp == dq else "zt"]
+        idx = {"a": p, "b": q, "c": HalfInt(p.twice - dp), "d": HalfInt(q.twice - dq)}
+        value = _factor(*f1, dp, spins, idx) * _factor(*f2, dp, spins, idx) * t
+        return -value if _form_sign(sign, dp) < 0 else value
+
+    return pattern_block(P, Q, R, S, coeff)
 
 
 def closed_form_vectors(
@@ -248,18 +276,6 @@ def closed_form_vectors(
         params,
         _closed_form_block(A, B, C, D, params.t12),
         _closed_form_block(C, D, A, B, params.t21),
-    )
-
-
-def _components_from_families(
-    plus: Matrix, minus: Matrix, zt_plus: Matrix, zt_minus: Matrix
-) -> Block:
-    """Recover Cartesian components from V+/-, (V_z +/- V_t)/2."""
-    return (
-        plus + minus,
-        (plus - minus).times_i().scale(-1),
-        zt_plus + zt_minus,
-        zt_plus - zt_minus,
     )
 
 
@@ -288,40 +304,30 @@ class TUCoefficients:
 def _solve_block(
     P: Spin, Q: Spin, R: Spin, S: Spin, anchor: RadicalScalar
 ) -> tuple[dict[tuple[int, int], RadicalScalar], dict[tuple[int, int], RadicalScalar]]:
-    """Ladder-recursion coefficients for one block, rows (P,Q), cols (R,S).
+    """Ladder-recursion coefficients for one block, rows (p,q) of (P,Q), cols of (R,S).
 
     tau[(2p, 2q)] sits on the pattern p-r = q-s = +1/2 and is anchored at
-    the top of its index ranges with the block's free parameter; ups, on
-    p-r = q-s = -1/2, is anchored at the bottom with sign - when P-R and
-    Q-S agree in sign and + otherwise.  Each step divides by an in-range
-    ladder coefficient, which is never zero there.
+    the top of its index ranges with the block's free parameter.  Each step
+    divides by an in-range ladder coefficient, which is never zero there.
+    ups, on p-r = q-s = -1/2, is tau reflected through the origin: since
+    s(j, m) = r(j, -m), the map (p, q) -> (-p, -q) carries ups's ranges,
+    steps and bottom anchor onto tau's, and the anchor's sign is - when P-R
+    and Q-S agree in sign and + otherwise.
     """
-    t_plo, t_phi = max(-P.twice, -R.twice + 1), min(P.twice, R.twice + 1)
-    t_qlo, t_qhi = max(-Q.twice, -S.twice + 1), min(Q.twice, S.twice + 1)
+    plo, phi = max(-P.twice, -R.twice + 1), min(P.twice, R.twice + 1)
+    qlo, qhi = max(-Q.twice, -S.twice + 1), min(Q.twice, S.twice + 1)
 
-    tau: dict[tuple[int, int], RadicalScalar] = {(t_phi, t_qhi): anchor}
-    for p in range(t_phi, t_plo, -2):
+    tau: dict[tuple[int, int], RadicalScalar] = {(phi, qhi): anchor}
+    for p in range(phi, plo, -2):
         step = ladder_coeff_r(R, HalfInt(p - 3)) / ladder_coeff_r(P, HalfInt(p - 2))
-        tau[(p - 2, t_qhi)] = tau[(p, t_qhi)] * step
-    for p in range(t_plo, t_phi + 1, 2):
-        for q in range(t_qhi, t_qlo, -2):
+        tau[(p - 2, qhi)] = tau[(p, qhi)] * step
+    for p in range(plo, phi + 1, 2):
+        for q in range(qhi, qlo, -2):
             step = ladder_coeff_r(S, HalfInt(q - 3)) / ladder_coeff_r(Q, HalfInt(q - 2))
             tau[(p, q - 2)] = tau[(p, q)] * step
 
-    u_plo, u_phi = max(-P.twice, -R.twice - 1), min(P.twice, R.twice - 1)
-    u_qlo, u_qhi = max(-Q.twice, -S.twice - 1), min(Q.twice, S.twice - 1)
-    same_orientation = (P.twice - R.twice) == (Q.twice - S.twice)
-    seed = -anchor if same_orientation else anchor
-
-    ups: dict[tuple[int, int], RadicalScalar] = {(u_plo, u_qlo): seed}
-    for p in range(u_plo, u_phi, 2):
-        step = ladder_coeff_s(R, HalfInt(p + 3)) / ladder_coeff_s(P, HalfInt(p + 2))
-        ups[(p + 2, u_qlo)] = ups[(p, u_qlo)] * step
-    for p in range(u_plo, u_phi + 1, 2):
-        for q in range(u_qlo, u_qhi, 2):
-            step = ladder_coeff_s(S, HalfInt(q + 3)) / ladder_coeff_s(Q, HalfInt(q + 2))
-            ups[(p, q + 2)] = ups[(p, q)] * step
-    return tau, ups
+    sign = -1 if (P.twice - R.twice) == (Q.twice - S.twice) else 1
+    return tau, {(-p, -q): val * sign for (p, q), val in tau.items()}
 
 
 def recursion_solve(
@@ -352,36 +358,23 @@ def _place_block(
     """One block from its t/u coefficients, with its V_z, V_t entries.
 
     ``roles`` is (P, Q, R, S) with rows (p,q) of (P,Q) and columns (r,s) of
-    (R,S); ``rows``/``cols`` map doubled index pairs to positions in the
-    block.
+    (R,S).
     """
     P, Q, R, S = roles
-    rows = {(p.twice, q.twice): i for i, (p, q) in enumerate(SpinPair(P, Q).basis())}
-    cols = {(r.twice, s.twice): j for j, (r, s) in enumerate(SpinPair(R, S).basis())}
-    plus, minus, zt_plus, zt_minus = (Matrix(len(rows), len(cols)) for _ in range(4))
-    for (p, q), val in tau.items():
-        j = cols.get((p - 1, q - 1))
-        if j is not None:
-            plus.set(rows[(p, q)], j, val)
-    for (p, q), val in ups.items():
-        j = cols.get((p + 1, q + 1))
-        if j is not None:
-            minus.set(rows[(p, q)], j, val)
 
-    for (p, q), i in rows.items():
-        j = cols.get((p - 1, q + 1))
-        if j is not None:
-            term = ladder_coeff_r(P, HalfInt(p - 2)) * ups.get((p - 2, q), ZERO) - ladder_coeff_r(
+    def coeff(dp: int, dq: int, p: HalfInt, q: HalfInt) -> RadicalScalar:
+        p, q = p.twice, q.twice
+        if dp == dq:
+            return (tau if dp > 0 else ups)[(p, q)]
+        if dp > 0:
+            return ladder_coeff_r(P, HalfInt(p - 2)) * ups.get((p - 2, q), ZERO) - ladder_coeff_r(
                 R, HalfInt(p - 1)
             ) * ups.get((p, q), ZERO)
-            zt_plus.set(i, j, term)
-        j = cols.get((p + 1, q - 1))
-        if j is not None:
-            term = ladder_coeff_r(Q, HalfInt(q - 2)) * ups.get((p, q - 2), ZERO) - ladder_coeff_r(
-                S, HalfInt(q - 1)
-            ) * ups.get((p, q), ZERO)
-            zt_minus.set(i, j, term)
-    return _components_from_families(plus, minus, zt_plus, zt_minus)
+        return ladder_coeff_r(Q, HalfInt(q - 2)) * ups.get((p, q - 2), ZERO) - ladder_coeff_r(
+            S, HalfInt(q - 1)
+        ) * ups.get((p, q), ZERO)
+
+    return pattern_block(P, Q, R, S, coeff)
 
 
 def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from oracles import racah_cg_signed_square, vector_rule_nullspace_dim
 
-from poincarerep.cg import LambdaParams, RatioFit, cg_vector_matrices, equivalence_ratio
+from poincarerep.cg import RatioFit, cg_vector_matrices, equivalence_ratio
 from poincarerep.cli import parse_scalar
 from poincarerep.generators import direct_sum, spin
 from poincarerep.matrix import Matrix
@@ -151,7 +151,7 @@ def test_criterion_5_cg_ratio():
         assert classify_case(A, B, C, D) is CaseTag.CASE_2
         fit = equivalence_ratio(
             closed_form_vectors(A, B, C, D, UNIT),
-            cg_vector_matrices(A, B, C, D, LambdaParams(ONE, ONE)),
+            cg_vector_matrices(A, B, C, D, FreeParams(ONE, ONE)),
         )
         assert isinstance(fit, RatioFit)
         assert fit.ratio12 == want, (ta, tb)

@@ -7,7 +7,6 @@ import pytest
 from oracles import racah_cg_signed_square
 
 from poincarerep.cg import (
-    LambdaParams,
     RatioFit,
     RatioMismatch,
     cg_block,
@@ -27,7 +26,6 @@ from poincarerep.vectors import (
 )
 from poincarerep.verify import check_vector_rules
 
-UNIT_LAMS = LambdaParams(ONE, ONE)
 UNIT_PARAMS = FreeParams(ONE, ONE)
 
 
@@ -122,19 +120,19 @@ class TestClebschGordan:
 class TestCouplingBlocks:
     def test_zero_scale_gives_zero(self):
         blocks = cg_block(spin(0), spin(1), spin(1), spin(0), ZERO)
-        assert all(m.is_zero() for m in blocks.values())
+        assert all(m.is_zero() for m in blocks)
         blocks12 = cg_block(spin(1), spin(0), spin(0), spin(1), ZERO)
-        assert all(m.is_zero() for m in blocks12.values())
+        assert all(m.is_zero() for m in blocks12)
 
     def test_triangle_rule_kills_distant_spins(self):
         blocks = cg_block(spin(0), spin(0), spin(4), spin(0), ONE)
-        assert all(m.is_zero() for m in blocks.values())
+        assert all(m.is_zero() for m in blocks)
 
     def test_weyl_t_block_is_multiple_of_identity(self):
         # (1/2,0)+(0,1/2): both couplings collapse to singlet factors, so
         # the t component's 21-block is a multiple of the identity pattern.
         blocks = cg_block(spin(0), spin(1), spin(1), spin(0), ONE)
-        bt = blocks["t"]
+        bt = blocks[3]  # (x, y, z, t)
         half = RadicalScalar.from_rational(Fraction(1, 2))
         assert bt.get(0, 0) == half
         assert bt.get(1, 1) == half
@@ -144,12 +142,12 @@ class TestCouplingBlocks:
         for q in [(1, 1, 0, 0), (1, 0, 0, 1), (2, 1, 1, 0), (1, 2, 2, 1)]:
             A, B, C, D = (spin(t) for t in q)
             g = direct_sum(SpinPair(A, B), SpinPair(C, D))
-            beta = cg_vector_matrices(A, B, C, D, UNIT_LAMS)
+            beta = cg_vector_matrices(A, B, C, D, UNIT_PARAMS)
             assert all(r.holds for r in check_vector_rules(g, beta)), q
 
     def test_no_solution_raises(self):
         with pytest.raises(NoSolutionError):
-            cg_vector_matrices(spin(2), spin(0), spin(0), spin(0), UNIT_LAMS)
+            cg_vector_matrices(spin(2), spin(0), spin(0), spin(0), UNIT_PARAMS)
 
 
 class TestEquivalenceRatio:
@@ -165,7 +163,7 @@ class TestEquivalenceRatio:
             C, D = spin(ta - 1), spin(tb + 1)
             assert classify_case(A, B, C, D) is CaseTag.CASE_2
             v = closed_form_vectors(A, B, C, D, UNIT_PARAMS)
-            beta = cg_vector_matrices(A, B, C, D, UNIT_LAMS)
+            beta = cg_vector_matrices(A, B, C, D, UNIT_PARAMS)
             fit = equivalence_ratio(v, beta)
             assert isinstance(fit, RatioFit)
             assert fit.ratio12 == sqrt_of_rational(tb + 1), (ta, tb)
@@ -174,7 +172,7 @@ class TestEquivalenceRatio:
         for q in [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (2, 1, 1, 2), (1, 2, 0, 1)]:
             A, B, C, D = (spin(t) for t in q)
             v = closed_form_vectors(A, B, C, D, UNIT_PARAMS)
-            beta = cg_vector_matrices(A, B, C, D, UNIT_LAMS)
+            beta = cg_vector_matrices(A, B, C, D, UNIT_PARAMS)
             fit = equivalence_ratio(v, beta)
             assert isinstance(fit, RatioFit), q
             scaled = {
@@ -187,9 +185,9 @@ class TestEquivalenceRatio:
 
     def test_corrupted_entry_reported(self):
         v = closed_form_vectors(spin(1), spin(1), spin(0), spin(0), UNIT_PARAMS)
-        beta = cg_vector_matrices(spin(1), spin(1), spin(0), spin(0), UNIT_LAMS)
+        beta = cg_vector_matrices(spin(1), spin(1), spin(0), spin(0), UNIT_PARAMS)
         broken_vx = beta.Vx + _unit_matrix_entry(beta.dimension, 0, 4)
-        broken = cg_vector_matrices(spin(1), spin(1), spin(0), spin(0), UNIT_LAMS)
+        broken = cg_vector_matrices(spin(1), spin(1), spin(0), spin(0), UNIT_PARAMS)
         object.__setattr__(broken, "Vx", broken_vx)
         fit = equivalence_ratio(v, broken)
         assert isinstance(fit, RatioMismatch)
@@ -199,8 +197,8 @@ class TestEquivalenceRatio:
         # scaling lambda12 by the fitted ratio makes the 12-blocks equal
         A, B, C, D = spin(1), spin(0), spin(0), spin(1)
         v = closed_form_vectors(A, B, C, D, UNIT_PARAMS)
-        fit = equivalence_ratio(v, cg_vector_matrices(A, B, C, D, UNIT_LAMS))
-        beta = cg_vector_matrices(A, B, C, D, LambdaParams(fit.ratio12, fit.ratio21))
+        fit = equivalence_ratio(v, cg_vector_matrices(A, B, C, D, UNIT_PARAMS))
+        beta = cg_vector_matrices(A, B, C, D, FreeParams(fit.ratio12, fit.ratio21))
         assert all(beta.component(mu) == v.component(mu) for mu in "xyzt")
 
 

@@ -108,7 +108,7 @@ class TestCommands:
         assert da["matrices"] == db["matrices"]
         assert db["source"] == "recursion"
 
-    def test_corrupted_bundle_is_parse_error(self, tmp_path):
+    def test_corrupted_bundle_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
@@ -121,6 +121,10 @@ class TestCommands:
             {"d": "x", "re": [1, 1], "im": [0, 1]},
             {"d": 2.5, "re": [1, 1], "im": [0, 1]},
             {"d": 2**61 - 1, "re": [1, 1], "im": [0, 1]},  # too large a prime to split
+            {"d": 1, "re": [True, 2], "im": [0, 1]},
+            {"d": 1, "re": [1, 2], "im": [False, 1]},
+            {"d": 1, "re": "3", "im": [0, 1]},
+            {"d": 1, "re": [1, 2, 3], "im": [0, 1]},
         ):
             data = json.loads(good.read_text())
             data["matrices"]["Jz"][0] = [term]
@@ -131,6 +135,18 @@ class TestCommands:
         for data in ([], {**doc, "matrices": []}, {**doc, "params": "x"}, {**doc, "dimension": [5]}):
             bad.write_text(json.dumps(data))
             assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+        # JSON booleans are not integers, although Python's bool is an int.
+        main(["gen", "--spins", "1,0,0,1", "--block", "keep12", "--out", str(good)])
+        doc = json.loads(good.read_text())
+        d_true = copy.deepcopy(doc)
+        d_true["matrices"]["Jz"][0] = [{**t, "d": True} for t in doc["matrices"]["Jz"][0]]
+        assert [t["d"] for t in doc["matrices"]["Jz"][0]] == [1]
+        capsys.readouterr()
+        for data in ({**doc, "spins": [True, False, False, True]}, {**doc, "dimension": True}, d_true):
+            bad.write_text(json.dumps(data))
+            assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "field, value",
@@ -146,6 +162,33 @@ class TestCommands:
         assert main(["verify", "--in", str(path)]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_params_must_agree_with_kept_blocks(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        main(["gen", "--spins", "1,0,0,1", "--block", "keep12", "--out", str(path)])
+        data = json.loads(path.read_text())
+        one = data["params"]["t21"]
+        data["params"]["t12"] = []  # zero, while the 12-block of V is not
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert main(["export", "--in", str(path), "--format", "plain"]) == EXIT_BAD_INPUT
+        main(["gen", "--spins", "1,0,0,1", "--t12", "0", "--block", "keep12", "--out", str(path)])
+        data = json.loads(path.read_text())
+        data["params"]["t12"] = one  # nonzero, while the 12-block of V is zero
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--in", str(path)]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("block", ["both", "keep12"])
+    def test_zero_parameter_round_trip(self, tmp_path, block):
+        path = tmp_path / "p.json"
+        assert main([
+            "gen", "--spins", "1,0,0,1", "--t12", "0", "--block", block, "--out", str(path)
+        ]) == EXIT_OK
+        assert json.loads(path.read_text())["params"]["t12"] == []
+        assert main(["verify", "--in", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_OK
 
     def test_large_prime_parameter_round_trip(self, tmp_path):
         path = tmp_path / "p.json"
@@ -212,6 +255,18 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "single term" in err
+
+    @pytest.mark.parametrize("flag, block", [("--lambda12", "12"), ("--lambda21", "21")])
+    def test_equiv_zero_lambda_reports_the_zero_block(self, tmp_path, flag, block):
+        report_path = tmp_path / "equiv.json"
+        rc = main(["equiv", "--spins", "1,1,0,0", flag, "0", "--out", str(report_path)])
+        assert rc == EXIT_RULE_FAILURE
+        report = json.loads(report_path.read_text())
+        assert not report["proportional"]
+        mismatch = report["mismatch"]
+        assert (mismatch["block"], mismatch["component"]) == (block, "x")
+        assert mismatch["candidate"] == {"display": "0", "terms": []}
+        assert mismatch["reference"]["terms"]
 
     def test_equiv_no_solution(self):
         assert main(["equiv", "--spins", "2,0,0,0"]) == EXIT_NO_SOLUTION
@@ -324,6 +379,8 @@ class TestFuzz:
                 parent[path[-1]]
             except (KeyError, IndexError, TypeError):
                 continue  # an earlier mutation removed this path
+            if not isinstance(parent, (dict, list)):
+                continue  # or replaced its parent with a string, which indexes but is immutable
             if data.draw(st.booleans(), label="delete"):
                 del parent[path[-1]]
             else:

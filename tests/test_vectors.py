@@ -6,17 +6,19 @@ from fractions import Fraction
 import pytest
 
 from poincarerep.bundle import SOURCES, vectors_from_source
-from poincarerep.generators import direct_sum, spin
+from poincarerep.generators import direct_sum, ladder_coeff_s, spin
 from poincarerep.matrix import Matrix
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import HalfInt, SpinPair, flatten_index
 from poincarerep.vectors import (
+    FAMILIES,
     CaseTag,
     FreeParams,
     NoSolutionError,
     VectorSet,
     classify_case,
     closed_form_vectors,
+    pattern_block,
     recursion_solve,
     vectors_from_coefficients,
 )
@@ -181,6 +183,30 @@ class TestRecursionSolver:
         coeffs = recursion_solve(spin(1), spin(0), spin(0), spin(1), UNIT)
         assert coeffs.u12[(-1, 0)] == ONE
 
+    def test_u_coefficients_obey_the_lowering_recursion(self):
+        # ups is built as tau reflected through the origin; check it against
+        # its own recursion: u(p+1, q) = u(p, q) s^R_(r+1) / s^P_(p+1), likewise
+        # in q, anchored at the bottom of its ranges.
+        for A, B, C, D in admissible(3):
+            coeffs = recursion_solve(A, B, C, D, FreeParams.of(3, 5))
+            for P, Q, R, S, ups, anchor in (
+                (A, B, C, D, coeffs.u12, 3), (C, D, A, B, coeffs.u21, 5)
+            ):
+                plo, phi = max(-P.twice, -R.twice - 1), min(P.twice, R.twice - 1)
+                qlo, qhi = max(-Q.twice, -S.twice - 1), min(Q.twice, S.twice - 1)
+                assert set(ups) == set(
+                    itertools.product(range(plo, phi + 1, 2), range(qlo, qhi + 1, 2))
+                )
+                same = (P.twice - R.twice) == (Q.twice - S.twice)
+                assert ups[(plo, qlo)] == RadicalScalar.from_rational(-anchor if same else anchor)
+                for (p, q), val in ups.items():
+                    if (p + 2, q) in ups:
+                        step = ladder_coeff_s(R, HalfInt(p + 3)) / ladder_coeff_s(P, HalfInt(p + 2))
+                        assert ups[(p + 2, q)] == val * step, (A, B, C, D, p, q)
+                    if (p, q + 2) in ups:
+                        step = ladder_coeff_s(S, HalfInt(q + 3)) / ladder_coeff_s(Q, HalfInt(q + 2))
+                        assert ups[(p, q + 2)] == val * step, (A, B, C, D, p, q)
+
     def test_index_ranges_respected(self):
         coeffs = recursion_solve(spin(2), spin(1), spin(1), spin(2), UNIT)
         A, B, C, D = 2, 1, 1, 2
@@ -240,6 +266,37 @@ def test_unsatisfiable_half_step_lattice():
             pairs_a = any(a - c == sign for a in a_vals for c in c_vals)
             pairs_b = any(b - d == sign for b in b_vals for d in d_vals)
             assert not (pairs_a and pairs_b), q
+
+
+class TestPatternBlock:
+    def test_families_fill_the_delta_patterns(self):
+        # Oracle: scan the full rows x cols grid for |p-r| = |q-s| = 1/2 and
+        # combine the four families with Matrix arithmetic.
+        for P, Q, R, S in quads(2):
+            rows, cols = SpinPair(P, Q), SpinPair(R, S)
+            asked = {}
+
+            def coeff(dp, dq, p, q):
+                key = (dp, dq, p.twice, q.twice)
+                assert key not in asked
+                asked[key] = sqrt_of_rational(2) * (len(asked) + 1) + I_UNIT
+                return asked[key]
+
+            block = pattern_block(P, Q, R, S, coeff)
+            families = {f: Matrix(rows.dimension, cols.dimension) for f in FAMILIES}
+            for i, (p, q) in enumerate(rows.basis()):
+                for j, (r, s) in enumerate(cols.basis()):
+                    dp, dq = p.twice - r.twice, q.twice - s.twice
+                    if abs(dp) == 1 and abs(dq) == 1:
+                        families[(dp, dq)].set(i, j, asked.pop((dp, dq, p.twice, q.twice)))
+            assert not asked, (P, Q, R, S)
+            plus, minus, f_plus, f_minus = (families[f] for f in FAMILIES)
+            assert block == (
+                plus + minus,
+                (plus - minus).times_i().scale(-1),
+                f_plus + f_minus,
+                f_plus - f_minus,
+            ), (P, Q, R, S)
 
 
 class TestFromBlocks:
