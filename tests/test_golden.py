@@ -5,7 +5,9 @@ for every admissible quadruple x source x block choice, at unit parameters
 for doubled spins <= 4 and at multi-term radical parameters for doubled
 spins <= 2.  A refactor of any construction route, of the momentum
 projection or of the serializer must leave every digest unchanged.
-``SWEEP_DIGESTS`` does the same for the ``verify --sweep N`` report.
+``SWEEP_DIGESTS`` does the same for the ``verify --sweep N`` report, and
+``CORRUPTED_REPORT_DIGESTS`` for the ``verify --in`` reports of bundles with
+one matrix edited by hand, which pin each failing rule's first residual.
 
 Re-record (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -32,6 +34,16 @@ SWEEP_DIGESTS = {
     0: "eb8230b9acd3d6bee9334a79b9b945b2a691d51c6d86bfc3128d3402d99adae3",
     1: "9c406a216113da5da0b9034e16dc7fadb2a8b6df868a0e0a3fa7f87fd154d502",
     2: "1a88541ea5cb110117f453606a00eab72d3dfc070ed2ec0a4ecb18e9a6facb52",
+}
+
+# sha256 of the `verify --in` report of a (2,1,1,2) bundle after one edit,
+# keyed "block/edit"; see CORRUPTIONS.
+CORRUPTED_REPORT_DIGESTS = {
+    "keep12/Kx-doubled": "c1a77bb50b8daba3c6ab7b35c05ab59cb59453db750832cee29236be6dc84abd",
+    "keep12/Vt-negated": "a5975d21dc299cb75f40a005340a9e137a4d38df57fe1796e821ede97d8d1e37",
+    "keep12/Jz-diagonal-bumped": "dcdcdae0514edb8254995ff4e2a6d0a092b8271550a42eec1b0cf032e40e2161",
+    "keep21/Ky-negated": "ebaa0f56091231728666a2b05158f0ff3e6c5777510d89be201027b3df553489",
+    "both/unedited": "35c0ad9b29ae56d034a15e0611ac23fb6bc8adcd5ef21a22fd7aa851de930a88",
 }
 
 SOURCES = ("closed-form", "recursion", "clebsch-gordan")
@@ -85,6 +97,57 @@ def test_golden_sweep_reports(tmp_path):
         out = tmp_path / f"sweep{bound}.json"
         assert main(["verify", "--sweep", str(bound), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, bound
+
+
+def _scaled(entries, k):
+    """A JSON matrix with every entry multiplied by the integer k."""
+    return [
+        [{**t, "re": [k * t["re"][0], t["re"][1]], "im": [k * t["im"][0], t["im"][1]]} for t in terms]
+        for terms in entries
+    ]
+
+
+def _bump_jz(mats):
+    # Jz of (2,1,1,2) is diagonal in a + b; row 2 is (a, b) = (1, -1/2).
+    cell = 2 * 12 + 2
+    assert mats["Jz"][cell] == [{"d": 1, "re": [1, 2], "im": [0, 1]}]
+    mats["Jz"][cell] = [{"d": 1, "re": [3, 2], "im": [0, 1]}]
+
+
+DRESSED = ["--t12=3/4*sqrt(6)+2/5*i*sqrt(10)", "--t21=-5/7*sqrt(3)+1/3*i*sqrt(14)"]
+
+# name -> (gen options after --spins 2,1,1,2, edit of the "matrices" object)
+CORRUPTIONS = {
+    "keep12/Kx-doubled": (["--block", "keep12"], lambda m: m.update(Kx=_scaled(m["Kx"], 2))),
+    "keep12/Vt-negated": (["--block", "keep12"], lambda m: m.update(Vt=_scaled(m["Vt"], -1))),
+    "keep12/Jz-diagonal-bumped": (["--block", "keep12"], _bump_jz),
+    "keep21/Ky-negated": (
+        ["--block", "keep21", *DRESSED], lambda m: m.update(Ky=_scaled(m["Ky"], -1))
+    ),
+    "both/unedited": (["--block", "both", *DRESSED], lambda m: None),
+}
+
+
+def corrupted_report_digests():
+    """Digests keyed like CORRUPTIONS; writes bundle.json and report.json here.
+
+    The report names its bundle, so the path is relative to the current directory.
+    """
+    out = {}
+    bundle, report = Path("bundle.json"), Path("report.json")
+    for name, (options, edit) in CORRUPTIONS.items():
+        assert main(["gen", "--spins", "2,1,1,2", *options, "--out", str(bundle)]) == 0
+        data = json.loads(bundle.read_text())
+        edit(data["matrices"])
+        bundle.write_text(json.dumps(data))
+        assert main(["verify", "--in", str(bundle), "--out", str(report)]) == 1, name
+        out[name] = hashlib.sha256(report.read_bytes()).hexdigest()
+    return out
+
+
+def test_corrupted_bundle_reports(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert corrupted_report_digests() == CORRUPTED_REPORT_DIGESTS
 
 
 if __name__ == "__main__":
