@@ -8,7 +8,7 @@ commutation rules.
 
 from .radical import RadicalScalar, normalize_radical, sqrt_of_rational, ZERO, ONE, I_UNIT
 from .spins import HalfInt, Spin, SpinPair, flatten_index
-from .matrix import Matrix, commutator, anticommutator, kron, block_diag
+from .matrix import Matrix, commutator, anticommutator, block_diag
 from .generators import (
     GeneratorSet,
     direct_sum,
@@ -56,7 +56,7 @@ from .verify import (
 __all__ = [
     "RadicalScalar", "normalize_radical", "sqrt_of_rational", "ZERO", "ONE", "I_UNIT",
     "HalfInt", "Spin", "SpinPair", "flatten_index",
-    "Matrix", "commutator", "anticommutator", "kron", "block_diag",
+    "Matrix", "commutator", "anticommutator", "block_diag",
     "GeneratorSet", "direct_sum", "irrep_generators",
     "ladder_coeff_r", "ladder_coeff_s", "rotation_rep", "spin",
     "CaseTag", "FreeParams", "NoSolutionError", "SELECTION_RULE",

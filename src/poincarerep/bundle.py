@@ -172,8 +172,9 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
 
     A malformed or inconsistent bundle raises ValueError (or KeyError).
     """
-    if _expect(data, dict, "a bundle").get("schemaVersion") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schemaVersion {data.get('schemaVersion')!r}")
+    version = _expect(data, dict, "a bundle").get("schemaVersion")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schemaVersion {version!r}")
     spins = tuple(_expect(t, int, "a spin") for t in _expect(data["spins"], list, "spins"))
     if len(spins) != 4:
         raise ValueError("spins must hold four doubled integers")
@@ -219,7 +220,11 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
 
 def load_bundle(path: str) -> MatrixBundle:
     with open(path, "r", encoding="utf-8") as fh:
-        return bundle_from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+    return bundle_from_json_dict(data)
 
 
 def save_bundle(bundle: MatrixBundle, path: str) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import Matrix, block_diag, kron
+from .matrix import Matrix, block_diag
 from .radical import ZERO, RadicalScalar, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair
 
@@ -65,31 +65,32 @@ class GeneratorSet:
         return self.J[0].rows
 
 
-def _cartesian_from_ladder(plus: Matrix, minus: Matrix) -> tuple[Matrix, Matrix]:
-    """(X, Y) with plus = X + iY and minus = X - iY."""
-    half = Fraction(1, 2)
-    x = (plus + minus).scale(half)
-    y = (plus - minus).scale(half).times_i().scale(-1)
-    return x, y
-
-
 def irrep_generators(pair: SpinPair) -> GeneratorSet:
-    """Generators of the (A,B) Lorentz irrep: J_k = A_k + B_k, K_k = -i(A_k - B_k)."""
-    ea = Matrix.identity(pair.left.multiplicity)
-    eb = Matrix.identity(pair.right.multiplicity)
-    a_ops = [kron(m, eb) for m in rotation_rep(pair.left)]
-    b_ops = [kron(ea, m) for m in rotation_rep(pair.right)]
+    """Generators of the (A,B) Lorentz irrep: J_k = A_k + B_k, K_k = -i(A_k - B_k).
 
-    j_plus = a_ops[0] + b_ops[0]
-    j_minus = a_ops[1] + b_ops[1]
-    j_z = a_ops[2] + b_ops[2]
-    k_plus = (a_ops[0] - b_ops[0]).times_i().scale(-1)
-    k_minus = (a_ops[1] - b_ops[1]).times_i().scale(-1)
-    k_z = (a_ops[2] - b_ops[2]).times_i().scale(-1)
-
-    j_x, j_y = _cartesian_from_ladder(j_plus, j_minus)
-    k_x, k_y = _cartesian_from_ladder(k_plus, k_minus)
-    return GeneratorSet(spins=(pair,), J=(j_x, j_y, j_z), K=(k_x, k_y, k_z))
+    Entries are placed one by one.  Column (a, b) has J_z = a + b and
+    K_z = -i(a - b) on the diagonal.  A ladder step moves a (side +1) or b
+    (side -1) up (step +1) or down (step -1); with c half its ladder
+    coefficient, its row gets J_x = c, J_y = -i*step*c, K_x = -i*side*c and
+    K_y = -step*side*c.
+    """
+    jx, jy, jz, kx, ky, kz = (Matrix(pair.dimension, pair.dimension) for _ in range(6))
+    # Moving a by one skips a whole run of b indices; moving b, one position.
+    sides = ((1, pair.left, pair.right.multiplicity), (-1, pair.right, 1))
+    for col, (a, b) in enumerate(pair.basis()):
+        jz.set(col, col, a.value + b.value)
+        kz.set(col, col, RadicalScalar.from_rational(b.value - a.value).times_i())
+        for (side, spin, stride), m in zip(sides, (a, b)):
+            for step, sigma in ((1, m), (-1, -m)):
+                c = ladder_coeff_r(spin, sigma) * Fraction(1, 2)
+                if c.is_zero():
+                    continue  # the ladder ends here
+                row = col - step * stride  # projections descend along the basis
+                jx.set(row, col, c)
+                jy.set(row, col, (c * -step).times_i())
+                kx.set(row, col, (c * -side).times_i())
+                ky.set(row, col, c * (-step * side))
+    return GeneratorSet(spins=(pair,), J=(jx, jy, jz), K=(kx, ky, kz))
 
 
 def direct_sum(p1: SpinPair, p2: SpinPair) -> GeneratorSet:

@@ -5,19 +5,18 @@ spin matrices stay cheap, but the interface is an ordinary rows x cols
 matrix and serialization emits the full row-major grid.
 
 Products (``@``, ``commutator``, ``anticommutator``) share one kernel that
-computes a signed sum of products exactly.  It rewrites each operand as
-integer numerators over one denominator, the lcm of all the operand's
-coefficient denominators, multiplies and sums with Python ints, and forms
-RadicalScalar values only at the boundary: once per nonzero coefficient of
-the result, never per scalar product.  Nothing is rounded, so the result
-equals the sum of RadicalScalar products entry for entry.
+computes a signed sum of products, less Gaussian-unit multiples u * Z of
+right-hand-side matrices, exactly.  It rewrites each operand as integer
+numerators over one denominator, the lcm of the operand's coefficient
+denominators, multiplies and sums with Python ints, and forms RadicalScalar
+values only once per nonzero coefficient of the result.  Nothing is rounded.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -81,9 +80,6 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-
-    def __getitem__(self, ij: tuple[int, int]) -> RadicalScalar:
-        return self.get(*ij)
 
     def nonzero_items(self) -> Iterator[tuple[int, int, RadicalScalar]]:
         for i in sorted(self._rows):
@@ -203,15 +199,6 @@ class Matrix:
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with row-major (outer a, inner b) index order."""
-    out = Matrix(a.rows * b.rows, a.cols * b.cols)
-    for i, j, av in a.nonzero_items():
-        for k, l, bv in b.nonzero_items():
-            out.set(i * b.rows + k, j * b.cols + l, av * bv)
-    return out
-
-
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     out = Matrix(a.rows + b.rows, a.cols + b.cols)
     out.paste(a, 0, 0)
@@ -219,11 +206,17 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def commutator(m: Matrix, n: Matrix) -> Matrix:
-    """M @ N - N @ M for square matrices of equal dimension."""
+def commutator(m: Matrix, n: Matrix, rhs: Sequence[tuple[tuple[int, int], Matrix]] = ()) -> Matrix:
+    """M @ N - N @ M - sum of u * Z over (u, Z) in rhs, for square matrices.
+
+    Each u is a Gaussian unit given as an int pair (re, im): (1, 0), (-1, 0),
+    (0, 1) or (0, -1), so the result is zero exactly when [M, N] = sum u * Z.
+    """
     if m.rows != m.cols or n.rows != n.cols or m.rows != n.rows:
         raise ValueError("commutator needs square matrices of equal dimension")
-    return _signed_products(m.rows, m.cols, [(1, m, n), (-1, n, m)])
+    for _, z in rhs:
+        m._same_shape(z)
+    return _signed_products(m.rows, m.cols, [(1, m, n), (-1, n, m)], rhs)
 
 
 def anticommutator(m: Matrix, n: Matrix) -> Matrix:
@@ -257,21 +250,19 @@ def _pack(m: Matrix) -> tuple[int, dict[int, list]]:
     return scale, rows
 
 
-def _signed_products(
-    rows: int, cols: int, pairs: list[tuple[int, Matrix, Matrix]]
-) -> Matrix:
-    """The sum of sign * X @ Y over (sign, X, Y), exactly.
+def _signed_products(rows: int, cols: int, pairs: list, rhs: Sequence = ()) -> Matrix:
+    """The sum of sign * X @ Y over (sign, X, Y) less u * Z over (u, Z) in rhs.
 
-    Each operand is packed once.  Products and sums run on Python ints over
-    the common denominator of the pairs, and only the nonzero coefficients
-    left at the end become Fractions.
+    u is a Gaussian integer (re, im).  Each operand is packed once.  Products
+    and sums run on Python ints over the common denominator of all terms,
+    and only the nonzero coefficients left at the end become Fractions.
     """
     packed = {}
-    for _, x, y in pairs:
-        for m in (x, y):
-            if id(m) not in packed:
-                packed[id(m)] = _pack(m)
-    den = math.lcm(*(packed[id(x)][0] * packed[id(y)][0] for _, x, y in pairs))
+    for m in [m for _, x, y in pairs for m in (x, y)] + [z for _, z in rhs]:
+        if id(m) not in packed:
+            packed[id(m)] = _pack(m)
+    products = (packed[id(x)][0] * packed[id(y)][0] for _, x, y in pairs)
+    den = math.lcm(*products, *(packed[id(z)][0] for _, z in rhs))
     gcd = math.gcd
     acc: dict[tuple[int, int, int], list[int]] = {}
     for sign, x, y in pairs:
@@ -299,6 +290,15 @@ def _signed_products(
                             else:
                                 prev[0] += re
                                 prev[1] += im
+    for (ur, ui), z in rhs:
+        lz, zrows = packed[id(z)]
+        factor = den // lz
+        for i, zrow in zrows.items():
+            for j, zterms in zrow:
+                for d, a, b in zterms:
+                    cell = acc.setdefault((i, j, d), [0, 0])
+                    cell[0] -= (ur * a - ui * b) * factor
+                    cell[1] -= (ur * b + ui * a) * factor
     entries: dict[int, dict[int, dict[int, tuple[Fraction, Fraction]]]] = {}
     for (i, j, core), (re, im) in acc.items():
         if re or im:

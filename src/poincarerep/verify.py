@@ -1,5 +1,9 @@
 """Zero-tolerance checks of the 45 commutation rules, plus numeric probes.
 
+Each rule is stated once as [X, Y] = rhs, with rhs a sum of Gaussian-unit
+multiples of the generators or vector components, and its residual
+[X, Y] - rhs is formed in one ``commutator`` call inside the product kernel.
+
 Rule identifiers: "JJ.xy" means [J_x, J_y] against its right-hand side,
 "KV.zt" means [K_z, V_t], "PP.xt" means [P_x, P_t], and so on.  The axis
 letters are x, y, z for generators and x, y, z, t for vector components.
@@ -75,75 +79,61 @@ class RuleReport:
         return out
 
 
-def _report(rule_id: str, residual: Matrix) -> RuleReport:
-    nz = residual.first_nonzero()
-    if nz is None:
-        return RuleReport(rule_id, True)
-    return RuleReport(rule_id, False, nz)
+# A right-hand side is a list of (u, Z): a Gaussian unit u = (re, im) times Z.
+_MINUS_I = (0, -1)
 
 
-def _eps_combination(mats: dict[str, Matrix], i: str, j: str, n: int) -> Matrix:
-    acc = Matrix.zeros(n)
-    for k in AXES:
-        e = epsilon(i, j, k)
-        if e:
-            acc = acc + (mats[k] if e > 0 else -mats[k])
-    return acc
+def _rule(rule_id: str, x: Matrix, y: Matrix, rhs=()) -> RuleReport:
+    """[x, y] = sum of u * Z over (u, Z) in rhs, checked exactly."""
+    nz = commutator(x, y, rhs).first_nonzero()
+    return RuleReport(rule_id, nz is None, nz)
+
+
+def _i_eps(i: str, j: str, mats: dict[str, Matrix], sign: int = 1) -> list:
+    """The right-hand side sign * i * eps_ijk * M_k, summed over k."""
+    return [((0, sign * e), mats[k]) for k in AXES if (e := epsilon(i, j, k))]
 
 
 def check_lorentz(gen: GeneratorSet) -> list[RuleReport]:
     """The 15 homogeneous rules among the J and K matrices."""
-    n = gen.dimension
     J = dict(zip(AXES, gen.J))
     K = dict(zip(AXES, gen.K))
-    reports = []
-    for ai, i in enumerate(AXES):
-        for j in AXES[ai + 1 :]:
-            residual = commutator(J[i], J[j]) - _eps_combination(J, i, j, n).times_i()
-            reports.append(_report(f"JJ.{i}{j}", residual))
-    for i in AXES:
-        for j in AXES:
-            residual = commutator(J[i], K[j]) - _eps_combination(K, i, j, n).times_i()
-            reports.append(_report(f"JK.{i}{j}", residual))
-    for ai, i in enumerate(AXES):
-        for j in AXES[ai + 1 :]:
-            residual = commutator(K[i], K[j]) + _eps_combination(J, i, j, n).times_i()
-            reports.append(_report(f"KK.{i}{j}", residual))
-    return reports
+    pairs = [(i, j) for ai, i in enumerate(AXES) for j in AXES[ai + 1 :]]
+    return (
+        [_rule(f"JJ.{i}{j}", J[i], J[j], _i_eps(i, j, J)) for i, j in pairs]
+        + [_rule(f"JK.{i}{j}", J[i], K[j], _i_eps(i, j, K)) for i in AXES for j in AXES]
+        + [_rule(f"KK.{i}{j}", K[i], K[j], _i_eps(i, j, J, -1)) for i, j in pairs]
+    )
 
 
 def check_vector_rules(gen: GeneratorSet, vec: VectorSet) -> list[RuleReport]:
     """The 24 rules linear in the vector components."""
     if gen.dimension != vec.dimension:
         raise ValueError("generator and vector dimensions differ")
-    n = gen.dimension
     J = dict(zip(AXES, gen.J))
     K = dict(zip(AXES, gen.K))
     V = {mu: vec.component(mu) for mu in COMPONENTS}
     reports = []
     for i in AXES:
         for j in AXES:
-            residual = commutator(J[i], V[j]) - _eps_combination(V, i, j, n).times_i()
-            reports.append(_report(f"JV.{i}{j}", residual))
-        reports.append(_report(f"JV.{i}t", commutator(J[i], V["t"])))
+            reports.append(_rule(f"JV.{i}{j}", J[i], V[j], _i_eps(i, j, V)))
+        reports.append(_rule(f"JV.{i}t", J[i], V["t"]))
     for i in AXES:
         for j in AXES:
-            residual = commutator(K[i], V[j])
-            if i == j:
-                residual = residual + V["t"].times_i()
-            reports.append(_report(f"KV.{i}{j}", residual))
-        reports.append(_report(f"KV.{i}t", commutator(K[i], V["t"]) + V[i].times_i()))
+            rhs = [(_MINUS_I, V["t"])] if i == j else []  # -i delta_ij V_t
+            reports.append(_rule(f"KV.{i}{j}", K[i], V[j], rhs))
+        reports.append(_rule(f"KV.{i}t", K[i], V["t"], [(_MINUS_I, V[i])]))
     return reports
 
 
 def check_translations(mom: VectorSet) -> list[RuleReport]:
     """The 6 pairwise momentum commutators."""
     P = {mu: mom.component(mu) for mu in COMPONENTS}
-    reports = []
-    for ai, mu in enumerate(COMPONENTS):
-        for nu in COMPONENTS[ai + 1 :]:
-            reports.append(_report(f"PP.{mu}{nu}", commutator(P[mu], P[nu])))
-    return reports
+    return [
+        _rule(f"PP.{mu}{nu}", P[mu], P[nu])
+        for ai, mu in enumerate(COMPONENTS)
+        for nu in COMPONENTS[ai + 1 :]
+    ]
 
 
 def check_poincare(gen: GeneratorSet, mom: VectorSet) -> list[RuleReport]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from poincarerep.matrix import Matrix
-from poincarerep.radical import ZERO
+from poincarerep.radical import I_UNIT, ONE, ZERO
 
 
 def _fact(n) -> int:
@@ -137,8 +137,19 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def reference_commutator(m: Matrix, n: Matrix) -> Matrix:
-    return reference_matmul(m, n) - reference_matmul(n, m)
+_UNITS = {(1, 0): ONE, (-1, 0): -ONE, (0, 1): I_UNIT, (0, -1): -I_UNIT}
+
+
+def reference_commutator(m: Matrix, n: Matrix, rhs=()) -> Matrix:
+    """[m, n] minus the sum of u * Z over (u, Z) in rhs, one entry at a time."""
+    out = reference_matmul(m, n) - reference_matmul(n, m)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            acc = out.get(i, j)
+            for u, z in rhs:
+                acc = acc - _UNITS[u] * z.get(i, j)
+            out.set(i, j, acc)
+    return out
 
 
 def reference_anticommutator(m: Matrix, n: Matrix) -> Matrix:

@@ -142,11 +142,22 @@ class TestCommands:
         d_true["matrices"]["Jz"][0] = [{**t, "d": True} for t in doc["matrices"]["Jz"][0]]
         assert [t["d"] for t in doc["matrices"]["Jz"][0]] == [1]
         capsys.readouterr()
-        for data in ({**doc, "spins": [True, False, False, True]}, {**doc, "dimension": True}, d_true):
+        for data in (
+            {**doc, "spins": [True, False, False, True]},
+            {**doc, "dimension": True},
+            d_true,
+            {**doc, "schemaVersion": True},
+            {**doc, "schemaVersion": 1.0},
+        ):
             bad.write_text(json.dumps(data))
             assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
+        # Nesting deeper than the interpreter's recursion limit.
+        bad.write_text("[" * 100000 + "]" * 100000)
+        assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "field, value",

@@ -41,6 +41,17 @@ def square_pairs(draw):
     return draw(matrices(n, n)), draw(matrices(n, n))
 
 
+_units = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
+
+
+@st.composite
+def commutators_with_rhs(draw):
+    """(m, n, rhs): 0-3 terms u * Z with Gaussian units u and Z like m."""
+    m, n = draw(square_pairs())
+    rhs = draw(st.lists(st.tuples(_units, matrices(m.rows, m.rows)), max_size=3))
+    return m, n, rhs
+
+
 def _canonical(m: Matrix) -> bool:
     return all(not v.is_zero() for _, _, v in m.nonzero_items())
 
@@ -63,6 +74,25 @@ def test_commutator_and_anticommutator_match_reference(pair):
     assert comm == reference_commutator(m, n)
     assert anti == reference_anticommutator(m, n)
     assert _canonical(comm) and _canonical(anti)
+
+
+@given(commutators_with_rhs())
+@settings(max_examples=100, deadline=None)
+def test_commutator_minus_rhs_matches_reference(case):
+    m, n, rhs = case
+    out = commutator(m, n, rhs)
+    assert out == reference_commutator(m, n, rhs)
+    assert _canonical(out)
+
+
+@given(commutators_with_rhs(), _units)
+@settings(max_examples=60, deadline=None)
+def test_rhs_equal_to_the_commutator_cancels_it(case, u):
+    m, n, extra = case
+    # c = [m, n] - sum(extra); taking u * (conj(u) * c) off as well leaves zero.
+    c = reference_commutator(m, n, extra)
+    conj_u = {(1, 0): c, (-1, 0): -c, (0, 1): -c.times_i(), (0, -1): c.times_i()}[u]
+    assert commutator(m, n, [*extra, (u, conj_u)]).is_zero()
 
 
 @given(square_pairs(), scalars(), scalars())
@@ -104,3 +134,6 @@ def test_shape_mismatches_raise():
         anticommutator(Matrix(3, 2), Matrix(3, 2))
     with pytest.raises(ValueError):
         anticommutator(Matrix.identity(2), Matrix.identity(3))
+    for z in (Matrix(2, 3), Matrix(3, 2), Matrix.identity(3)):
+        with pytest.raises(ValueError):
+            commutator(Matrix.identity(2), Matrix.identity(2), [((1, 0), z)])
