@@ -91,8 +91,8 @@ def test_rhs_equal_to_the_commutator_cancels_it(case, u):
     m, n, extra = case
     # c = [m, n] - sum(extra); taking u * (conj(u) * c) off as well leaves zero.
     c = reference_commutator(m, n, extra)
-    conj_u = {(1, 0): c, (-1, 0): -c, (0, 1): -c.times_i(), (0, -1): c.times_i()}[u]
-    assert commutator(m, n, [*extra, (u, conj_u)]).is_zero()
+    conj_u_c = {(1, 0): c, (-1, 0): -c, (0, 1): -c.times_i(), (0, -1): c.times_i()}[u]
+    assert commutator(m, n, [*extra, (u, conj_u_c)]).is_zero()
 
 
 @given(square_pairs(), scalars(), scalars())
