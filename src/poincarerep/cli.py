@@ -66,11 +66,13 @@ def parse_scalar(text: str) -> RadicalScalar:
             raise CliError(f"cannot parse scalar term {term!r}")
         try:
             coeff = Fraction(m.group("num")) if m.group("num") else Fraction(1)
+            d = int(m.group("d")) if m.group("d") else 1
         except ZeroDivisionError:
             raise CliError(f"zero denominator in scalar term {term!r}") from None
+        except ValueError:  # more digits than the interpreter converts to an int
+            raise CliError(f"a number in a {len(term)}-character scalar term is too long") from None
         if m.group("sign") == "-":
             coeff = -coeff
-        d = int(m.group("d")) if m.group("d") else 1
         if d >= 2**40:  # radicands are factored by trial division, fast below this
             raise CliError(f"radicand in scalar term {term!r} must be below 2**40")
         if m.group("i"):
@@ -204,22 +206,28 @@ def cmd_export(args: argparse.Namespace) -> int:
         return EXIT_OK
     mats = bundle.matrices()
     if args.format == "float-json":
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "spins": list(bundle.spins),
-            "caseTag": bundle.case.value,
-            "block": bundle.block,
-            "dimension": bundle.dimension,
-            "matrices": {
-                key: [
-                    [val.real, val.imag]
-                    for row in mat.to_numpy().tolist()
-                    for val in row
-                ]
-                for key, mat in mats.items()
-            },
-        }
-        _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        try:
+            payload = {
+                "schemaVersion": SCHEMA_VERSION,
+                "spins": list(bundle.spins),
+                "caseTag": bundle.case.value,
+                "block": bundle.block,
+                "dimension": bundle.dimension,
+                "matrices": {
+                    key: [
+                        [val.real, val.imag]
+                        for row in mat.to_numpy().tolist()
+                        for val in row
+                    ]
+                    for key, mat in mats.items()
+                },
+            }
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except (OverflowError, ValueError):
+            # OverflowError: a coefficient beyond float range; ValueError: an
+            # entry whose float value is infinite or nan, which JSON cannot hold.
+            raise CliError("a matrix entry is too large for a float") from None
+        _write_text(text + "\n", args.out)
         return EXIT_OK
     if args.format == "plain":
         lines = [

@@ -4,12 +4,13 @@ Entries are held sparsely (zeros dropped) so products of the very sparse
 spin matrices stay cheap, but the interface is an ordinary rows x cols
 matrix and serialization emits the full row-major grid.
 
-Products (``@``, ``commutator``, ``anticommutator``) share one kernel that
-computes a signed sum of products, less Gaussian-unit multiples u * Z of
-right-hand-side matrices, exactly.  It rewrites each operand as integer
-numerators over one denominator, the lcm of the operand's coefficient
-denominators, multiplies and sums with Python ints, and forms RadicalScalar
-values only once per nonzero coefficient of the result.  Nothing is rounded.
+Every matrix-valued result (``+``, ``-``, ``scale``, ``times_i``, ``@``,
+``commutator``, ``anticommutator``) is one call of a kernel that computes
+a signed sum of products plus exact scalar multiples c * Z.  It rewrites
+each operand as integer numerators over one denominator, the lcm of the
+operand's coefficient denominators, multiplies and sums with Python ints,
+and forms RadicalScalar values only once per nonzero coefficient of the
+result.  Nothing is rounded.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .radical import ZERO, RadicalScalar, RationalLike, _coerce
+from .radical import I_UNIT, ONE, ZERO, RadicalScalar, RationalLike, _coerce
 
 
 class Matrix:
@@ -93,51 +94,27 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        out = Matrix(self.rows, self.cols)
-        out._rows = {i: dict(r) for i, r in self._rows.items()}
-        for i, row in other._rows.items():
-            orow = out._rows.setdefault(i, {})
-            for j, v in row.items():
-                s = orow.get(j, ZERO) + v
-                if s.is_zero():
-                    orow.pop(j, None)
-                else:
-                    orow[j] = s
-            if not orow:
-                del out._rows[i]
-        return out
+        return _combine(self.rows, self.cols, multiples=[(1, ONE, self), (1, ONE, other)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        self._same_shape(other)
+        return _combine(self.rows, self.cols, multiples=[(1, ONE, self), (-1, ONE, other)])
 
     def __neg__(self) -> "Matrix":
-        out = Matrix(self.rows, self.cols)
-        out._rows = {i: {j: -v for j, v in r.items()} for i, r in self._rows.items()}
-        return out
+        return _combine(self.rows, self.cols, multiples=[(-1, ONE, self)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return _signed_products(self.rows, other.cols, [(1, self, other)])
+        return _combine(self.rows, other.cols, [(1, self, other)])
 
     def scale(self, factor: RadicalScalar | RationalLike) -> "Matrix":
-        factor = _coerce(factor)
-        if factor.is_zero():
-            return Matrix(self.rows, self.cols)
-        out = Matrix(self.rows, self.cols)
-        out._rows = {
-            i: {j: v * factor for j, v in r.items()} for i, r in self._rows.items()
-        }
-        return out
+        return _combine(self.rows, self.cols, multiples=[(1, factor, self)])
 
     def times_i(self) -> "Matrix":
-        out = Matrix(self.rows, self.cols)
-        out._rows = {
-            i: {j: v.times_i() for j, v in r.items()} for i, r in self._rows.items()
-        }
-        return out
+        return _combine(self.rows, self.cols, multiples=[(1, I_UNIT, self)])
 
     def conjugate_transpose(self) -> "Matrix":
         out = Matrix(self.cols, self.rows)
@@ -206,37 +183,39 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def commutator(m: Matrix, n: Matrix, rhs: Sequence[tuple[tuple[int, int], Matrix]] = ()) -> Matrix:
-    """M @ N - N @ M - sum of u * Z over (u, Z) in rhs, for square matrices.
+def commutator(
+    m: Matrix, n: Matrix, rhs: Sequence[tuple[RadicalScalar | RationalLike, Matrix]] = ()
+) -> Matrix:
+    """M @ N - N @ M - sum of c * Z over (c, Z) in rhs, for square matrices.
 
-    Each u is a Gaussian unit given as an int pair (re, im): (1, 0), (-1, 0),
-    (0, 1) or (0, -1), so the result is zero exactly when [M, N] = sum u * Z.
+    Each c is an exact scalar, so the result is zero exactly when
+    [M, N] = sum c * Z.
     """
     if m.rows != m.cols or n.rows != n.cols or m.rows != n.rows:
         raise ValueError("commutator needs square matrices of equal dimension")
     for _, z in rhs:
         m._same_shape(z)
-    return _signed_products(m.rows, m.cols, [(1, m, n), (-1, n, m)], rhs)
+    return _combine(m.rows, m.cols, [(1, m, n), (-1, n, m)], [(-1, c, z) for c, z in rhs])
 
 
 def anticommutator(m: Matrix, n: Matrix) -> Matrix:
     if m.rows != m.cols or n.rows != n.cols or m.rows != n.rows:
         raise ValueError("anticommutator needs square matrices of equal dimension")
-    return _signed_products(m.rows, m.cols, [(1, m, n), (1, n, m)])
+    return _combine(m.rows, m.cols, [(1, m, n), (1, n, m)])
 
 
-# -- the product kernel -------------------------------------------------------
+# -- the kernel -----------------------------------------------------------------
 
-def _pack(m: Matrix) -> tuple[int, dict[int, list]]:
+def _pack(rows: dict[int, dict[int, RadicalScalar]]) -> tuple[int, dict[int, list]]:
     """(L, rows): every entry as (radicand, re*L, im*L) integer terms, L one lcm."""
     scale = math.lcm(*{
         c.denominator
-        for row in m._rows.values()
+        for row in rows.values()
         for v in row.values()
         for pair in v._terms.values()
         for c in pair
     })
-    rows = {
+    packed = {
         i: [
             (j, [
                 (d, re.numerator * (scale // re.denominator),
@@ -245,29 +224,33 @@ def _pack(m: Matrix) -> tuple[int, dict[int, list]]:
             ])
             for j, v in row.items()
         ]
-        for i, row in m._rows.items()
+        for i, row in rows.items()
     }
-    return scale, rows
+    return scale, packed
 
 
-def _signed_products(rows: int, cols: int, pairs: list, rhs: Sequence = ()) -> Matrix:
-    """The sum of sign * X @ Y over (sign, X, Y) less u * Z over (u, Z) in rhs.
+def _combine(rows: int, cols: int, products: Sequence = (), multiples: Sequence = ()) -> Matrix:
+    """Sum sign * X @ Y over products and sign * c * Z over multiples, exactly.
 
-    u is a Gaussian integer (re, im).  Each operand is packed once.  Products
-    and sums run on Python ints over the common denominator of all terms,
-    and only the nonzero coefficients left at the end become Fractions.
+    products holds (sign, X, Y) and multiples (sign, c, Z), with c an exact
+    scalar.  c * Z is the product of the diagonal matrix c * I with Z; that
+    diagonal is packed only on Z's nonzero rows.  Each matrix operand is
+    packed once.  Products and sums run on Python ints over the common
+    denominator of all terms, and only the nonzero coefficients left at the
+    end become Fractions.
     """
     packed = {}
-    for m in [m for _, x, y in pairs for m in (x, y)] + [z for _, z in rhs]:
+    for m in [m for _, x, y in products for m in (x, y)] + [z for _, _, z in multiples]:
         if id(m) not in packed:
-            packed[id(m)] = _pack(m)
-    products = (packed[id(x)][0] * packed[id(y)][0] for _, x, y in pairs)
-    den = math.lcm(*products, *(packed[id(z)][0] for _, z in rhs))
+            packed[id(m)] = _pack(m._rows)
+    pairs = [(sign, packed[id(x)], packed[id(y)]) for sign, x, y in products]
+    for sign, coeff, z in multiples:
+        coeff = _coerce(coeff)
+        pairs.append((sign, _pack({i: {i: coeff} for i in z._rows}), packed[id(z)]))
+    den = math.lcm(*(lx * ly for _, (lx, _), (ly, _) in pairs))
     gcd = math.gcd
     acc: dict[tuple[int, int, int], list[int]] = {}
-    for sign, x, y in pairs:
-        lx, xrows = packed[id(x)]
-        ly, yrows = packed[id(y)]
+    for sign, (lx, xrows), (ly, yrows) in pairs:
         factor = sign * (den // (lx * ly))
         for i, xrow in xrows.items():
             for k, xterms in xrow:
@@ -290,15 +273,6 @@ def _signed_products(rows: int, cols: int, pairs: list, rhs: Sequence = ()) -> M
                             else:
                                 prev[0] += re
                                 prev[1] += im
-    for (ur, ui), z in rhs:
-        lz, zrows = packed[id(z)]
-        factor = den // lz
-        for i, zrow in zrows.items():
-            for j, zterms in zrow:
-                for d, a, b in zterms:
-                    cell = acc.setdefault((i, j, d), [0, 0])
-                    cell[0] -= (ur * a - ui * b) * factor
-                    cell[1] -= (ur * b + ui * a) * factor
     entries: dict[int, dict[int, dict[int, tuple[Fraction, Fraction]]]] = {}
     for (i, j, core), (re, im) in acc.items():
         if re or im:

@@ -1,8 +1,8 @@
 """Zero-tolerance checks of the 45 commutation rules, plus numeric probes.
 
-Each rule is stated once as [X, Y] = rhs, with rhs a sum of Gaussian-unit
-multiples of the generators or vector components, and its residual
-[X, Y] - rhs is formed in one ``commutator`` call inside the product kernel.
+Each rule is stated once as [X, Y] = rhs, with rhs a sum of exact scalar
+multiples c * Z of the generators or vector components, and its residual
+[X, Y] - rhs is formed in one ``commutator`` call inside the matrix kernel.
 
 Rule identifiers: "JJ.xy" means [J_x, J_y] against its right-hand side,
 "KV.zt" means [K_z, V_t], "PP.xt" means [P_x, P_t], and so on.  The axis
@@ -30,7 +30,7 @@ from .cg import RatioFit, equivalence_ratio
 from .generators import GeneratorSet, block_sum, irrep_generators
 from .matrix import Matrix, anticommutator, commutator
 from .momentum import BlockChoice, momentum_from_vectors
-from .radical import ONE, ZERO, RadicalScalar
+from .radical import I_UNIT, ONE, ZERO, RadicalScalar
 from .spins import Spin, SpinPair
 from .vectors import (
     CaseTag,
@@ -79,19 +79,20 @@ class RuleReport:
         return out
 
 
-# A right-hand side is a list of (u, Z): a Gaussian unit u = (re, im) times Z.
-_MINUS_I = (0, -1)
+# A right-hand side is a list of (c, Z): an exact scalar c times Z.  The
+# coefficients the rules use, +i and -i, are built once here.
+_SIGNED_I = {1: I_UNIT, -1: -I_UNIT}
 
 
 def _rule(rule_id: str, x: Matrix, y: Matrix, rhs=()) -> RuleReport:
-    """[x, y] = sum of u * Z over (u, Z) in rhs, checked exactly."""
+    """[x, y] = sum of c * Z over (c, Z) in rhs, checked exactly."""
     nz = commutator(x, y, rhs).first_nonzero()
     return RuleReport(rule_id, nz is None, nz)
 
 
 def _i_eps(i: str, j: str, mats: dict[str, Matrix], sign: int = 1) -> list:
     """The right-hand side sign * i * eps_ijk * M_k, summed over k."""
-    return [((0, sign * e), mats[k]) for k in AXES if (e := epsilon(i, j, k))]
+    return [(_SIGNED_I[sign * e], mats[k]) for k in AXES if (e := epsilon(i, j, k))]
 
 
 def check_lorentz(gen: GeneratorSet) -> list[RuleReport]:
@@ -120,9 +121,9 @@ def check_vector_rules(gen: GeneratorSet, vec: VectorSet) -> list[RuleReport]:
         reports.append(_rule(f"JV.{i}t", J[i], V["t"]))
     for i in AXES:
         for j in AXES:
-            rhs = [(_MINUS_I, V["t"])] if i == j else []  # -i delta_ij V_t
+            rhs = [(_SIGNED_I[-1], V["t"])] if i == j else []  # -i delta_ij V_t
             reports.append(_rule(f"KV.{i}{j}", K[i], V[j], rhs))
-        reports.append(_rule(f"KV.{i}t", K[i], V["t"], [(_MINUS_I, V[i])]))
+        reports.append(_rule(f"KV.{i}t", K[i], V["t"], [(_SIGNED_I[-1], V[i])]))
     return reports
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own computation paths: the CG
 oracle is the closed factorial sum in exact Fractions, the nullspace
 oracle solves the 24 vector rules as one dense linear system in floats,
-and the matrix product oracle sums RadicalScalar products entry by entry.
+and the matrix oracles form every entry with RadicalScalar arithmetic,
+one entry at a time.
 """
 
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from poincarerep.matrix import Matrix
-from poincarerep.radical import I_UNIT, ONE, ZERO
+from poincarerep.radical import ZERO
 
 
 def _fact(n) -> int:
@@ -137,20 +138,27 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-_UNITS = {(1, 0): ONE, (-1, 0): -ONE, (0, 1): I_UNIT, (0, -1): -I_UNIT}
-
-
-def reference_commutator(m: Matrix, n: Matrix, rhs=()) -> Matrix:
-    """[m, n] minus the sum of u * Z over (u, Z) in rhs, one entry at a time."""
-    out = reference_matmul(m, n) - reference_matmul(n, m)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            acc = out.get(i, j)
-            for u, z in rhs:
-                acc = acc - _UNITS[u] * z.get(i, j)
-            out.set(i, j, acc)
+def entrywise(fn, *mats: Matrix) -> Matrix:
+    """The matrix whose (i, j) entry is fn of the operands' (i, j) entries."""
+    out = Matrix(mats[0].rows, mats[0].cols)
+    for i in range(out.rows):
+        for j in range(out.cols):
+            out.set(i, j, fn(*(m.get(i, j) for m in mats)))
     return out
 
 
+def reference_commutator(m: Matrix, n: Matrix, rhs=()) -> Matrix:
+    """[m, n] minus the sum of c * Z over (c, Z) in rhs, one entry at a time."""
+    coeffs = [c for c, _ in rhs]
+
+    def entry(mn, nm, *zs):
+        acc = mn - nm
+        for c, z in zip(coeffs, zs):
+            acc = acc - c * z
+        return acc
+
+    return entrywise(entry, reference_matmul(m, n), reference_matmul(n, m), *(z for _, z in rhs))
+
+
 def reference_anticommutator(m: Matrix, n: Matrix) -> Matrix:
-    return reference_matmul(m, n) + reference_matmul(n, m)
+    return entrywise(lambda mn, nm: mn + nm, reference_matmul(m, n), reference_matmul(n, m))

@@ -52,10 +52,20 @@ class TestScalarLiterals:
     def test_non_squarefree_radicand_normalized(self):
         assert parse_scalar("sqrt(8)") == sqrt_of_rational(8)
 
-    def test_rejects_garbage(self):
-        for text in ("", "q", "sqrt(", "1**2", "2..5", "1/0", "sqrt(2305843009213693951)"):
+    def test_rejects_garbage(self, tmp_path, capsys):
+        # Numbers longer than the interpreter's 4300-digit int-conversion limit.
+        long_literals = ("1" * 5000, f"sqrt({'1' * 5000})", f"1/{'1' * 5000}")
+        for text in ("", "q", "sqrt(", "1**2", "2..5", "1/0", "sqrt(2305843009213693951)",
+                     *long_literals):
             with pytest.raises(CliError):
                 parse_scalar(text)
+        out = str(tmp_path / "p.json")
+        for text in long_literals:
+            for argv in (["gen", "--spins", "1,1,0,0", "--t12", text, "--out", out],
+                         ["equiv", "--spins", "1,1,0,0", "--lambda12", text]):
+                assert main(argv) == EXIT_BAD_INPUT
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSpinParsing:
@@ -306,6 +316,22 @@ class TestCommands:
         ]
         assert any(abs(v - 1.4142135623730951) < 1e-15 for v in flat)
 
+    def test_export_float_json_overflow_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        main(["gen", "--spins", "1,0,0,1", "--block", "keep12", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        # A coefficient no float holds, and one whose product with sqrt(5) is no float.
+        for term in ({"d": 1, "re": [10**400, 1], "im": [0, 1]},
+                     {"d": 5, "re": [10**308, 1], "im": [0, 1]}):
+            doc["matrices"]["Jz"][0] = [term]
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["export", "--in", str(path), "--format", "float-json"]) == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            for fmt in ("plain", "exact-json"):
+                assert main(["export", "--in", str(path), "--format", fmt]) == EXIT_OK
+
     def test_export_plain(self, tmp_path, capsys):
         src = tmp_path / "p.json"
         main(["gen", "--spins", "1,0,0,1", "--out", str(src)])
@@ -317,9 +343,16 @@ class TestCommands:
         assert main(["gen", "--nope", "1"]) == EXIT_BAD_INPUT
 
 
+# Numbers no float holds, as a bare value, inside a term and as a whole
+# entry; they are drawn as often as all other values together, since most
+# mutations make a bundle that does not load.
+HUGE = (
+    10**400, -(10**400),
+    {"d": 1, "re": [1, 1], "im": [10**400, 1]}, [{"d": 1, "re": [10**400, 1], "im": [0, 1]}],
+)
 # Values a mutated bundle subtree is replaced with: wrong types, wrong
 # shapes, bad terms, huge and negative numbers, and valid-looking metadata.
-POOL = (
+POOL = HUGE + (
     None, True, 0, 1, -1, 7, 2.5, 2**61 - 1, "", "x", "1", "keep12", "keep21", "both",
     "case1", "case2", "nosolution", "recursion", [], [0], [1, 0], [1, 1, 0, 0], [[]], {},
     {"d": 1, "re": [1, 1], "im": [0, 1]}, {"d": 3, "re": [1, 0], "im": [0, 1]},
@@ -395,11 +428,14 @@ class TestFuzz:
             if data.draw(st.booleans(), label="delete"):
                 del parent[path[-1]]
             else:
-                parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(POOL), label="value"))
+                value = data.draw(st.sampled_from(POOL) | st.sampled_from(HUGE), label="value")
+                parent[path[-1]] = copy.deepcopy(value)
         with tempfile.TemporaryDirectory() as tmp:
             bad = Path(tmp) / "bad.json"
             bad.write_text(json.dumps(tree))
             _assert_clean_exit(*_run(["verify", "--in", str(bad)]))
+            for fmt in ("float-json", "plain"):
+                _assert_clean_exit(*_run(["export", "--in", str(bad), "--format", fmt]))
 
     @given(
         text=st.one_of(
@@ -407,7 +443,9 @@ class TestFuzz:
             st.lists(
                 st.tuples(
                     st.sampled_from(["", "-"]),
-                    st.sampled_from(["", "0", "1", "3/4", "7/0", "12345678901234567"]),
+                    st.sampled_from(
+                        ["", "0", "1", "3/4", "7/0", "12345678901234567", "9" * 4400]
+                    ),
                     st.sampled_from(["", "i", "*i"]),
                     st.sampled_from(
                         ["", "sqrt(2)", "*sqrt(8)", "*sqrt(0)", "*sqrt(1099511627775)"]

@@ -1,12 +1,12 @@
-"""The sparse product kernel against the entry-by-entry RadicalScalar oracle."""
+"""The matrix kernel against the entry-by-entry RadicalScalar oracles."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_anticommutator, reference_commutator, reference_matmul
+from oracles import entrywise, reference_anticommutator, reference_commutator, reference_matmul
 from poincarerep.matrix import Matrix, anticommutator, commutator
-from poincarerep.radical import RadicalScalar
+from poincarerep.radical import ONE, ZERO, RadicalScalar
 
 # Shared and coprime radicands, one non-squarefree (12 = 2**2 * 3) and one
 # large prime; denominators are mixed so each operand needs a real lcm.
@@ -41,15 +41,22 @@ def square_pairs(draw):
     return draw(matrices(n, n)), draw(matrices(n, n))
 
 
-_units = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
+# Any exact scalar: a RadicalScalar (zero included), an int or a Fraction.
+_factors = st.one_of(scalars(), st.just(ZERO), st.integers(-3, 3), _coefficient)
 
 
 @st.composite
 def commutators_with_rhs(draw):
-    """(m, n, rhs): 0-3 terms u * Z with Gaussian units u and Z like m."""
+    """(m, n, rhs): 0-3 terms c * Z with exact scalars c and Z like m."""
     m, n = draw(square_pairs())
-    rhs = draw(st.lists(st.tuples(_units, matrices(m.rows, m.rows)), max_size=3))
+    rhs = draw(st.lists(st.tuples(_factors, matrices(m.rows, m.rows)), max_size=3))
     return m, n, rhs
+
+
+@st.composite
+def same_shape_pairs(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return draw(matrices(rows, cols)), draw(matrices(rows, cols))
 
 
 def _canonical(m: Matrix) -> bool:
@@ -85,14 +92,32 @@ def test_commutator_minus_rhs_matches_reference(case):
     assert _canonical(out)
 
 
-@given(commutators_with_rhs(), _units)
+@given(commutators_with_rhs(), _factors)
 @settings(max_examples=60, deadline=None)
 def test_rhs_equal_to_the_commutator_cancels_it(case, u):
     m, n, extra = case
-    # c = [m, n] - sum(extra); taking u * (conj(u) * c) off as well leaves zero.
+    # c = [m, n] - sum(extra); taking u * c and (1 - u) * c off as well leaves zero.
     c = reference_commutator(m, n, extra)
-    conj_u_c = {(1, 0): c, (-1, 0): -c, (0, 1): -c.times_i(), (0, -1): c.times_i()}[u]
-    assert commutator(m, n, [*extra, (u, conj_u_c)]).is_zero()
+    assert commutator(m, n, [*extra, (u, c), (ONE - u, c)]).is_zero()
+
+
+@given(same_shape_pairs(), scalars().filter(lambda v: len(v.terms) > 1), _factors)
+@settings(max_examples=100, deadline=None)
+def test_sums_and_scalar_multiples_match_reference(pair, multi_term, factor):
+    a, b = pair
+    cases = [
+        (a + b, entrywise(lambda x, y: x + y, a, b)),
+        (a - b, entrywise(lambda x, y: x - y, a, b)),
+        (-a, entrywise(lambda x: -x, a)),
+        (a.scale(multi_term), entrywise(lambda x: x * multi_term, a)),
+        (a.scale(factor), entrywise(lambda x: x * factor, a)),
+        (a.scale(0), Matrix(a.rows, a.cols)),
+        (a.times_i(), entrywise(RadicalScalar.times_i, a)),
+    ]
+    for out, expected in cases:
+        assert out == expected
+        assert (out.rows, out.cols) == (a.rows, a.cols)
+        assert _canonical(out)
 
 
 @given(square_pairs(), scalars(), scalars())
@@ -136,4 +161,4 @@ def test_shape_mismatches_raise():
         anticommutator(Matrix.identity(2), Matrix.identity(3))
     for z in (Matrix(2, 3), Matrix(3, 2), Matrix.identity(3)):
         with pytest.raises(ValueError):
-            commutator(Matrix.identity(2), Matrix.identity(2), [((1, 0), z)])
+            commutator(Matrix.identity(2), Matrix.identity(2), [(1, z)])
