@@ -99,11 +99,9 @@ def matrix_to_json(mat: Matrix) -> list[list[dict]]:
 def matrix_from_json(entries: list[list[dict]], rows: int, cols: int) -> Matrix:
     if len(_expect(entries, list, "a matrix")) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(entries)}")
-    mat = Matrix(rows, cols)
-    for pos, terms in enumerate(entries):
-        if terms:
-            mat.set(pos // cols, pos % cols, scalar_from_json(terms))
-    return mat
+    return Matrix.from_entries(rows, cols, {
+        divmod(pos, cols): scalar_from_json(terms) for pos, terms in enumerate(entries) if terms
+    })
 
 
 @dataclass(frozen=True)

@@ -38,18 +38,18 @@ def rotation_rep(spin: Spin) -> tuple[Matrix, Matrix, Matrix]:
     (row s1-1, col s1); Mz is diagonal with the projection values.
     """
     n = spin.multiplicity
-    mplus, mminus, mz = Matrix(n, n), Matrix(n, n), Matrix(n, n)
+    mplus, mminus, mz = {}, {}, {}
     projections = spin.projections()
     pos = {s.twice: idx for idx, s in enumerate(projections)}
     for idx, s1 in enumerate(projections):
-        mz.set(idx, idx, RadicalScalar.from_rational(s1.value))
+        mz[idx, idx] = s1.value
         up = s1.twice + 2
         if up in pos:
-            mplus.set(pos[up], idx, ladder_coeff_r(spin, s1))
+            mplus[pos[up], idx] = ladder_coeff_r(spin, s1)
         down = s1.twice - 2
         if down in pos:
-            mminus.set(pos[down], idx, ladder_coeff_s(spin, s1))
-    return mplus, mminus, mz
+            mminus[pos[down], idx] = ladder_coeff_s(spin, s1)
+    return tuple(Matrix.from_entries(n, n, m) for m in (mplus, mminus, mz))
 
 
 @dataclass(frozen=True)
@@ -74,23 +74,24 @@ def irrep_generators(pair: SpinPair) -> GeneratorSet:
     coefficient, its row gets J_x = c, J_y = -i*step*c, K_x = -i*side*c and
     K_y = -step*side*c.
     """
-    jx, jy, jz, kx, ky, kz = (Matrix(pair.dimension, pair.dimension) for _ in range(6))
+    jx, jy, jz, kx, ky, kz = ({} for _ in range(6))
     # Moving a by one skips a whole run of b indices; moving b, one position.
     sides = ((1, pair.left, pair.right.multiplicity), (-1, pair.right, 1))
     for col, (a, b) in enumerate(pair.basis()):
-        jz.set(col, col, a.value + b.value)
-        kz.set(col, col, RadicalScalar.from_rational(b.value - a.value).times_i())
+        jz[col, col] = a.value + b.value
+        kz[col, col] = RadicalScalar.from_rational(b.value - a.value).times_i()
         for (side, spin, stride), m in zip(sides, (a, b)):
             for step, sigma in ((1, m), (-1, -m)):
                 c = ladder_coeff_r(spin, sigma) * Fraction(1, 2)
                 if c.is_zero():
                     continue  # the ladder ends here
                 row = col - step * stride  # projections descend along the basis
-                jx.set(row, col, c)
-                jy.set(row, col, (c * -step).times_i())
-                kx.set(row, col, (c * -side).times_i())
-                ky.set(row, col, c * (-step * side))
-    return GeneratorSet(spins=(pair,), J=(jx, jy, jz), K=(kx, ky, kz))
+                jx[row, col] = c
+                jy[row, col] = (c * -step).times_i()
+                kx[row, col] = (c * -side).times_i()
+                ky[row, col] = c * (-step * side)
+    mats = [Matrix.from_entries(pair.dimension, pair.dimension, m) for m in (jx, jy, jz, kx, ky, kz)]
+    return GeneratorSet(spins=(pair,), J=tuple(mats[:3]), K=tuple(mats[3:]))
 
 
 def direct_sum(p1: SpinPair, p2: SpinPair) -> GeneratorSet:

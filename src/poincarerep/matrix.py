@@ -1,23 +1,26 @@
 """Dense-semantics exact matrices over RadicalScalar entries.
 
-Entries are held sparsely (zeros dropped) so products of the very sparse
-spin matrices stay cheap, but the interface is an ordinary rows x cols
-matrix and serialization emits the full row-major grid.
+A Matrix is an immutable value: ``Matrix(rows, cols)`` is the zero matrix
+and ``Matrix.from_entries`` is the only way to give one entries.  Entries
+are held sparsely (zeros dropped) so products of the very sparse spin
+matrices stay cheap, but the interface is an ordinary rows x cols matrix
+and serialization emits the full row-major grid.
 
 Every matrix-valued result (``+``, ``-``, ``scale``, ``times_i``, ``@``,
 ``commutator``, ``anticommutator``) is one call of a kernel that computes
-a signed sum of products plus exact scalar multiples c * Z.  It rewrites
-each operand as integer numerators over one denominator, the lcm of the
+a signed sum of products plus exact scalar multiples c * Z.  It uses each
+operand as integer numerators over one denominator, the lcm of the
 operand's coefficient denominators, multiplies and sums with Python ints,
 and forms RadicalScalar values only once per nonzero coefficient of the
-result.  Nothing is rounded.
+result.  Since a matrix never changes, its integer form is computed the
+first time it is an operand and kept with it.  Nothing is rounded.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +28,9 @@ from .radical import I_UNIT, ONE, ZERO, RadicalScalar, RationalLike, _coerce
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "_rows")
+    """An immutable rows x cols matrix; ``from_entries`` gives it entries."""
+
+    __slots__ = ("rows", "cols", "_rows", "_packed")
 
     def __init__(self, rows: int, cols: int):
         if rows <= 0 or cols <= 0:
@@ -33,6 +38,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._rows: dict[int, dict[int, RadicalScalar]] = {}
+        self._packed = None  # the kernel's integer form, see _pack
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "Matrix":
@@ -40,19 +46,19 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls(n, n)
-        one = RadicalScalar.from_rational(1)
-        for i in range(n):
-            m.set(i, i, one)
-        return m
+        return cls.from_entries(n, n, {(i, i): ONE for i in range(n)})
 
     @classmethod
     def from_entries(
-        cls, rows: int, cols: int, entries: dict[tuple[int, int], RadicalScalar]
+        cls, rows: int, cols: int, entries: dict[tuple[int, int], RadicalScalar | RationalLike]
     ) -> "Matrix":
+        """entries[i, j] at (i, j), coerced; zeros dropped, IndexError outside the shape."""
         m = cls(rows, cols)
         for (i, j), v in entries.items():
-            m.set(i, j, v)
+            m._check(i, j)
+            v = _coerce(v)
+            if not v.is_zero():
+                m._rows.setdefault(i, {})[j] = v
         return m
 
     # -- element access -------------------------------------------------
@@ -60,17 +66,6 @@ class Matrix:
     def get(self, i: int, j: int) -> RadicalScalar:
         self._check(i, j)
         return self._rows.get(i, {}).get(j, ZERO)
-
-    def set(self, i: int, j: int, value: RadicalScalar | RationalLike) -> None:
-        self._check(i, j)
-        value = _coerce(value)
-        row = self._rows.setdefault(i, {})
-        if value.is_zero():
-            row.pop(j, None)
-            if not row:
-                del self._rows[i]
-        else:
-            row[j] = value
 
     def _check(self, i: int, j: int) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -117,11 +112,9 @@ class Matrix:
         return _combine(self.rows, self.cols, multiples=[(1, I_UNIT, self)])
 
     def conjugate_transpose(self) -> "Matrix":
-        out = Matrix(self.cols, self.rows)
-        for i, row in self._rows.items():
-            for j, v in row.items():
-                out.set(j, i, v.conjugate())
-        return out
+        return Matrix.from_entries(self.cols, self.rows, {
+            (j, i): v.conjugate() for i, row in self._rows.items() for j, v in row.items()
+        })
 
     def is_zero(self) -> bool:
         return not self._rows
@@ -146,18 +139,11 @@ class Matrix:
     # -- block helpers ------------------------------------------------------
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        out = Matrix(r1 - r0, c1 - c0)
-        for i, row in self._rows.items():
-            if not (r0 <= i < r1):
-                continue
-            for j, v in row.items():
-                if c0 <= j < c1:
-                    out.set(i - r0, j - c0, v)
-        return out
-
-    def paste(self, other: "Matrix", r0: int, c0: int) -> None:
-        for i, j, v in other.nonzero_items():
-            self.set(r0 + i, c0 + j, v)
+        return Matrix.from_entries(r1 - r0, c1 - c0, {
+            (i - r0, j - c0): v
+            for i, row in self._rows.items() if r0 <= i < r1
+            for j, v in row.items() if c0 <= j < c1
+        })
 
     # -- export ---------------------------------------------------------------
 
@@ -176,11 +162,18 @@ class Matrix:
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
 
+def place(rows: int, cols: int, parts: Iterable[tuple[Matrix, int, int]]) -> Matrix:
+    """The rows x cols matrix holding each part with its (0, 0) entry at (r0, c0)."""
+    return Matrix.from_entries(rows, cols, {
+        (r0 + i, c0 + j): v
+        for part, r0, c0 in parts
+        for i, row in part._rows.items()
+        for j, v in row.items()
+    })
+
+
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    out = Matrix(a.rows + b.rows, a.cols + b.cols)
-    out.paste(a, 0, 0)
-    out.paste(b, a.rows, a.cols)
-    return out
+    return place(a.rows + b.rows, a.cols + b.cols, [(a, 0, 0), (b, a.rows, a.cols)])
 
 
 def commutator(
@@ -234,19 +227,19 @@ def _combine(rows: int, cols: int, products: Sequence = (), multiples: Sequence 
 
     products holds (sign, X, Y) and multiples (sign, c, Z), with c an exact
     scalar.  c * Z is the product of the diagonal matrix c * I with Z; that
-    diagonal is packed only on Z's nonzero rows.  Each matrix operand is
-    packed once.  Products and sums run on Python ints over the common
-    denominator of all terms, and only the nonzero coefficients left at the
-    end become Fractions.
+    diagonal is packed on Z's nonzero rows, once per call.  A matrix
+    operand uses the integer form stored with it, packed on first use.
+    Products and sums run on Python ints over the common denominator of all
+    terms, and only the nonzero coefficients left at the end become
+    Fractions.
     """
-    packed = {}
     for m in [m for _, x, y in products for m in (x, y)] + [z for _, _, z in multiples]:
-        if id(m) not in packed:
-            packed[id(m)] = _pack(m._rows)
-    pairs = [(sign, packed[id(x)], packed[id(y)]) for sign, x, y in products]
+        if m._packed is None:
+            m._packed = _pack(m._rows)
+    pairs = [(sign, x._packed, y._packed) for sign, x, y in products]
     for sign, coeff, z in multiples:
         coeff = _coerce(coeff)
-        pairs.append((sign, _pack({i: {i: coeff} for i in z._rows}), packed[id(z)]))
+        pairs.append((sign, _pack({i: {i: coeff} for i in z._rows}), z._packed))
     den = math.lcm(*(lx * ly for _, (lx, _), (ly, _) in pairs))
     gcd = math.gcd
     acc: dict[tuple[int, int, int], list[int]] = {}

@@ -32,7 +32,8 @@ def normalize_radical(n: int) -> tuple[int, int]:
 
     Trial division stops past 2**20.  A cofactor left below 2**40 has no
     factor it missed, so it is prime; a larger one raises ValueError, since
-    splitting it would mean factoring it.
+    splitting it would mean factoring it.  Once a cofactor m below 2**40
+    has p**3 > m, it is 1, q, q*r or q**2 for primes q != r >= p.
     """
     if n < 0:
         raise ValueError(f"radicand must be nonnegative, got {n}")
@@ -43,6 +44,8 @@ def normalize_radical(n: int) -> tuple[int, int]:
     m = n
     p = 2
     while p * p <= m:
+        if m < _TRIAL_LIMIT**2 and p * p * p > m:
+            break
         if p > _TRIAL_LIMIT:
             raise ValueError(f"radicand {n} has a factor too large to split")
         if m % p == 0:
@@ -54,8 +57,10 @@ def normalize_radical(n: int) -> tuple[int, int]:
             if exp % 2:
                 core *= p
         p += 1 if p == 2 else 2
-    core *= m  # leftover factor is prime (or 1)
-    return (outside, core)
+    root = math.isqrt(m)
+    if root * root == m:  # m is q**2 or 1
+        return (outside * root, core)
+    return (outside, core * m)
 
 
 class RadicalScalar:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .matrix import Matrix
+from .matrix import Matrix, place
 from .radical import ZERO, RadicalScalar, RationalLike, _coerce, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair, flatten_index
 from .generators import ladder_coeff_r
@@ -91,7 +91,7 @@ def pattern_block(
     and V_t = F+ - F-.  Every route builds its blocks here.
     """
     rows, cols = SpinPair(P, Q), SpinPair(R, S)
-    x, y, z, t = (Matrix(rows.dimension, cols.dimension) for _ in range(4))
+    x, y, z, t = ({} for _ in range(4))
     for i, (p, q) in enumerate(rows.basis()):
         for dp, dq in FAMILIES:
             try:
@@ -100,12 +100,12 @@ def pattern_block(
                 continue  # no such column
             value = coeff(dp, dq, p, q)
             if dp == dq:
-                x.set(i, j, value)
-                y.set(i, j, (value if dp < 0 else -value).times_i())
+                x[i, j] = value
+                y[i, j] = (value if dp < 0 else -value).times_i()
             else:
-                z.set(i, j, value)
-                t.set(i, j, value if dp > 0 else -value)
-    return x, y, z, t
+                z[i, j] = value
+                t[i, j] = value if dp > 0 else -value
+    return tuple(Matrix.from_entries(rows.dimension, cols.dimension, m) for m in (x, y, z, t))
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,8 @@ class VectorSet:
         """
         n1 = spins[0].dimension
         n = n1 + spins[1].dimension
-        comps = [Matrix.zeros(n) for _ in range(4)]
-        for block, r0, c0 in ((b12, 0, n1), (b21, n1, 0)):
-            for full, part in zip(comps, block or ()):
-                full.paste(part, r0, c0)
+        placed = [(block, r0, c0) for block, r0, c0 in ((b12, 0, n1), (b21, n1, 0)) if block]
+        comps = (place(n, n, [(block[k], r0, c0) for block, r0, c0 in placed]) for k in range(4))
         return cls(spins, params, *comps, kept_block=kept_block)
 
     @property

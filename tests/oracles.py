@@ -128,23 +128,22 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     """a @ b with one RadicalScalar product and sum per scalar term."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = Matrix(a.rows, b.cols)
+    entries = {}
     for i in range(a.rows):
         for j in range(b.cols):
             acc = ZERO
             for k in range(a.cols):
                 acc = acc + a.get(i, k) * b.get(k, j)
-            out.set(i, j, acc)
-    return out
+            entries[i, j] = acc
+    return Matrix.from_entries(a.rows, b.cols, entries)
 
 
 def entrywise(fn, *mats: Matrix) -> Matrix:
     """The matrix whose (i, j) entry is fn of the operands' (i, j) entries."""
-    out = Matrix(mats[0].rows, mats[0].cols)
-    for i in range(out.rows):
-        for j in range(out.cols):
-            out.set(i, j, fn(*(m.get(i, j) for m in mats)))
-    return out
+    rows, cols = mats[0].rows, mats[0].cols
+    return Matrix.from_entries(rows, cols, {
+        (i, j): fn(*(m.get(i, j) for m in mats)) for i in range(rows) for j in range(cols)
+    })
 
 
 def reference_commutator(m: Matrix, n: Matrix, rhs=()) -> Matrix:

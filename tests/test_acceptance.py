@@ -165,12 +165,12 @@ def test_criterion_6_momentum_witness():
     vec = closed_form_vectors(A, B, C, D, UNIT)
     got = noncommutativity_witness(vec)
     pair = SpinPair(A, B)
-    expected = Matrix.zeros(pair.dimension)
+    entries = {}
     inv_root = sqrt_of_rational(A.value * B.value).reciprocal_single()
     for idx, (a, b) in enumerate(pair.basis()):
         weight = RadicalScalar.from_rational(A.value * b.value + a.value * B.value)
-        expected.set(idx, idx, -(weight * inv_root))
-    assert got == expected
+        entries[idx, idx] = -(weight * inv_root)
+    assert got == Matrix.from_entries(pair.dimension, pair.dimension, entries)
     _passed(6, "[P+, P-] 11-block matches -(Ab+aB)/sqrt(AB) at every (a,b)")
 
 

@@ -42,8 +42,7 @@ def test_scalar_terms_sorted_and_exact():
 
 
 def test_matrix_round_trip_preserves_zeros():
-    m = Matrix.zeros(2, 3)
-    m.set(1, 2, sqrt_of_rational(5))
+    m = Matrix.from_entries(2, 3, {(1, 2): sqrt_of_rational(5)})
     blob = matrix_to_json(m)
     assert len(blob) == 6 and blob[0] == []
     assert matrix_from_json(blob, 2, 3) == m

@@ -205,6 +205,4 @@ class TestEquivalenceRatio:
 def _unit_matrix_entry(n, i, j):
     from poincarerep.matrix import Matrix
 
-    m = Matrix.zeros(n)
-    m.set(i, j, ONE)
-    return m
+    return Matrix.from_entries(n, n, {(i, j): ONE})

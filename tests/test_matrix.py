@@ -1,5 +1,7 @@
 """The matrix kernel against the entry-by-entry RadicalScalar oracles."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,27 @@ def test_sums_and_scalar_multiples_match_reference(pair, multi_term, factor):
         assert _canonical(out)
 
 
+@given(commutators_with_rhs(), _factors)
+@settings(max_examples=60, deadline=None)
+def test_operands_reused_across_kernel_calls(case, c):
+    # The kernel keeps each operand's integer form; the same m and n serve
+    # as first, second and multiple operands in turn.
+    m, n, rhs = case
+    copies = [Matrix.from_entries(x.rows, x.cols, {(i, j): v for i, j, v in x.nonzero_items()})
+              for x in (m, n)]
+    calls = [
+        (commutator(m, n, rhs), reference_commutator(m, n, rhs)),
+        (n @ m, reference_matmul(n, m)),
+        (m + n, entrywise(lambda x, y: x + y, m, n)),
+        (m.scale(c), entrywise(lambda x: x * c, m)),
+        (commutator(n, m), reference_commutator(n, m)),
+    ]
+    for out, expected in calls:
+        assert out == expected
+        assert _canonical(out)
+    assert [m, n] == copies
+
+
 @given(square_pairs(), scalars(), scalars())
 @settings(max_examples=60, deadline=None)
 def test_cancelling_results_are_the_zero_matrix(pair, r, s):
@@ -162,3 +185,16 @@ def test_shape_mismatches_raise():
     for z in (Matrix(2, 3), Matrix(3, 2), Matrix.identity(3)):
         with pytest.raises(ValueError):
             commutator(Matrix.identity(2), Matrix.identity(2), [(1, z)])
+
+
+def test_from_entries_checks_indices_drops_zeros_and_coerces():
+    for ij in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            Matrix.from_entries(2, 3, {(0, 0): ONE, ij: ONE})
+    zeros = Matrix.from_entries(2, 3, {(0, 0): ZERO, (1, 2): 0, (0, 1): Fraction(0)})
+    assert zeros.nnz() == 0 and zeros.is_zero() and zeros == Matrix(2, 3)
+    mixed = Matrix.from_entries(2, 3, {(0, 0): 3, (1, 2): Fraction(-1, 2), (0, 1): 0})
+    assert mixed.nnz() == 2
+    assert mixed.get(0, 0) == RadicalScalar.from_rational(3)
+    assert mixed.get(1, 2) == RadicalScalar.from_rational(Fraction(-1, 2))
+    assert all(isinstance(v, RadicalScalar) for _, _, v in mixed.nonzero_items())

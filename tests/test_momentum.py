@@ -47,11 +47,9 @@ def test_keep21_equals_keep12_of_swapped_representation():
     q12 = momentum_from_vectors(w, BlockChoice.KEEP_12)
     n1 = v.block1_dim
     n = v.dimension
-    perm = Matrix.zeros(n)
-    for i in range(n1):
-        perm.set(n - n1 + i, i, ONE)
-    for j in range(n - n1):
-        perm.set(j, n1 + j, ONE)
+    entries = {(n - n1 + i, i): ONE for i in range(n1)}
+    entries.update({(j, n1 + j): ONE for j in range(n - n1)})
+    perm = Matrix.from_entries(n, n, entries)
     inv = perm.conjugate_transpose()
     for mu in "xyzt":
         assert perm @ p21.component(mu) @ inv == q12.component(mu)
@@ -60,12 +58,12 @@ def test_keep21_equals_keep12_of_swapped_representation():
 def _expected_witness(A, B, t12, t21):
     """-(A*b + a*B)/sqrt(A*B) * t12 * t21 on the (a,b) diagonal."""
     pair = SpinPair(A, B)
-    out = Matrix.zeros(pair.dimension)
+    entries = {}
     inv_root = sqrt_of_rational(A.value * B.value).reciprocal_single()
     for idx, (a, b) in enumerate(pair.basis()):
         coeff = RadicalScalar.from_rational(A.value * b.value + a.value * B.value)
-        out.set(idx, idx, -(coeff * inv_root) * t12 * t21)
-    return out
+        entries[idx, idx] = -(coeff * inv_root) * t12 * t21
+    return Matrix.from_entries(pair.dimension, pair.dimension, entries)
 
 
 def test_witness_matches_closed_form_for_vector_rep():

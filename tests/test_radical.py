@@ -30,6 +30,27 @@ def brute_square_split(n: int) -> tuple[int, int]:
     return (best, n // (best * best))
 
 
+def is_prime_below_2_41(n: int) -> bool:
+    """Deterministic Miller-Rabin; the bases 2..13 decide every n < 3.4e12."""
+    bases = (2, 3, 5, 7, 11, 13)
+    if n < 2 or n in bases:
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def is_squarefree(n: int) -> bool:
     k = 2
     while k * k <= n:
@@ -62,10 +83,26 @@ class TestNormalizeRadical:
         assert normalize_radical(prime * 12) == (2, prime * 3)
 
     def test_unsplittable_radicand_rejected_quickly(self):
+        # A Mersenne prime, and the square of the first prime past 2**20.
+        for n in (2**61 - 1, (2**20 + 7) ** 2):
+            start = time.perf_counter()
+            with pytest.raises(ValueError):
+                normalize_radical(n)
+            assert time.perf_counter() - start < 5
+
+    def test_primes_just_below_2_40_split_quickly(self):
+        primes = [n for n in range(2**40 - 1, 2**40 - 2000, -2) if is_prime_below_2_41(n)][:20]
+        assert len(primes) == 20
+        split = normalize_radical.__wrapped__  # bypass the cache
         start = time.perf_counter()
-        with pytest.raises(ValueError):
-            normalize_radical(2**61 - 1)  # a Mersenne prime
-        assert time.perf_counter() - start < 5
+        for prime in primes:
+            assert split(prime) == (1, prime)
+        assert time.perf_counter() - start < 1
+
+    def test_products_of_primes_next_to_2_20_match_oracle(self):
+        q, r = 1048573, 1048571  # the two largest primes below 2**20
+        for n in (q * r, q * q, q * r * 7):
+            assert normalize_radical(n) == brute_square_split(n), n
 
     @given(st.integers(min_value=0, max_value=5000))
     def test_matches_oracle_and_is_squarefree(self, n):

@@ -130,11 +130,10 @@ class TestClosedForm:
             w = closed_form_vectors(C, D, A, B, FreeParams.of(3, 2))
             n1 = v.block1_dim
             n = v.dimension
-            perm = Matrix.zeros(n)
-            for i in range(n1):
-                perm.set(n - n1 + i, i, ONE)  # old block1 -> rows after block2
-            for j in range(n - n1):
-                perm.set(j, n1 + j, ONE)
+            # old block1 -> rows after block2
+            entries = {(n - n1 + i, i): ONE for i in range(n1)}
+            entries.update({(j, n1 + j): ONE for j in range(n - n1)})
+            perm = Matrix.from_entries(n, n, entries)
             inv = perm.conjugate_transpose()
             for mu in "xyzt":
                 assert perm @ v.component(mu) @ inv == w.component(mu)
@@ -283,14 +282,16 @@ class TestPatternBlock:
                 return asked[key]
 
             block = pattern_block(P, Q, R, S, coeff)
-            families = {f: Matrix(rows.dimension, cols.dimension) for f in FAMILIES}
+            families = {f: {} for f in FAMILIES}
             for i, (p, q) in enumerate(rows.basis()):
                 for j, (r, s) in enumerate(cols.basis()):
                     dp, dq = p.twice - r.twice, q.twice - s.twice
                     if abs(dp) == 1 and abs(dq) == 1:
-                        families[(dp, dq)].set(i, j, asked.pop((dp, dq, p.twice, q.twice)))
+                        families[(dp, dq)][i, j] = asked.pop((dp, dq, p.twice, q.twice))
             assert not asked, (P, Q, R, S)
-            plus, minus, f_plus, f_minus = (families[f] for f in FAMILIES)
+            plus, minus, f_plus, f_minus = (
+                Matrix.from_entries(rows.dimension, cols.dimension, families[f]) for f in FAMILIES
+            )
             assert block == (
                 plus + minus,
                 (plus - minus).times_i().scale(-1),
