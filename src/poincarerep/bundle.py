@@ -12,6 +12,7 @@ canonical dump (sorted keys, no whitespace) is byte-reproducible.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,18 +91,76 @@ def scalar_from_json(terms: list[dict]) -> RadicalScalar:
 
 
 def matrix_to_json(mat: Matrix) -> list[list[dict]]:
-    flat: list[list[dict]] = [[] for _ in range(mat.rows * mat.cols)]
+    """The dense row-major entry grid of ``mat``, for serialization only.
+
+    Every zero cell is the same empty list, made once per call: a grid
+    holds mostly zeros, and one fresh list per cell is a container the
+    cyclic garbage collector must track and scan for no gain.  The encoder
+    writes each cell on its own, so the bytes do not change; a caller that
+    edits the grid must replace a cell rather than mutate it in place.
+    """
+    zero: list[dict] = []
+    flat = [zero] * (mat.rows * mat.cols)
     for i, j, value in mat.nonzero_items():
         flat[i * mat.cols + j] = scalar_to_json(value)
     return flat
 
 
-def matrix_from_json(entries: list[list[dict]], rows: int, cols: int) -> Matrix:
+def _term_key(terms) -> tuple[int, ...] | None:
+    """The integers of a well-formed term list, or None if it is not one.
+
+    The checks are on exact types, as in ``scalar_from_json``: a JSON
+    ``true`` equals and hashes like 1, so a test with ``isinstance`` would
+    let it share a key with 1 and load a value it should reject.
+    """
+    if type(terms) is not list:
+        return None
+    key: list[int] = []
+    for t in terms:
+        if type(t) is not dict:
+            return None
+        d, re, im = t.get("d"), t.get("re"), t.get("im")
+        if type(d) is not int or type(re) is not list or type(im) is not list:
+            return None
+        if len(re) != 2 or len(im) != 2:
+            return None
+        key.append(d)
+        for x in (*re, *im):
+            if type(x) is not int:
+                return None
+            key.append(x)
+    return tuple(key)
+
+
+def matrix_from_json(
+    entries: list[list[dict]], rows: int, cols: int, *, decoded: dict | None = None
+) -> Matrix:
+    """Decode a dense row-major entry grid; a malformed entry raises ValueError.
+
+    A bundle's entries hold few distinct values, so each distinct
+    well-formed term list is decoded once and the value shared: ``decoded``
+    maps the integers of a term list (see ``_term_key``) to its value, and
+    one dict may serve all matrices of a bundle.  A term list only enters
+    it after ``scalar_from_json`` accepted it, and any other entry goes
+    through ``scalar_from_json`` itself, so errors and their messages are
+    those of an entry-by-entry decode.
+    """
     if len(_expect(entries, list, "a matrix")) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(entries)}")
-    return Matrix.from_entries(rows, cols, {
-        divmod(pos, cols): scalar_from_json(terms) for pos, terms in enumerate(entries) if terms
-    })
+    if decoded is None:
+        decoded = {}
+    values = {}
+    for pos, terms in enumerate(entries):
+        if not terms:
+            continue
+        key = _term_key(terms)
+        value = decoded.get(key)  # None is never a key
+        if value is None:
+            value = scalar_from_json(terms)
+            if key is not None:
+                decoded[key] = value
+        values[divmod(pos, cols)] = value
+    return Matrix.from_entries(rows, cols, values)
 
 
 @dataclass(frozen=True)
@@ -182,7 +241,8 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
     if n != pair1.dimension + pair2.dimension:
         raise ValueError("dimension field inconsistent with spins")
     matrices = _expect(data["matrices"], dict, "matrices")
-    mats = {key: matrix_from_json(matrices[key], n, n) for key in MATRIX_KEYS}
+    decoded: dict = {}
+    mats = {key: matrix_from_json(matrices[key], n, n, decoded=decoded) for key in MATRIX_KEYS}
     terms = _expect(data["params"], dict, "params")
     params = FreeParams(scalar_from_json(terms["t12"]), scalar_from_json(terms["t21"]))
     block, source = data["block"], data["source"]
@@ -217,12 +277,30 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
 
 
 def load_bundle(path: str) -> MatrixBundle:
+    """Read and decode a bundle file; a malformed one raises ValueError (or KeyError).
+
+    The parse and the decode run with the cyclic garbage collector paused.
+    A bundle parses into hundreds of thousands of small lists and dicts, and
+    each allocation counts towards the next collection, which scans every
+    tracked container: full collections would be set off again and again
+    while the tree is still being built.  Parsing and decoding make no
+    reference cycles, so the pause defers nothing that could be freed.  The
+    collector is turned back on, whether the load returns or raises, only
+    if it was on before.
+    """
     with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
         try:
-            data = json.load(fh)
+            data = json.loads(text)
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
-    return bundle_from_json_dict(data)
+        return bundle_from_json_dict(data)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def save_bundle(bundle: MatrixBundle, path: str) -> None:

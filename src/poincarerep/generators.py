@@ -72,7 +72,8 @@ def irrep_generators(pair: SpinPair) -> GeneratorSet:
     K_z = -i(a - b) on the diagonal.  A ladder step moves a (side +1) or b
     (side -1) up (step +1) or down (step -1); with c half its ladder
     coefficient, its row gets J_x = c, J_y = -i*step*c, K_x = -i*side*c and
-    K_y = -step*side*c.
+    K_y = -step*side*c.  Each of these is c, -c, i*c or -i*c, so they are
+    read off c by negation and ``times_i`` rather than multiplied out.
     """
     jx, jy, jz, kx, ky, kz = ({} for _ in range(6))
     # Moving a by one skips a whole run of b indices; moving b, one position.
@@ -86,10 +87,12 @@ def irrep_generators(pair: SpinPair) -> GeneratorSet:
                 if c.is_zero():
                     continue  # the ladder ends here
                 row = col - step * stride  # projections descend along the basis
+                neg = -c
+                ic, neg_ic = c.times_i(), neg.times_i()
                 jx[row, col] = c
-                jy[row, col] = (c * -step).times_i()
-                kx[row, col] = (c * -side).times_i()
-                ky[row, col] = c * (-step * side)
+                jy[row, col] = neg_ic if step == 1 else ic
+                kx[row, col] = neg_ic if side == 1 else ic
+                ky[row, col] = neg if step == side else c
     mats = [Matrix.from_entries(pair.dimension, pair.dimension, m) for m in (jx, jy, jz, kx, ky, kz)]
     return GeneratorSet(spins=(pair,), J=tuple(mats[:3]), K=tuple(mats[3:]))
 

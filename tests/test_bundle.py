@@ -1,5 +1,7 @@
 """Bundle serialization: term format, round trips, canonical output."""
 
+import copy
+import gc
 import json
 from fractions import Fraction
 
@@ -8,11 +10,13 @@ import pytest
 from poincarerep.bundle import (
     MatrixBundle,
     bundle_from_json_dict,
+    load_bundle,
     matrix_from_json,
     matrix_to_json,
     scalar_from_json,
     scalar_to_json,
 )
+from poincarerep.cli import EXIT_BAD_INPUT, main
 from poincarerep.generators import direct_sum, spin
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
@@ -65,7 +69,67 @@ def test_bundle_round_trip():
 
 
 def test_dumps_deterministic():
-    assert _make_bundle().dumps() == _make_bundle().dumps()
+    bundle = _make_bundle()
+    assert bundle.dumps() == bundle.dumps() == _make_bundle().dumps()
+
+
+def test_matrix_decode_matches_entry_by_entry():
+    # Repeated term lists, and lists that differ but give one value: explicit
+    # zeros, a radicand that is not squarefree, unsorted and repeated radicands.
+    kinds = [
+        [],
+        [{"d": 1, "re": [0, 1], "im": [0, 5]}],
+        [{"d": 8, "re": [1, 4], "im": [0, 1]}],
+        [{"d": 5, "re": [1, 4], "im": [0, 1]}],
+        [{"d": 2, "re": [1, 2], "im": [0, 1]}],
+        [{"d": 2, "re": [-1, -2], "im": [0, 1]}],
+        [{"d": 3, "re": [1, 1], "im": [2, 3]}, {"d": 1, "re": [-1, 2], "im": [0, 1]}],
+        [{"d": 1, "re": [-1, 2], "im": [0, 1]}, {"d": 3, "re": [1, 1], "im": [2, 3]}],
+        [{"d": 2, "re": [1, 1], "im": [0, 1]}, {"d": 2, "re": [-1, 1], "im": [1, 1]}],
+        [{"d": 12, "re": [1, 1], "im": [0, 1]}, {"d": 1, "re": [1, 1], "im": [0, 1]}],
+    ]
+    rows, cols = 6, 7
+    grid = [copy.deepcopy(kinds[pos % len(kinds)]) for pos in range(rows * cols)]
+
+    def entry_by_entry(entries):
+        return Matrix.from_entries(rows, cols, {
+            divmod(pos, cols): scalar_from_json(terms) for pos, terms in enumerate(entries) if terms
+        })
+
+    decoded = {}  # shared by two grids, as by the matrices of one bundle
+    assert matrix_from_json(grid, rows, cols, decoded=decoded) == entry_by_entry(grid)
+    assert matrix_from_json(grid[::-1], rows, cols, decoded=decoded) == entry_by_entry(grid[::-1])
+    assert matrix_from_json(grid, rows, cols) == entry_by_entry(grid)
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    return load_bundle(str(path))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    good = json.loads(_make_bundle().dumps())
+    failing = [
+        ("{not json", ValueError),
+        ("[" * 200000, ValueError),  # deeper than the recursion limit
+        (json.dumps({**good, "caseTag": "case4"}), ValueError),
+        (json.dumps({k: v for k, v in good.items() if k != "params"}), KeyError),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert _load_text(tmp_path, json.dumps(good)).dumps() == _make_bundle().dumps()
+        assert gc.isenabled() is enabled
+        for text, error in failing:
+            with pytest.raises(error):
+                _load_text(tmp_path, text)
+            assert gc.isenabled() is enabled
+            assert main(["verify", "--in", str(tmp_path / "b.json")]) == EXIT_BAD_INPUT
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_momentum_block_flag_round_trips():

@@ -294,12 +294,40 @@ class TestCommands:
 
     def test_export_exact_json_is_byte_identical(self, tmp_path):
         src = tmp_path / "p.json"
-        main(["gen", "--spins", "1,1,0,0", "--block", "keep12", "--out", str(src)])
         dup = tmp_path / "dup.json"
-        assert main([
-            "export", "--in", str(src), "--format", "exact-json", "--out", str(dup)
-        ]) == EXIT_OK
-        assert dup.read_bytes() == src.read_bytes()
+        for argv, indent in (
+            (["--spins", "1,1,0,0", "--block", "keep12"], None),
+            (["--spins", "8,8,7,7", "--block", "keep12"], None),
+            (["--spins", "2,1,1,2", "--t12", "1/2*sqrt(3)+i", "--t21=-1/3*sqrt(2)+i*sqrt(5)"], 2),
+        ):
+            assert main(["gen", *argv, "--out", str(src)]) == EXIT_OK
+            canonical = src.read_bytes()
+            if indent is not None:  # a hand-edited, no longer canonical copy
+                src.write_text(json.dumps(json.loads(canonical), indent=indent))
+            assert main([
+                "export", "--in", str(src), "--format", "exact-json", "--out", str(dup)
+            ]) == EXIT_OK
+            assert dup.read_bytes() == canonical
+
+    @pytest.mark.parametrize("change, message", [
+        ({"d": True}, "a radicand must be a JSON integer"),
+        ({"re": [True, 1]}, "re must be a pair of JSON integers"),
+        ({"re": [1, 0]}, "malformed scalar term: Fraction(1, 0)"),
+    ])
+    def test_lookalike_of_a_decoded_entry_is_rejected(self, tmp_path, capsys, change, message):
+        good = tmp_path / "good.json"
+        main(["gen", "--spins", "1,1,0,0", "--out", str(good)])
+        doc = json.loads(good.read_text())
+        (valid,) = doc["matrices"]["Jz"][0]
+        assert valid == {"d": 1, "re": [1, 1], "im": [0, 1]}
+        # The valid entry is decoded first; a copy that equals it in Python
+        # (True == 1) or differs only in being malformed must not reuse it.
+        doc["matrices"]["Vt"][0] = [{**valid, **change}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: cannot read {bad}: {message}\n"
 
     def test_export_float_json(self, tmp_path):
         src = tmp_path / "p.json"
