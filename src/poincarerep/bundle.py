@@ -262,7 +262,7 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
     if data["caseTag"] != vectors.case.value:
         raise ValueError(f"caseTag {data['caseTag']!r} disagrees with spins {list(spins)}")
     for which, param in (("12", params.t12), ("21", params.t21)):
-        zero = all(vectors.block(mat, which).is_zero() for mat in vectors.components())
+        zero = all(mat.is_zero() for mat in vectors.block(which))
         if vectors.kept_block not in (None, which):
             if not zero:
                 raise ValueError(f"block {block!r} but the {which}-block of V is nonzero")

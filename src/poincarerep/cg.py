@@ -20,10 +20,9 @@ b-d = dq/2 has the entries
     lam12 * <1/2 dp/2, C c|A a> <1/2 -dq/2, B b|D d>,
 
 negated on (dp, dq) = (-1, +1); the families are V+, V-, (V_z + V_t)/2
-and (V_z - V_t)/2, and ``vectors.pattern_block`` combines them.  The
-21-block (rows (c,d), columns (a,b)) is the same formula with the roles
-of the two irreps exchanged: <1/2 dp/2, A a|C c> <1/2 -dq/2, D d|B b>.
-The signs are those of the 12-block of the spin (1/2,0)+(0,1/2) vector
+and (V_z - V_t)/2, and ``vectors.pattern_block`` combines them;
+``vectors._block_pair`` builds the 21-block from the same formula.  The
+signs are those of the 12-block of the spin (1/2,0)+(0,1/2) vector
 matrices in this package's basis and metric convention; relative to the
 usual contravariant tabulation this flips the sign of the t component.
 Coupling selection rules enforce A = C +/- 1/2, B = D +/- 1/2, so
@@ -39,15 +38,7 @@ from functools import lru_cache
 from .generators import ladder_coeff_r, ladder_coeff_s
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair
-from .vectors import (
-    Block,
-    CaseTag,
-    FreeParams,
-    NoSolutionError,
-    VectorSet,
-    classify_case,
-    pattern_block,
-)
+from .vectors import Block, FreeParams, VectorSet, _block_pair, pattern_block
 
 
 def _as_rational(value: RadicalScalar) -> Fraction:
@@ -59,7 +50,11 @@ def _as_rational(value: RadicalScalar) -> Fraction:
     return terms[1][0]
 
 
-@lru_cache(maxsize=None)
+# One table per (j1, j2, J) triple: a bound on memory in a long-lived process.
+_CG_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CG_CACHE_SIZE)
 def _cg_table(tj1: int, tj2: int, tJ: int) -> dict[tuple[int, int, int], RadicalScalar]:
     """All coefficients <j1 m1, j2 m2|J M> for one (j1, j2, J) triple."""
     j1, j2, J = Spin(tj1), Spin(tj2), Spin(tJ)
@@ -127,9 +122,7 @@ def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Block:
     """The (x, y, z, t) coupling block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
 
     The family (dp, dq) entry is lam * <1/2 dp/2, R r|P p> <1/2 -dq/2, Q q|S s>,
-    negated on (-1, +1).  The 12-block is cg_block(A, B, C, D, lam12); the
-    21-block is the same coupling with the roles of the two irreps
-    exchanged, cg_block(C, D, A, B, lam21).
+    negated on (-1, +1).
     """
 
     def coeff(dp: int, dq: int, p: HalfInt, q: HalfInt) -> RadicalScalar:
@@ -148,13 +141,10 @@ def cg_vector_matrices(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> VectorSet:
     """Full vector matrices from the coupling route; t12 and t21 scale the blocks."""
-    if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
-        raise NoSolutionError(A, B, C, D)
     return VectorSet.from_blocks(
         (SpinPair(A, B), SpinPair(C, D)),
         params,
-        cg_block(A, B, C, D, params.t12),
-        cg_block(C, D, A, B, params.t21),
+        *_block_pair(cg_block, A, B, C, D, params.t12, params.t21),
     )
 
 
@@ -193,11 +183,7 @@ def equivalence_ratio(
         raise ValueError("vector sets live on different representations")
     ratios = {}
     for which in ("12", "21"):
-        pairs = [
-            (mu, reference.block(reference.component(mu), which),
-             candidate.block(candidate.component(mu), which))
-            for mu in ("x", "y", "z", "t")
-        ]
+        pairs = list(zip("xyzt", reference.block(which), candidate.block(which)))
         ratio = None
         saw_nonzero = False
         for mu, ref, cand in pairs:

@@ -172,31 +172,26 @@ def cmd_equiv(args: argparse.Namespace) -> int:
         fit = equivalence_ratio(reference, candidate)
     except ValueError as exc:
         raise CliError(f"{exc}; --lambda12 and --lambda21 must each be a single term") from exc
-    if isinstance(fit, RatioFit):
-        payload = {
-            "spins": [s.twice for s in spins],
-            "caseTag": reference.case.value,
-            "proportional": True,
-            "ratio12": _scalar_json(fit.ratio12),
-            "ratio21": _scalar_json(fit.ratio21),
-        }
-        _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-        return EXIT_OK
+    proportional = isinstance(fit, RatioFit)
     payload = {
         "spins": [s.twice for s in spins],
         "caseTag": reference.case.value,
-        "proportional": False,
-        "mismatch": {
+        "proportional": proportional,
+    }
+    if proportional:
+        payload["ratio12"] = _scalar_json(fit.ratio12)
+        payload["ratio21"] = _scalar_json(fit.ratio21)
+    else:
+        payload["mismatch"] = {
             "block": fit.block,
             "component": fit.component,
             "row": fit.row,
             "col": fit.col,
             "reference": _scalar_json(fit.reference),
             "candidate": _scalar_json(fit.candidate),
-        },
-    }
+        }
     _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return EXIT_RULE_FAILURE
+    return EXIT_OK if proportional else EXIT_RULE_FAILURE
 
 
 def cmd_export(args: argparse.Namespace) -> int:

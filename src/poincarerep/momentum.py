@@ -23,7 +23,7 @@ class BlockChoice(enum.Enum):
 def momentum_from_vectors(vec: VectorSet, choice: BlockChoice) -> VectorSet:
     """Zero the non-chosen off-diagonal block of every component."""
     which = "12" if choice is BlockChoice.KEEP_12 else "21"
-    kept = tuple(vec.block(mat, which) for mat in vec.components())
+    kept = vec.block(which)
     b12, b21 = (kept, None) if which == "12" else (None, kept)
     return VectorSet.from_blocks(vec.spins, vec.params, b12, b21, kept_block=which)
 

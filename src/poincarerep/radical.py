@@ -25,8 +25,11 @@ _ZERO_FRAC = Fraction(0)
 
 _TRIAL_LIMIT = 2**20
 
+# Distinct radicands kept: a bound on memory in a long-lived process.
+_RADICAL_CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_RADICAL_CACHE_SIZE)
 def normalize_radical(n: int) -> tuple[int, int]:
     """Split n >= 0 as outside**2 * core with core squarefree; 0 -> (0, 1).
 

@@ -5,8 +5,7 @@ Two independent construction routes are provided and must agree exactly:
 * ``closed_form_vectors`` evaluates the solved component formulas for the
   four admissible spin cases.  Per case there are two 12-block formula
   families: the combinations V+/- = (V_x +/- i V_y)/2 on the delta pattern
-  a-c = b-d = +/-1/2, and (V_z +/- V_t)/2 on a-c = -(b-d) = +/-1/2; the
-  21-block is the 12-block with the roles of the two irreps exchanged.
+  a-c = b-d = +/-1/2, and (V_z +/- V_t)/2 on a-c = -(b-d) = +/-1/2.
 
 * ``recursion_solve`` + ``vectors_from_coefficients`` re-derives the same
   matrices by anchoring the two free parameters at the extreme index of
@@ -15,7 +14,9 @@ Two independent construction routes are provided and must agree exactly:
   ladder coefficients.
 
 Both routes, like the Clebsch-Gordan route in ``cg``, supply only the
-entry formula of each family; ``pattern_block`` places the entries.
+entry formula of each family; ``pattern_block`` places the entries.  Each
+route states only its 12-block; ``_block_pair`` applies the selection rule
+and builds the 21-block by exchanging the roles of the two irreps.
 
 Nonzero solutions exist only when A = C +/- 1/2 and B = D +/- 1/2; every
 other spin choice admits exactly the zero solution and is reported as
@@ -163,14 +164,16 @@ class VectorSet:
     def component(self, mu: str) -> Matrix:
         return {"x": self.Vx, "y": self.Vy, "z": self.Vz, "t": self.Vt}[mu]
 
-    def block(self, mat: Matrix, which: str) -> Matrix:
-        n1 = self.block1_dim
-        n = self.dimension
+    def block(self, which: str) -> Block:
+        """The (x, y, z, t) components of the "12" or "21" block, as from_blocks takes them."""
+        n1, n = self.block1_dim, self.dimension
         if which == "12":
-            return mat.submatrix(0, n1, n1, n)
-        if which == "21":
-            return mat.submatrix(n1, n, 0, n1)
-        raise ValueError("block must be '12' or '21'")
+            bounds = (0, n1, n1, n)
+        elif which == "21":
+            bounds = (n1, n, 0, n1)
+        else:
+            raise ValueError("block must be '12' or '21'")
+        return tuple(mat.submatrix(*bounds) for mat in self.components())
 
     def plus_minus(self) -> tuple[Matrix, Matrix]:
         """V+ = (Vx + iVy)/2 and V- = (Vx - iVy)/2."""
@@ -193,6 +196,26 @@ def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:
     }[(da, db)]
 
 
+def _block_pair(block: Callable, A: Spin, B: Spin, C: Spin, D: Spin, arg12, arg21) -> tuple:
+    """The 12- and 21-block of (A,B)+(C,D) as one route builds them.
+
+    Raises NoSolutionError unless the selection rule holds.  ``block(P, Q,
+    R, S, arg)`` builds a route's block with rows (p,q) of (P,Q) and columns
+    (r,s) of (R,S); the 12-block is block(A, B, C, D, arg12) and the
+    21-block is block(C, D, A, B, arg21).  The swap is valid because J and
+    K are block-diagonal: every rule [J_i, V_mu], [K_i, V_mu] acts on each
+    off-diagonal block alone, through the generators of its row irrep on
+    the left and of its column irrep on the right.  The 21-block, rows of
+    (C,D) and columns of (A,B), therefore obeys exactly the equations of
+    the 12-block of (C,D)+(A,B), and t21 takes the place of t12.  The rule
+    A = C +/- 1/2, B = D +/- 1/2 is symmetric under the swap, which maps
+    each case to its mirror (1 <-> 4, 2 <-> 3).
+    """
+    if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
+        raise NoSolutionError(A, B, C, D)
+    return block(A, B, C, D, arg12), block(C, D, A, B, arg21)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form route
 # ---------------------------------------------------------------------------
@@ -203,8 +226,7 @@ def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:
 #   factor (slot, eps, normalized): sqrt(spin_slot + eps*sigma*index_slot),
 #     divided by sqrt(2*spin_slot) when normalized.
 # "pm" gives V+ (sigma = +1) and V- (sigma = -1), "zt" gives F+ and F-; see
-# FAMILIES.  The tables give the 12-block; the 21-block of (A,B)+(C,D) is
-# the 12-block of (C,D)+(A,B), whose case is the mirror one (1 <-> 4, 2 <-> 3).
+# FAMILIES.  The tables give the 12-block; _block_pair builds the 21-block.
 _CASE_FORMS: dict[CaseTag, dict[str, tuple[object, tuple, tuple]]] = {
     CaseTag.CASE_1: {
         "pm": ("s", ("A", +1, True), ("B", +1, True)),
@@ -267,13 +289,10 @@ def closed_form_vectors(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> VectorSet:
     """Assemble V_x, V_y, V_z, V_t from the per-case component tables."""
-    if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
-        raise NoSolutionError(A, B, C, D)
     return VectorSet.from_blocks(
         (SpinPair(A, B), SpinPair(C, D)),
         params,
-        _closed_form_block(A, B, C, D, params.t12),
-        _closed_form_block(C, D, A, B, params.t21),
+        *_block_pair(_closed_form_block, A, B, C, D, params.t12, params.t21),
     )
 
 
@@ -332,33 +351,16 @@ def recursion_solve(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> TUCoefficients:
     """Populate every in-range t/u coefficient from the two anchors."""
-    if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
-        raise NoSolutionError(A, B, C, D)
-    t12, u12 = _solve_block(A, B, C, D, params.t12)
-    # The 21-block obeys the same recursions with the roles of the two
-    # blocks exchanged (a<->c, b<->d, 12<->21).
-    t21, u21 = _solve_block(C, D, A, B, params.t21)
-    return TUCoefficients(
-        spins=(SpinPair(A, B), SpinPair(C, D)),
-        params=params,
-        t12=t12,
-        u12=u12,
-        t21=t21,
-        u21=u21,
-    )
+    (t12, u12), (t21, u21) = _block_pair(_solve_block, A, B, C, D, params.t12, params.t21)
+    return TUCoefficients((SpinPair(A, B), SpinPair(C, D)), params, t12, u12, t21, u21)
 
 
 def _place_block(
-    roles: tuple[Spin, Spin, Spin, Spin],
-    tau: dict[tuple[int, int], RadicalScalar],
-    ups: dict[tuple[int, int], RadicalScalar],
+    P: Spin, Q: Spin, R: Spin, S: Spin,
+    coeffs: tuple[dict[tuple[int, int], RadicalScalar], dict[tuple[int, int], RadicalScalar]],
 ) -> Block:
-    """One block from its t/u coefficients, with its V_z, V_t entries.
-
-    ``roles`` is (P, Q, R, S) with rows (p,q) of (P,Q) and columns (r,s) of
-    (R,S).
-    """
-    P, Q, R, S = roles
+    """One block, rows (p,q) of (P,Q) and columns (r,s) of (R,S), from its (tau, ups)."""
+    tau, ups = coeffs
 
     def coeff(dp: int, dq: int, p: HalfInt, q: HalfInt) -> RadicalScalar:
         p, q = p.twice, q.twice
@@ -381,13 +383,14 @@ def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:
     V_z and V_t come from commutators of the ladder matrices with V-:
     on the pattern a-c = -(b-d) = +1/2 both equal
     r^A_(a-1) u12_(a-1,b) - r^C_c u12_(a,b), and on the mirrored pattern
-    they differ by a sign; likewise for the 21-block with a<->c, b<->d.
+    they differ by a sign.
     """
     pair1, pair2 = coeffs.spins
-    A, B, C, D = pair1.left, pair1.right, pair2.left, pair2.right
     return VectorSet.from_blocks(
         coeffs.spins,
         coeffs.params,
-        _place_block((A, B, C, D), coeffs.t12, coeffs.u12),
-        _place_block((C, D, A, B), coeffs.t21, coeffs.u21),
+        *_block_pair(
+            _place_block, pair1.left, pair1.right, pair2.left, pair2.right,
+            (coeffs.t12, coeffs.u12), (coeffs.t21, coeffs.u21),
+        ),
     )

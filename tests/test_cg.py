@@ -9,6 +9,7 @@ from oracles import racah_cg_signed_square
 from poincarerep.cg import (
     RatioFit,
     RatioMismatch,
+    _cg_table,
     cg_block,
     cg_vector_matrices,
     clebsch_gordan,
@@ -115,6 +116,16 @@ class TestClebschGordan:
                         )
                     expected = ONE if tJ == tJp else ZERO
                     assert acc == expected, (tj1, tj2, tJ, tJp, tM)
+
+    def test_table_cache_is_bounded(self):
+        bound = _cg_table.cache_info().maxsize
+        assert bound is not None
+        table = dict(_cg_table(4, 3, 3))
+        assert table
+        for tJ in range(9, 9 + 2 * (bound + 100), 2):
+            assert _cg_table(4, 3, tJ) == {}  # tJ > tj1 + tj2: no coupling
+        assert _cg_table.cache_info().currsize <= bound
+        assert _cg_table(4, 3, 3) == table
 
 
 class TestCouplingBlocks:

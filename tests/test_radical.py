@@ -104,6 +104,17 @@ class TestNormalizeRadical:
         for n in (q * r, q * q, q * r * 7):
             assert normalize_radical(n) == brute_square_split(n), n
 
+    def test_cache_is_bounded(self):
+        bound = normalize_radical.cache_info().maxsize
+        assert bound is not None
+        first = [normalize_radical(n) for n in range(1, 50)]
+        assert first == [brute_square_split(n) for n in range(1, 50)]
+        for n in range(2**13, 2**13 + bound + 100):
+            out, core = normalize_radical(n)
+            assert out * out * core == n
+        assert normalize_radical.cache_info().currsize <= bound
+        assert [normalize_radical(n) for n in range(1, 50)] == first
+
     @given(st.integers(min_value=0, max_value=5000))
     def test_matches_oracle_and_is_squarefree(self, n):
         out, core = normalize_radical(n)

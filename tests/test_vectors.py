@@ -71,6 +71,9 @@ class TestClosedForm:
     def test_no_solution_raises_with_rule_named(self):
         with pytest.raises(NoSolutionError, match=r"A = C \+/- 1/2"):
             closed_form_vectors(spin(2), spin(0), spin(0), spin(0), UNIT)
+        for source in SOURCES:
+            with pytest.raises(NoSolutionError, match=r"A = C \+/- 1/2"):
+                vectors_from_source(source, (spin(2), spin(0), spin(0), spin(0)), UNIT)
 
     def test_case1_vector_rep_plus_entry(self):
         # (1/2,1/2)+(0,0): V+ has a single 12-entry 1 at row (1/2,1/2), col (0,0)
@@ -326,23 +329,25 @@ class TestFromBlocks:
         b21 = tuple(Matrix.from_entries(1, 4, {(0, k): ONE}) for k in range(4))
         vec = VectorSet.from_blocks(spins, UNIT, None, b21, kept_block="21")
         assert vec.kept_block == "21"
-        for comp, part in zip(vec.components(), b21):
-            assert vec.block(comp, "12").is_zero()
-            assert vec.block(comp, "21") == part
+        assert all(part.is_zero() for part in vec.block("12"))
+        assert vec.block("21") == b21
+        with pytest.raises(ValueError, match="block must be"):
+            vec.block("13")
         empty = VectorSet.from_blocks(spins, UNIT, None, None)
         assert all(comp.is_zero() for comp in empty.components())
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_round_trip_through_block(self, source):
         params = FreeParams(sqrt_of_rational(3) + I_UNIT, -ONE)
+        swapped = FreeParams(params.t21, params.t12)
         count = 0
         for q in admissible(2):
             vec = vectors_from_source(source, q, params)
-            b12, b21 = (
-                tuple(vec.block(m, which) for m in vec.components()) for which in ("12", "21")
-            )
-            again = VectorSet.from_blocks(vec.spins, vec.params, b12, b21)
+            again = VectorSet.from_blocks(vec.spins, vec.params, vec.block("12"), vec.block("21"))
             assert again == vec, q
             assert again.case is classify_case(*q)
+            # The 21-block of (A,B)+(C,D) is the 12-block of (C,D)+(A,B).
+            mirror = vectors_from_source(source, q[2:] + q[:2], swapped)
+            assert vec.block("21") == mirror.block("12"), q
             count += 1
         assert count == 16
