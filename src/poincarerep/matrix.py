@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar, RationalLike, _coerce
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Matrix:
@@ -148,6 +149,8 @@ class Matrix:
     # -- export ---------------------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         arr = np.zeros((self.rows, self.cols), dtype=complex)
         for i, j, v in self.nonzero_items():
             arr[i, j] = v.to_complex()

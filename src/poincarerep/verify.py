@@ -22,8 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bundle import SOURCES, scalar_to_json, vectors_from_source
 from .cg import RatioFit, equivalence_ratio
@@ -40,6 +39,9 @@ from .vectors import (
     classify_case,
     closed_form_vectors,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 AXES = ("x", "y", "z")
 COMPONENTS = ("x", "y", "z", "t")
@@ -154,11 +156,22 @@ def sweep(bound: int) -> dict:
     each residual of a direct sum is its blocks' residuals side by side.  So
     each distinct irrep is built and Lorentz-checked once, and the verdicts
     on V = keep12 + keep21 are the AND of those on the two momentum sets.
+
+    Each unordered pair {(A,B), (C,D)} is built and checked once, at the
+    first of its two quadruples.  The sweep runs at t12 = t21 = 1, and every
+    route builds the 21-block of (A,B)+(C,D) as the role-swapped 12-block
+    through ``vectors._block_pair``.  So (C,D)+(A,B) holds the same two
+    blocks at the same parameter with keep12 and keep21 exchanged, and its
+    verdicts are replayed from (A,B)+(C,D) under its own label.  (A,B) =
+    (C,D) never meets the selection rule, which is symmetric under the swap,
+    so every admissible quadruple has a distinct admissible partner.
     """
     one = FreeParams(ONE, ONE)
     total = admissible = checks = 0
     failures: list[str] = []
     irreps: dict[SpinPair, tuple[GeneratorSet, list[RuleReport]]] = {}
+    # Verdicts of a checked quadruple, keyed by its partner, which pops them.
+    pending: dict[tuple[int, ...], tuple] = {}
 
     def run(tag: str, reports) -> None:
         nonlocal checks
@@ -173,6 +186,29 @@ def sweep(bound: int) -> dict:
             irreps[pair] = (gen, check_lorentz(gen))
         return irreps[pair]
 
+    def verdicts(spins: tuple[Spin, ...], gen: GeneratorSet) -> tuple:
+        """(recursion mismatch, CG mismatch, {source: (split, keep12, keep21)}).
+
+        Each keep is the pair (vector-rule reports, translation reports).
+        """
+        vecs = {source: vectors_from_source(source, spins, one) for source in SOURCES}
+        closed = vecs["closed-form"]
+        recursion = any(
+            vecs["recursion"].component(mu) != closed.component(mu) for mu in COMPONENTS
+        )
+        cg = not isinstance(equivalence_ratio(closed, vecs["clebsch-gordan"]), RatioFit)
+        by_source = {}
+        for source in ("closed-form", "clebsch-gordan"):
+            vec = vecs[source]
+            moms = [momentum_from_vectors(vec, choice) for choice in BlockChoice]
+            halves = zip(*(mom.components() for mom in moms), vec.components())
+            split = any(p12 + p21 != v for p12, p21, v in halves)
+            keep12, keep21 = (
+                (check_vector_rules(gen, mom), check_translations(mom)) for mom in moms
+            )
+            by_source[source] = (split, keep12, keep21)
+        return recursion, cg, by_source
+
     for quad in itertools.product(range(bound + 1), repeat=4):
         total += 1
         A, B, C, D = (Spin(t) for t in quad)
@@ -185,27 +221,25 @@ def sweep(bound: int) -> dict:
                 pass
             continue
         admissible += 1
-        pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
-        (gen1, rules1), (gen2, rules2) = irrep(pair1), irrep(pair2)
-        gen = block_sum(gen1, gen2)
+        (gen1, rules1), (gen2, rules2) = irrep(SpinPair(A, B)), irrep(SpinPair(C, D))
         run(label + ":lorentz", _both_blocks(rules1, rules2))
-        vecs = {source: vectors_from_source(source, (A, B, C, D), one) for source in SOURCES}
-        closed = vecs["closed-form"]
-        if any(vecs["recursion"].component(mu) != closed.component(mu) for mu in COMPONENTS):
+        if quad in pending:
+            recursion, cg, swapped = pending.pop(quad)
+            by_source = {s: (split, k12, k21) for s, (split, k21, k12) in swapped.items()}
+        else:
+            recursion, cg, by_source = verdicts((A, B, C, D), block_sum(gen1, gen2))
+            pending[quad[2:] + quad[:2]] = (recursion, cg, by_source)
+        if recursion:
             failures.append(f"{label}:recursion-mismatch")
-        if not isinstance(equivalence_ratio(closed, vecs["clebsch-gordan"]), RatioFit):
+        if cg:
             failures.append(f"{label}:cg-not-proportional")
-        for source in ("closed-form", "clebsch-gordan"):
-            vec = vecs[source]
-            moms = {choice: momentum_from_vectors(vec, choice) for choice in BlockChoice}
-            rules = {choice: check_vector_rules(gen, mom) for choice, mom in moms.items()}
-            halves = zip(*(mom.components() for mom in moms.values()), vec.components())
-            if any(p12 + p21 != v for p12, p21, v in halves):
+        for source, (split, *kept) in by_source.items():
+            if split:
                 failures.append(f"{label}:{source}:block-split")
-            run(f"{label}:{source}:V", _both_blocks(*rules.values()))
-            for choice, mom in moms.items():
-                run(f"{label}:{source}:{choice.value}", rules[choice])
-                run(f"{label}:{source}:{choice.value}", check_translations(mom))
+            run(f"{label}:{source}:V", _both_blocks(*(rules for rules, _ in kept)))
+            for choice, (rules, translations) in zip(BlockChoice, kept):
+                run(f"{label}:{source}:{choice.value}", rules)
+                run(f"{label}:{source}:{choice.value}", translations)
     return {
         "sweepBound": bound,
         "quadruples": total,
@@ -278,6 +312,8 @@ class SeriesDivergenceError(ArithmeticError):
 
 def matrix_exp(m: np.ndarray, tol: float = 1e-16, max_terms: int = 80) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring of the Taylor series."""
+    import numpy as np
+
     norm = float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
     squarings = max(0, int(math.ceil(math.log2(norm)))) + 1 if norm > 1.0 else 0
     scaled = m / (2.0**squarings)
@@ -298,6 +334,8 @@ def matrix_exp(m: np.ndarray, tol: float = 1e-16, max_terms: int = 80) -> np.nda
 
 def _lambda_matrix(kind: str, axis: str, angle: float) -> np.ndarray:
     """The 4x4 transformation of the components (x, y, z, t)."""
+    import numpy as np
+
     lam = np.eye(4)
     if kind == "rotation":
         k = AXES.index(axis)
@@ -328,6 +366,8 @@ def finite_covariance_check(
     Meaningful for |angle| <= pi (rotations) or |rapidity| <= 2 (boosts);
     convergence failures of the series raise SeriesDivergenceError.
     """
+    import numpy as np
+
     source = gen.J if kind == "rotation" else gen.K
     g = source[AXES.index(axis)].to_numpy()
     d = matrix_exp(1j * angle * g)

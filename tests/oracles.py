@@ -4,16 +4,38 @@ These deliberately avoid the library's own computation paths: the CG
 oracle is the closed factorial sum in exact Fractions, the nullspace
 oracle solves the 24 vector rules as one dense linear system in floats,
 and the matrix oracles form every entry with RadicalScalar arithmetic,
-one entry at a time.
+one entry at a time.  ``reference_sweep`` checks every admissible
+quadruple of the sweep from scratch, with no verdict replayed from its
+swapped partner.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from poincarerep.bundle import SOURCES, vectors_from_source
+from poincarerep.cg import RatioFit, equivalence_ratio
+from poincarerep.generators import block_sum, irrep_generators
 from poincarerep.matrix import Matrix
-from poincarerep.radical import ZERO
+from poincarerep.momentum import BlockChoice, momentum_from_vectors
+from poincarerep.radical import ONE, ZERO
+from poincarerep.spins import Spin, SpinPair
+from poincarerep.vectors import (
+    CaseTag,
+    FreeParams,
+    NoSolutionError,
+    classify_case,
+    closed_form_vectors,
+)
+from poincarerep.verify import (
+    COMPONENTS,
+    _both_blocks,
+    check_lorentz,
+    check_translations,
+    check_vector_rules,
+)
 
 
 def _fact(n) -> int:
@@ -161,3 +183,65 @@ def reference_commutator(m: Matrix, n: Matrix, rhs=()) -> Matrix:
 
 def reference_anticommutator(m: Matrix, n: Matrix) -> Matrix:
     return entrywise(lambda mn, nm: mn + nm, reference_matmul(m, n), reference_matmul(n, m))
+
+
+def reference_sweep(bound: int) -> dict:
+    """The ``verify.sweep`` report, building and checking every quadruple itself."""
+    one = FreeParams(ONE, ONE)
+    total = admissible = checks = 0
+    failures: list[str] = []
+    irreps = {}
+
+    def run(tag: str, reports) -> None:
+        nonlocal checks
+        for rep in reports:
+            checks += 1
+            if not rep.holds:
+                failures.append(f"{tag}:{rep.rule_id}")
+
+    def irrep(pair: SpinPair):
+        if pair not in irreps:
+            gen = irrep_generators(pair)
+            irreps[pair] = (gen, check_lorentz(gen))
+        return irreps[pair]
+
+    for quad in itertools.product(range(bound + 1), repeat=4):
+        total += 1
+        A, B, C, D = (Spin(t) for t in quad)
+        label = ",".join(str(t) for t in quad)
+        if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
+            try:
+                closed_form_vectors(A, B, C, D, one)
+                failures.append(f"{label}:expected-no-solution")
+            except NoSolutionError:
+                pass
+            continue
+        admissible += 1
+        (gen1, rules1), (gen2, rules2) = irrep(SpinPair(A, B)), irrep(SpinPair(C, D))
+        gen = block_sum(gen1, gen2)
+        run(label + ":lorentz", _both_blocks(rules1, rules2))
+        vecs = {source: vectors_from_source(source, (A, B, C, D), one) for source in SOURCES}
+        closed = vecs["closed-form"]
+        if any(vecs["recursion"].component(mu) != closed.component(mu) for mu in COMPONENTS):
+            failures.append(f"{label}:recursion-mismatch")
+        if not isinstance(equivalence_ratio(closed, vecs["clebsch-gordan"]), RatioFit):
+            failures.append(f"{label}:cg-not-proportional")
+        for source in ("closed-form", "clebsch-gordan"):
+            vec = vecs[source]
+            moms = {choice: momentum_from_vectors(vec, choice) for choice in BlockChoice}
+            rules = {choice: check_vector_rules(gen, mom) for choice, mom in moms.items()}
+            halves = zip(*(mom.components() for mom in moms.values()), vec.components())
+            if any(p12 + p21 != v for p12, p21, v in halves):
+                failures.append(f"{label}:{source}:block-split")
+            run(f"{label}:{source}:V", _both_blocks(*rules.values()))
+            for choice, mom in moms.items():
+                run(f"{label}:{source}:{choice.value}", rules[choice])
+                run(f"{label}:{source}:{choice.value}", check_translations(mom))
+    return {
+        "sweepBound": bound,
+        "quadruples": total,
+        "admissible": admissible,
+        "rulesChecked": checks,
+        "failures": failures,
+        "allHold": not failures,
+    }

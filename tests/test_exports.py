@@ -27,3 +27,12 @@ def test_readme_library_example_runs():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import poincarerep.cli, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

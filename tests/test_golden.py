@@ -34,6 +34,8 @@ SWEEP_DIGESTS = {
     0: "eb8230b9acd3d6bee9334a79b9b945b2a691d51c6d86bfc3128d3402d99adae3",
     1: "9c406a216113da5da0b9034e16dc7fadb2a8b6df868a0e0a3fa7f87fd154d502",
     2: "1a88541ea5cb110117f453606a00eab72d3dfc070ed2ec0a4ecb18e9a6facb52",
+    3: "08ed19a3be9064c76b3771297a99094c691bc614067742af6a8f38cfc567a366",
+    4: "bc2d9bad9c2a71f2233fc01a4951d009d1874c0f36bdf769a81e76d52c8890e0",
 }
 
 # sha256 of the `verify --in` report of a (2,1,1,2) bundle after one edit,

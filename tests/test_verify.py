@@ -2,11 +2,14 @@
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import reference_sweep
 
+from poincarerep import vectors, verify
 from poincarerep.generators import GeneratorSet, direct_sum, irrep_generators, spin
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
@@ -23,6 +26,7 @@ from poincarerep.verify import (
     epsilon,
     finite_covariance_check,
     matrix_exp,
+    sweep,
 )
 
 UNIT = FreeParams(ONE, ONE)
@@ -198,6 +202,50 @@ class TestBlockComposition:
         failing = [rid for rid, holds in full if not holds]
         assert failing == [r.rule_id for r in keep21 if not r.holds]
         assert failing
+
+
+# Doubled spins (P, Q, R, S) of ordered blocks P,Q -> R,S.  The sweep meets
+# 1,2,2,1 before 2,1,1,2, so 2,1 -> 1,2 is first built as a 21-block, and it
+# meets 0,1,1,0 first, so 0,1 -> 1,0 is first built as a 12-block.
+_NEGATED_VT = {(2, 1, 1, 2), (0, 1, 1, 0)}
+
+
+class TestSweep:
+    """Each unordered pair is checked once; the swapped quadruple replays it."""
+
+    def test_replayed_verdicts_equal_a_full_check(self, monkeypatch):
+        block = vectors._closed_form_block
+
+        def negated_vt(P, Q, R, S, t):
+            vx, vy, vz, vt = block(P, Q, R, S, t)
+            if tuple(s.twice for s in (P, Q, R, S)) in _NEGATED_VT:
+                vt = -vt
+            return vx, vy, vz, vt
+
+        monkeypatch.setattr(vectors, "_closed_form_block", negated_vt)
+        report = sweep(3)
+        assert report["failures"]
+        assert {f.split(":")[0] for f in report["failures"]} == {
+            "1,2,2,1", "2,1,1,2", "0,1,1,0", "1,0,0,1"
+        }
+        assert report == reference_sweep(3)
+
+    def test_each_unordered_pair_is_built_and_checked_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("vectors_from_source", "commutator"):
+            monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+        report = sweep(3)
+        assert report["admissible"] == 36 and report["allHold"]
+        # 18 pairs x 3 sources; 16 irreps x 15 Lorentz rules plus 18 pairs x
+        # 2 sources x 2 block choices x (24 vector + 6 translation) rules.
+        assert calls == {"vectors_from_source": 54, "commutator": 240 + 2160}
 
 
 class TestClifford:
