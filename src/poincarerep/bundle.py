@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,10 +59,17 @@ def vectors_from_source(
 
 
 def scalar_to_json(value: RadicalScalar) -> list[dict]:
+    """Each coefficient n / den in lowest terms, as ``Fraction`` would give it."""
+    den = value._den
     return [
-        {"d": d, "re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator]}
-        for d, re, im in value.sorted_terms()
+        {"d": d, "re": _lowest(re, den), "im": _lowest(im, den)}
+        for d, (re, im) in sorted(value._num.items())
     ]
+
+
+def _lowest(n: int, den: int) -> list[int]:
+    g = math.gcd(n, den)
+    return [n // g, den // g]
 
 
 _JSON_TYPES = {dict: "object", list: "array", int: "integer"}

@@ -157,6 +157,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.sweep < 0:
             raise CliError("--sweep bound must be nonnegative")
+        if (args.sweep + 1) ** 4 > sys.maxsize:
+            # The sweep enumerates (N+1)**4 quadruples, and Python cannot
+            # count or index past sys.maxsize.
+            raise CliError(
+                f"--sweep bound {args.sweep} is too large: (N+1)**4 exceeds {sys.maxsize}"
+            )
         report = sweep(args.sweep)
     _write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK if report["allHold"] else EXIT_RULE_FAILURE

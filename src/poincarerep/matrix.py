@@ -10,19 +10,19 @@ Every matrix-valued result (``+``, ``-``, ``scale``, ``times_i``, ``@``,
 ``commutator``, ``anticommutator``) is one call of a kernel that computes
 a signed sum of products plus exact scalar multiples c * Z.  It uses each
 operand as integer numerators over one denominator, the lcm of the
-operand's coefficient denominators, multiplies and sums with Python ints,
-and forms RadicalScalar values only once per nonzero coefficient of the
-result.  Since a matrix never changes, its integer form is computed the
-first time it is an operand and kept with it.  Nothing is rounded.
+operand's entry denominators, multiplies and sums with Python ints, and
+reduces each nonzero entry of the result by one gcd into a RadicalScalar,
+which holds the same integer form.  Since a matrix never changes, its
+integer form is computed the first time it is an operand and kept with
+it.  Nothing is rounded.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .radical import I_UNIT, ONE, ZERO, RadicalScalar, RationalLike, _coerce
+from .radical import I_UNIT, ONE, ZERO, RadicalScalar, RationalLike, _coerce, _make
 
 if TYPE_CHECKING:
     import numpy as np
@@ -203,25 +203,18 @@ def anticommutator(m: Matrix, n: Matrix) -> Matrix:
 # -- the kernel -----------------------------------------------------------------
 
 def _pack(rows: dict[int, dict[int, RadicalScalar]]) -> tuple[int, dict[int, list]]:
-    """(L, rows): every entry as (radicand, re*L, im*L) integer terms, L one lcm."""
-    scale = math.lcm(*{
-        c.denominator
-        for row in rows.values()
-        for v in row.values()
-        for pair in v._terms.values()
-        for c in pair
-    })
-    packed = {
-        i: [
-            (j, [
-                (d, re.numerator * (scale // re.denominator),
-                 im.numerator * (scale // im.denominator))
-                for d, (re, im) in v._terms.items()
-            ])
-            for j, v in row.items()
-        ]
-        for i, row in rows.items()
-    }
+    """(L, rows): every entry as (radicand, re*L, im*L) integer terms.
+
+    L is one lcm of entry denominators, and each entry's numerators are
+    scaled by L over its own denominator.
+    """
+    scale = math.lcm(*{v._den for row in rows.values() for v in row.values()})
+    packed: dict[int, list] = {}
+    for i, row in rows.items():
+        packed[i] = entries = []
+        for j, v in row.items():
+            f = scale // v._den
+            entries.append((j, [(d, re * f, im * f) for d, (re, im) in v._num.items()]))
     return scale, packed
 
 
@@ -233,8 +226,7 @@ def _combine(rows: int, cols: int, products: Sequence = (), multiples: Sequence 
     diagonal is packed on Z's nonzero rows, once per call.  A matrix
     operand uses the integer form stored with it, packed on first use.
     Products and sums run on Python ints over the common denominator of all
-    terms, and only the nonzero coefficients left at the end become
-    Fractions.
+    terms, and each nonzero entry left at the end is reduced by one gcd.
     """
     for m in [m for _, x, y in products for m in (x, y)] + [z for _, _, z in multiples]:
         if m._packed is None:
@@ -269,15 +261,14 @@ def _combine(rows: int, cols: int, products: Sequence = (), multiples: Sequence 
                             else:
                                 prev[0] += re
                                 prev[1] += im
-    entries: dict[int, dict[int, dict[int, tuple[Fraction, Fraction]]]] = {}
-    for (i, j, core), (re, im) in acc.items():
-        if re or im:
-            entries.setdefault(i, {}).setdefault(j, {})[core] = (
-                Fraction(re, den), Fraction(im, den)
-            )
+    # Most residual cells cancel to exactly zero: drop them before grouping.
+    cells: dict[int, dict[int, dict[int, list[int]]]] = {}
+    for (i, j, core), pair in acc.items():
+        if pair[0] or pair[1]:
+            cells.setdefault(i, {}).setdefault(j, {})[core] = pair
     out = Matrix(rows, cols)
     out._rows = {
-        i: {j: RadicalScalar(terms) for j, terms in row.items()}
-        for i, row in entries.items()
+        i: {j: _make(num, den) for j, num in row.items()}
+        for i, row in cells.items()
     }
     return out

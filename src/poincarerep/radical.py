@@ -1,11 +1,18 @@
 """Exact arithmetic for finite sums sum_d (p_d + i q_d) * sqrt(d).
 
-Each number is stored as a map from a squarefree positive radicand d to a
-pair of rational coefficients (real part, imaginary part).  The purely
-rational part lives under the key d = 1.  Distinct square roots of
-squarefree integers are linearly independent over the rationals, so a
-canonical form (no all-zero coefficient pairs) makes equality and the
-zero test exact coefficient comparisons -- no tolerances anywhere.
+Each number is stored as integer numerators over one positive integer
+denominator: a map from a squarefree positive radicand d to a pair of
+integers (re, im), and one ``den``, so the coefficient of sqrt(d) is
+(re + i*im) / den.  The purely rational part lives under the key d = 1.
+This is how FLINT stores an ``fmpq_poly`` and ANTIC a number-field
+element; sums and products run on Python ints and reduce by one gcd.
+
+The form is canonical when no pair is all zero and the gcd of den and all
+numerators is 1 (zero is the empty map over den = 1); one helper, ``_make``,
+brings every result to it.  Distinct square roots of squarefree integers
+are linearly independent over the rationals, so equality and the zero test
+are exact integer comparisons -- no tolerances anywhere.  ``terms`` and
+``sorted_terms`` give each coefficient as a reduced ``Fraction``.
 
 Division by a general sum is deliberately not provided; only division by
 rationals and by single-term values is needed to build the matrices.
@@ -19,9 +26,6 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
-
-_ZERO_FRAC = Fraction(0)
-
 
 _TRIAL_LIMIT = 2**20
 
@@ -67,84 +71,100 @@ def normalize_radical(n: int) -> tuple[int, int]:
 
 
 class RadicalScalar:
-    """Immutable value: sum over squarefree d of (re + i*im) * sqrt(d)."""
+    """Immutable value: sum over squarefree d of (re + i*im) / den * sqrt(d)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: dict[int, tuple[Fraction, Fraction]] | None = None):
-        # Terms must already be canonical; use the constructors below.
-        self._terms = terms or {}
+    def __init__(self, num: dict[int, tuple[int, int]] | None = None, den: int = 1):
+        # The form must already be canonical; use the constructors below.
+        self._num = num or {}
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, x: RationalLike) -> "RadicalScalar":
-        x = Fraction(x)
-        if x == 0:
-            return ZERO
-        return cls({1: (x, _ZERO_FRAC)})
+        n, q = _ratio(x)
+        return _make({1: (n, 0)}, q)
 
     @classmethod
     def from_parts(cls, re: RationalLike, im: RationalLike) -> "RadicalScalar":
-        re, im = Fraction(re), Fraction(im)
-        if re == 0 and im == 0:
-            return ZERO
-        return cls({1: (re, im)})
+        (rn, rq), (in_, iq) = _ratio(re), _ratio(im)
+        den = math.lcm(rq, iq)
+        return _make({1: (rn * (den // rq), in_ * (den // iq))}, den)
 
     @classmethod
     def from_terms(
         cls, items: Iterable[tuple[int, RationalLike, RationalLike]]
     ) -> "RadicalScalar":
         """Build from (radicand, re, im) triples; radicands need not be squarefree."""
-        acc: dict[int, tuple[Fraction, Fraction]] = {}
+        parts = []
+        den = 1
         for d, re, im in items:
             out, core = normalize_radical(d)
-            re, im = Fraction(re) * out, Fraction(im) * out
-            pre, pim = acc.get(core, (_ZERO_FRAC, _ZERO_FRAC))
-            acc[core] = (pre + re, pim + im)
-        return cls({d: c for d, c in acc.items() if c[0] or c[1]})
+            (rn, rq), (in_, iq) = _ratio(re), _ratio(im)
+            den = math.lcm(den, rq, iq)
+            parts.append((core, rn * out, rq, in_ * out, iq))
+        acc: dict[int, tuple[int, int]] = {}
+        for core, rn, rq, in_, iq in parts:
+            re, im = rn * (den // rq), in_ * (den // iq)
+            prev = acc.get(core)
+            acc[core] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        return _make(acc, den)
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def terms(self) -> dict[int, tuple[Fraction, Fraction]]:
-        return dict(self._terms)
+        den = self._den
+        return {d: (Fraction(re, den), Fraction(im, den)) for d, (re, im) in self._num.items()}
 
     def sorted_terms(self) -> list[tuple[int, Fraction, Fraction]]:
-        return [(d, c[0], c[1]) for d, c in sorted(self._terms.items())]
+        den = self._den
+        return [
+            (d, Fraction(re, den), Fraction(im, den)) for d, (re, im) in sorted(self._num.items())
+        ]
 
     def to_complex(self) -> complex:
+        # int / int rounds correctly, so each coefficient is the float of
+        # its exact value, as float(Fraction) gives.
         val = 0j
-        for d, (re, im) in self._terms.items():
+        den = self._den
+        for d, (re, im) in self._num.items():
             root = math.sqrt(d)
-            val += complex(float(re) * root, float(im) * root)
+            val += complex(re / den * root, im / den * root)
         return val
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RadicalScalar | RationalLike") -> "RadicalScalar":
         other = _coerce(other)
-        if not self._terms:
+        if not self._num:
             return other
-        if not other._terms:
+        if not other._num:
             return self
-        acc = dict(self._terms)
-        for d, (re, im) in other._terms.items():
-            pre, pim = acc.get(d, (_ZERO_FRAC, _ZERO_FRAC))
-            nre, nim = pre + re, pim + im
-            if nre or nim:
-                acc[d] = (nre, nim)
-            else:
-                acc.pop(d, None)
-        return RadicalScalar(acc)
+        den1, den2 = self._den, other._den
+        if den1 == den2:
+            den = den1
+            acc = dict(self._num)
+            right = other._num
+        else:
+            den = math.lcm(den1, den2)
+            f1, f2 = den // den1, den // den2
+            acc = {d: (re * f1, im * f1) for d, (re, im) in self._num.items()}
+            right = {d: (re * f2, im * f2) for d, (re, im) in other._num.items()}
+        for d, (re, im) in right.items():
+            prev = acc.get(d)
+            acc[d] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        return _make(acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalScalar":
-        return RadicalScalar({d: (-re, -im) for d, (re, im) in self._terms.items()})
+        return RadicalScalar({d: (-re, -im) for d, (re, im) in self._num.items()}, self._den)
 
     def __sub__(self, other: "RadicalScalar | RationalLike") -> "RadicalScalar":
         return self + (-_coerce(other))
@@ -154,41 +174,42 @@ class RadicalScalar:
 
     def __mul__(self, other: "RadicalScalar | RationalLike") -> "RadicalScalar":
         other = _coerce(other)
-        if not self._terms or not other._terms:
+        if not self._num or not other._num:
             return ZERO
-        acc: dict[int, tuple[Fraction, Fraction]] = {}
-        for d1, (re1, im1) in self._terms.items():
-            for d2, (re2, im2) in other._terms.items():
+        gcd = math.gcd
+        acc: dict[int, tuple[int, int]] = {}
+        for d1, (re1, im1) in self._num.items():
+            for d2, (re2, im2) in other._num.items():
                 # Both radicands are squarefree: d1*d2 = g**2 * (d1/g)*(d2/g),
                 # and the cofactor is squarefree, so no factoring is needed.
-                out = math.gcd(d1, d2)
+                out = gcd(d1, d2)
                 core = (d1 // out) * (d2 // out)
                 re = (re1 * re2 - im1 * im2) * out
                 im = (re1 * im2 + im1 * re2) * out
-                pre, pim = acc.get(core, (_ZERO_FRAC, _ZERO_FRAC))
-                acc[core] = (pre + re, pim + im)
-        return RadicalScalar({d: c for d, c in acc.items() if c[0] or c[1]})
+                prev = acc.get(core)
+                acc[core] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+        return _make(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
     def times_i(self) -> "RadicalScalar":
         """Multiply by the imaginary unit."""
-        return RadicalScalar({d: (-im, re) for d, (re, im) in self._terms.items()})
+        return RadicalScalar({d: (-im, re) for d, (re, im) in self._num.items()}, self._den)
 
     def conjugate(self) -> "RadicalScalar":
-        return RadicalScalar({d: (re, -im) for d, (re, im) in self._terms.items()})
+        return RadicalScalar({d: (re, -im) for d, (re, im) in self._num.items()}, self._den)
 
     def reciprocal_single(self) -> "RadicalScalar":
-        """Invert a single-term value (p + i q) * sqrt(d).
+        """Invert a single-term value (p + i q) / den * sqrt(d).
 
-        The inverse is conj/(|coeff|^2 * d) * sqrt(d); general sums are not
-        invertible here and raise ValueError.
+        The inverse is den * (p - i q) / ((p^2 + q^2) * d) * sqrt(d); general
+        sums are not invertible here and raise ValueError.
         """
-        if len(self._terms) != 1:
+        if len(self._num) != 1:
             raise ValueError("only single-term values can be inverted")
-        ((d, (re, im)),) = self._terms.items()
-        denom = (re * re + im * im) * d
-        return RadicalScalar({d: (re / denom, -im / denom)})
+        ((d, (re, im)),) = self._num.items()
+        den = self._den
+        return _make({d: (re * den, -im * den)}, (re * re + im * im) * d)
 
     def __truediv__(self, other: "RadicalScalar | RationalLike") -> "RadicalScalar":
         other = _coerce(other)
@@ -203,22 +224,22 @@ class RadicalScalar:
             other = _coerce(other)
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        return hash((self._den, tuple(sorted(self._num.items()))))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __repr__(self) -> str:
         return f"RadicalScalar({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for d, (re, im) in sorted(self._terms.items()):
+        for d, re, im in self.sorted_terms():
             for coeff, unit in ((re, ""), (im, "i")):
                 if not coeff:
                     continue
@@ -228,6 +249,36 @@ class RadicalScalar:
                 parts.append(("-" if coeff < 0 else "+") + body)
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
+
+
+def _make(acc: dict[int, tuple[int, int]], den: int) -> RadicalScalar:
+    """The canonical value of sum over d of acc[d] / den * sqrt(d), for den > 0.
+
+    Drops all-zero pairs and divides numerators and den by their one gcd.
+    """
+    gcd = math.gcd
+    num = {}
+    g = den
+    for d, (re, im) in acc.items():
+        if re or im:
+            num[d] = (re, im)
+            if g != 1:
+                g = gcd(g, re, im)
+    if not num:
+        return ZERO
+    if g != 1:
+        num = {d: (re // g, im // g) for d, (re, im) in num.items()}
+        den //= g
+    return RadicalScalar(num, den)
+
+
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of x in lowest terms, denominator positive."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _coerce(x: "RadicalScalar | RationalLike") -> RadicalScalar:
@@ -243,15 +294,15 @@ def sqrt_of_rational(x: RationalLike) -> RadicalScalar:
 
     sqrt(p/q) = (f/q) * sqrt(core) where p*q = f**2 * core, core squarefree.
     """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError(f"cannot take a real square root of {x}")
-    if x == 0:
+    p, q = _ratio(x)
+    if p < 0:
+        raise ValueError(f"cannot take a real square root of {Fraction(p, q)}")
+    if p == 0:
         return ZERO
-    out, core = normalize_radical(x.numerator * x.denominator)
-    return RadicalScalar({core: (Fraction(out, x.denominator), _ZERO_FRAC)})
+    out, core = normalize_radical(p * q)
+    return _make({core: (out, 0)}, q)
 
 
 ZERO = RadicalScalar()
-ONE = RadicalScalar({1: (Fraction(1), _ZERO_FRAC)})
-I_UNIT = RadicalScalar({1: (_ZERO_FRAC, Fraction(1))})
+ONE = RadicalScalar({1: (1, 0)})
+I_UNIT = RadicalScalar({1: (0, 1)})

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own computation paths: the CG
 oracle is the closed factorial sum in exact Fractions, the nullspace
 oracle solves the 24 vector rules as one dense linear system in floats,
-and the matrix oracles form every entry with RadicalScalar arithmetic,
-one entry at a time.  ``reference_sweep`` checks every admissible
+the matrix oracles form every entry with RadicalScalar arithmetic, one
+entry at a time, and ``ReferenceScalar`` keeps a Fraction pair per
+radicand where RadicalScalar keeps integers over one denominator.  ``reference_sweep`` checks every admissible
 quadruple of the sweep from scratch, with no verdict replayed from its
 swapped partner.
 """
@@ -20,7 +21,7 @@ from poincarerep.cg import RatioFit, equivalence_ratio
 from poincarerep.generators import block_sum, irrep_generators
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
-from poincarerep.radical import ONE, ZERO
+from poincarerep.radical import ONE, ZERO, normalize_radical
 from poincarerep.spins import Spin, SpinPair
 from poincarerep.vectors import (
     CaseTag,
@@ -36,6 +37,144 @@ from poincarerep.verify import (
     check_translations,
     check_vector_rules,
 )
+
+
+class ReferenceScalar:
+    """sum over squarefree d of (re + i*im) * sqrt(d), each coefficient a Fraction.
+
+    The form is canonical when no (re, im) pair is all zero.  Constructors
+    and operators mirror RadicalScalar's and return ReferenceScalars.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        self._terms = terms or {}
+
+    @classmethod
+    def from_rational(cls, x) -> "ReferenceScalar":
+        return cls.from_parts(x, 0)
+
+    @classmethod
+    def from_parts(cls, re, im) -> "ReferenceScalar":
+        re, im = Fraction(re), Fraction(im)
+        return cls({1: (re, im)} if re or im else {})
+
+    @classmethod
+    def from_terms(cls, items) -> "ReferenceScalar":
+        acc = {}
+        for d, re, im in items:
+            out, core = normalize_radical(d)
+            pre, pim = acc.get(core, (Fraction(0), Fraction(0)))
+            acc[core] = (pre + Fraction(re) * out, pim + Fraction(im) * out)
+        return cls({d: c for d, c in acc.items() if c[0] or c[1]})
+
+    @classmethod
+    def sqrt_of_rational(cls, x) -> "ReferenceScalar":
+        x = Fraction(x)
+        if x < 0:
+            raise ValueError(f"cannot take a real square root of {x}")
+        if x == 0:
+            return cls()
+        out, core = normalize_radical(x.numerator * x.denominator)
+        return cls({core: (Fraction(out, x.denominator), Fraction(0))})
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def sorted_terms(self) -> list:
+        return [(d, re, im) for d, (re, im) in sorted(self._terms.items())]
+
+    def to_complex(self) -> complex:
+        val = 0j
+        for d, (re, im) in self._terms.items():
+            root = math.sqrt(d)
+            val += complex(float(re) * root, float(im) * root)
+        return val
+
+    def __add__(self, other) -> "ReferenceScalar":
+        acc = dict(self._terms)
+        for d, (re, im) in _reference(other)._terms.items():
+            pre, pim = acc.get(d, (Fraction(0), Fraction(0)))
+            acc[d] = (pre + re, pim + im)
+        return ReferenceScalar({d: c for d, c in acc.items() if c[0] or c[1]})
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ReferenceScalar":
+        return ReferenceScalar({d: (-re, -im) for d, (re, im) in self._terms.items()})
+
+    def __sub__(self, other) -> "ReferenceScalar":
+        return self + (-_reference(other))
+
+    def __rsub__(self, other) -> "ReferenceScalar":
+        return _reference(other) + (-self)
+
+    def __mul__(self, other) -> "ReferenceScalar":
+        acc = {}
+        for d1, (re1, im1) in self._terms.items():
+            for d2, (re2, im2) in _reference(other)._terms.items():
+                out, core = normalize_radical(d1 * d2)
+                pre, pim = acc.get(core, (Fraction(0), Fraction(0)))
+                acc[core] = (
+                    pre + (re1 * re2 - im1 * im2) * out,
+                    pim + (re1 * im2 + im1 * re2) * out,
+                )
+        return ReferenceScalar({d: c for d, c in acc.items() if c[0] or c[1]})
+
+    __rmul__ = __mul__
+
+    def times_i(self) -> "ReferenceScalar":
+        return ReferenceScalar({d: (-im, re) for d, (re, im) in self._terms.items()})
+
+    def conjugate(self) -> "ReferenceScalar":
+        return ReferenceScalar({d: (re, -im) for d, (re, im) in self._terms.items()})
+
+    def reciprocal_single(self) -> "ReferenceScalar":
+        if len(self._terms) != 1:
+            raise ValueError("only single-term values can be inverted")
+        ((d, (re, im)),) = self._terms.items()
+        denom = (re * re + im * im) * d
+        return ReferenceScalar({d: (re / denom, -im / denom)})
+
+    def __truediv__(self, other) -> "ReferenceScalar":
+        other = _reference(other)
+        if not other._terms:
+            raise ZeroDivisionError("division by exact zero")
+        return self * other.reciprocal_single()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = _reference(other)
+        if not isinstance(other, ReferenceScalar):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(tuple(sorted(self._terms.items())))
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        parts = []
+        for d, re, im in self.sorted_terms():
+            for coeff, unit in ((re, ""), (im, "i")):
+                if not coeff:
+                    continue
+                mag = f"{abs(coeff)}" if abs(coeff) != 1 or (d == 1 and not unit) else ""
+                root = f"sqrt({d})" if d != 1 else ""
+                body = "*".join(x for x in (mag, unit, root) if x) or "1"
+                parts.append(("-" if coeff < 0 else "+") + body)
+        out = "".join(parts)
+        return out[1:] if out.startswith("+") else out
+
+
+def _reference(x) -> ReferenceScalar:
+    return x if isinstance(x, ReferenceScalar) else ReferenceScalar.from_rational(x)
 
 
 def _fact(n) -> int:

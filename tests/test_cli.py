@@ -248,6 +248,29 @@ class TestCommands:
         main(["gen", "--spins", "1,1,0,0", "--out", str(out)])
         assert main(["verify", "--in", str(out), "--sweep", "1"]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("bound", [
+        "99999999999999999999", "9223372036854775807", "9223372036854775806", "55108",
+    ])
+    def test_sweep_bound_past_quadruple_count_is_input_error(self, capsys, bound):
+        # The first two overflowed and the third exhausted memory inside
+        # itertools.product; 55108 is the least bound with 55109**4 > 2**63 - 1.
+        assert main(["verify", "--sweep", bound]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --sweep bound {bound} is too large")
+        assert err.count("\n") == 1
+
+    def test_largest_countable_sweep_bound_is_accepted(self, monkeypatch, tmp_path):
+        bounds = []
+
+        def fake_sweep(bound):
+            bounds.append(bound)
+            return {"allHold": True}
+
+        monkeypatch.setattr("poincarerep.cli.sweep", fake_sweep)
+        out = tmp_path / "sweep.json"
+        assert main(["verify", "--sweep", "55107", "--out", str(out)]) == EXIT_OK
+        assert bounds == [55107]
+
     def test_equiv_case2(self, tmp_path):
         report_path = tmp_path / "equiv.json"
         rc = main([

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic: canonical form, ring axioms, square roots."""
 
+import math
+import operator
 import time
 from fractions import Fraction
 
@@ -15,6 +17,8 @@ from poincarerep.radical import (
     normalize_radical,
     sqrt_of_rational,
 )
+
+from oracles import ReferenceScalar
 
 
 def brute_square_split(n: int) -> tuple[int, int]:
@@ -217,13 +221,23 @@ _radicand = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 12])
 
 
 @st.composite
-def radical_scalars(draw):
+def term_triples(draw, radicand=_radicand):
     n_terms = draw(st.integers(min_value=0, max_value=3))
-    triples = [
-        (draw(_radicand), draw(_small_fraction), draw(_small_fraction))
+    return [
+        (draw(radicand), draw(_small_fraction), draw(_small_fraction))
         for _ in range(n_terms)
     ]
-    return RadicalScalar.from_terms(triples)
+
+
+def radical_scalars():
+    return term_triples().map(RadicalScalar.from_terms)
+
+
+def scalar_pairs():
+    """A RadicalScalar and the ReferenceScalar built from the same triples."""
+    return term_triples().map(
+        lambda t: (RadicalScalar.from_terms(t), ReferenceScalar.from_terms(t))
+    )
 
 
 @given(radical_scalars(), radical_scalars(), radical_scalars())
@@ -257,3 +271,102 @@ def test_to_complex_respects_arithmetic(a, b, c):
     approx = fa * fb + fc - (fa - fc) * fb
     scale = max(1.0, abs(exact), abs(approx))
     assert abs(exact - approx) / scale < 1e-12
+
+
+# -- agreement with the Fraction-pair reference --------------------------------
+
+_rational = st.one_of(st.integers(min_value=-6, max_value=6), _small_fraction)
+
+
+def assert_agrees(value, ref):
+    assert isinstance(value, RadicalScalar)
+    assert value.terms == ref.terms
+    assert all(type(c) is Fraction for pair in value.terms.values() for c in pair)
+    assert value.sorted_terms() == ref.sorted_terms()
+    assert str(value) == str(ref)
+    assert value.to_complex() == ref.to_complex()  # float-json export reads it
+    assert value.is_zero() == (not ref)
+
+
+def outcome(fn):
+    """fn(), or the type of the exception it raised."""
+    try:
+        return fn()
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(fn, ref_fn):
+    expected = outcome(ref_fn)
+    if isinstance(expected, type):
+        assert outcome(fn) is expected
+    else:
+        assert_agrees(fn(), expected)
+
+
+@given(scalar_pairs(), scalar_pairs(), _rational)
+@settings(max_examples=150)
+def test_binary_operations_match_reference(p, q, r):
+    (a, ra), (b, rb) = p, q
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert_same_outcome(lambda: op(a, b), lambda: op(ra, rb))
+        assert_same_outcome(lambda: op(a, r), lambda: op(ra, r))
+        assert_same_outcome(lambda: op(r, a), lambda: op(r, ra))
+
+
+@given(scalar_pairs())
+@settings(max_examples=100)
+def test_unary_operations_match_reference(p):
+    a, ra = p
+    assert_agrees(a, ra)
+    assert_agrees(-a, -ra)
+    assert_agrees(a.times_i(), ra.times_i())
+    assert_agrees(a.conjugate(), ra.conjugate())
+    assert_same_outcome(a.reciprocal_single, ra.reciprocal_single)
+
+
+@given(term_triples(radicand=st.integers(min_value=0, max_value=75)), _rational, _rational)
+@settings(max_examples=100)
+def test_constructors_match_reference(triples, r, s):
+    assert_agrees(RadicalScalar.from_terms(triples), ReferenceScalar.from_terms(triples))
+    assert_agrees(RadicalScalar.from_parts(r, s), ReferenceScalar.from_parts(r, s))
+    assert_agrees(RadicalScalar.from_rational(r), ReferenceScalar.from_rational(r))
+    assert_same_outcome(lambda: sqrt_of_rational(r), lambda: ReferenceScalar.sqrt_of_rational(r))
+
+
+@given(scalar_pairs(), scalar_pairs(), _rational)
+@settings(max_examples=100)
+def test_equality_and_hash_match_reference(p, q, r):
+    (a, ra), (b, rb) = p, q
+    for x, rx in ((b, rb), (a * ONE, ra), (ZERO + a, ra)):
+        assert (a == x) == (ra == rx)
+        if a == x:
+            assert hash(a) == hash(x)
+    assert (a == r) == (ra == r)
+
+
+def assert_canonical(x):
+    nums = [c for pair in x._num.values() for c in pair]
+    assert x._den > 0 and math.gcd(x._den, *nums) == 1
+    assert all(re or im for re, im in x._num.values())
+
+
+def assert_same_form(x, y):
+    assert (x._den, x._num, hash(x)) == (y._den, y._num, hash(y))
+
+
+_single_terms = st.tuples(_radicand, _small_fraction, _small_fraction).filter(
+    lambda t: t[1] or t[2]
+).map(lambda t: RadicalScalar.from_terms([t]))
+
+
+@given(radical_scalars(), radical_scalars(), _single_terms)
+@settings(max_examples=120)
+def test_canonical_form_does_not_depend_on_the_path(x, y, b):
+    assert_same_form(ZERO, RadicalScalar({}, 1))
+    for value in (x, x + y, x * y, x * b, x / b, b.reciprocal_single()):
+        assert_canonical(value)
+    assert_same_form((x * b) / b, x)
+    assert_same_form(x + y - y, x)
+    assert_same_form(x * b * b.reciprocal_single(), x)
+    assert_same_form(RadicalScalar.from_terms(reversed(x.sorted_terms())), x)
