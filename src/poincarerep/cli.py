@@ -217,8 +217,11 @@ def cmd_export(args: argparse.Namespace) -> int:
                 "matrices": {
                     key: [
                         [val.real, val.imag]
-                        for row in mat.to_numpy().tolist()
-                        for val in row
+                        for val in (
+                            mat.get(i, j).to_complex()
+                            for i in range(mat.rows)
+                            for j in range(mat.cols)
+                        )
                     ]
                     for key, mat in mats.items()
                 },

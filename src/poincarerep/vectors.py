@@ -2,10 +2,11 @@
 
 Two independent construction routes are provided and must agree exactly:
 
-* ``closed_form_vectors`` evaluates the solved component formulas for the
-  four admissible spin cases.  Per case there are two 12-block formula
-  families: the combinations V+/- = (V_x +/- i V_y)/2 on the delta pattern
-  a-c = b-d = +/-1/2, and (V_z +/- V_t)/2 on a-c = -(b-d) = +/-1/2.
+* ``closed_form_vectors`` gives each family entry as t times a factor of
+  (A, C) and a factor of (B, D).  A factor is up when A = C + 1/2, with
+  sqrt((A +/- a)/2A), and down when A = C - 1/2, with sqrt(C -/+ c); the
+  paper's case 1 is (up, up), case 2 (up, down), case 3 (down, up) and
+  case 4 (down, down).
 
 * ``recursion_solve`` + ``vectors_from_coefficients`` re-derives the same
   matrices by anchoring the two free parameters at the extreme index of
@@ -220,67 +221,29 @@ def _block_pair(block: Callable, A: Spin, B: Spin, C: Spin, D: Spin, arg12, arg2
 # Closed-form route
 # ---------------------------------------------------------------------------
 
-# Component tables, one entry per case and family.  A family entry is
-# (sign, (factor, factor)) evaluated on the branch sigma = dp = +/-1:
-#   sign: "s" -> sigma, "-s" -> -sigma, +1/-1 -> fixed
-#   factor (slot, eps, normalized): sqrt(spin_slot + eps*sigma*index_slot),
-#     divided by sqrt(2*spin_slot) when normalized.
-# "pm" gives V+ (sigma = +1) and V- (sigma = -1), "zt" gives F+ and F-; see
-# FAMILIES.  The tables give the 12-block; _block_pair builds the 21-block.
-_CASE_FORMS: dict[CaseTag, dict[str, tuple[object, tuple, tuple]]] = {
-    CaseTag.CASE_1: {
-        "pm": ("s", ("A", +1, True), ("B", +1, True)),
-        "zt": (-1, ("A", +1, True), ("B", -1, True)),
-    },
-    CaseTag.CASE_2: {
-        "pm": (+1, ("A", +1, True), ("D", -1, False)),
-        "zt": ("s", ("A", +1, True), ("D", +1, False)),
-    },
-    CaseTag.CASE_3: {
-        "pm": (+1, ("C", -1, False), ("B", +1, True)),
-        "zt": ("-s", ("C", -1, False), ("B", -1, True)),
-    },
-    CaseTag.CASE_4: {
-        "pm": ("s", ("C", -1, False), ("D", -1, False)),
-        "zt": (+1, ("C", -1, False), ("D", +1, False)),
-    },
-}
+def _one_spin(X: Spin, Y: Spin, x: HalfInt, s: int) -> tuple[RadicalScalar, bool]:
+    """(|f|, f < 0) for the factor of row spin X, column spin Y, y = x - s/2.
 
-
-def _factor(
-    slot: str,
-    eps: int,
-    normalized: bool,
-    sigma: int,
-    spins: dict[str, Spin],
-    indices: dict[str, HalfInt],
-) -> RadicalScalar:
-    spin = spins[slot]
-    idx = indices[slot.lower()]
-    val = Fraction(spin.twice + eps * sigma * idx.twice, 2)
-    if normalized:
-        val /= spin.twice  # divide the radicand by 2*spin
-    return sqrt_of_rational(val)
-
-
-def _form_sign(mode: object, sigma: int) -> int:
-    if mode == "s":
-        return sigma
-    if mode == "-s":
-        return -sigma
-    return int(mode)  # type: ignore[arg-type]
+    Up, X = Y + 1/2: f = sqrt((X + s x)/(2X)), negated when s = -1.  Down,
+    X = Y - 1/2: f = sqrt(Y - s y).  Either way f = s <1/2 s/2, Y y|X x>,
+    times sqrt(2Y + 1) when down.
+    """
+    if X.twice > Y.twice:
+        return sqrt_of_rational(Fraction(X.twice + s * x.twice, 2 * X.twice)), s < 0
+    return sqrt_of_rational(Fraction(Y.twice - s * (x.twice - s), 2)), False
 
 
 def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> Block:
-    """The closed-form block with rows (p,q) of (P,Q) and columns (r,s) of (R,S)."""
-    forms = _CASE_FORMS[classify_case(P, Q, R, S)]
-    spins = dict(zip("ABCD", (P, Q, R, S)))
+    """The closed-form block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
+
+    Family (dp, dq) has t * f(P, R, p, dp) * f(Q, S, q, dq), negated on V-.
+    """
 
     def coeff(dp: int, dq: int, p: HalfInt, q: HalfInt) -> RadicalScalar:
-        sign, f1, f2 = forms["pm" if dp == dq else "zt"]
-        idx = {"a": p, "b": q, "c": HalfInt(p.twice - dp), "d": HalfInt(q.twice - dq)}
-        value = _factor(*f1, dp, spins, idx) * _factor(*f2, dp, spins, idx) * t
-        return -value if _form_sign(sign, dp) < 0 else value
+        f1, neg1 = _one_spin(P, R, p, dp)
+        f2, neg2 = _one_spin(Q, S, q, dq)
+        value = f1 * f2 * t
+        return -value if neg1 ^ neg2 ^ (dp == dq < 0) else value
 
     return pattern_block(P, Q, R, S, coeff)
 
@@ -288,7 +251,7 @@ def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> 
 def closed_form_vectors(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> VectorSet:
-    """Assemble V_x, V_y, V_z, V_t from the per-case component tables."""
+    """Assemble V_x, V_y, V_z, V_t from the one-spin factors of each block."""
     return VectorSet.from_blocks(
         (SpinPair(A, B), SpinPair(C, D)),
         params,

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import racah_cg_signed_square
 
 from poincarerep.bundle import SOURCES, vectors_from_source
 from poincarerep.generators import direct_sum, ladder_coeff_s, spin
@@ -16,6 +17,7 @@ from poincarerep.vectors import (
     FreeParams,
     NoSolutionError,
     VectorSet,
+    _one_spin,
     classify_case,
     closed_form_vectors,
     pattern_block,
@@ -74,6 +76,25 @@ class TestClosedForm:
         for source in SOURCES:
             with pytest.raises(NoSolutionError, match=r"A = C \+/- 1/2"):
                 vectors_from_source(source, (spin(2), spin(0), spin(0), spin(0)), UNIT)
+
+    def test_one_spin_factor_is_a_signed_clebsch_gordan(self):
+        # f(X, Y, x, s) = s <1/2 s/2, Y y|X x>, times sqrt(2Y+1) when
+        # X = Y - 1/2, with y = x - s/2: the closed form is Lyubarskii's
+        # product of two CG coefficients, checked against the Racah sum.
+        cases = 0
+        for tX in range(11):
+            for tY in (tX - 1, tX + 1):
+                for tx, s in itertools.product(range(-tX, tX + 1, 2), (1, -1)):
+                    if tY < 0 or abs(tx - s) > tY:
+                        continue  # no such column
+                    sign, square = racah_cg_signed_square(1, s, tY, tx - s, tX, tx)
+                    if tX < tY:
+                        square *= tY + 1
+                    magnitude, negative = _one_spin(spin(tX), spin(tY), HalfInt(tx), s)
+                    assert magnitude == sqrt_of_rational(square)
+                    assert (-1 if negative else 1) == s * sign
+                    cases += 1
+        assert cases == 242
 
     def test_case1_vector_rep_plus_entry(self):
         # (1/2,1/2)+(0,0): V+ has a single 12-entry 1 at row (1/2,1/2), col (0,0)
