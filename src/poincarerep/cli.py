@@ -42,6 +42,12 @@ EXIT_RULE_FAILURE = 1
 EXIT_NO_SOLUTION = 2
 EXIT_BAD_INPUT = 3
 
+# Work bounds.  A bundle of dimension 1201 is already 44 MB, and its size
+# grows with the square of the dimension; ``verify --sweep 12`` takes about
+# a minute, and the sweep's cost grows with the fourth power of its bound.
+MAX_DIMENSION = 2048
+MAX_SWEEP_BOUND = 12
+
 _TERM_RE = re.compile(
     r"^(?P<sign>[+-])?(?P<num>\d+(?:/\d+)?)?(?:\*?(?P<i>i))?(?:\*?sqrt\((?P<d>\d+)\))?$"
 )
@@ -92,6 +98,12 @@ def parse_spins(text: str) -> tuple[Spin, Spin, Spin, Spin]:
         raise CliError(f"bad spin value in {text!r}: {exc}") from exc
     if any(t < 0 for t in doubled):
         raise CliError("spins must be nonnegative doubled integers")
+    a, b, c, d = doubled
+    dimension = (a + 1) * (b + 1) + (c + 1) * (d + 1)
+    if dimension > MAX_DIMENSION:
+        raise CliError(
+            f"--spins {text} give dimension {dimension}, above the limit {MAX_DIMENSION}"
+        )
     return tuple(Spin(t) for t in doubled)  # type: ignore[return-value]
 
 
@@ -157,11 +169,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.sweep < 0:
             raise CliError("--sweep bound must be nonnegative")
-        if (args.sweep + 1) ** 4 > sys.maxsize:
-            # The sweep enumerates (N+1)**4 quadruples, and Python cannot
-            # count or index past sys.maxsize.
+        if args.sweep > MAX_SWEEP_BOUND:
             raise CliError(
-                f"--sweep bound {args.sweep} is too large: (N+1)**4 exceeds {sys.maxsize}"
+                f"--sweep bound {args.sweep} is too large: the limit is {MAX_SWEEP_BOUND}"
             )
         report = sweep(args.sweep)
     _write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
@@ -259,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a matrix bundle")
-    gen.add_argument("--spins", required=True, help="doubled 2A,2B,2C,2D")
+    gen.add_argument(
+        "--spins", required=True,
+        help=f"doubled 2A,2B,2C,2D, of dimension at most {MAX_DIMENSION}",
+    )
     gen.add_argument("--t12", default="1", help="12-block parameter (lambda12 for clebsch-gordan)")
     gen.add_argument("--t21", default="1", help="21-block parameter (lambda21 for clebsch-gordan)")
     gen.add_argument("--source", choices=SOURCES, default="closed-form")
@@ -269,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check commutation rules")
     ver.add_argument("--in", dest="infile", help="bundle file to verify")
-    ver.add_argument("--sweep", type=int, help="check all quadruples with doubled spins <= N")
+    ver.add_argument(
+        "--sweep", type=int,
+        help=f"check all quadruples with doubled spins <= N (N <= {MAX_SWEEP_BOUND})",
+    )
     ver.add_argument("--out", help="write the JSON report here instead of stdout")
     ver.set_defaults(func=cmd_verify)
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .matrix import Matrix, block_diag
-from .radical import ZERO, RadicalScalar, sqrt_of_rational
+from .matrix import Matrix, block_diag, linear_combination
+from .radical import ZERO, RadicalScalar, gaussian_table, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair
 
 
@@ -52,6 +53,23 @@ def rotation_rep(spin: Spin) -> tuple[Matrix, Matrix, Matrix]:
     return tuple(Matrix.from_entries(n, n, m) for m in (mplus, mminus, mz))
 
 
+def _kron(left, right) -> list[list]:
+    return [[a * b for a in lrow for b in rrow] for lrow in left for rrow in right]
+
+
+# The paper's spin basis N = (A+, A-, Az, B+, B-, Bz) of the generators
+# G = (Jx, Jy, Jz, Kx, Ky, Kz): A = (J + iK)/2 and B = (J - iK)/2, and
+# X+- = X_x +- i X_y.  N_a is the sum of SPIN_BASIS[a][p] * G_p over p, and
+# G_p that of SPIN_BASIS_INVERSE[p][a] * N_a.  Each is the Kronecker product
+# of the (A, B) <-> (J, K) change with the (+, -, z) <-> (x, y, z) change.
+SPIN_BASIS = gaussian_table(
+    _kron([[1, 1j], [1, -1j]], [[1, 1j, 0], [1, -1j, 0], [0, 0, 1]]), 2
+)
+SPIN_BASIS_INVERSE = gaussian_table(
+    _kron([[1, 1], [-1j, 1j]], [[1, 1, 0], [-1j, 1j, 0], [0, 0, 2]]), 2
+)
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """The six matrices (Jx, Jy, Jz) and (Kx, Ky, Kz) of a representation."""
@@ -63,6 +81,14 @@ class GeneratorSet:
     @property
     def dimension(self) -> int:
         return self.J[0].rows
+
+    @cached_property
+    def spin_basis(self) -> tuple[Matrix, ...]:
+        """(A+, A-, Az, B+, B-, Bz), formed on first use and kept."""
+        G = self.J + self.K
+        return tuple(
+            linear_combination([(c, g) for c, g in zip(row, G) if c]) for row in SPIN_BASIS
+        )
 
 
 def irrep_generators(pair: SpinPair) -> GeneratorSet:

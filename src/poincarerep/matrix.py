@@ -7,14 +7,16 @@ matrices stay cheap, but the interface is an ordinary rows x cols matrix
 and serialization emits the full row-major grid.
 
 Every matrix-valued result (``+``, ``-``, ``scale``, ``times_i``, ``@``,
-``commutator``, ``anticommutator``) is one call of a kernel that computes
-a signed sum of products plus exact scalar multiples c * Z.  It uses each
-operand as integer numerators over one denominator, the lcm of the
-operand's entry denominators, multiplies and sums with Python ints, and
-reduces each nonzero entry of the result by one gcd into a RadicalScalar,
-which holds the same integer form.  Since a matrix never changes, its
-integer form is computed the first time it is an operand and kept with
-it.  Nothing is rounded.
+``commutator``, ``anticommutator``, ``linear_combination``) is one call of
+a kernel that computes a signed sum of products plus exact scalar
+multiples c * Z.  It uses each operand as integer numerators over one
+denominator, the lcm of the operand's entry denominators, multiplies and
+sums with Python ints, and reduces each nonzero entry of the result by
+one gcd into a RadicalScalar, which holds the same integer form.  Since a
+matrix never changes, its integer form is computed the first time it is
+an operand and kept with it; a scalar c is taken as its own integer terms
+over its denominator, which meet every packed row of Z.  Nothing is
+rounded.
 """
 
 from __future__ import annotations
@@ -200,6 +202,14 @@ def anticommutator(m: Matrix, n: Matrix) -> Matrix:
     return _combine(m.rows, m.cols, [(1, m, n), (1, n, m)])
 
 
+def linear_combination(terms: Sequence[tuple[RadicalScalar | RationalLike, Matrix]]) -> Matrix:
+    """Sum of c * Z over (c, Z) in terms: one or more matrices of one shape."""
+    first = terms[0][1]
+    for _, z in terms:
+        first._same_shape(z)
+    return _combine(first.rows, first.cols, multiples=[(1, c, z) for c, z in terms])
+
+
 # -- the kernel -----------------------------------------------------------------
 
 def _pack(rows: dict[int, dict[int, RadicalScalar]]) -> tuple[int, dict[int, list]]:
@@ -222,45 +232,55 @@ def _combine(rows: int, cols: int, products: Sequence = (), multiples: Sequence 
     """Sum sign * X @ Y over products and sign * c * Z over multiples, exactly.
 
     products holds (sign, X, Y) and multiples (sign, c, Z), with c an exact
-    scalar.  c * Z is the product of the diagonal matrix c * I with Z; that
-    diagonal is packed on Z's nonzero rows, once per call.  A matrix
-    operand uses the integer form stored with it, packed on first use.
-    Products and sums run on Python ints over the common denominator of all
-    terms, and each nonzero entry left at the end is reduced by one gcd.
+    scalar.  A matrix operand uses the integer form stored with it, packed
+    on first use; c is packed once per call, and its terms meet every
+    packed row of Z as one diagonal would.  Products and sums run on Python
+    ints over the common denominator of all terms, and each nonzero entry
+    left at the end is reduced by one gcd.
     """
     for m in [m for _, x, y in products for m in (x, y)] + [z for _, _, z in multiples]:
         if m._packed is None:
             m._packed = _pack(m._rows)
-    pairs = [(sign, x._packed, y._packed) for sign, x, y in products]
-    for sign, coeff, z in multiples:
-        coeff = _coerce(coeff)
-        pairs.append((sign, _pack({i: {i: coeff} for i in z._rows}), z._packed))
-    den = math.lcm(*(lx * ly for _, (lx, _), (ly, _) in pairs))
-    gcd = math.gcd
-    acc: dict[tuple[int, int, int], list[int]] = {}
-    for sign, (lx, xrows), (ly, yrows) in pairs:
+    multiples = [(sign, _coerce(c), z) for sign, c, z in multiples]
+    den = math.lcm(
+        *(x._packed[0] * y._packed[0] for _, x, y in products),
+        *(c._den * z._packed[0] for _, c, z in multiples),
+    )
+    # Every (i, terms, Y row) where an X entry (i, k) meets row k of Y.  c * Z
+    # is the diagonal c * I times Z: c's terms, scaled once, meet each row i of Z.
+    meetings = []
+    for sign, x, y in products:
+        (lx, xrows), (ly, yrows) = x._packed, y._packed
         factor = sign * (den // (lx * ly))
         for i, xrow in xrows.items():
             for k, xterms in xrow:
                 yrow = yrows.get(k)
-                if yrow is None:
-                    continue
-                if factor != 1:
-                    xterms = [(d, factor * a, factor * b) for d, a, b in xterms]
-                for j, yterms in yrow:
-                    for d1, a, b in xterms:
-                        for d2, c, e in yterms:
-                            # Squarefree radicands: d1*d2 = g**2 * (d1/g)*(d2/g).
-                            g = gcd(d1, d2)
-                            key = (i, j, (d1 // g) * (d2 // g))
-                            re = (a * c - b * e) * g
-                            im = (a * e + b * c) * g
-                            prev = acc.get(key)
-                            if prev is None:
-                                acc[key] = [re, im]
-                            else:
-                                prev[0] += re
-                                prev[1] += im
+                if yrow is not None:
+                    if factor != 1:
+                        xterms = [(d, factor * a, factor * b) for d, a, b in xterms]
+                    meetings.append((i, xterms, yrow))
+    for sign, c, z in multiples:
+        lz, zrows = z._packed
+        factor = sign * (den // (c._den * lz))
+        cterms = [(d, factor * re, factor * im) for d, (re, im) in c._num.items()]
+        meetings += [(i, cterms, zrow) for i, zrow in zrows.items()]
+    gcd = math.gcd
+    acc: dict[tuple[int, int, int], list[int]] = {}
+    for i, xterms, yrow in meetings:
+        for j, yterms in yrow:
+            for d1, a, b in xterms:
+                for d2, c, e in yterms:
+                    # Squarefree radicands: d1*d2 = g**2 * (d1/g)*(d2/g).
+                    g = gcd(d1, d2)
+                    key = (i, j, (d1 // g) * (d2 // g))
+                    re = (a * c - b * e) * g
+                    im = (a * e + b * c) * g
+                    prev = acc.get(key)
+                    if prev is None:
+                        acc[key] = [re, im]
+                    else:
+                        prev[0] += re
+                        prev[1] += im
     # Most residual cells cancel to exactly zero: drop them before grouping.
     cells: dict[int, dict[int, dict[int, list[int]]]] = {}
     for (i, j, core), pair in acc.items():

@@ -303,6 +303,17 @@ def sqrt_of_rational(x: RationalLike) -> RadicalScalar:
     return _make({core: (out, 0)}, q)
 
 
+def gaussian_table(rows, divisor: int = 1) -> tuple[tuple[RadicalScalar, ...], ...]:
+    """The table of exact values z / divisor, each z an int or a complex with integer parts."""
+    return tuple(
+        tuple(
+            RadicalScalar.from_parts(Fraction(int(z.real), divisor), Fraction(int(z.imag), divisor))
+            for z in row
+        )
+        for row in rows
+    )
+
+
 ZERO = RadicalScalar()
 ONE = RadicalScalar({1: (1, 0)})
 I_UNIT = RadicalScalar({1: (0, 1)})

@@ -29,10 +29,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
-from .matrix import Matrix, place
-from .radical import ZERO, RadicalScalar, RationalLike, _coerce, sqrt_of_rational
+from .matrix import Matrix, linear_combination, place
+from .radical import ZERO, RadicalScalar, RationalLike, _coerce, gaussian_table, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair, flatten_index
 from .generators import ladder_coeff_r
 
@@ -110,6 +111,16 @@ def pattern_block(
     return tuple(Matrix.from_entries(rows.dimension, cols.dimension, m) for m in (x, y, z, t))
 
 
+# The light-cone basis (V_x + iV_y, V_x - iV_y, V_t + V_z, V_t - V_z) of the
+# components V = (V_x, V_y, V_z, V_t): twice the families V+, V-, F+ and
+# -F- of ``pattern_block``.  Row m of LIGHT_CONE gives the m-th matrix as a
+# sum over V, and row mu of LIGHT_CONE_INVERSE gives V_mu back.
+LIGHT_CONE = gaussian_table([[1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, 1, 1], [0, 0, -1, 1]])
+LIGHT_CONE_INVERSE = gaussian_table(
+    [[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]], 2
+)
+
+
 @dataclass(frozen=True)
 class VectorSet:
     """Four vector matrices with their construction metadata.
@@ -165,6 +176,14 @@ class VectorSet:
     def component(self, mu: str) -> Matrix:
         return {"x": self.Vx, "y": self.Vy, "z": self.Vz, "t": self.Vt}[mu]
 
+    @cached_property
+    def light_cone(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+        """(V_x + iV_y, V_x - iV_y, V_t + V_z, V_t - V_z), formed on first use and kept."""
+        V = self.components()
+        return tuple(
+            linear_combination([(c, v) for c, v in zip(row, V) if c]) for row in LIGHT_CONE
+        )
+
     def block(self, which: str) -> Block:
         """The (x, y, z, t) components of the "12" or "21" block, as from_blocks takes them."""
         n1, n = self.block1_dim, self.dimension
@@ -178,9 +197,9 @@ class VectorSet:
 
     def plus_minus(self) -> tuple[Matrix, Matrix]:
         """V+ = (Vx + iVy)/2 and V- = (Vx - iVy)/2."""
-        half = Fraction(1, 2)
-        plus = (self.Vx + self.Vy.times_i()).scale(half)
-        minus = (self.Vx - self.Vy.times_i()).scale(half)
+        half, half_i = Fraction(1, 2), RadicalScalar.from_parts(0, Fraction(1, 2))
+        plus = linear_combination([(half, self.Vx), (half_i, self.Vy)])
+        minus = linear_combination([(half, self.Vx), (-half_i, self.Vy)])
         return plus, minus
 
 

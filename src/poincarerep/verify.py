@@ -1,8 +1,20 @@
 """Zero-tolerance checks of the 45 commutation rules, plus numeric probes.
 
-Each rule is stated once as [X, Y] = rhs, with rhs a sum of exact scalar
-multiples c * Z of the generators or vector components, and its residual
-[X, Y] - rhs is formed in one ``commutator`` call inside the matrix kernel.
+Each rule is stated once, on the Cartesian matrices, as [X, Y] = rhs with
+rhs a sum of exact scalar multiples c * Z of the generators or vector
+components.  They are checked in the paper's bases: the generators as
+(A+, A-, Az, B+, B-, Bz), with A = (J + iK)/2, B = (J - iK)/2 and
+X+- = X_x +- i X_y, and the vector components as
+(V_x + iV_y, V_x - iV_y, V_t + V_z, V_t - V_z), where each matrix holds
+one ladder step or one family of V and so is sparse.  Both basis changes
+are constant matrices with exact inverses, so at import every rule family
+is restated by bilinearity: one ``commutator`` call per new-basis pair,
+45 in all, each against a right-hand side of at most one term, and each
+Cartesian residual as an exact combination of those 45 residuals.  A rule
+holds when every residual in its combination is zero; otherwise its
+residual is formed in one kernel call, the same exact matrix as
+[X, Y] - rhs, so its first nonzero entry is the same.  The new-basis
+matrices are formed once per ``GeneratorSet`` and ``VectorSet``.
 
 Rule identifiers: "JJ.xy" means [J_x, J_y] against its right-hand side,
 "KV.zt" means [K_z, V_t], "PP.xt" means [P_x, P_t], and so on.  The axis
@@ -26,12 +38,14 @@ from typing import TYPE_CHECKING
 
 from .bundle import SOURCES, scalar_to_json, vectors_from_source
 from .cg import RatioFit, equivalence_ratio
-from .generators import GeneratorSet, block_sum, irrep_generators
-from .matrix import Matrix, anticommutator, commutator
+from .generators import SPIN_BASIS, SPIN_BASIS_INVERSE, GeneratorSet, block_sum, irrep_generators
+from .matrix import Matrix, anticommutator, commutator, linear_combination
 from .momentum import BlockChoice, momentum_from_vectors
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar
 from .spins import Spin, SpinPair
 from .vectors import (
+    LIGHT_CONE,
+    LIGHT_CONE_INVERSE,
     CaseTag,
     FreeParams,
     NoSolutionError,
@@ -81,62 +95,157 @@ class RuleReport:
         return out
 
 
-# A right-hand side is a list of (c, Z): an exact scalar c times Z.  The
-# coefficients the rules use, +i and -i, are built once here.
+# The coefficients the rules use, +i and -i, are built once here.
 _SIGNED_I = {1: I_UNIT, -1: -I_UNIT}
 
+# Each rule [X_p, Y_q] = sum of c * Z_r is stated once as (id, p, q, rhs),
+# rhs a list of (c, r).  The indices p, q and r are positions in
+# G = (Jx, Jy, Jz, Kx, Ky, Kz) or V = (Vx, Vy, Vz, Vt); Z is G in the
+# Lorentz rules and V in the vector rules.
+_J = {i: k for k, i in enumerate(AXES)}
+_K = {i: 3 + k for k, i in enumerate(AXES)}
+_V = {mu: k for k, mu in enumerate(COMPONENTS)}
 
-def _rule(rule_id: str, x: Matrix, y: Matrix, rhs=()) -> RuleReport:
-    """[x, y] = sum of c * Z over (c, Z) in rhs, checked exactly."""
-    nz = commutator(x, y, rhs).first_nonzero()
-    return RuleReport(rule_id, nz is None, nz)
+
+def _i_eps(i: str, j: str, index: dict[str, int], sign: int = 1) -> list:
+    """The right-hand side sign * i * eps_ijk * Z_index[k], summed over k."""
+    return [(_SIGNED_I[sign * e], index[k]) for k in AXES if (e := epsilon(i, j, k))]
 
 
-def _i_eps(i: str, j: str, mats: dict[str, Matrix], sign: int = 1) -> list:
-    """The right-hand side sign * i * eps_ijk * M_k, summed over k."""
-    return [(_SIGNED_I[sign * e], mats[k]) for k in AXES if (e := epsilon(i, j, k))]
+def _lorentz_rules() -> list:
+    pairs = [(i, j) for ai, i in enumerate(AXES) for j in AXES[ai + 1 :]]
+    return (
+        [(f"JJ.{i}{j}", _J[i], _J[j], _i_eps(i, j, _J)) for i, j in pairs]
+        + [(f"JK.{i}{j}", _J[i], _K[j], _i_eps(i, j, _K)) for i in AXES for j in AXES]
+        + [(f"KK.{i}{j}", _K[i], _K[j], _i_eps(i, j, _J, -1)) for i, j in pairs]
+    )
+
+
+def _vector_rules() -> list:
+    rules = []
+    for i in AXES:
+        for j in AXES:
+            rules.append((f"JV.{i}{j}", _J[i], _V[j], _i_eps(i, j, _V)))
+        rules.append((f"JV.{i}t", _J[i], _V["t"], []))
+    for i in AXES:
+        for j in AXES:
+            rhs = [(_SIGNED_I[-1], _V["t"])] if i == j else []  # -i delta_ij V_t
+            rules.append((f"KV.{i}{j}", _K[i], _V[j], rhs))
+        rules.append((f"KV.{i}t", _K[i], _V["t"], [(_SIGNED_I[-1], _V[i])]))
+    return rules
+
+
+def _translation_rules() -> list:
+    return [
+        (f"PP.{mu}{nu}", _V[mu], _V[nu], [])
+        for ai, mu in enumerate(COMPONENTS)
+        for nu in COMPONENTS[ai + 1 :]
+    ]
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A family of rules restated in one basis for each operand set.
+
+    ``pairs`` holds (a, b, rhs) for each commutator [X'_a, Y'_b] = rhs of
+    the new operands, rhs as (c, m) terms over Y'_m.  ``rules`` holds, in
+    report order, (id, support) for each rule: its residual is the sum of
+    c * S_k over (c, k) in support, S_k the residual of ``pairs[k]``.
+    """
+
+    pairs: tuple
+    rules: tuple
+
+
+def _family(rules: list, left: tuple, right: tuple) -> _Family:
+    """Restate rules [X_p, Y_q] = sum of c * Y_r in new bases, exactly.
+
+    left = (L, L_inv) takes X to X'_a = sum of L[a][p] * X_p, and right =
+    (R, R_inv) takes Y to Y' alike.  By bilinearity [X'_a, Y'_b] has the
+    right-hand side sum of L[a][p] * R[b][q] * rhs_pq, rewritten over Y'
+    by R_inv, and the residual of rule (p, q) is the sum of
+    L_inv[p][a] * R_inv[q][b] * S_ab.  When X and Y are one set, the rules
+    are stated for p < q and [X_q, X_p] = -[X_p, X_q]; then only a < b is
+    commuted, since S_ba = -S_ab and S_aa = 0.
+    """
+    antisymmetric = left is right
+    (L, L_inv), (R, R_inv) = ((_sparse(m), _sparse(m_inv)) for m, m_inv in (left, right))
+    rhs = {}
+    for _, p, q, terms in rules:
+        rhs[p, q] = terms
+        if antisymmetric:
+            rhs[q, p] = [(-c, r) for c, r in terms]
+    pairs = [(a, b) for a in range(len(L)) for b in range(len(R)) if not antisymmetric or a < b]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    restated = []
+    for a, b in pairs:
+        over_y = {}  # the right-hand side over Y_r, then over Y'_m
+        for p, x in L[a]:
+            for q, y in R[b]:
+                for c, r in rhs.get((p, q), ()):
+                    over_y[r] = over_y.get(r, ZERO) + x * y * c
+        over_y_new = {}
+        for r, c in over_y.items():
+            for m, u in R_inv[r]:
+                over_y_new[m] = over_y_new.get(m, ZERO) + c * u
+        restated.append((a, b, [(c, m) for m, c in over_y_new.items() if c]))
+    supports = []
+    for rule_id, p, q, _ in rules:
+        support = {}
+        for a, x in L_inv[p]:
+            for b, y in R_inv[q]:
+                if (a, b) in index:
+                    k, c = index[a, b], x * y
+                elif a != b:
+                    k, c = index[b, a], -(x * y)
+                else:
+                    continue
+                support[k] = support.get(k, ZERO) + c
+        supports.append((rule_id, [(c, k) for k, c in sorted(support.items()) if c]))
+    return _Family(tuple(restated), tuple(supports))
+
+
+def _sparse(table: tuple) -> list:
+    """Each row of table as its (column, value) pairs with nonzero value."""
+    return [[(k, c) for k, c in enumerate(row) if c] for row in table]
+
+
+_SPIN = (SPIN_BASIS, SPIN_BASIS_INVERSE)
+_LIGHT_CONE = (LIGHT_CONE, LIGHT_CONE_INVERSE)
+_LORENTZ = _family(_lorentz_rules(), _SPIN, _SPIN)
+_VECTOR = _family(_vector_rules(), _SPIN, _LIGHT_CONE)
+_TRANSLATIONS = _family(_translation_rules(), _LIGHT_CONE, _LIGHT_CONE)
+
+
+def _check(family: _Family, left: tuple[Matrix, ...], right: tuple[Matrix, ...]) -> list[RuleReport]:
+    """One commutator per pair of the family's bases; a rule's residual is formed only if nonzero."""
+    residuals = [
+        commutator(left[a], right[b], [(c, right[m]) for c, m in rhs])
+        for a, b, rhs in family.pairs
+    ]
+    reports = []
+    for rule_id, support in family.rules:
+        terms = [(c, residuals[k]) for c, k in support if not residuals[k].is_zero()]
+        nz = linear_combination(terms).first_nonzero() if terms else None
+        reports.append(RuleReport(rule_id, nz is None, nz))
+    return reports
 
 
 def check_lorentz(gen: GeneratorSet) -> list[RuleReport]:
     """The 15 homogeneous rules among the J and K matrices."""
-    J = dict(zip(AXES, gen.J))
-    K = dict(zip(AXES, gen.K))
-    pairs = [(i, j) for ai, i in enumerate(AXES) for j in AXES[ai + 1 :]]
-    return (
-        [_rule(f"JJ.{i}{j}", J[i], J[j], _i_eps(i, j, J)) for i, j in pairs]
-        + [_rule(f"JK.{i}{j}", J[i], K[j], _i_eps(i, j, K)) for i in AXES for j in AXES]
-        + [_rule(f"KK.{i}{j}", K[i], K[j], _i_eps(i, j, J, -1)) for i, j in pairs]
-    )
+    return _check(_LORENTZ, gen.spin_basis, gen.spin_basis)
 
 
 def check_vector_rules(gen: GeneratorSet, vec: VectorSet) -> list[RuleReport]:
     """The 24 rules linear in the vector components."""
     if gen.dimension != vec.dimension:
         raise ValueError("generator and vector dimensions differ")
-    J = dict(zip(AXES, gen.J))
-    K = dict(zip(AXES, gen.K))
-    V = {mu: vec.component(mu) for mu in COMPONENTS}
-    reports = []
-    for i in AXES:
-        for j in AXES:
-            reports.append(_rule(f"JV.{i}{j}", J[i], V[j], _i_eps(i, j, V)))
-        reports.append(_rule(f"JV.{i}t", J[i], V["t"]))
-    for i in AXES:
-        for j in AXES:
-            rhs = [(_SIGNED_I[-1], V["t"])] if i == j else []  # -i delta_ij V_t
-            reports.append(_rule(f"KV.{i}{j}", K[i], V[j], rhs))
-        reports.append(_rule(f"KV.{i}t", K[i], V["t"], [(_SIGNED_I[-1], V[i])]))
-    return reports
+    return _check(_VECTOR, gen.spin_basis, vec.light_cone)
 
 
 def check_translations(mom: VectorSet) -> list[RuleReport]:
     """The 6 pairwise momentum commutators."""
-    P = {mu: mom.component(mu) for mu in COMPONENTS}
-    return [
-        _rule(f"PP.{mu}{nu}", P[mu], P[nu])
-        for ai, mu in enumerate(COMPONENTS)
-        for nu in COMPONENTS[ai + 1 :]
-    ]
+    return _check(_TRANSLATIONS, mom.light_cone, mom.light_cone)
 
 
 def check_poincare(gen: GeneratorSet, mom: VectorSet) -> list[RuleReport]:

@@ -7,7 +7,9 @@ the matrix oracles form every entry with RadicalScalar arithmetic, one
 entry at a time, and ``ReferenceScalar`` keeps a Fraction pair per
 radicand where RadicalScalar keeps integers over one denominator.  ``reference_sweep`` checks every admissible
 quadruple of the sweep from scratch, with no verdict replayed from its
-swapped partner.
+swapped partner.  ``reference_check_poincare`` checks each of the 45 rules
+by one commutator of the Cartesian matrices J_x ... K_z and V_x ... V_t,
+where the library checks them in the spin and light-cone bases.
 """
 
 import itertools
@@ -19,9 +21,9 @@ import numpy as np
 from poincarerep.bundle import SOURCES, vectors_from_source
 from poincarerep.cg import RatioFit, equivalence_ratio
 from poincarerep.generators import block_sum, irrep_generators
-from poincarerep.matrix import Matrix
+from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
-from poincarerep.radical import ONE, ZERO, normalize_radical
+from poincarerep.radical import I_UNIT, ONE, ZERO, normalize_radical
 from poincarerep.spins import Spin, SpinPair
 from poincarerep.vectors import (
     CaseTag,
@@ -31,11 +33,14 @@ from poincarerep.vectors import (
     closed_form_vectors,
 )
 from poincarerep.verify import (
+    AXES,
     COMPONENTS,
+    RuleReport,
     _both_blocks,
     check_lorentz,
     check_translations,
     check_vector_rules,
+    epsilon,
 )
 
 
@@ -322,6 +327,68 @@ def reference_commutator(m: Matrix, n: Matrix, rhs=()) -> Matrix:
 
 def reference_anticommutator(m: Matrix, n: Matrix) -> Matrix:
     return entrywise(lambda mn, nm: mn + nm, reference_matmul(m, n), reference_matmul(n, m))
+
+
+# -- the 45 rules on the Cartesian matrices -------------------------------------
+
+_SIGNED_I = {1: I_UNIT, -1: -I_UNIT}
+
+
+def _rule(rule_id: str, x: Matrix, y: Matrix, rhs=()) -> RuleReport:
+    """[x, y] = sum of c * Z over (c, Z) in rhs, checked exactly."""
+    nz = commutator(x, y, rhs).first_nonzero()
+    return RuleReport(rule_id, nz is None, nz)
+
+
+def _i_eps(i: str, j: str, mats: dict, sign: int = 1) -> list:
+    """The right-hand side sign * i * eps_ijk * M_k, summed over k."""
+    return [(_SIGNED_I[sign * e], mats[k]) for k in AXES if (e := epsilon(i, j, k))]
+
+
+def reference_check_lorentz(gen) -> list[RuleReport]:
+    J = dict(zip(AXES, gen.J))
+    K = dict(zip(AXES, gen.K))
+    pairs = [(i, j) for ai, i in enumerate(AXES) for j in AXES[ai + 1 :]]
+    return (
+        [_rule(f"JJ.{i}{j}", J[i], J[j], _i_eps(i, j, J)) for i, j in pairs]
+        + [_rule(f"JK.{i}{j}", J[i], K[j], _i_eps(i, j, K)) for i in AXES for j in AXES]
+        + [_rule(f"KK.{i}{j}", K[i], K[j], _i_eps(i, j, J, -1)) for i, j in pairs]
+    )
+
+
+def reference_check_vector_rules(gen, vec) -> list[RuleReport]:
+    J = dict(zip(AXES, gen.J))
+    K = dict(zip(AXES, gen.K))
+    V = {mu: vec.component(mu) for mu in COMPONENTS}
+    reports = []
+    for i in AXES:
+        for j in AXES:
+            reports.append(_rule(f"JV.{i}{j}", J[i], V[j], _i_eps(i, j, V)))
+        reports.append(_rule(f"JV.{i}t", J[i], V["t"]))
+    for i in AXES:
+        for j in AXES:
+            rhs = [(_SIGNED_I[-1], V["t"])] if i == j else []  # -i delta_ij V_t
+            reports.append(_rule(f"KV.{i}{j}", K[i], V[j], rhs))
+        reports.append(_rule(f"KV.{i}t", K[i], V["t"], [(_SIGNED_I[-1], V[i])]))
+    return reports
+
+
+def reference_check_translations(mom) -> list[RuleReport]:
+    P = {mu: mom.component(mu) for mu in COMPONENTS}
+    return [
+        _rule(f"PP.{mu}{nu}", P[mu], P[nu])
+        for ai, mu in enumerate(COMPONENTS)
+        for nu in COMPONENTS[ai + 1 :]
+    ]
+
+
+def reference_check_poincare(gen, mom) -> list[RuleReport]:
+    """The 45 rule reports of ``verify.check_poincare``, one Cartesian commutator each."""
+    return (
+        reference_check_lorentz(gen)
+        + reference_check_vector_rules(gen, mom)
+        + reference_check_translations(mom)
+    )
 
 
 def reference_sweep(bound: int) -> dict:

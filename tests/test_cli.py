@@ -18,6 +18,8 @@ from poincarerep.cli import (
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_RULE_FAILURE,
+    MAX_DIMENSION,
+    MAX_SWEEP_BOUND,
     CliError,
     main,
     parse_scalar,
@@ -72,11 +74,20 @@ class TestSpinParsing:
     def test_ok(self):
         spins = parse_spins("1,1,0,0")
         assert [s.twice for s in spins] == [1, 1, 0, 0]
+        assert 32 * 32 + 32 * 32 == MAX_DIMENSION  # the limit is inclusive
+        assert [s.twice for s in parse_spins("31,31,31,31")] == [31, 31, 31, 31]
 
     def test_errors(self):
-        for text in ("1,1,0", "1,1,0,x", "1,1,0,-2"):
+        for text in ("1,1,0", "1,1,0,x", "1,1,0,-2", "31,31,31,32"):
             with pytest.raises(CliError):
                 parse_spins(text)
+
+
+def _assert_sweep_bound_rejected(capsys, bound: str) -> None:
+    assert main(["verify", "--sweep", bound]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --sweep bound {bound} is too large")
+    assert err.count("\n") == 1
 
 
 class TestCommands:
@@ -252,14 +263,15 @@ class TestCommands:
         "99999999999999999999", "9223372036854775807", "9223372036854775806", "55108",
     ])
     def test_sweep_bound_past_quadruple_count_is_input_error(self, capsys, bound):
-        # The first two overflowed and the third exhausted memory inside
-        # itertools.product; 55108 is the least bound with 55109**4 > 2**63 - 1.
-        assert main(["verify", "--sweep", bound]) == EXIT_BAD_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --sweep bound {bound} is too large")
-        assert err.count("\n") == 1
+        # Bounds whose (N+1)**4 quadruples do not fit in 2**63 - 1: the first
+        # two once overflowed and the third exhausted memory inside
+        # itertools.product.  All are far above MAX_SWEEP_BOUND now.
+        _assert_sweep_bound_rejected(capsys, bound)
 
-    def test_largest_countable_sweep_bound_is_accepted(self, monkeypatch, tmp_path):
+    def test_sweep_bound_above_limit_is_input_error(self, capsys):
+        _assert_sweep_bound_rejected(capsys, str(MAX_SWEEP_BOUND + 1))
+
+    def test_largest_sweep_bound_is_accepted(self, monkeypatch, tmp_path):
         bounds = []
 
         def fake_sweep(bound):
@@ -268,8 +280,21 @@ class TestCommands:
 
         monkeypatch.setattr("poincarerep.cli.sweep", fake_sweep)
         out = tmp_path / "sweep.json"
-        assert main(["verify", "--sweep", "55107", "--out", str(out)]) == EXIT_OK
-        assert bounds == [55107]
+        assert main(["verify", "--sweep", str(MAX_SWEEP_BOUND), "--out", str(out)]) == EXIT_OK
+        assert bounds == [MAX_SWEEP_BOUND]
+
+    @pytest.mark.parametrize("command", ["gen", "equiv"])
+    def test_spins_above_dimension_limit_are_input_error(self, command, capsys, tmp_path):
+        # 201**2 + 200**2 = 80401; this bundle would take about 200 GB.
+        argv = [command, "--spins", "200,200,199,199"]
+        if command == "gen":
+            argv += ["--out", str(tmp_path / "b.json")]
+        assert main(argv) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --spins 200,200,199,199 give dimension 80401")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "b.json").exists()
+
 
     def test_equiv_case2(self, tmp_path):
         report_path = tmp_path / "equiv.json"

@@ -1,12 +1,14 @@
 """The matrix kernel against the entry-by-entry RadicalScalar oracles."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import entrywise, reference_anticommutator, reference_commutator, reference_matmul
+from poincarerep import matrix
 from poincarerep.matrix import Matrix, anticommutator, commutator
 from poincarerep.radical import ONE, ZERO, RadicalScalar
 
@@ -141,6 +143,20 @@ def test_operands_reused_across_kernel_calls(case, c):
         assert out == expected
         assert _canonical(out)
     assert [m, n] == copies
+
+
+@given(commutators_with_rhs(), st.lists(_factors, max_size=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_operands_are_not_packed_again(case, coefficients, data):
+    # Once m, n and every Z have their integer form, no scalar c needs one.
+    m, n, rhs = case
+    zs = [z for _, z in rhs] or [m]
+    commutator(m, n, [(1, z) for z in zs])
+    terms = [(c, data.draw(st.sampled_from(zs))) for c in coefficients]
+    with mock.patch.object(matrix, "_pack", wraps=matrix._pack) as pack:
+        out = commutator(m, n, terms)
+    assert pack.call_count == 0
+    assert out == reference_commutator(m, n, terms)
 
 
 @given(square_pairs(), scalars(), scalars())

@@ -7,15 +7,32 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import reference_sweep
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_check_poincare, reference_sweep
 
 from poincarerep import vectors, verify
-from poincarerep.generators import GeneratorSet, direct_sum, irrep_generators, spin
+from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
+from poincarerep.generators import (
+    SPIN_BASIS,
+    SPIN_BASIS_INVERSE,
+    GeneratorSet,
+    direct_sum,
+    irrep_generators,
+    spin,
+)
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar
 from poincarerep.spins import SpinPair
-from poincarerep.vectors import CaseTag, FreeParams, classify_case, closed_form_vectors
+from poincarerep.vectors import (
+    LIGHT_CONE,
+    LIGHT_CONE_INVERSE,
+    CaseTag,
+    FreeParams,
+    classify_case,
+    closed_form_vectors,
+)
 from poincarerep.verify import (
     SeriesDivergenceError,
     check_clifford,
@@ -154,6 +171,86 @@ class TestTranslationsAndCount:
             spin(1), spin(1), spin(0), spin(0), FreeParams(ZERO, ZERO)
         )
         assert all(r.holds for r in check_translations(v))
+
+
+def _product(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _unit(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("basis, inverse", [
+    (SPIN_BASIS, SPIN_BASIS_INVERSE), (LIGHT_CONE, LIGHT_CONE_INVERSE),
+])
+def test_basis_changes_have_exact_inverses(basis, inverse):
+    n = len(basis)
+    assert _product(basis, inverse) == _unit(n)
+    assert _product(inverse, basis) == _unit(n)
+
+
+_small_scalar = st.lists(
+    st.tuples(
+        st.sampled_from([1, 2, 3, 5, 6]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ),
+    min_size=2,
+    max_size=3,
+).map(RadicalScalar.from_terms)
+
+
+@st.composite
+def bundles(draw):
+    """(generators, vectors) of an admissible quadruple with doubled spins <= 6.
+
+    Any route and block choice, with multi-term parameters.
+    """
+    a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    c = draw(st.sampled_from([x for x in (a - 1, a + 1) if 0 <= x <= 6]))
+    d = draw(st.sampled_from([x for x in (b - 1, b + 1) if 0 <= x <= 6]))
+    spins = tuple(spin(t) for t in (a, b, c, d))
+    params = FreeParams(draw(_small_scalar), draw(_small_scalar))
+    vec = vectors_from_source(draw(st.sampled_from(SOURCES)), spins, params)
+    block = draw(st.sampled_from(BLOCKS))
+    if block != "both":
+        vec = momentum_from_vectors(vec, BlockChoice(block))
+    return direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:])), vec
+
+
+@st.composite
+def edits(draw, n):
+    """1-3 (matrix index among the ten, row, col, multi-term value) replacements."""
+    index = st.integers(0, n - 1)
+    return draw(st.lists(st.tuples(st.integers(0, 9), index, index, _small_scalar),
+                         min_size=1, max_size=3))
+
+
+def _edited(gen, vec, changes):
+    mats = list(gen.J + gen.K + vec.components())
+    for k, i, j, value in changes:
+        entries = {(r, c): v for r, c, v in mats[k].nonzero_items()}
+        entries[i, j] = value
+        mats[k] = Matrix.from_entries(mats[k].rows, mats[k].cols, entries)
+    edited_gen = replace(gen, J=tuple(mats[:3]), K=tuple(mats[3:6]))
+    edited_vec = replace(vec, **dict(zip(("Vx", "Vy", "Vz", "Vt"), mats[6:])))
+    return edited_gen, edited_vec
+
+
+class TestAgainstCartesianChecker:
+    """All 45 reports, first violations included, equal the per-rule Cartesian check's."""
+
+    @given(bundles(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_and_edited_bundles(self, bundle, data):
+        gen, vec = bundle
+        assert check_poincare(gen, vec) == reference_check_poincare(gen, vec)
+        # Checked in the new bases, which each set forms once and keeps.
+        assert "spin_basis" in vars(gen) and "light_cone" in vars(vec)
+        edited = _edited(gen, vec, data.draw(edits(gen.dimension)))
+        assert check_poincare(*edited) == reference_check_poincare(*edited)
 
 
 def _verdicts(reports):
