@@ -276,10 +276,10 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
                 raise ValueError(f"block {block!r} but the {which}-block of V is nonzero")
         elif zero != param.is_zero():
             raise ValueError(f"t{which} must be zero exactly when the {which}-block of V is")
-    generators = GeneratorSet(
-        spins=(pair1, pair2),
-        J=(mats["Jx"], mats["Jy"], mats["Jz"]),
-        K=(mats["Kx"], mats["Ky"], mats["Kz"]),
+    generators = GeneratorSet.from_cartesian(
+        (pair1, pair2),
+        (mats["Jx"], mats["Jy"], mats["Jz"]),
+        (mats["Kx"], mats["Ky"], mats["Kz"]),
     )
     return MatrixBundle(source=source, generators=generators, vectors=vectors)
 

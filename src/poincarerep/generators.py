@@ -1,4 +1,7 @@
-"""Rotation-group ladder matrices and Lorentz generators J_k, K_k.
+"""Rotation-group ladder matrices and Lorentz generators.
+
+A ``GeneratorSet`` stores the paper's two rotation ladders (A+, A-, Az,
+B+, B-, Bz); J = A + B and K = -i(A - B) are a view formed from them.
 
 Basis convention, fixed once for the whole package: within an irreducible
 block (A,B) the index pair (a, b) runs with a descending from +A to -A as
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .matrix import Matrix, block_diag, linear_combination
+from .matrix import Matrix, block_diag, change_basis, place
 from .radical import ZERO, RadicalScalar, gaussian_table, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair
 
@@ -72,55 +75,54 @@ SPIN_BASIS_INVERSE = gaussian_table(
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The six matrices (Jx, Jy, Jz) and (Kx, Ky, Kz) of a representation."""
+    """A representation's generators as (A+, A-, Az, B+, B-, Bz); J and K are a view."""
 
     spins: tuple[SpinPair, ...]
-    J: tuple[Matrix, Matrix, Matrix]
-    K: tuple[Matrix, Matrix, Matrix]
+    spin_basis: tuple[Matrix, ...]
+
+    @classmethod
+    def from_cartesian(cls, spins: tuple[SpinPair, ...], J: tuple, K: tuple) -> "GeneratorSet":
+        """The set with these J and K: its basis is formed once and they are kept as the view."""
+        gen = cls(spins, change_basis(SPIN_BASIS, J + K))
+        vars(gen)["cartesian"] = J + K
+        return gen
 
     @property
     def dimension(self) -> int:
-        return self.J[0].rows
+        return self.spin_basis[0].rows
 
     @cached_property
-    def spin_basis(self) -> tuple[Matrix, ...]:
-        """(A+, A-, Az, B+, B-, Bz), formed on first use and kept."""
-        G = self.J + self.K
-        return tuple(
-            linear_combination([(c, g) for c, g in zip(row, G) if c]) for row in SPIN_BASIS
-        )
+    def cartesian(self) -> tuple[Matrix, ...]:
+        """(Jx, Jy, Jz, Kx, Ky, Kz), formed on first use and kept."""
+        return change_basis(SPIN_BASIS_INVERSE, self.spin_basis)
+
+    @property
+    def J(self) -> tuple[Matrix, ...]:
+        return self.cartesian[:3]
+
+    @property
+    def K(self) -> tuple[Matrix, ...]:
+        return self.cartesian[3:]
 
 
 def irrep_generators(pair: SpinPair) -> GeneratorSet:
-    """Generators of the (A,B) Lorentz irrep: J_k = A_k + B_k, K_k = -i(A_k - B_k).
+    """Generators of the (A,B) irrep, placed from ``rotation_rep``.
 
-    Entries are placed one by one.  Column (a, b) has J_z = a + b and
-    K_z = -i(a - b) on the diagonal.  A ladder step moves a (side +1) or b
-    (side -1) up (step +1) or down (step -1); with c half its ladder
-    coefficient, its row gets J_x = c, J_y = -i*step*c, K_x = -i*side*c and
-    K_y = -step*side*c.  Each of these is c, -c, i*c or -i*c, so they are
-    read off c by negation and ``times_i`` rather than multiplied out.
+    A+-, Az are rotation_rep(A) on the outer index a, with stride mult(B),
+    and B+-, Bz are rotation_rep(B) on the inner index b.
     """
-    jx, jy, jz, kx, ky, kz = ({} for _ in range(6))
-    # Moving a by one skips a whole run of b indices; moving b, one position.
-    sides = ((1, pair.left, pair.right.multiplicity), (-1, pair.right, 1))
-    for col, (a, b) in enumerate(pair.basis()):
-        jz[col, col] = a.value + b.value
-        kz[col, col] = RadicalScalar.from_rational(b.value - a.value).times_i()
-        for (side, spin, stride), m in zip(sides, (a, b)):
-            for step, sigma in ((1, m), (-1, -m)):
-                c = ladder_coeff_r(spin, sigma) * Fraction(1, 2)
-                if c.is_zero():
-                    continue  # the ladder ends here
-                row = col - step * stride  # projections descend along the basis
-                neg = -c
-                ic, neg_ic = c.times_i(), neg.times_i()
-                jx[row, col] = c
-                jy[row, col] = neg_ic if step == 1 else ic
-                kx[row, col] = neg_ic if side == 1 else ic
-                ky[row, col] = neg if step == side else c
-    mats = [Matrix.from_entries(pair.dimension, pair.dimension, m) for m in (jx, jy, jz, kx, ky, kz)]
-    return GeneratorSet(spins=(pair,), J=tuple(mats[:3]), K=tuple(mats[3:]))
+    n, nb = pair.dimension, pair.right.multiplicity
+    outer = (
+        Matrix.from_entries(n, n, {
+            (i * nb + k, j * nb + k): v for i, j, v in m.nonzero_items() for k in range(nb)
+        })
+        for m in rotation_rep(pair.left)
+    )
+    inner = (
+        place(n, n, [(m, a * nb, a * nb) for a in range(pair.left.multiplicity)])
+        for m in rotation_rep(pair.right)
+    )
+    return GeneratorSet(spins=(pair,), spin_basis=(*outer, *inner))
 
 
 def direct_sum(p1: SpinPair, p2: SpinPair) -> GeneratorSet:
@@ -130,11 +132,8 @@ def direct_sum(p1: SpinPair, p2: SpinPair) -> GeneratorSet:
 
 def block_sum(g1: GeneratorSet, g2: GeneratorSet) -> GeneratorSet:
     """Block-diagonal generators of two representations, g1's block first."""
-    return GeneratorSet(
-        spins=g1.spins + g2.spins,
-        J=tuple(block_diag(a, b) for a, b in zip(g1.J, g2.J)),
-        K=tuple(block_diag(a, b) for a, b in zip(g1.K, g2.K)),
-    )
+    basis = tuple(block_diag(a, b) for a, b in zip(g1.spin_basis, g2.spin_basis))
+    return GeneratorSet(g1.spins + g2.spins, basis)
 
 
 def spin(twice: int) -> Spin:

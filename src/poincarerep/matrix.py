@@ -210,6 +210,11 @@ def linear_combination(terms: Sequence[tuple[RadicalScalar | RationalLike, Matri
     return _combine(first.rows, first.cols, multiples=[(1, c, z) for c, z in terms])
 
 
+def change_basis(table: Sequence[Sequence], mats: Sequence[Matrix]) -> tuple[Matrix, ...]:
+    """Row k of table as the sum of table[k][p] * mats[p] over p, for each row."""
+    return tuple(linear_combination([(c, m) for c, m in zip(row, mats) if c]) for row in table)
+
+
 # -- the kernel -----------------------------------------------------------------
 
 def _pack(rows: dict[int, dict[int, RadicalScalar]]) -> tuple[int, dict[int, list]]:

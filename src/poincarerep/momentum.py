@@ -40,11 +40,11 @@ def translation_combination(vec: VectorSet, x: tuple) -> Matrix:
 def noncommutativity_witness(vec: VectorSet) -> Matrix:
     """The 11-block of [P+, P-] with both off-diagonal blocks kept.
 
-    P+- = (P_x +- i P_y)/2.  For admissible spins with both parameters
-    nonzero this block is a nonzero diagonal matrix, which is why a true
-    momentum set must drop one block.
+    P+- = (P_x +- i P_y)/2 is half of the light-cone matrix V_x +- iV_y, so
+    [P+, P-] is a quarter of their commutator.  For admissible spins with
+    both parameters nonzero this block is a nonzero diagonal matrix, which
+    is why a true momentum set must drop one block.
     """
-    plus, minus = vec.plus_minus()
-    full = commutator(plus, minus)
+    plus, minus = vec.light_cone[:2]
     n1 = vec.block1_dim
-    return full.submatrix(0, n1, 0, n1)
+    return commutator(plus, minus).submatrix(0, n1, 0, n1).scale(Fraction(1, 4))

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .matrix import Matrix, linear_combination, place
+from .matrix import Matrix, change_basis, place
 from .radical import ZERO, RadicalScalar, RationalLike, _coerce, gaussian_table, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair, flatten_index
 from .generators import ladder_coeff_r
@@ -179,10 +179,7 @@ class VectorSet:
     @cached_property
     def light_cone(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         """(V_x + iV_y, V_x - iV_y, V_t + V_z, V_t - V_z), formed on first use and kept."""
-        V = self.components()
-        return tuple(
-            linear_combination([(c, v) for c, v in zip(row, V) if c]) for row in LIGHT_CONE
-        )
+        return change_basis(LIGHT_CONE, self.components())
 
     def block(self, which: str) -> Block:
         """The (x, y, z, t) components of the "12" or "21" block, as from_blocks takes them."""
@@ -194,13 +191,6 @@ class VectorSet:
         else:
             raise ValueError("block must be '12' or '21'")
         return tuple(mat.submatrix(*bounds) for mat in self.components())
-
-    def plus_minus(self) -> tuple[Matrix, Matrix]:
-        """V+ = (Vx + iVy)/2 and V- = (Vx - iVy)/2."""
-        half, half_i = Fraction(1, 2), RadicalScalar.from_parts(0, Fraction(1, 2))
-        plus = linear_combination([(half, self.Vx), (half_i, self.Vy)])
-        minus = linear_combination([(half, self.Vx), (-half_i, self.Vy)])
-        return plus, minus
 
 
 def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:

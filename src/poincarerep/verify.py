@@ -13,8 +13,10 @@ is restated by bilinearity: one ``commutator`` call per new-basis pair,
 Cartesian residual as an exact combination of those 45 residuals.  A rule
 holds when every residual in its combination is zero; otherwise its
 residual is formed in one kernel call, the same exact matrix as
-[X, Y] - rhs, so its first nonzero entry is the same.  The new-basis
-matrices are formed once per ``GeneratorSet`` and ``VectorSet``.
+[X, Y] - rhs, so its first nonzero entry is the same.  A
+``GeneratorSet`` holds its spin basis, placed directly or, for a loaded
+bundle, formed once from J and K; a ``VectorSet`` forms its light-cone
+matrices once and keeps them.
 
 Rule identifiers: "JJ.xy" means [J_x, J_y] against its right-hand side,
 "KV.zt" means [K_z, V_t], "PP.xt" means [P_x, P_t], and so on.  The axis

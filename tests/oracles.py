@@ -241,15 +241,17 @@ def vector_rule_nullspace_dim(gen, tol: float = 1e-8) -> int:
 
     Stacks the rules as one linear system on the row-major vectorization of
     the four unknown matrices (Vx, Vy, Vz, Vt) and counts near-zero
-    eigenvalues of its Gram matrix.
+    eigenvalues of its Gram matrix.  A rule is a row of blocks, one per
+    unknown, and contributes B_a^H B_b to block (a, b) of the Gram matrix.
+    Each rule has at most two nonzero blocks, an ad(G) and a multiple c * I
+    of the identity, so only their products are added, and only ad(G)^H
+    ad(G) takes a matrix product.
     """
     n = gen.dimension
     J = [m.to_numpy() for m in gen.J]
     K = [m.to_numpy() for m in gen.K]
     eye_n = np.eye(n, dtype=complex)
     m2 = n * n
-    eye_v = np.eye(m2, dtype=complex)
-    zero = np.zeros((m2, m2), dtype=complex)
 
     def ad(g: np.ndarray) -> np.ndarray:
         # row-major vec: vec(G V - V G) = (kron(G, I) - kron(I, G^T)) vec(V)
@@ -260,30 +262,26 @@ def vector_rule_nullspace_dim(gen, tol: float = 1e-8) -> int:
 
     gram = np.zeros((4 * m2, 4 * m2), dtype=complex)
 
-    def add_rule(blocks):
-        stacked = np.hstack(blocks)
-        nonlocal gram
-        gram += stacked.conj().T @ stacked
+    def block(a: int, b: int) -> np.ndarray:
+        return gram[a * m2:(a + 1) * m2, b * m2:(b + 1) * m2]
+
+    def add_rule(j: int, ad_g: np.ndarray, *multiple: tuple[int, complex]):
+        """The rule ad_g on unknown j, plus c * I on unknown k if multiple is (k, c)."""
+        block(j, j)[...] += ad_g.conj().T @ ad_g
+        for k, c in multiple:
+            block(j, k)[...] += c * ad_g.conj().T
+            block(k, j)[...] += np.conj(c) * ad_g
+            block(k, k)[np.diag_indices(m2)] += abs(c) ** 2
 
     for i in range(3):
         for j in range(3):
-            blocks = [zero, zero, zero, zero]
-            blocks[j] = ad_j[i]
-            for k in range(3):
-                if _EPS[i, j, k]:
-                    blocks[k] = blocks[k] - 1j * _EPS[i, j, k] * eye_v
-            add_rule(blocks)
-        add_rule([zero, zero, zero, ad_j[i]])  # [J_i, V_t] = 0
+            # [J_i, V_j] - i eps_ijk V_k = 0
+            add_rule(j, ad_j[i], *[(k, -1j * _EPS[i, j, k]) for k in range(3) if _EPS[i, j, k]])
+        add_rule(3, ad_j[i])  # [J_i, V_t] = 0
     for i in range(3):
         for j in range(3):
-            blocks = [zero, zero, zero, zero]
-            blocks[j] = ad_k[i]
-            if i == j:
-                blocks[3] = 1j * eye_v  # [K_i, V_i] + i V_t = 0
-            add_rule(blocks)
-        blocks = [zero, zero, zero, ad_k[i]]
-        blocks[i] = 1j * eye_v  # [K_i, V_t] + i V_i = 0
-        add_rule(blocks)
+            add_rule(j, ad_k[i], *([(3, 1j)] if i == j else []))  # [K_i, V_i] + i V_t = 0
+        add_rule(3, ad_k[i], (i, 1j))  # [K_i, V_t] + i V_i = 0
 
     eigenvalues = np.linalg.eigvalsh(gram)
     top = max(float(eigenvalues[-1]), 1.0)

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincarerep import cli, matrix
+from poincarerep.bundle import load_bundle
 from poincarerep.cli import (
     EXIT_BAD_INPUT,
     EXIT_NO_SOLUTION,
@@ -356,6 +358,24 @@ class TestCommands:
                 "export", "--in", str(src), "--format", "exact-json", "--out", str(dup)
             ]) == EXIT_OK
             assert dup.read_bytes() == canonical
+
+    def test_export_of_a_loaded_bundle_runs_no_kernel_call(self, tmp_path, monkeypatch):
+        # The loader forms the spin basis and keeps the J and K it read as
+        # their Cartesian view, so writing them back forms no matrix.
+        src, dup = tmp_path / "p.json", tmp_path / "dup.json"
+        argv = ["gen", "--spins", "2,1,1,2", "--block", "keep12", "--out", str(src)]
+        assert main(argv) == EXIT_OK
+        bundle = load_bundle(str(src))
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("matrix._combine was called")
+
+        monkeypatch.setattr(matrix, "_combine", no_kernel)
+        monkeypatch.setattr(cli, "load_bundle", lambda path: bundle)
+        assert main([
+            "export", "--in", str(src), "--format", "exact-json", "--out", str(dup)
+        ]) == EXIT_OK
+        assert dup.read_bytes() == src.read_bytes()
 
     @pytest.mark.parametrize("change, message", [
         ({"d": True}, "a radicand must be a JSON integer"),

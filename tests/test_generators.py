@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 from poincarerep.generators import (
+    GeneratorSet,
     direct_sum,
     irrep_generators,
     ladder_coeff_r,
@@ -141,3 +142,18 @@ class TestDirectSum:
             assert total.submatrix(n1, n, n1, n) == bottom
             assert total.submatrix(0, n1, n1, n).is_zero()
             assert total.submatrix(n1, n, 0, n1).is_zero()
+
+
+class TestFromCartesian:
+    """The spin basis formed from J and K is the one placed from the ladders."""
+
+    def test_irreps(self):
+        for ta, tb in itertools.product(range(7), repeat=2):
+            g = irrep_generators(SpinPair(spin(ta), spin(tb)))
+            assert GeneratorSet.from_cartesian(g.spins, g.J, g.K).spin_basis == g.spin_basis
+
+    def test_direct_sums(self):
+        pairs = [SpinPair(spin(ta), spin(tb)) for ta, tb in itertools.product(range(4), repeat=2)]
+        for p1, p2 in itertools.product(pairs, repeat=2):
+            g = direct_sum(p1, p2)
+            assert GeneratorSet.from_cartesian(g.spins, g.J, g.K).spin_basis == g.spin_basis

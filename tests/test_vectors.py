@@ -99,7 +99,7 @@ class TestClosedForm:
     def test_case1_vector_rep_plus_entry(self):
         # (1/2,1/2)+(0,0): V+ has a single 12-entry 1 at row (1/2,1/2), col (0,0)
         v = closed_form_vectors(spin(1), spin(1), spin(0), spin(0), UNIT)
-        plus, _ = v.plus_minus()
+        plus = v.light_cone[0].scale(Fraction(1, 2))
         assert plus.get(0, 4) == ONE
         assert plus.submatrix(0, 4, 4, 5).nnz() == 1
 
@@ -107,7 +107,7 @@ class TestClosedForm:
         # (1,1/2)+(1/2,0): V+ at rows (a,b)=(0,1/2), cols (c,d)=(-1/2,0) is sqrt(2)/2
         A, B, C, D = spin(2), spin(1), spin(1), spin(0)
         v = closed_form_vectors(A, B, C, D, UNIT)
-        plus, _ = v.plus_minus()
+        plus = v.light_cone[0].scale(Fraction(1, 2))
         row = flatten_index(SpinPair(A, B), HalfInt(0), HalfInt(1))
         col = v.block1_dim + flatten_index(SpinPair(C, D), HalfInt(-1), HalfInt(0))
         assert plus.get(row, col) == sqrt_of_rational(Fraction(1, 2))
@@ -135,7 +135,7 @@ class TestClosedForm:
         for q in admissible(3):
             v = closed_form_vectors(*q, UNIT)
             n1, n = v.block1_dim, v.dimension
-            plus, _ = v.plus_minus()
+            plus = v.light_cone[0].scale(Fraction(1, 2))
             for mat in v.components():
                 assert mat.submatrix(0, n1, 0, n1).is_zero()
                 assert mat.submatrix(n1, n, n1, n).is_zero()

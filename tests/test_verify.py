@@ -98,10 +98,8 @@ class TestLorentzChecks:
     def test_transposed_boost_caught(self):
         g = irrep_generators(SpinPair(spin(1), spin(1)))
         # adjoint of the anti-Hermitian K_x is -K_x: a genuine sign fault
-        broken = GeneratorSet(
-            spins=g.spins,
-            J=g.J,
-            K=(g.K[0].conjugate_transpose(), g.K[1], g.K[2]),
+        broken = GeneratorSet.from_cartesian(
+            g.spins, g.J, (g.K[0].conjugate_transpose(), g.K[1], g.K[2])
         )
         reports = check_lorentz(broken)
         failing = [r.rule_id for r in reports if not r.holds]
@@ -110,7 +108,7 @@ class TestLorentzChecks:
 
     def test_report_carries_residual_location(self):
         g = irrep_generators(SpinPair(spin(1), spin(0)))
-        broken = GeneratorSet(spins=g.spins, J=g.J, K=(g.K[0].scale(2), g.K[1], g.K[2]))
+        broken = GeneratorSet.from_cartesian(g.spins, g.J, (g.K[0].scale(2), g.K[1], g.K[2]))
         bad = [r for r in check_lorentz(broken) if not r.holds]
         assert bad and all(r.first_violation is not None for r in bad)
         row, col, residual = bad[0].first_violation
@@ -234,7 +232,7 @@ def _edited(gen, vec, changes):
         entries = {(r, c): v for r, c, v in mats[k].nonzero_items()}
         entries[i, j] = value
         mats[k] = Matrix.from_entries(mats[k].rows, mats[k].cols, entries)
-    edited_gen = replace(gen, J=tuple(mats[:3]), K=tuple(mats[3:6]))
+    edited_gen = GeneratorSet.from_cartesian(gen.spins, tuple(mats[:3]), tuple(mats[3:6]))
     edited_vec = replace(vec, **dict(zip(("Vx", "Vy", "Vz", "Vt"), mats[6:])))
     return edited_gen, edited_vec
 
