@@ -258,13 +258,10 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
         raise ValueError(f"block must be one of {', '.join(BLOCKS)}, not {block!r}")
     if source not in SOURCES:
         raise ValueError(f"source must be one of {', '.join(SOURCES)}, not {source!r}")
-    vectors = VectorSet(
-        spins=(pair1, pair2),
-        params=params,
-        Vx=mats["Vx"],
-        Vy=mats["Vy"],
-        Vz=mats["Vz"],
-        Vt=mats["Vt"],
+    vectors = VectorSet.from_cartesian(
+        (pair1, pair2),
+        params,
+        (mats["Vx"], mats["Vy"], mats["Vz"], mats["Vt"]),
         kept_block=None if block == "both" else block.removeprefix("keep"),
     )
     if data["caseTag"] != vectors.case.value:

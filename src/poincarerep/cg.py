@@ -20,13 +20,16 @@ b-d = dq/2 has the entries
     lam12 * <1/2 dp/2, C c|A a> <1/2 -dq/2, B b|D d>,
 
 negated on (dp, dq) = (-1, +1); the families are V+, V-, (V_z + V_t)/2
-and (V_z - V_t)/2, and ``vectors.pattern_block`` combines them;
+and (V_z - V_t)/2, ``vectors.pattern_block`` places them, and
 ``vectors._block_pair`` builds the 21-block from the same formula.  The
 signs are those of the 12-block of the spin (1/2,0)+(0,1/2) vector
 matrices in this package's basis and metric convention; relative to the
 usual contravariant tabulation this flips the sign of the t component.
 Coupling selection rules enforce A = C +/- 1/2, B = D +/- 1/2, so
 inadmissible spins yield identically zero blocks.
+
+``equivalence_ratio`` compares two vector sets on their family blocks; it
+forms Cartesian entries only to fit the ratio and to report a mismatch.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .generators import ladder_coeff_r, ladder_coeff_s
+from .matrix import Matrix, change_basis, linear_combination
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair
-from .vectors import Block, FreeParams, VectorSet, _block_pair, pattern_block
+from .vectors import FAMILY_INVERSE, Block, FreeParams, VectorSet, _block_pair, pattern_block
 
 
 def _as_rational(value: RadicalScalar) -> Fraction:
@@ -119,7 +123,7 @@ _HALF = Spin(1)
 
 
 def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Block:
-    """The (x, y, z, t) coupling block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
+    """The families of the coupling block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
 
     The family (dp, dq) entry is lam * <1/2 dp/2, R r|P p> <1/2 -dq/2, Q q|S s>,
     negated on (-1, +1).
@@ -171,42 +175,45 @@ class RatioMismatch:
     candidate: RadicalScalar
 
 
+def _cartesian(block: Block, k: int) -> Matrix:
+    """Component k of (V_x, V_y, V_z, V_t) of a block given by its families."""
+    return change_basis(FAMILY_INVERSE[k : k + 1], block)[0]
+
+
+def _fit(reference: Block, candidate: Block) -> RadicalScalar:
+    """reference / candidate at the candidate's first single-term entry: V_x ... V_t, row-major."""
+    if all(fam.is_zero() for fam in candidate):
+        return ONE
+    for k in range(4):
+        for row, col, val in _cartesian(candidate, k).nonzero_items():
+            if len(val.terms) == 1:
+                return _cartesian(reference, k).get(row, col) / val
+    raise ValueError("cannot fit a ratio: candidate block has no single-term entries")
+
+
 def equivalence_ratio(
     reference: VectorSet, candidate: VectorSet
 ) -> "RatioFit | RatioMismatch":
     """Fit one constant per off-diagonal block or report the first mismatch.
 
-    An all-zero candidate block fits with ratio 1, so it matches only an
-    all-zero reference block.
+    The residual reference - ratio * candidate is formed on the families.
+    When it is nonzero, the mismatch is its first nonzero Cartesian entry,
+    in the order V_x, V_y, V_z, V_t.  An all-zero candidate block fits with
+    ratio 1, so it matches only an all-zero reference block.
     """
     if reference.spins != candidate.spins:
         raise ValueError("vector sets live on different representations")
     ratios = {}
     for which in ("12", "21"):
-        pairs = list(zip("xyzt", reference.block(which), candidate.block(which)))
-        ratio = None
-        saw_nonzero = False
-        for mu, ref, cand in pairs:
-            for row, col, val in cand.nonzero_items():
-                saw_nonzero = True
-                if len(val.terms) == 1:
-                    ratio = ref.get(row, col) / val
-                    break
-            if ratio is not None:
-                break
-        if ratio is None:
-            if saw_nonzero:
-                raise ValueError(
-                    "cannot fit a ratio: candidate block has no single-term entries"
-                )
-            ratio = ONE
-        for mu, ref, cand in pairs:
-            residual = ref - cand.scale(ratio)
-            bad = residual.first_nonzero()
-            if bad is not None:
-                row, col, _ = bad
-                return RatioMismatch(
-                    which, mu, row, col, ref.get(row, col), cand.get(row, col)
-                )
+        ref, cand = reference.block(which), candidate.block(which)
+        ratio = _fit(ref, cand)
+        residuals = tuple(linear_combination([(ONE, r), (-ratio, c)]) for r, c in zip(ref, cand))
+        if not all(res.is_zero() for res in residuals):
+            for k, mu in enumerate("xyzt"):
+                bad = _cartesian(residuals, k).first_nonzero()
+                if bad is not None:
+                    row, col, _ = bad
+                    ref_mu, cand_mu = (_cartesian(b, k).get(row, col) for b in (ref, cand))
+                    return RatioMismatch(which, mu, row, col, ref_mu, cand_mu)
         ratios[which] = ratio
     return RatioFit(ratio12=ratios["12"], ratio21=ratios["21"])

@@ -1,5 +1,9 @@
 """Vector matrices V_mu for two-block representations (A,B) + (C,D).
 
+A ``VectorSet`` stores the paper's four families of each off-diagonal
+block: V+- = (V_x +- iV_y)/2 and F+- = (V_z +- V_t)/2.  The Cartesian
+V_x, V_y, V_z, V_t are a view formed from them through ``FAMILY_INVERSE``.
+
 Two independent construction routes are provided and must agree exactly:
 
 * ``closed_form_vectors`` gives each family entry as t times a factor of
@@ -11,7 +15,7 @@ Two independent construction routes are provided and must agree exactly:
 * ``recursion_solve`` + ``vectors_from_coefficients`` re-derives the same
   matrices by anchoring the two free parameters at the extreme index of
   each off-diagonal block and stepping the ladder recursions across the
-  index lattice, then assembling V_z and V_t from commutators with the
+  index lattice, then assembling F+ and F- from commutators with the
   ladder coefficients.
 
 Both routes, like the Clebsch-Gordan route in ``cg``, supply only the
@@ -74,77 +78,71 @@ class FreeParams:
         return cls(_coerce(t12), _coerce(t21))
 
 
-# The (x, y, z, t) components of one off-diagonal block.
+# The four families of one off-diagonal block, in FAMILIES order.
 Block = tuple[Matrix, Matrix, Matrix, Matrix]
 
 # The delta patterns (2(p-r), 2(q-s)) of a block's four families: V+ and V-,
 # then F+ = (V_z + V_t)/2 and F- = (V_z - V_t)/2.
 FAMILIES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
+# The families (V+, V-, F+, F-) of the components V = (V_x, V_y, V_z, V_t),
+# with V+- = (V_x +- iV_y)/2 and F+- = (V_z +- V_t)/2.  Row k of FAMILY
+# gives family k as a sum over V, and row mu of FAMILY_INVERSE gives V_mu
+# back: V_x = V+ + V-, V_y = -i(V+ - V-), V_z = F+ + F-, V_t = F+ - F-.
+FAMILY = gaussian_table([[1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]], 2)
+FAMILY_INVERSE = gaussian_table([[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]])
+
 
 def pattern_block(
     P: Spin, Q: Spin, R: Spin, S: Spin,
     coeff: Callable[[int, int, HalfInt, HalfInt], RadicalScalar],
 ) -> Block:
-    """The block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
+    """The families of the block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
 
     coeff(dp, dq, p, q) is the entry of family (dp, dq) at row (p, q) and
     column (p - dp/2, q - dq/2); it is asked only where that column exists.
-    The families combine as V_x = V+ + V-, V_y = -i(V+ - V-), V_z = F+ + F-
-    and V_t = F+ - F-.  Every route builds its blocks here.
+    Every route builds its blocks here.
     """
     rows, cols = SpinPair(P, Q), SpinPair(R, S)
-    x, y, z, t = ({} for _ in range(4))
+    families = tuple({} for _ in FAMILIES)
     for i, (p, q) in enumerate(rows.basis()):
-        for dp, dq in FAMILIES:
+        for entries, (dp, dq) in zip(families, FAMILIES):
             try:
                 j = flatten_index(cols, HalfInt(p.twice - dp), HalfInt(q.twice - dq))
             except ValueError:
                 continue  # no such column
-            value = coeff(dp, dq, p, q)
-            if dp == dq:
-                x[i, j] = value
-                y[i, j] = (value if dp < 0 else -value).times_i()
-            else:
-                z[i, j] = value
-                t[i, j] = value if dp > 0 else -value
-    return tuple(Matrix.from_entries(rows.dimension, cols.dimension, m) for m in (x, y, z, t))
-
-
-# The light-cone basis (V_x + iV_y, V_x - iV_y, V_t + V_z, V_t - V_z) of the
-# components V = (V_x, V_y, V_z, V_t): twice the families V+, V-, F+ and
-# -F- of ``pattern_block``.  Row m of LIGHT_CONE gives the m-th matrix as a
-# sum over V, and row mu of LIGHT_CONE_INVERSE gives V_mu back.
-LIGHT_CONE = gaussian_table([[1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, 1, 1], [0, 0, -1, 1]])
-LIGHT_CONE_INVERSE = gaussian_table(
-    [[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]], 2
-)
+            entries[i, j] = coeff(dp, dq, p, q)
+    return tuple(Matrix.from_entries(rows.dimension, cols.dimension, m) for m in families)
 
 
 @dataclass(frozen=True)
 class VectorSet:
-    """Four vector matrices with their construction metadata.
+    """Vector matrices as the families (V+, V-, F+, F-), with their construction metadata.
 
+    The Cartesian V_x, V_y, V_z, V_t are a view formed from the families.
     ``kept_block`` is None for a full vector set; momentum sets produced by
     zeroing one block carry "12" or "21" so callers cannot confuse the two.
     """
 
     spins: tuple[SpinPair, SpinPair]
     params: FreeParams
-    Vx: Matrix
-    Vy: Matrix
-    Vz: Matrix
-    Vt: Matrix
+    families: tuple[Matrix, Matrix, Matrix, Matrix]
     kept_block: str | None = None
 
     @classmethod
+    def from_cartesian(
+        cls, spins: tuple[SpinPair, SpinPair], params: FreeParams,
+        V: tuple[Matrix, ...], kept_block: str | None = None,
+    ) -> "VectorSet":
+        """The set with these V: its families are formed once and V is kept as the view."""
+        vec = cls(spins, params, change_basis(FAMILY, V), kept_block)
+        vars(vec)["cartesian"] = tuple(V)
+        return vec
+
+    @classmethod
     def from_blocks(
-        cls,
-        spins: tuple[SpinPair, SpinPair],
-        params: FreeParams,
-        b12: Block | None,
-        b21: Block | None,
-        kept_block: str | None = None,
+        cls, spins: tuple[SpinPair, SpinPair], params: FreeParams,
+        b12: Block | None, b21: Block | None, kept_block: str | None = None,
     ) -> "VectorSet":
         """Place the 12-block at (0, n1) and the 21-block at (n1, 0); None is zero.
 
@@ -154,8 +152,8 @@ class VectorSet:
         n1 = spins[0].dimension
         n = n1 + spins[1].dimension
         placed = [(block, r0, c0) for block, r0, c0 in ((b12, 0, n1), (b21, n1, 0)) if block]
-        comps = (place(n, n, [(block[k], r0, c0) for block, r0, c0 in placed]) for k in range(4))
-        return cls(spins, params, *comps, kept_block=kept_block)
+        families = (place(n, n, [(block[k], r0, c0) for block, r0, c0 in placed]) for k in range(4))
+        return cls(spins, params, tuple(families), kept_block=kept_block)
 
     @property
     def case(self) -> CaseTag:
@@ -164,25 +162,25 @@ class VectorSet:
 
     @property
     def dimension(self) -> int:
-        return self.Vx.rows
+        return self.families[0].rows
 
     @property
     def block1_dim(self) -> int:
         return self.spins[0].dimension
 
+    @cached_property
+    def cartesian(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+        """(V_x, V_y, V_z, V_t), formed on first use and kept."""
+        return change_basis(FAMILY_INVERSE, self.families)
+
     def components(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-        return (self.Vx, self.Vy, self.Vz, self.Vt)
+        return self.cartesian
 
     def component(self, mu: str) -> Matrix:
-        return {"x": self.Vx, "y": self.Vy, "z": self.Vz, "t": self.Vt}[mu]
-
-    @cached_property
-    def light_cone(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-        """(V_x + iV_y, V_x - iV_y, V_t + V_z, V_t - V_z), formed on first use and kept."""
-        return change_basis(LIGHT_CONE, self.components())
+        return self.cartesian[("x", "y", "z", "t").index(mu)]
 
     def block(self, which: str) -> Block:
-        """The (x, y, z, t) components of the "12" or "21" block, as from_blocks takes them."""
+        """The families of the "12" or "21" block, as from_blocks takes them."""
         n1, n = self.block1_dim, self.dimension
         if which == "12":
             bounds = (0, n1, n1, n)
@@ -190,7 +188,7 @@ class VectorSet:
             bounds = (n1, n, 0, n1)
         else:
             raise ValueError("block must be '12' or '21'")
-        return tuple(mat.submatrix(*bounds) for mat in self.components())
+        return tuple(mat.submatrix(*bounds) for mat in self.families)
 
 
 def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:
@@ -260,7 +258,7 @@ def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> 
 def closed_form_vectors(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> VectorSet:
-    """Assemble V_x, V_y, V_z, V_t from the one-spin factors of each block."""
+    """Assemble the four families from the one-spin factors of each block."""
     return VectorSet.from_blocks(
         (SpinPair(A, B), SpinPair(C, D)),
         params,
@@ -350,12 +348,11 @@ def _place_block(
 
 
 def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:
-    """Place t/u coefficients on their delta patterns and derive V_z, V_t.
+    """Place t/u coefficients on their delta patterns and derive F+, F-.
 
-    V_z and V_t come from commutators of the ladder matrices with V-:
-    on the pattern a-c = -(b-d) = +1/2 both equal
-    r^A_(a-1) u12_(a-1,b) - r^C_c u12_(a,b), and on the mirrored pattern
-    they differ by a sign.
+    F+ and F- come from commutators of the ladder matrices with V-: on the
+    pattern a-c = -(b-d) = +1/2, F+ is r^A_(a-1) u12_(a-1,b) - r^C_c u12_(a,b),
+    and F- on the mirrored pattern likewise.
     """
     pair1, pair2 = coeffs.spins
     return VectorSet.from_blocks(

@@ -4,19 +4,19 @@ Each rule is stated once, on the Cartesian matrices, as [X, Y] = rhs with
 rhs a sum of exact scalar multiples c * Z of the generators or vector
 components.  They are checked in the paper's bases: the generators as
 (A+, A-, Az, B+, B-, Bz), with A = (J + iK)/2, B = (J - iK)/2 and
-X+- = X_x +- i X_y, and the vector components as
-(V_x + iV_y, V_x - iV_y, V_t + V_z, V_t - V_z), where each matrix holds
-one ladder step or one family of V and so is sparse.  Both basis changes
-are constant matrices with exact inverses, so at import every rule family
-is restated by bilinearity: one ``commutator`` call per new-basis pair,
-45 in all, each against a right-hand side of at most one term, and each
-Cartesian residual as an exact combination of those 45 residuals.  A rule
-holds when every residual in its combination is zero; otherwise its
-residual is formed in one kernel call, the same exact matrix as
-[X, Y] - rhs, so its first nonzero entry is the same.  A
-``GeneratorSet`` holds its spin basis, placed directly or, for a loaded
-bundle, formed once from J and K; a ``VectorSet`` forms its light-cone
-matrices once and keeps them.
+X+- = X_x +- i X_y, and the vector components as the families
+(V+, V-, F+, F-), with V+- = (V_x +- iV_y)/2 and F+- = (V_z +- V_t)/2,
+where each matrix holds one ladder step or one family of V and so is
+sparse.  Both basis changes are constant matrices with exact inverses, so
+at import every rule family is restated by bilinearity: one ``commutator``
+call per new-basis pair, 45 in all, each against a right-hand side of at
+most one term, and each Cartesian residual as an exact combination of
+those 45 residuals.  A rule holds when every residual in its combination
+is zero; otherwise its residual is formed in one kernel call, the same
+exact matrix as [X, Y] - rhs, so its first nonzero entry is the same.  A
+``GeneratorSet`` holds its spin basis and a ``VectorSet`` its families,
+each placed directly or, for a loaded bundle, formed once from the
+Cartesian matrices it read.
 
 Rule identifiers: "JJ.xy" means [J_x, J_y] against its right-hand side,
 "KV.zt" means [K_z, V_t], "PP.xt" means [P_x, P_t], and so on.  The axis
@@ -46,8 +46,8 @@ from .momentum import BlockChoice, momentum_from_vectors
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar
 from .spins import Spin, SpinPair
 from .vectors import (
-    LIGHT_CONE,
-    LIGHT_CONE_INVERSE,
+    FAMILY,
+    FAMILY_INVERSE,
     CaseTag,
     FreeParams,
     NoSolutionError,
@@ -213,10 +213,10 @@ def _sparse(table: tuple) -> list:
 
 
 _SPIN = (SPIN_BASIS, SPIN_BASIS_INVERSE)
-_LIGHT_CONE = (LIGHT_CONE, LIGHT_CONE_INVERSE)
+_FAMILY = (FAMILY, FAMILY_INVERSE)
 _LORENTZ = _family(_lorentz_rules(), _SPIN, _SPIN)
-_VECTOR = _family(_vector_rules(), _SPIN, _LIGHT_CONE)
-_TRANSLATIONS = _family(_translation_rules(), _LIGHT_CONE, _LIGHT_CONE)
+_VECTOR = _family(_vector_rules(), _SPIN, _FAMILY)
+_TRANSLATIONS = _family(_translation_rules(), _FAMILY, _FAMILY)
 
 
 def _check(family: _Family, left: tuple[Matrix, ...], right: tuple[Matrix, ...]) -> list[RuleReport]:
@@ -242,12 +242,12 @@ def check_vector_rules(gen: GeneratorSet, vec: VectorSet) -> list[RuleReport]:
     """The 24 rules linear in the vector components."""
     if gen.dimension != vec.dimension:
         raise ValueError("generator and vector dimensions differ")
-    return _check(_VECTOR, gen.spin_basis, vec.light_cone)
+    return _check(_VECTOR, gen.spin_basis, vec.families)
 
 
 def check_translations(mom: VectorSet) -> list[RuleReport]:
     """The 6 pairwise momentum commutators."""
-    return _check(_TRANSLATIONS, mom.light_cone, mom.light_cone)
+    return _check(_TRANSLATIONS, mom.families, mom.families)
 
 
 def check_poincare(gen: GeneratorSet, mom: VectorSet) -> list[RuleReport]:
@@ -304,15 +304,13 @@ def sweep(bound: int) -> dict:
         """
         vecs = {source: vectors_from_source(source, spins, one) for source in SOURCES}
         closed = vecs["closed-form"]
-        recursion = any(
-            vecs["recursion"].component(mu) != closed.component(mu) for mu in COMPONENTS
-        )
+        recursion = vecs["recursion"].families != closed.families
         cg = not isinstance(equivalence_ratio(closed, vecs["clebsch-gordan"]), RatioFit)
         by_source = {}
         for source in ("closed-form", "clebsch-gordan"):
             vec = vecs[source]
             moms = [momentum_from_vectors(vec, choice) for choice in BlockChoice]
-            halves = zip(*(mom.components() for mom in moms), vec.components())
+            halves = zip(*(mom.families for mom in moms), vec.families)
             split = any(p12 + p21 != v for p12, p21, v in halves)
             keep12, keep21 = (
                 (check_vector_rules(gen, mom), check_translations(mom)) for mom in moms

@@ -9,7 +9,9 @@ radicand where RadicalScalar keeps integers over one denominator.  ``reference_s
 quadruple of the sweep from scratch, with no verdict replayed from its
 swapped partner.  ``reference_check_poincare`` checks each of the 45 rules
 by one commutator of the Cartesian matrices J_x ... K_z and V_x ... V_t,
-where the library checks them in the spin and light-cone bases.
+where the library checks them in the spin and family bases.
+``reference_equivalence_ratio`` fits and compares the Cartesian blocks,
+where the library compares family blocks.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from poincarerep.bundle import SOURCES, vectors_from_source
-from poincarerep.cg import RatioFit, equivalence_ratio
+from poincarerep.cg import RatioFit, RatioMismatch
 from poincarerep.generators import block_sum, irrep_generators
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
@@ -428,7 +430,7 @@ def reference_sweep(bound: int) -> dict:
         closed = vecs["closed-form"]
         if any(vecs["recursion"].component(mu) != closed.component(mu) for mu in COMPONENTS):
             failures.append(f"{label}:recursion-mismatch")
-        if not isinstance(equivalence_ratio(closed, vecs["clebsch-gordan"]), RatioFit):
+        if not isinstance(reference_equivalence_ratio(closed, vecs["clebsch-gordan"]), RatioFit):
             failures.append(f"{label}:cg-not-proportional")
         for source in ("closed-form", "clebsch-gordan"):
             vec = vecs[source]
@@ -449,3 +451,44 @@ def reference_sweep(bound: int) -> dict:
         "failures": failures,
         "allHold": not failures,
     }
+
+
+def reference_equivalence_ratio(reference, candidate):
+    """``cg.equivalence_ratio`` on the Cartesian components, one block at a time.
+
+    The ratio is reference / candidate at the candidate's first single-term
+    entry, in the order V_x, V_y, V_z, V_t, each row-major; the mismatch is
+    the first nonzero entry of reference - ratio * candidate in that order.
+    """
+    if reference.spins != candidate.spins:
+        raise ValueError("vector sets live on different representations")
+    n1, n = reference.block1_dim, reference.dimension
+    ratios = {}
+    for which, bounds in (("12", (0, n1, n1, n)), ("21", (n1, n, 0, n1))):
+        pairs = [
+            (mu, *(vec.component(mu).submatrix(*bounds) for vec in (reference, candidate)))
+            for mu in COMPONENTS
+        ]
+        ratio = None
+        saw_nonzero = False
+        for mu, ref, cand in pairs:
+            for row, col, val in cand.nonzero_items():
+                saw_nonzero = True
+                if len(val.terms) == 1:
+                    ratio = ref.get(row, col) / val
+                    break
+            if ratio is not None:
+                break
+        if ratio is None:
+            if saw_nonzero:
+                raise ValueError(
+                    "cannot fit a ratio: candidate block has no single-term entries"
+                )
+            ratio = ONE
+        for mu, ref, cand in pairs:
+            bad = (ref - cand.scale(ratio)).first_nonzero()
+            if bad is not None:
+                row, col, _ = bad
+                return RatioMismatch(which, mu, row, col, ref.get(row, col), cand.get(row, col))
+        ratios[which] = ratio
+    return RatioFit(ratio12=ratios["12"], ratio21=ratios["21"])

@@ -4,7 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import racah_cg_signed_square
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import racah_cg_signed_square, reference_equivalence_ratio
 
 from poincarerep.cg import (
     RatioFit,
@@ -16,12 +18,14 @@ from poincarerep.cg import (
     equivalence_ratio,
 )
 from poincarerep.generators import direct_sum, spin
+from poincarerep.matrix import Matrix
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import HalfInt, SpinPair
 from poincarerep.vectors import (
     CaseTag,
     FreeParams,
     NoSolutionError,
+    VectorSet,
     classify_case,
     closed_form_vectors,
 )
@@ -143,7 +147,9 @@ class TestCouplingBlocks:
         # (1/2,0)+(0,1/2): both couplings collapse to singlet factors, so
         # the t component's 21-block is a multiple of the identity pattern.
         blocks = cg_block(spin(0), spin(1), spin(1), spin(0), ONE)
-        bt = blocks[3]  # (x, y, z, t)
+        spins = (SpinPair(spin(1), spin(0)), SpinPair(spin(0), spin(1)))
+        weyl = VectorSet.from_blocks(spins, UNIT_PARAMS, None, blocks)
+        bt = weyl.component("t").submatrix(2, 4, 0, 2)
         half = RadicalScalar.from_rational(Fraction(1, 2))
         assert bt.get(0, 0) == half
         assert bt.get(1, 1) == half
@@ -197,9 +203,10 @@ class TestEquivalenceRatio:
     def test_corrupted_entry_reported(self):
         v = closed_form_vectors(spin(1), spin(1), spin(0), spin(0), UNIT_PARAMS)
         beta = cg_vector_matrices(spin(1), spin(1), spin(0), spin(0), UNIT_PARAMS)
-        broken_vx = beta.Vx + _unit_matrix_entry(beta.dimension, 0, 4)
-        broken = cg_vector_matrices(spin(1), spin(1), spin(0), spin(0), UNIT_PARAMS)
-        object.__setattr__(broken, "Vx", broken_vx)
+        broken_vx = beta.component("x") + _unit_matrix_entry(beta.dimension, 0, 4)
+        broken = VectorSet.from_cartesian(
+            beta.spins, beta.params, (broken_vx, *beta.components()[1:])
+        )
         fit = equivalence_ratio(v, broken)
         assert isinstance(fit, RatioMismatch)
         assert (fit.block, fit.row, fit.col) == ("12", 0, 0)
@@ -212,8 +219,93 @@ class TestEquivalenceRatio:
         beta = cg_vector_matrices(A, B, C, D, FreeParams(fit.ratio12, fit.ratio21))
         assert all(beta.component(mu) == v.component(mu) for mu in "xyzt")
 
+    def test_ratio_is_fitted_at_the_first_cartesian_entry(self):
+        # Doubling the candidate's first V_x entry halves the fitted ratio, so
+        # every other entry mismatches and the doubled one does not.
+        A, B, C, D = spin(2), spin(1), spin(1), spin(2)
+        v = closed_form_vectors(A, B, C, D, UNIT_PARAMS)
+        beta = cg_vector_matrices(A, B, C, D, UNIT_PARAMS)
+        vx = beta.component("x")
+        row, col, val = vx.first_nonzero()
+        doubled = vx + _unit_matrix_entry(beta.dimension, row, col).scale(val)
+        comps = (doubled, *beta.components()[1:])
+        broken = VectorSet.from_cartesian(beta.spins, beta.params, comps)
+        fit = equivalence_ratio(v, broken)
+        assert fit == reference_equivalence_ratio(v, broken)
+        assert isinstance(fit, RatioMismatch) and (fit.block, fit.component) == ("12", "x")
+        assert (fit.row, fit.col) != (row, col - beta.block1_dim)
+
+    def test_multi_term_candidate_cannot_be_fitted(self):
+        A, B, C, D = spin(2), spin(1), spin(1), spin(2)
+        v = closed_form_vectors(A, B, C, D, UNIT_PARAMS)
+        lams = FreeParams(sqrt_of_rational(2) + sqrt_of_rational(3), ONE)
+        beta = cg_vector_matrices(A, B, C, D, lams)
+        for fit in (equivalence_ratio, reference_equivalence_ratio):
+            with pytest.raises(ValueError, match="no single-term entries"):
+                fit(v, beta)
+
+
+# 0-3 terms over small radicands: zero, single-term and multi-term values.
+_scalar = st.lists(
+    st.tuples(
+        st.sampled_from([1, 2, 3, 5, 6]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ),
+    max_size=3,
+).map(RadicalScalar.from_terms)
+
+
+@st.composite
+def equiv_pairs(draw):
+    """(closed-form reference, CG candidate) of an admissible quadruple with doubled spins <= 4."""
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    c = draw(st.sampled_from([x for x in (a - 1, a + 1) if 0 <= x <= 4]))
+    d = draw(st.sampled_from([x for x in (b - 1, b + 1) if 0 <= x <= 4]))
+    spins = tuple(spin(t) for t in (a, b, c, d))
+    ts, lams = (FreeParams(draw(_scalar), draw(_scalar)) for _ in range(2))
+    return closed_form_vectors(*spins, ts), cg_vector_matrices(*spins, lams)
+
+
+@st.composite
+def cartesian_edits(draw, vec):
+    """vec with 1-3 entries of the off-diagonal blocks of its V_x ... V_t replaced."""
+    n1, n = vec.block1_dim, vec.dimension
+    comps = list(vec.components())
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 3))
+        cells = st.one_of(
+            st.tuples(st.integers(0, n1 - 1), st.integers(n1, n - 1)),
+            st.tuples(st.integers(n1, n - 1), st.integers(0, n1 - 1)),
+        )
+        entries = {(r, c): v for r, c, v in comps[k].nonzero_items()}
+        if entries:  # the first entry is where the ratio is fitted
+            nonzero = sorted(entries)
+            cells = st.one_of(st.just(nonzero[0]), st.sampled_from(nonzero), cells)
+        entries[draw(cells)] = draw(_scalar)
+        comps[k] = Matrix.from_entries(n, n, entries)
+    return VectorSet.from_cartesian(vec.spins, vec.params, tuple(comps))
+
+
+def _outcome(fit, reference, candidate):
+    try:
+        return fit(reference, candidate)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestAgainstCartesianRatio:
+    """The fit, verdict, mismatch report and error equal those of the Cartesian oracle."""
+
+    @given(equiv_pairs(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_and_edited_pairs(self, pair, data):
+        v, beta = pair
+        for candidate in (beta, data.draw(cartesian_edits(beta))):
+            assert _outcome(equivalence_ratio, v, candidate) == _outcome(
+                reference_equivalence_ratio, v, candidate
+            )
+
 
 def _unit_matrix_entry(n, i, j):
-    from poincarerep.matrix import Matrix
-
     return Matrix.from_entries(n, n, {(i, j): ONE})

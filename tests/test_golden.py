@@ -7,7 +7,8 @@ spins <= 2.  A refactor of any construction route, of the momentum
 projection or of the serializer must leave every digest unchanged.
 ``SWEEP_DIGESTS`` does the same for the ``verify --sweep N`` report, and
 ``CORRUPTED_REPORT_DIGESTS`` for the ``verify --in`` reports of bundles with
-one matrix edited by hand, which pin each failing rule's first residual.
+one matrix edited by hand, which pin each failing rule's first residual, and
+``EQUIV_DIGESTS`` for the ``equiv`` payloads, fits and mismatch reports alike.
 
 Re-record (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -46,6 +47,17 @@ CORRUPTED_REPORT_DIGESTS = {
     "keep12/Jz-diagonal-bumped": "dcdcdae0514edb8254995ff4e2a6d0a092b8271550a42eec1b0cf032e40e2161",
     "keep21/Ky-negated": "ebaa0f56091231728666a2b05158f0ff3e6c5777510d89be201027b3df553489",
     "both/unedited": "35c0ad9b29ae56d034a15e0611ac23fb6bc8adcd5ef21a22fd7aa851de930a88",
+}
+
+# sha256 of the `equiv --out` payloads of the 36 admissible quadruples with
+# doubled spins <= 3, concatenated in itertools.product order, keyed like
+# EQUIV_VARIANTS.
+EQUIV_DIGESTS = {
+    "default": "d4f2f15485443b96b58a031fcf4c7779191c192563afb0109df03aa125e6c1e3",
+    "lambda12=0": "cc60bd479586857ac8f58279481c1981bcaa608e649442b6fafc21a8dabf0f34",
+    "lambda21=0": "434197dd8dea56cfa9fa314e129b4e4191fd587c30a1dd33c45827d8f770c6c9",
+    "t12=0": "77d79d45778e56047116e03f6ab11e39b0138951e96ba9a71e1e9a4c7e2e6b63",
+    "dressed": "29562d6ab90153aa09f37458d74cd90392063b78774dc21cf1dbc04217bd43d8",
 }
 
 SOURCES = ("closed-form", "recursion", "clebsch-gordan")
@@ -150,6 +162,31 @@ def corrupted_report_digests():
 def test_corrupted_bundle_reports(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert corrupted_report_digests() == CORRUPTED_REPORT_DIGESTS
+
+
+# name -> (equiv options after --spins, exit code of every quadruple)
+EQUIV_VARIANTS = {
+    "default": ([], 0),
+    "lambda12=0": (["--lambda12=0"], 1),
+    "lambda21=0": (["--lambda21=0"], 1),
+    "t12=0": (["--t12=0"], 0),
+    "dressed": ([*DRESSED, "--lambda12=2/3*sqrt(5)", "--lambda21=-i"], 0),
+}
+
+
+def test_equiv_payloads(tmp_path):
+    out = tmp_path / "equiv.json"
+    for name, (options, code) in EQUIV_VARIANTS.items():
+        digest, count = hashlib.sha256(), 0
+        for quad in itertools.product(range(4), repeat=4):
+            if classify_case(*(Spin(t) for t in quad)) is CaseTag.NO_SOLUTION:
+                continue
+            spins = ",".join(str(t) for t in quad)
+            assert main(["equiv", "--spins", spins, *options, "--out", str(out)]) == code, name
+            digest.update(out.read_bytes())
+            count += 1
+        assert count == 36
+        assert digest.hexdigest() == EQUIV_DIGESTS[name], name
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from oracles import racah_cg_signed_square
 
-from poincarerep.bundle import SOURCES, vectors_from_source
+from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
 from poincarerep.generators import direct_sum, ladder_coeff_s, spin
 from poincarerep.matrix import Matrix
+from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import HalfInt, SpinPair, flatten_index
 from poincarerep.vectors import (
@@ -99,7 +100,7 @@ class TestClosedForm:
     def test_case1_vector_rep_plus_entry(self):
         # (1/2,1/2)+(0,0): V+ has a single 12-entry 1 at row (1/2,1/2), col (0,0)
         v = closed_form_vectors(spin(1), spin(1), spin(0), spin(0), UNIT)
-        plus = v.light_cone[0].scale(Fraction(1, 2))
+        plus = v.families[0]
         assert plus.get(0, 4) == ONE
         assert plus.submatrix(0, 4, 4, 5).nnz() == 1
 
@@ -107,7 +108,7 @@ class TestClosedForm:
         # (1,1/2)+(1/2,0): V+ at rows (a,b)=(0,1/2), cols (c,d)=(-1/2,0) is sqrt(2)/2
         A, B, C, D = spin(2), spin(1), spin(1), spin(0)
         v = closed_form_vectors(A, B, C, D, UNIT)
-        plus = v.light_cone[0].scale(Fraction(1, 2))
+        plus = v.families[0]
         row = flatten_index(SpinPair(A, B), HalfInt(0), HalfInt(1))
         col = v.block1_dim + flatten_index(SpinPair(C, D), HalfInt(-1), HalfInt(0))
         assert plus.get(row, col) == sqrt_of_rational(Fraction(1, 2))
@@ -135,7 +136,7 @@ class TestClosedForm:
         for q in admissible(3):
             v = closed_form_vectors(*q, UNIT)
             n1, n = v.block1_dim, v.dimension
-            plus = v.light_cone[0].scale(Fraction(1, 2))
+            plus = v.families[0]
             for mat in v.components():
                 assert mat.submatrix(0, n1, 0, n1).is_zero()
                 assert mat.submatrix(n1, n, n1, n).is_zero()
@@ -175,7 +176,7 @@ class TestClosedForm:
             g = direct_sum(SpinPair(A, B), SpinPair(C, D))
             v = closed_form_vectors(A, B, C, D, UNIT)
             jz, kz = g.J[2], g.K[2]
-            vx, vy = v.Vx, v.Vy
+            vx, vy = v.component("x"), v.component("y")
             assert (jz @ vx - vx @ jz) == vy.times_i()
             assert (jz @ vy - vy @ jz) == vx.times_i().scale(-1)
             assert (kz @ vx - vx @ kz).is_zero()
@@ -316,7 +317,10 @@ class TestPatternBlock:
             plus, minus, f_plus, f_minus = (
                 Matrix.from_entries(rows.dimension, cols.dimension, families[f]) for f in FAMILIES
             )
-            assert block == (
+            assert block == (plus, minus, f_plus, f_minus), (P, Q, R, S)
+            vec = VectorSet.from_blocks((rows, cols), UNIT, block, None)
+            n1, n = rows.dimension, vec.dimension
+            assert tuple(vec.component(mu).submatrix(0, n1, n1, n) for mu in "xyzt") == (
                 plus + minus,
                 (plus - minus).times_i().scale(-1),
                 f_plus + f_minus,
@@ -338,7 +342,7 @@ class TestFromBlocks:
         )
         vec = VectorSet.from_blocks(spins, UNIT, b12, b21)
         assert vec.dimension == 5 and vec.kept_block is None
-        for comp, p12, p21 in zip(vec.components(), b12, b21):
+        for comp, p12, p21 in zip(vec.families, b12, b21):
             assert comp.rows == comp.cols == 5
             assert comp.nnz() == p12.nnz() + p21.nnz()
             for i in range(4):
@@ -372,3 +376,27 @@ class TestFromBlocks:
             assert vec.block("21") == mirror.block("12"), q
             count += 1
         assert count == 16
+
+
+class TestFromCartesian:
+    def test_round_trip(self):
+        # The families formed from a set's Cartesian view are the set's own.
+        count = 0
+        for q in admissible(4):
+            for source in SOURCES:
+                full = vectors_from_source(source, q, UNIT)
+                for block in BLOCKS:
+                    v = full if block == "both" else momentum_from_vectors(full, BlockChoice(block))
+                    comps = v.components()
+                    again = VectorSet.from_cartesian(v.spins, v.params, comps, v.kept_block)
+                    assert again.families == v.families, (q, source, block)
+                    assert again == v
+                    count += 1
+        assert count == 64 * 3 * 3
+
+    def test_view_is_kept(self):
+        # from_cartesian keeps the matrices it was given as the view.
+        v = closed_form_vectors(spin(2), spin(1), spin(1), spin(2), UNIT)
+        comps = v.components()
+        again = VectorSet.from_cartesian(v.spins, v.params, comps)
+        assert all(again.component(mu) is comps[k] for k, mu in enumerate("xyzt"))

@@ -3,7 +3,6 @@
 import itertools
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +25,11 @@ from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar
 from poincarerep.spins import SpinPair
 from poincarerep.vectors import (
-    LIGHT_CONE,
-    LIGHT_CONE_INVERSE,
+    FAMILY,
+    FAMILY_INVERSE,
     CaseTag,
     FreeParams,
+    VectorSet,
     classify_case,
     closed_form_vectors,
 )
@@ -54,6 +54,12 @@ def _weyl_rep():
     g = direct_sum(pair1, pair2)
     v = closed_form_vectors(spin(1), spin(0), spin(0), spin(1), UNIT)
     return g, v
+
+
+def _with_component(vec, mu, mat):
+    """vec with its Cartesian component mu replaced by mat."""
+    comps = dict(zip("xyzt", vec.components()), **{mu: mat})
+    return VectorSet.from_cartesian(vec.spins, vec.params, tuple(comps.values()), vec.kept_block)
 
 
 class TestEpsilon:
@@ -124,16 +130,12 @@ class TestVectorRuleChecks:
 
     def test_zero_vectors_pass(self):
         g, v = _weyl_rep()
-        zero = replace(
-            v,
-            Vx=Matrix.zeros(4), Vy=Matrix.zeros(4),
-            Vz=Matrix.zeros(4), Vt=Matrix.zeros(4),
-        )
+        zero = VectorSet.from_cartesian(v.spins, v.params, (Matrix.zeros(4),) * 4)
         assert all(r.holds for r in check_vector_rules(g, zero))
 
     def test_flipped_time_component_fails_kv_diagonal(self):
         g, v = _weyl_rep()
-        flipped = replace(v, Vt=v.Vt.scale(-1))
+        flipped = _with_component(v, "t", v.component("t").scale(-1))
         failing = {r.rule_id for r in check_vector_rules(g, flipped) if not r.holds}
         assert {"KV.xx", "KV.yy", "KV.zz", "KV.xt", "KV.yt", "KV.zt"} <= failing
 
@@ -144,7 +146,7 @@ class TestVectorRuleChecks:
             i, j, val = mat.first_nonzero()
             bumped = mat + Matrix.from_entries(4, 4, {(i, j): ONE})
             assert bumped.get(i, j) == val + ONE
-            broken = replace(v, **{f"V{mu}": bumped})
+            broken = _with_component(v, mu, bumped)
             assert not all(r.holds for r in check_vector_rules(g, broken))
 
 
@@ -181,12 +183,18 @@ def _unit(n):
 
 
 @pytest.mark.parametrize("basis, inverse", [
-    (SPIN_BASIS, SPIN_BASIS_INVERSE), (LIGHT_CONE, LIGHT_CONE_INVERSE),
+    (SPIN_BASIS, SPIN_BASIS_INVERSE), (FAMILY, FAMILY_INVERSE),
 ])
 def test_basis_changes_have_exact_inverses(basis, inverse):
     n = len(basis)
     assert _product(basis, inverse) == _unit(n)
     assert _product(inverse, basis) == _unit(n)
+
+
+def test_restated_rules_have_single_term_right_hand_sides():
+    families = (verify._LORENTZ, verify._VECTOR, verify._TRANSLATIONS)
+    assert [len(family.pairs) for family in families] == [15, 24, 6]
+    assert all(len(rhs) <= 1 for family in families for _, _, rhs in family.pairs)
 
 
 _small_scalar = st.lists(
@@ -233,7 +241,7 @@ def _edited(gen, vec, changes):
         entries[i, j] = value
         mats[k] = Matrix.from_entries(mats[k].rows, mats[k].cols, entries)
     edited_gen = GeneratorSet.from_cartesian(gen.spins, tuple(mats[:3]), tuple(mats[3:6]))
-    edited_vec = replace(vec, **dict(zip(("Vx", "Vy", "Vz", "Vt"), mats[6:])))
+    edited_vec = VectorSet.from_cartesian(vec.spins, vec.params, tuple(mats[6:]), vec.kept_block)
     return edited_gen, edited_vec
 
 
@@ -244,9 +252,10 @@ class TestAgainstCartesianChecker:
     @settings(max_examples=25, deadline=None)
     def test_generated_and_edited_bundles(self, bundle, data):
         gen, vec = bundle
-        assert check_poincare(gen, vec) == reference_check_poincare(gen, vec)
-        # Checked in the new bases, which each set forms once and keeps.
-        assert "spin_basis" in vars(gen) and "light_cone" in vars(vec)
+        reports = check_poincare(gen, vec)
+        # Checked in the stored bases: neither Cartesian view is formed.
+        assert "cartesian" not in vars(gen) and "cartesian" not in vars(vec)
+        assert reports == reference_check_poincare(gen, vec)
         edited = _edited(gen, vec, data.draw(edits(gen.dimension)))
         assert check_poincare(*edited) == reference_check_poincare(*edited)
 
@@ -287,7 +296,7 @@ class TestBlockComposition:
         vec = closed_form_vectors(A, B, C, D, UNIT)
         n = vec.dimension
         bump = Matrix.from_entries(n, n, {(vec.block1_dim, 0): ONE})
-        broken = replace(vec, Vz=vec.Vz + bump)
+        broken = _with_component(vec, "z", vec.component("z") + bump)
         keep12, keep21 = (
             check_vector_rules(gen, momentum_from_vectors(broken, c)) for c in BlockChoice
         )
