@@ -89,6 +89,7 @@ def _rational(pair, what: str) -> Fraction:
 
 def scalar_from_json(terms: list[dict]) -> RadicalScalar:
     """Decode a term list; a malformed term raises ValueError (or KeyError)."""
+    _expect(terms, list, "an entry")
     try:
         return RadicalScalar.from_terms(
             (_expect(t["d"], int, "a radicand"), _rational(t["re"], "re"), _rational(t["im"], "im"))
@@ -159,8 +160,8 @@ def matrix_from_json(
         decoded = {}
     values = {}
     for pos, terms in enumerate(entries):
-        if not terms:
-            continue
+        if not terms and type(terms) is list:
+            continue  # [] is exact zero; a falsy non-array is rejected below
         key = _term_key(terms)
         value = decoded.get(key)  # None is never a key
         if value is None:

@@ -42,7 +42,7 @@ from .generators import ladder_coeff_r, ladder_coeff_s
 from .matrix import Matrix, change_basis, linear_combination
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from .spins import HalfInt, Spin, SpinPair
-from .vectors import FAMILY_INVERSE, Block, FreeParams, VectorSet, _block_pair, pattern_block
+from .vectors import COMPONENTS, FAMILY_INVERSE, Block, FreeParams, VectorSet, _block_pair, pattern_block
 
 
 def _as_rational(value: RadicalScalar) -> Fraction:
@@ -209,7 +209,7 @@ def equivalence_ratio(
         ratio = _fit(ref, cand)
         residuals = tuple(linear_combination([(ONE, r), (-ratio, c)]) for r, c in zip(ref, cand))
         if not all(res.is_zero() for res in residuals):
-            for k, mu in enumerate("xyzt"):
+            for k, mu in enumerate(COMPONENTS):
                 bad = _cartesian(residuals, k).first_nonzero()
                 if bad is not None:
                     row, col, _ = bad

@@ -1,13 +1,16 @@
-"""Half-integer indices and spin labels, stored as doubled integers."""
+"""Half-integer indices and spin labels, stored as doubled integers.
+
+``SpinPair.basis()`` is the one statement of the basis layout: the index
+pairs (a, b) of an irrep, a outer descending and b inner descending.  A
+matrix position is a place in that list.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 
-@total_ordering
 class HalfInt:
     """An exact half-integer n/2, stored as the integer ``twice`` = n."""
 
@@ -25,30 +28,13 @@ class HalfInt:
     def value(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    def is_integral(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __add__(self, other: "HalfInt | int") -> "HalfInt":
-        return HalfInt(self.twice + _twice(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "HalfInt | int") -> "HalfInt":
-        return HalfInt(self.twice - _twice(other))
-
-    def __rsub__(self, other: "HalfInt | int") -> "HalfInt":
-        return HalfInt(_twice(other) - self.twice)
-
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (HalfInt, int)):
-            return self.twice == _twice(other)
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
         return NotImplemented
-
-    def __lt__(self, other: "HalfInt | int") -> bool:
-        return self.twice < _twice(other)
 
     def __hash__(self) -> int:
         return hash(("HalfInt", self.twice))
@@ -60,14 +46,6 @@ class HalfInt:
 
     def __repr__(self) -> str:
         return f"HalfInt({self.twice})"
-
-
-def _twice(x: "HalfInt | int") -> int:
-    if isinstance(x, HalfInt):
-        return x.twice
-    if isinstance(x, int):
-        return 2 * x
-    raise TypeError(f"cannot mix HalfInt with {type(x).__name__}")
 
 
 class Spin(HalfInt):
@@ -109,14 +87,3 @@ class SpinPair:
 
     def __str__(self) -> str:
         return f"({self.left},{self.right})"
-
-
-def flatten_index(pair: SpinPair, a: HalfInt, b: HalfInt) -> int:
-    """Row-major position of (a, b): a descending outer, b descending inner."""
-    if abs(a.twice) > pair.left.twice or (pair.left.twice - a.twice) % 2:
-        raise ValueError(f"index a={a} out of range for spin {pair.left}")
-    if abs(b.twice) > pair.right.twice or (pair.right.twice - b.twice) % 2:
-        raise ValueError(f"index b={b} out of range for spin {pair.right}")
-    row = (pair.left.twice - a.twice) // 2
-    col = (pair.right.twice - b.twice) // 2
-    return row * pair.right.multiplicity + col

@@ -38,7 +38,7 @@ from typing import Callable
 
 from .matrix import Matrix, change_basis, place
 from .radical import ZERO, RadicalScalar, RationalLike, _coerce, gaussian_table, sqrt_of_rational
-from .spins import HalfInt, Spin, SpinPair, flatten_index
+from .spins import HalfInt, Spin, SpinPair
 from .generators import ladder_coeff_r
 
 
@@ -85,6 +85,9 @@ Block = tuple[Matrix, Matrix, Matrix, Matrix]
 # then F+ = (V_z + V_t)/2 and F- = (V_z - V_t)/2.
 FAMILIES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
+# The names of the Cartesian components V_mu, in the order of ``cartesian``.
+COMPONENTS = ("x", "y", "z", "t")
+
 # The families (V+, V-, F+, F-) of the components V = (V_x, V_y, V_z, V_t),
 # with V+- = (V_x +- iV_y)/2 and F+- = (V_z +- V_t)/2.  Row k of FAMILY
 # gives family k as a sum over V, and row mu of FAMILY_INVERSE gives V_mu
@@ -101,17 +104,18 @@ def pattern_block(
 
     coeff(dp, dq, p, q) is the entry of family (dp, dq) at row (p, q) and
     column (p - dp/2, q - dq/2); it is asked only where that column exists.
-    Every route builds its blocks here.
+    The column map, keyed by doubled indices, is read off ``cols.basis()``
+    once per block, so that list alone states where a column sits.  Every
+    route builds its blocks here.
     """
     rows, cols = SpinPair(P, Q), SpinPair(R, S)
+    col = {(r.twice, s.twice): j for j, (r, s) in enumerate(cols.basis())}
     families = tuple({} for _ in FAMILIES)
     for i, (p, q) in enumerate(rows.basis()):
         for entries, (dp, dq) in zip(families, FAMILIES):
-            try:
-                j = flatten_index(cols, HalfInt(p.twice - dp), HalfInt(q.twice - dq))
-            except ValueError:
-                continue  # no such column
-            entries[i, j] = coeff(dp, dq, p, q)
+            j = col.get((p.twice - dp, q.twice - dq))
+            if j is not None:
+                entries[i, j] = coeff(dp, dq, p, q)
     return tuple(Matrix.from_entries(rows.dimension, cols.dimension, m) for m in families)
 
 
@@ -177,7 +181,7 @@ class VectorSet:
         return self.cartesian
 
     def component(self, mu: str) -> Matrix:
-        return self.cartesian[("x", "y", "z", "t").index(mu)]
+        return self.cartesian[COMPONENTS.index(mu)]
 
     def block(self, which: str) -> Block:
         """The families of the "12" or "21" block, as from_blocks takes them."""

@@ -46,6 +46,7 @@ from .momentum import BlockChoice, momentum_from_vectors
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar
 from .spins import Spin, SpinPair
 from .vectors import (
+    COMPONENTS,
     FAMILY,
     FAMILY_INVERSE,
     CaseTag,
@@ -60,7 +61,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 AXES = ("x", "y", "z")
-COMPONENTS = ("x", "y", "z", "t")
 
 # Antisymmetric symbol with eps_xyz = +1; all sign flow goes through here.
 _EPSILON: dict[tuple[str, str, str], int] = {}

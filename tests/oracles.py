@@ -28,6 +28,7 @@ from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, normalize_radical
 from poincarerep.spins import Spin, SpinPair
 from poincarerep.vectors import (
+    COMPONENTS,
     CaseTag,
     FreeParams,
     NoSolutionError,
@@ -36,7 +37,6 @@ from poincarerep.vectors import (
 )
 from poincarerep.verify import (
     AXES,
-    COMPONENTS,
     RuleReport,
     _both_blocks,
     check_lorentz,

@@ -182,6 +182,25 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("place", ["cell", "t21"])
+    @pytest.mark.parametrize("value", [None, 0, False, "", {}])
+    def test_entry_that_is_not_an_array_is_rejected(self, tmp_path, capsys, place, value):
+        # Only [] is exact zero; any other falsy entry must not load as zero.
+        # With keep12, no check on the 21-block would catch a zero t21.
+        path = tmp_path / "p.json"
+        main(["gen", "--spins", "1,0,0,1", "--block", "keep12", "--out", str(path)])
+        data = json.loads(path.read_text())
+        if place == "cell":
+            cells = data["matrices"]["Jx"]
+            cells[cells.index([])] = value
+        else:
+            data["params"]["t21"] = value
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "field, value",
         [("caseTag", "case1"), ("block", "weird"), ("block", "keep21"), ("source", "nonsense")],

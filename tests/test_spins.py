@@ -1,21 +1,25 @@
-"""Half-integer bookkeeping and the flattened basis order."""
+"""Half-integer bookkeeping and the basis order."""
 
 from fractions import Fraction
 
 import pytest
 
-from poincarerep.spins import HalfInt, Spin, SpinPair, flatten_index
+from poincarerep.spins import HalfInt, Spin, SpinPair
 
 
 def test_halfint_value_and_arithmetic():
     h = HalfInt(3)
     assert h.value == Fraction(3, 2)
-    assert (h + HalfInt(1)).twice == 4
-    assert (h - 1).twice == 1
     assert (-h).twice == -3
-    assert HalfInt(2) == 1
-    assert HalfInt(1) < HalfInt(2)
-    assert not HalfInt(3).is_integral()
+    assert -h == HalfInt(-3)
+
+
+def test_halfint_equality_is_between_halfints_only():
+    assert HalfInt(2) != 1
+    assert HalfInt(2) != Fraction(1)
+    assert Spin(1) == HalfInt(1) and hash(Spin(1)) == hash(HalfInt(1))
+    assert HalfInt(1) in {Spin(1)}
+    assert {HalfInt(-1): "x"}.get(HalfInt(-1)) == "x"
 
 
 def test_halfint_immutable():
@@ -43,26 +47,14 @@ def test_spinpair_dimension_and_basis_order():
     ]
 
 
-def test_flatten_index_examples():
+def test_basis_positions():
     half_half = SpinPair(Spin(1), Spin(1))
-    assert flatten_index(half_half, HalfInt(1), HalfInt(1)) == 0
-    assert flatten_index(half_half, HalfInt(-1), HalfInt(1)) == 2
+    assert half_half.basis().index((HalfInt(1), HalfInt(1))) == 0
+    assert half_half.basis().index((HalfInt(-1), HalfInt(1))) == 2
     one_half = SpinPair(Spin(2), Spin(1))
-    assert flatten_index(one_half, HalfInt(0), HalfInt(-1)) == 3
+    assert one_half.basis().index((HalfInt(0), HalfInt(-1))) == 3
 
 
-def test_flatten_index_bijective():
+def test_basis_has_no_repeats():
     pair = SpinPair(Spin(2), Spin(3))
-    seen = {flatten_index(pair, a, b) for a, b in pair.basis()}
-    assert seen == set(range(pair.dimension))
-    assert [flatten_index(pair, a, b) for a, b in pair.basis()] == list(
-        range(pair.dimension)
-    )
-
-
-def test_flatten_index_rejects_out_of_range():
-    pair = SpinPair(Spin(1), Spin(1))
-    with pytest.raises(ValueError):
-        flatten_index(pair, HalfInt(3), HalfInt(1))
-    with pytest.raises(ValueError):
-        flatten_index(pair, HalfInt(0), HalfInt(1))  # wrong parity for spin 1/2
+    assert len(set(pair.basis())) == pair.dimension

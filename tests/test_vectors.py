@@ -11,7 +11,7 @@ from poincarerep.generators import direct_sum, ladder_coeff_s, spin
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
-from poincarerep.spins import HalfInt, SpinPair, flatten_index
+from poincarerep.spins import HalfInt, SpinPair
 from poincarerep.vectors import (
     FAMILIES,
     CaseTag,
@@ -109,8 +109,8 @@ class TestClosedForm:
         A, B, C, D = spin(2), spin(1), spin(1), spin(0)
         v = closed_form_vectors(A, B, C, D, UNIT)
         plus = v.families[0]
-        row = flatten_index(SpinPair(A, B), HalfInt(0), HalfInt(1))
-        col = v.block1_dim + flatten_index(SpinPair(C, D), HalfInt(-1), HalfInt(0))
+        row = SpinPair(A, B).basis().index((HalfInt(0), HalfInt(1)))
+        col = v.block1_dim + SpinPair(C, D).basis().index((HalfInt(-1), HalfInt(0)))
         assert plus.get(row, col) == sqrt_of_rational(Fraction(1, 2))
 
     def test_zero_parameters_give_zero(self):
