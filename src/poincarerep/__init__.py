@@ -7,7 +7,7 @@ commutation rules.
 """
 
 from .radical import RadicalScalar, normalize_radical, sqrt_of_rational, ZERO, ONE, I_UNIT
-from .spins import HalfInt, Spin, SpinPair
+from .spins import Spin, SpinPair
 from .matrix import Matrix, commutator, anticommutator, block_diag
 from .generators import (
     GeneratorSet,
@@ -55,7 +55,7 @@ from .verify import (
 
 __all__ = [
     "RadicalScalar", "normalize_radical", "sqrt_of_rational", "ZERO", "ONE", "I_UNIT",
-    "HalfInt", "Spin", "SpinPair",
+    "Spin", "SpinPair",
     "Matrix", "commutator", "anticommutator", "block_diag",
     "GeneratorSet", "direct_sum", "irrep_generators",
     "ladder_coeff_r", "ladder_coeff_s", "rotation_rep", "spin",

@@ -41,7 +41,7 @@ from functools import lru_cache
 from .generators import ladder_coeff_r, ladder_coeff_s
 from .matrix import Matrix, change_basis, linear_combination
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
-from .spins import HalfInt, Spin, SpinPair
+from .spins import Spin, SpinPair
 from .vectors import COMPONENTS, FAMILY_INVERSE, Block, FreeParams, VectorSet, _block_pair, pattern_block
 
 
@@ -72,7 +72,7 @@ def _cg_table(tj1: int, tj2: int, tJ: int) -> dict[tuple[int, int, int], Radical
     row: dict[int, RadicalScalar] = {m1_hi: ONE}
     for tm1 in range(m1_hi, m1_lo, -2):
         # <m1-1, M-m1+1|J J> = -(r(j2, J-m1) / r(j1, m1-1)) <m1, M-m1|J J>
-        step = ladder_coeff_r(j2, HalfInt(tJ - tm1)) / ladder_coeff_r(j1, HalfInt(tm1 - 2))
+        step = ladder_coeff_r(j2, tJ - tm1) / ladder_coeff_r(j1, tm1 - 2)
         row[tm1 - 2] = -(row[tm1] * step)
     norm_sq = Fraction(0)
     for val in row.values():
@@ -84,7 +84,7 @@ def _cg_table(tj1: int, tj2: int, tJ: int) -> dict[tuple[int, int, int], Radical
 
     # Walk M downward with the lowering recursion.
     for tM in range(tJ, -tJ + 1, -2):
-        denom = ladder_coeff_s(J, HalfInt(tM))
+        denom = ladder_coeff_s(J, tM)
         next_row: dict[int, RadicalScalar] = {}
         lo = max(-tj1, (tM - 2) - tj2)
         hi = min(tj1, (tM - 2) + tj2)
@@ -93,10 +93,10 @@ def _cg_table(tj1: int, tj2: int, tJ: int) -> dict[tuple[int, int, int], Radical
             acc = ZERO
             up1 = table.get((tm1 + 2, tm2, tM))
             if up1 is not None:
-                acc = acc + ladder_coeff_s(j1, HalfInt(tm1 + 2)) * up1
+                acc = acc + ladder_coeff_s(j1, tm1 + 2) * up1
             up2 = table.get((tm1, tm2 + 2, tM))
             if up2 is not None:
-                acc = acc + ladder_coeff_s(j2, HalfInt(tm2 + 2)) * up2
+                acc = acc + ladder_coeff_s(j2, tm2 + 2) * up2
             next_row[tm1] = acc / denom
         for tm1, val in next_row.items():
             if not val.is_zero():
@@ -104,19 +104,15 @@ def _cg_table(tj1: int, tj2: int, tJ: int) -> dict[tuple[int, int, int], Radical
     return table
 
 
-def clebsch_gordan(
-    j1: Spin, m1: HalfInt, j2: Spin, m2: HalfInt, J: Spin, M: HalfInt
-) -> RadicalScalar:
-    """<j1 m1, j2 m2 | J M>, exactly; zero outside the selection rules."""
-    if m1.twice + m2.twice != M.twice:
+def clebsch_gordan(j1: Spin, m1: int, j2: Spin, m2: int, J: Spin, M: int) -> RadicalScalar:
+    """<j1 m1, j2 m2 | J M> at doubled m's, exactly; zero outside the selection rules."""
+    if m1 + m2 != M:
         return ZERO
-    if abs(m1.twice) > j1.twice or abs(m2.twice) > j2.twice or abs(M.twice) > J.twice:
+    if abs(m1) > j1.twice or abs(m2) > j2.twice or abs(M) > J.twice:
         return ZERO
-    if (j1.twice - m1.twice) % 2 or (j2.twice - m2.twice) % 2 or (J.twice - M.twice) % 2:
+    if (j1.twice - m1) % 2 or (j2.twice - m2) % 2 or (J.twice - M) % 2:
         return ZERO
-    return _cg_table(j1.twice, j2.twice, J.twice).get(
-        (m1.twice, m2.twice, M.twice), ZERO
-    )
+    return _cg_table(j1.twice, j2.twice, J.twice).get((m1, m2, M), ZERO)
 
 
 _HALF = Spin(1)
@@ -129,12 +125,11 @@ def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Block:
     negated on (-1, +1).
     """
 
-    def coeff(dp: int, dq: int, p: HalfInt, q: HalfInt) -> RadicalScalar:
-        r, s = HalfInt(p.twice - dp), HalfInt(q.twice - dq)
+    def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
         value = (
             lam
-            * clebsch_gordan(_HALF, HalfInt(dp), R, r, P, p)
-            * clebsch_gordan(_HALF, HalfInt(-dq), Q, q, S, s)
+            * clebsch_gordan(_HALF, dp, R, p - dp, P, p)
+            * clebsch_gordan(_HALF, -dq, Q, q, S, q - dq)
         )
         return -value if (dp, dq) == (-1, 1) else value
 

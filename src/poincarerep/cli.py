@@ -14,6 +14,7 @@ Exit status: 0 success / all rules hold; 1 verification failure;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -264,7 +265,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every ``main`` call."""
     parser = _Parser(prog="poincarerep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,41 +18,36 @@ from functools import cached_property
 
 from .matrix import Matrix, block_diag, change_basis, place
 from .radical import ZERO, RadicalScalar, gaussian_table, sqrt_of_rational
-from .spins import HalfInt, Spin, SpinPair
+from .spins import Spin, SpinPair
 
 
-def ladder_coeff_r(spin: Spin, sigma: HalfInt) -> RadicalScalar:
-    """Raising coefficient sqrt((A - s)(A + s + 1)); zero off the ladder."""
-    if abs(sigma.twice) > spin.twice or (spin.twice - sigma.twice) % 2:
+def ladder_coeff_r(spin: Spin, m: int) -> RadicalScalar:
+    """Raising coefficient sqrt((A - m)(A + m + 1)) at doubled m; zero off the ladder."""
+    if abs(m) > spin.twice or (spin.twice - m) % 2:
         return ZERO
-    lo = Fraction(spin.twice - sigma.twice, 2)
-    hi = Fraction(spin.twice + sigma.twice + 2, 2)
-    return sqrt_of_rational(lo * hi)
+    return sqrt_of_rational(Fraction((spin.twice - m) * (spin.twice + m + 2), 4))
 
 
-def ladder_coeff_s(spin: Spin, sigma: HalfInt) -> RadicalScalar:
-    """Lowering coefficient sqrt((A + s)(A - s + 1)) = r at -s."""
-    return ladder_coeff_r(spin, -sigma)
+def ladder_coeff_s(spin: Spin, m: int) -> RadicalScalar:
+    """Lowering coefficient sqrt((A + m)(A - m + 1)) = r at -m."""
+    return ladder_coeff_r(spin, -m)
 
 
 def rotation_rep(spin: Spin) -> tuple[Matrix, Matrix, Matrix]:
     """(M+, M-, Mz) for one spin: a (2A+1)-dimensional rotation irrep.
 
-    M+ has entries r_(s1) at (row s1+1, col s1); M- has s_(s1) at
-    (row s1-1, col s1); Mz is diagonal with the projection values.
+    Position idx holds the idx-th projection m (doubled), descending by one
+    unit per position, so M+ has r_m at (idx - 1, idx) and M- has s_m at
+    (idx + 1, idx); Mz is diagonal with the projection values.
     """
     n = spin.multiplicity
     mplus, mminus, mz = {}, {}, {}
-    projections = spin.projections()
-    pos = {s.twice: idx for idx, s in enumerate(projections)}
-    for idx, s1 in enumerate(projections):
-        mz[idx, idx] = s1.value
-        up = s1.twice + 2
-        if up in pos:
-            mplus[pos[up], idx] = ladder_coeff_r(spin, s1)
-        down = s1.twice - 2
-        if down in pos:
-            mminus[pos[down], idx] = ladder_coeff_s(spin, s1)
+    for idx, m in enumerate(spin.projections()):
+        mz[idx, idx] = Fraction(m, 2)
+        if idx > 0:
+            mplus[idx - 1, idx] = ladder_coeff_r(spin, m)
+        if idx < n - 1:
+            mminus[idx + 1, idx] = ladder_coeff_s(spin, m)
     return tuple(Matrix.from_entries(n, n, m) for m in (mplus, mminus, mz))
 
 

@@ -227,7 +227,13 @@ class RadicalScalar:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self._den, tuple(sorted(self._num.items()))))
+        # A rational value equals its int or Fraction, so it hashes as one.
+        num = self._num
+        if not num:
+            return hash(0)
+        if len(num) == 1 and 1 in num and not num[1][1]:
+            return hash(Fraction(num[1][0], self._den))
+        return hash((self._den, tuple(sorted(num.items()))))
 
     def __bool__(self) -> bool:
         return bool(self._num)

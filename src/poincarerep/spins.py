@@ -1,70 +1,41 @@
-"""Half-integer indices and spin labels, stored as doubled integers.
+"""Spin labels and the basis layout.
 
-``SpinPair.basis()`` is the one statement of the basis layout: the index
-pairs (a, b) of an irrep, a outer descending and b inner descending.  A
-matrix position is a place in that list.
+Every half-integer in the package, a spin or a magnetic index, is held as
+its doubled int: the spin 3/2 is ``Spin(3)`` and the projection -1/2 is
+``-1``.  ``SpinPair.basis()`` is the one statement of the basis layout: the
+doubled index pairs (2a, 2b) of an irrep, a outer descending and b inner
+descending.  A matrix position is a place in that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
-class HalfInt:
-    """An exact half-integer n/2, stored as the integer ``twice`` = n."""
+@dataclass(frozen=True)
+class Spin:
+    """A nonnegative half-integer spin label, stored as ``twice`` = 2A."""
 
-    __slots__ = ("twice",)
+    twice: int
 
-    def __init__(self, twice: int):
-        if not isinstance(twice, int):
-            raise TypeError("HalfInt takes the doubled value as an int")
-        object.__setattr__(self, "twice", twice)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfInt is immutable")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("HalfInt", self.twice))
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.twice})"
-
-
-class Spin(HalfInt):
-    """A nonnegative half-integer spin label."""
-
-    __slots__ = ()
-
-    def __init__(self, twice: int):
-        if twice < 0:
-            raise ValueError(f"spin must be nonnegative, got {twice}/2")
-        super().__init__(twice)
+    def __post_init__(self):
+        if not isinstance(self.twice, int):
+            raise TypeError("Spin takes the doubled value as an int")
+        if self.twice < 0:
+            raise ValueError(f"spin must be nonnegative, got {self.twice}/2")
 
     @property
     def multiplicity(self) -> int:
         return self.twice + 1
 
-    def projections(self) -> list[HalfInt]:
-        """Magnetic indices descending from +spin to -spin (basis order)."""
-        return [HalfInt(t) for t in range(self.twice, -self.twice - 2, -2)]
+    def projections(self) -> list[int]:
+        """Doubled magnetic indices descending from +2A to -2A (basis order)."""
+        return list(range(self.twice, -self.twice - 2, -2))
+
+    def __str__(self) -> str:
+        if self.twice % 2 == 0:
+            return str(self.twice // 2)
+        return f"{self.twice}/2"
 
     def __repr__(self) -> str:
         return f"Spin({self.twice})"
@@ -81,8 +52,8 @@ class SpinPair:
     def dimension(self) -> int:
         return self.left.multiplicity * self.right.multiplicity
 
-    def basis(self) -> list[tuple[HalfInt, HalfInt]]:
-        """Index pairs (a, b), a outer descending, b inner descending."""
+    def basis(self) -> list[tuple[int, int]]:
+        """Doubled index pairs (2a, 2b), a outer descending, b inner descending."""
         return [(a, b) for a in self.left.projections() for b in self.right.projections()]
 
     def __str__(self) -> str:

@@ -38,7 +38,7 @@ from typing import Callable
 
 from .matrix import Matrix, change_basis, place
 from .radical import ZERO, RadicalScalar, RationalLike, _coerce, gaussian_table, sqrt_of_rational
-from .spins import HalfInt, Spin, SpinPair
+from .spins import Spin, SpinPair
 from .generators import ladder_coeff_r
 
 
@@ -98,22 +98,22 @@ FAMILY_INVERSE = gaussian_table([[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, 1], [0
 
 def pattern_block(
     P: Spin, Q: Spin, R: Spin, S: Spin,
-    coeff: Callable[[int, int, HalfInt, HalfInt], RadicalScalar],
+    coeff: Callable[[int, int, int, int], RadicalScalar],
 ) -> Block:
     """The families of the block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
 
-    coeff(dp, dq, p, q) is the entry of family (dp, dq) at row (p, q) and
-    column (p - dp/2, q - dq/2); it is asked only where that column exists.
-    The column map, keyed by doubled indices, is read off ``cols.basis()``
+    All indices are doubled.  coeff(dp, dq, p, q) is the entry of family
+    (dp, dq) at row (p, q) and column (p - dp, q - dq); it is asked only
+    where that column exists.  The column map is read off ``cols.basis()``
     once per block, so that list alone states where a column sits.  Every
     route builds its blocks here.
     """
     rows, cols = SpinPair(P, Q), SpinPair(R, S)
-    col = {(r.twice, s.twice): j for j, (r, s) in enumerate(cols.basis())}
+    col = {rs: j for j, rs in enumerate(cols.basis())}
     families = tuple({} for _ in FAMILIES)
     for i, (p, q) in enumerate(rows.basis()):
         for entries, (dp, dq) in zip(families, FAMILIES):
-            j = col.get((p.twice - dp, q.twice - dq))
+            j = col.get((p - dp, q - dq))
             if j is not None:
                 entries[i, j] = coeff(dp, dq, p, q)
     return tuple(Matrix.from_entries(rows.dimension, cols.dimension, m) for m in families)
@@ -232,16 +232,16 @@ def _block_pair(block: Callable, A: Spin, B: Spin, C: Spin, D: Spin, arg12, arg2
 # Closed-form route
 # ---------------------------------------------------------------------------
 
-def _one_spin(X: Spin, Y: Spin, x: HalfInt, s: int) -> tuple[RadicalScalar, bool]:
+def _one_spin(X: Spin, Y: Spin, x: int, s: int) -> tuple[RadicalScalar, bool]:
     """(|f|, f < 0) for the factor of row spin X, column spin Y, y = x - s/2.
 
-    Up, X = Y + 1/2: f = sqrt((X + s x)/(2X)), negated when s = -1.  Down,
-    X = Y - 1/2: f = sqrt(Y - s y).  Either way f = s <1/2 s/2, Y y|X x>,
-    times sqrt(2Y + 1) when down.
+    ``x`` is passed doubled, as 2x.  Up, X = Y + 1/2: f = sqrt((X + s x)/(2X)),
+    negated when s = -1.  Down, X = Y - 1/2: f = sqrt(Y - s y).  Either way
+    f = s <1/2 s/2, Y y|X x>, times sqrt(2Y + 1) when down.
     """
     if X.twice > Y.twice:
-        return sqrt_of_rational(Fraction(X.twice + s * x.twice, 2 * X.twice)), s < 0
-    return sqrt_of_rational(Fraction(Y.twice - s * (x.twice - s), 2)), False
+        return sqrt_of_rational(Fraction(X.twice + s * x, 2 * X.twice)), s < 0
+    return sqrt_of_rational(Fraction(Y.twice - s * (x - s), 2)), False
 
 
 def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> Block:
@@ -250,7 +250,7 @@ def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> 
     Family (dp, dq) has t * f(P, R, p, dp) * f(Q, S, q, dq), negated on V-.
     """
 
-    def coeff(dp: int, dq: int, p: HalfInt, q: HalfInt) -> RadicalScalar:
+    def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
         f1, neg1 = _one_spin(P, R, p, dp)
         f2, neg2 = _one_spin(Q, S, q, dq)
         value = f1 * f2 * t
@@ -310,11 +310,11 @@ def _solve_block(
 
     tau: dict[tuple[int, int], RadicalScalar] = {(phi, qhi): anchor}
     for p in range(phi, plo, -2):
-        step = ladder_coeff_r(R, HalfInt(p - 3)) / ladder_coeff_r(P, HalfInt(p - 2))
+        step = ladder_coeff_r(R, p - 3) / ladder_coeff_r(P, p - 2)
         tau[(p - 2, qhi)] = tau[(p, qhi)] * step
     for p in range(plo, phi + 1, 2):
         for q in range(qhi, qlo, -2):
-            step = ladder_coeff_r(S, HalfInt(q - 3)) / ladder_coeff_r(Q, HalfInt(q - 2))
+            step = ladder_coeff_r(S, q - 3) / ladder_coeff_r(Q, q - 2)
             tau[(p, q - 2)] = tau[(p, q)] * step
 
     sign = -1 if (P.twice - R.twice) == (Q.twice - S.twice) else 1
@@ -336,17 +336,14 @@ def _place_block(
     """One block, rows (p,q) of (P,Q) and columns (r,s) of (R,S), from its (tau, ups)."""
     tau, ups = coeffs
 
-    def coeff(dp: int, dq: int, p: HalfInt, q: HalfInt) -> RadicalScalar:
-        p, q = p.twice, q.twice
+    def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
         if dp == dq:
             return (tau if dp > 0 else ups)[(p, q)]
         if dp > 0:
-            return ladder_coeff_r(P, HalfInt(p - 2)) * ups.get((p - 2, q), ZERO) - ladder_coeff_r(
-                R, HalfInt(p - 1)
-            ) * ups.get((p, q), ZERO)
-        return ladder_coeff_r(Q, HalfInt(q - 2)) * ups.get((p, q - 2), ZERO) - ladder_coeff_r(
-            S, HalfInt(q - 1)
-        ) * ups.get((p, q), ZERO)
+            return (ladder_coeff_r(P, p - 2) * ups.get((p - 2, q), ZERO)
+                    - ladder_coeff_r(R, p - 1) * ups.get((p, q), ZERO))
+        return (ladder_coeff_r(Q, q - 2) * ups.get((p, q - 2), ZERO)
+                - ladder_coeff_r(S, q - 1) * ups.get((p, q), ZERO))
 
     return pattern_block(P, Q, R, S, coeff)
 

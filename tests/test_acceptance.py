@@ -27,7 +27,7 @@ from poincarerep.momentum import (
     translation_combination,
 )
 from poincarerep.radical import I_UNIT, ONE, RadicalScalar, ZERO, sqrt_of_rational
-from poincarerep.spins import HalfInt, SpinPair
+from poincarerep.spins import SpinPair
 from poincarerep.vectors import (
     CaseTag,
     FreeParams,
@@ -166,9 +166,9 @@ def test_criterion_6_momentum_witness():
     got = noncommutativity_witness(vec)
     pair = SpinPair(A, B)
     entries = {}
-    inv_root = sqrt_of_rational(A.value * B.value).reciprocal_single()
+    inv_root = sqrt_of_rational(Fraction(A.twice * B.twice, 4)).reciprocal_single()
     for idx, (a, b) in enumerate(pair.basis()):
-        weight = RadicalScalar.from_rational(A.value * b.value + a.value * B.value)
+        weight = RadicalScalar.from_rational(Fraction(A.twice * b + a * B.twice, 4))
         entries[idx, idx] = -(weight * inv_root)
     assert got == Matrix.from_entries(pair.dimension, pair.dimension, entries)
     _passed(6, "[P+, P-] 11-block matches -(Ab+aB)/sqrt(AB) at every (a,b)")
@@ -218,11 +218,11 @@ def test_criterion_9_cg_suite():
                     if abs(tm2) > tj2:
                         continue
                     acc = acc + clebsch_gordan(
-                        spin(tj1), HalfInt(tm1), spin(tj2), HalfInt(tm2),
-                        spin(tJ), HalfInt(tM),
+                        spin(tj1), tm1, spin(tj2), tm2,
+                        spin(tJ), tM,
                     ) * clebsch_gordan(
-                        spin(tj1), HalfInt(tm1), spin(tj2), HalfInt(tm2),
-                        spin(tJp), HalfInt(tM),
+                        spin(tj1), tm1, spin(tj2), tm2,
+                        spin(tJp), tM,
                     )
                 assert acc == (ONE if tJ == tJp else ZERO)
     # spot values against the independent factorial-sum oracle
@@ -234,8 +234,8 @@ def test_criterion_9_cg_suite():
     ]
     for args, want in spots:
         got = clebsch_gordan(
-            spin(args[0]), HalfInt(args[1]), spin(args[2]), HalfInt(args[3]),
-            spin(args[4]), HalfInt(args[5]),
+            spin(args[0]), args[1], spin(args[2]), args[3],
+            spin(args[4]), args[5],
         )
         assert got == want
         sign, square = racah_cg_signed_square(*args)

@@ -20,7 +20,7 @@ from poincarerep.cg import (
 from poincarerep.generators import direct_sum, spin
 from poincarerep.matrix import Matrix
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
-from poincarerep.spins import HalfInt, SpinPair
+from poincarerep.spins import SpinPair
 from poincarerep.vectors import (
     CaseTag,
     FreeParams,
@@ -50,37 +50,37 @@ def _signed_square(value: RadicalScalar) -> tuple[int, Fraction]:
 class TestClebschGordan:
     def test_stretched_state(self):
         assert clebsch_gordan(
-            spin(1), HalfInt(1), spin(1), HalfInt(1), spin(2), HalfInt(2)
+            spin(1), 1, spin(1), 1, spin(2), 2
         ) == ONE
 
     def test_lowered_once(self):
         # <1/2 1/2, 1/2 -1/2 | 1 0> = sqrt(2)/2
         val = clebsch_gordan(
-            spin(1), HalfInt(1), spin(1), HalfInt(-1), spin(2), HalfInt(0)
+            spin(1), 1, spin(1), -1, spin(2), 0
         )
         assert val == sqrt_of_rational(Fraction(1, 2))
 
     def test_coupling_with_scalar(self):
         assert clebsch_gordan(
-            spin(1), HalfInt(1), spin(0), HalfInt(0), spin(1), HalfInt(1)
+            spin(1), 1, spin(0), 0, spin(1), 1
         ) == ONE
 
     def test_singlet_signs(self):
         plus = clebsch_gordan(
-            spin(1), HalfInt(1), spin(1), HalfInt(-1), spin(0), HalfInt(0)
+            spin(1), 1, spin(1), -1, spin(0), 0
         )
         minus = clebsch_gordan(
-            spin(1), HalfInt(-1), spin(1), HalfInt(1), spin(0), HalfInt(0)
+            spin(1), -1, spin(1), 1, spin(0), 0
         )
         assert plus == sqrt_of_rational(Fraction(1, 2))
         assert minus == -sqrt_of_rational(Fraction(1, 2))
 
     def test_selection_rules_zero(self):
         assert clebsch_gordan(
-            spin(1), HalfInt(1), spin(1), HalfInt(1), spin(2), HalfInt(0)
+            spin(1), 1, spin(1), 1, spin(2), 0
         ).is_zero()
         assert clebsch_gordan(
-            spin(1), HalfInt(1), spin(1), HalfInt(-1), spin(4), HalfInt(0)
+            spin(1), 1, spin(1), -1, spin(4), 0
         ).is_zero()
 
     def test_exhaustive_against_racah_sum(self):
@@ -92,8 +92,8 @@ class TestClebschGordan:
                         if abs(tM) > tJ:
                             continue
                         val = clebsch_gordan(
-                            spin(tj1), HalfInt(tm1), spin(tj2), HalfInt(tm2),
-                            spin(tJ), HalfInt(tM),
+                            spin(tj1), tm1, spin(tj2), tm2,
+                            spin(tJ), tM,
                         )
                         want = racah_cg_signed_square(tj1, tm1, tj2, tm2, tJ, tM)
                         if val.is_zero():
@@ -112,11 +112,11 @@ class TestClebschGordan:
                         if abs(tm2) > tj2:
                             continue
                         acc = acc + clebsch_gordan(
-                            spin(tj1), HalfInt(tm1), spin(tj2), HalfInt(tm2),
-                            spin(tJ), HalfInt(tM),
+                            spin(tj1), tm1, spin(tj2), tm2,
+                            spin(tJ), tM,
                         ) * clebsch_gordan(
-                            spin(tj1), HalfInt(tm1), spin(tj2), HalfInt(tm2),
-                            spin(tJp), HalfInt(tM),
+                            spin(tj1), tm1, spin(tj2), tm2,
+                            spin(tJp), tM,
                         )
                     expected = ONE if tJ == tJp else ZERO
                     assert acc == expected, (tj1, tj2, tJ, tJp, tM)

@@ -457,6 +457,23 @@ class TestCommands:
     def test_unknown_flag_is_input_error(self):
         assert main(["gen", "--nope", "1"]) == EXIT_BAD_INPUT
 
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "poincarerep":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        out = str(tmp_path / "b.json")
+        assert main(["gen", "--nope", "1"]) == EXIT_BAD_INPUT
+        assert main(["gen", "--spins", "1,1,0,0", "--block", "keep12", "--out", out]) == EXIT_OK
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify", "--in", out]) == EXIT_OK
+        assert len(built) <= 1
+
 
 # Numbers no float holds, as a bare value, inside a term and as a whole
 # entry; they are drawn as often as all other values together, since most

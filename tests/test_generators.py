@@ -14,38 +14,38 @@ from poincarerep.generators import (
 )
 from poincarerep.matrix import Matrix
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
-from poincarerep.spins import HalfInt, SpinPair
+from poincarerep.spins import SpinPair
 from poincarerep.verify import check_lorentz
 
 
 class TestLadderCoefficients:
     def test_r_top_of_ladder(self):
-        assert ladder_coeff_r(spin(1), HalfInt(1)) == ZERO
+        assert ladder_coeff_r(spin(1), 1) == ZERO
 
     def test_r_half(self):
-        assert ladder_coeff_r(spin(1), HalfInt(-1)) == ONE
+        assert ladder_coeff_r(spin(1), -1) == ONE
 
     def test_r_one(self):
-        assert ladder_coeff_r(spin(2), HalfInt(0)) == sqrt_of_rational(2)
+        assert ladder_coeff_r(spin(2), 0) == sqrt_of_rational(2)
 
     def test_r_out_of_range_is_zero(self):
-        assert ladder_coeff_r(spin(1), HalfInt(3)) == ZERO
-        assert ladder_coeff_r(spin(1), HalfInt(-5)) == ZERO
-        assert ladder_coeff_r(spin(2), HalfInt(1)) == ZERO  # wrong parity
+        assert ladder_coeff_r(spin(1), 3) == ZERO
+        assert ladder_coeff_r(spin(1), -5) == ZERO
+        assert ladder_coeff_r(spin(2), 1) == ZERO  # wrong parity
 
     def test_s_bottom_of_ladder(self):
-        assert ladder_coeff_s(spin(1), HalfInt(-1)) == ZERO
+        assert ladder_coeff_s(spin(1), -1) == ZERO
 
     def test_s_half(self):
-        assert ladder_coeff_s(spin(1), HalfInt(1)) == ONE
+        assert ladder_coeff_s(spin(1), 1) == ONE
 
     def test_s_three_halves(self):
-        assert ladder_coeff_s(spin(3), HalfInt(1)) == RadicalScalar.from_rational(2)
+        assert ladder_coeff_s(spin(3), 1) == RadicalScalar.from_rational(2)
 
     def test_s_is_r_reflected(self):
         for ts in range(-5, 6):
-            assert ladder_coeff_s(spin(4), HalfInt(ts)) == ladder_coeff_r(
-                spin(4), HalfInt(-ts)
+            assert ladder_coeff_s(spin(4), ts) == ladder_coeff_r(
+                spin(4), -ts
             )
 
 

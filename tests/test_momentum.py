@@ -59,9 +59,9 @@ def _expected_witness(A, B, t12, t21):
     """-(A*b + a*B)/sqrt(A*B) * t12 * t21 on the (a,b) diagonal."""
     pair = SpinPair(A, B)
     entries = {}
-    inv_root = sqrt_of_rational(A.value * B.value).reciprocal_single()
+    inv_root = sqrt_of_rational(Fraction(A.twice * B.twice, 4)).reciprocal_single()
     for idx, (a, b) in enumerate(pair.basis()):
-        coeff = RadicalScalar.from_rational(A.value * b.value + a.value * B.value)
+        coeff = RadicalScalar.from_rational(Fraction(A.twice * b + a * B.twice, 4))
         entries[idx, idx] = -(coeff * inv_root) * t12 * t21
     return Matrix.from_entries(pair.dimension, pair.dimension, entries)
 

@@ -345,6 +345,22 @@ def test_equality_and_hash_match_reference(p, q, r):
     assert (a == r) == (ra == r)
 
 
+def test_rational_values_hash_as_ints_and_fractions():
+    half = Fraction(1, 2)
+    assert ONE == 1 and hash(ONE) == hash(1) and len({ONE, 1}) == 1
+    assert ZERO == 0 and hash(ZERO) == hash(0) and {0: "z"}.get(ZERO) == "z"
+    assert {half: "x"}.get(RadicalScalar.from_rational(half)) == "x"
+    assert hash(RadicalScalar.from_rational(-3)) == hash(-3)
+
+
+@given(_rational)
+@settings(max_examples=100)
+def test_rational_value_hash_agrees_with_its_equality(r):
+    x = RadicalScalar.from_rational(r)
+    assert x == r and hash(x) == hash(r)
+    assert {r: "x"}.get(x) == "x"
+
+
 def assert_canonical(x):
     nums = [c for pair in x._num.values() for c in pair]
     assert x._den > 0 and math.gcd(x._den, *nums) == 1

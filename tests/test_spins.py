@@ -1,31 +1,21 @@
-"""Half-integer bookkeeping and the basis order."""
-
-from fractions import Fraction
+"""Spin labels and the basis order."""
 
 import pytest
 
-from poincarerep.spins import HalfInt, Spin, SpinPair
+from poincarerep.spins import Spin, SpinPair
 
 
-def test_halfint_value_and_arithmetic():
-    h = HalfInt(3)
-    assert h.value == Fraction(3, 2)
-    assert (-h).twice == -3
-    assert -h == HalfInt(-3)
-
-
-def test_halfint_equality_is_between_halfints_only():
-    assert HalfInt(2) != 1
-    assert HalfInt(2) != Fraction(1)
-    assert Spin(1) == HalfInt(1) and hash(Spin(1)) == hash(HalfInt(1))
-    assert HalfInt(1) in {Spin(1)}
-    assert {HalfInt(-1): "x"}.get(HalfInt(-1)) == "x"
-
-
-def test_halfint_immutable():
-    h = HalfInt(1)
+def test_spin_is_a_frozen_label():
+    assert Spin(2) == Spin(2) and hash(Spin(2)) == hash(Spin(2))
+    assert Spin(2) != Spin(1)
+    assert Spin(2) != 2
+    assert {Spin(1): "x"}.get(Spin(1)) == "x"
+    assert repr(Spin(3)) == "Spin(3)" and str(Spin(3)) == "3/2" and str(Spin(4)) == "2"
+    s = Spin(1)
     with pytest.raises(AttributeError):
-        h.twice = 5
+        s.twice = 5
+    with pytest.raises(TypeError):
+        Spin(1.0)
 
 
 def test_spin_rejects_negative():
@@ -36,23 +26,23 @@ def test_spin_rejects_negative():
 def test_spin_multiplicity_and_projections():
     s = Spin(3)
     assert s.multiplicity == 4
-    assert [p.twice for p in s.projections()] == [3, 1, -1, -3]
+    assert s.projections() == [3, 1, -1, -3]
 
 
 def test_spinpair_dimension_and_basis_order():
     pair = SpinPair(Spin(1), Spin(1))
     assert pair.dimension == 4
-    assert [(a.twice, b.twice) for a, b in pair.basis()] == [
+    assert pair.basis() == [
         (1, 1), (1, -1), (-1, 1), (-1, -1)
     ]
 
 
 def test_basis_positions():
     half_half = SpinPair(Spin(1), Spin(1))
-    assert half_half.basis().index((HalfInt(1), HalfInt(1))) == 0
-    assert half_half.basis().index((HalfInt(-1), HalfInt(1))) == 2
+    assert half_half.basis().index((1, 1)) == 0
+    assert half_half.basis().index((-1, 1)) == 2
     one_half = SpinPair(Spin(2), Spin(1))
-    assert one_half.basis().index((HalfInt(0), HalfInt(-1))) == 3
+    assert one_half.basis().index((0, -1)) == 3
 
 
 def test_basis_has_no_repeats():

@@ -11,7 +11,7 @@ from poincarerep.generators import direct_sum, ladder_coeff_s, spin
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
-from poincarerep.spins import HalfInt, SpinPair
+from poincarerep.spins import SpinPair
 from poincarerep.vectors import (
     FAMILIES,
     CaseTag,
@@ -91,7 +91,7 @@ class TestClosedForm:
                     sign, square = racah_cg_signed_square(1, s, tY, tx - s, tX, tx)
                     if tX < tY:
                         square *= tY + 1
-                    magnitude, negative = _one_spin(spin(tX), spin(tY), HalfInt(tx), s)
+                    magnitude, negative = _one_spin(spin(tX), spin(tY), tx, s)
                     assert magnitude == sqrt_of_rational(square)
                     assert (-1 if negative else 1) == s * sign
                     cases += 1
@@ -109,8 +109,8 @@ class TestClosedForm:
         A, B, C, D = spin(2), spin(1), spin(1), spin(0)
         v = closed_form_vectors(A, B, C, D, UNIT)
         plus = v.families[0]
-        row = SpinPair(A, B).basis().index((HalfInt(0), HalfInt(1)))
-        col = v.block1_dim + SpinPair(C, D).basis().index((HalfInt(-1), HalfInt(0)))
+        row = SpinPair(A, B).basis().index((0, 1))
+        col = v.block1_dim + SpinPair(C, D).basis().index((-1, 0))
         assert plus.get(row, col) == sqrt_of_rational(Fraction(1, 2))
 
     def test_zero_parameters_give_zero(self):
@@ -144,7 +144,7 @@ class TestClosedForm:
             basis2 = v.spins[1].basis()
             for i, j, _ in plus.submatrix(0, n1, n1, n).nonzero_items():
                 (a, b), (c, d) = basis1[i], basis2[j]
-                assert a.twice - c.twice == 1 and b.twice - d.twice == 1
+                assert a - c == 1 and b - d == 1
 
     def test_case_swap_symmetry(self):
         # Conjugating by the block-swap permutation maps (A,B,C,D; t12,t21)
@@ -225,10 +225,10 @@ class TestRecursionSolver:
                 assert ups[(plo, qlo)] == RadicalScalar.from_rational(-anchor if same else anchor)
                 for (p, q), val in ups.items():
                     if (p + 2, q) in ups:
-                        step = ladder_coeff_s(R, HalfInt(p + 3)) / ladder_coeff_s(P, HalfInt(p + 2))
+                        step = ladder_coeff_s(R, p + 3) / ladder_coeff_s(P, p + 2)
                         assert ups[(p + 2, q)] == val * step, (A, B, C, D, p, q)
                     if (p, q + 2) in ups:
-                        step = ladder_coeff_s(S, HalfInt(q + 3)) / ladder_coeff_s(Q, HalfInt(q + 2))
+                        step = ladder_coeff_s(S, q + 3) / ladder_coeff_s(Q, q + 2)
                         assert ups[(p, q + 2)] == val * step, (A, B, C, D, p, q)
 
     def test_index_ranges_respected(self):
@@ -282,10 +282,10 @@ def test_unsatisfiable_half_step_lattice():
         da, db = A.twice - C.twice, B.twice - D.twice
         if abs(da) >= 3 or abs(db) >= 3:
             continue  # half-odd but distant: handled by the recursion argument
-        a_vals = [a.twice for a in A.projections()]
-        c_vals = [c.twice for c in C.projections()]
-        b_vals = [b.twice for b in B.projections()]
-        d_vals = [d.twice for d in D.projections()]
+        a_vals = A.projections()
+        c_vals = C.projections()
+        b_vals = B.projections()
+        d_vals = D.projections()
         for sign in (1, -1):
             pairs_a = any(a - c == sign for a in a_vals for c in c_vals)
             pairs_b = any(b - d == sign for b in b_vals for d in d_vals)
@@ -301,7 +301,7 @@ class TestPatternBlock:
             asked = {}
 
             def coeff(dp, dq, p, q):
-                key = (dp, dq, p.twice, q.twice)
+                key = (dp, dq, p, q)
                 assert key not in asked
                 asked[key] = sqrt_of_rational(2) * (len(asked) + 1) + I_UNIT
                 return asked[key]
@@ -310,9 +310,9 @@ class TestPatternBlock:
             families = {f: {} for f in FAMILIES}
             for i, (p, q) in enumerate(rows.basis()):
                 for j, (r, s) in enumerate(cols.basis()):
-                    dp, dq = p.twice - r.twice, q.twice - s.twice
+                    dp, dq = p - r, q - s
                     if abs(dp) == 1 and abs(dq) == 1:
-                        families[(dp, dq)][i, j] = asked.pop((dp, dq, p.twice, q.twice))
+                        families[(dp, dq)][i, j] = asked.pop((dp, dq, p, q))
             assert not asked, (P, Q, R, S)
             plus, minus, f_plus, f_minus = (
                 Matrix.from_entries(rows.dimension, cols.dimension, families[f]) for f in FAMILIES
