@@ -99,22 +99,6 @@ def scalar_from_json(terms: list[dict]) -> RadicalScalar:
         raise ValueError(f"malformed scalar term: {exc}") from exc
 
 
-def matrix_to_json(mat: Matrix) -> list[list[dict]]:
-    """The dense row-major entry grid of ``mat``, for serialization only.
-
-    Every zero cell is the same empty list, made once per call: a grid
-    holds mostly zeros, and one fresh list per cell is a container the
-    cyclic garbage collector must track and scan for no gain.  The encoder
-    writes each cell on its own, so the bytes do not change; a caller that
-    edits the grid must replace a cell rather than mutate it in place.
-    """
-    zero: list[dict] = []
-    flat = [zero] * (mat.rows * mat.cols)
-    for i, j, value in mat.nonzero_items():
-        flat[i * mat.cols + j] = scalar_to_json(value)
-    return flat
-
-
 def _term_key(terms) -> tuple[int, ...] | None:
     """The integers of a well-formed term list, or None if it is not one.
 
@@ -213,24 +197,54 @@ class MatrixBundle:
             zip(MATRIX_KEYS, (*self.generators.J, *self.generators.K, *self.vectors.components()))
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schemaVersion": SCHEMA_VERSION,
-            "layout": LAYOUT_NOTE,
-            "spins": list(self.spins),
-            "caseTag": self.case.value,
-            "source": self.source,
-            "block": self.block,
-            "params": {
-                "t12": scalar_to_json(self.params.t12),
-                "t21": scalar_to_json(self.params.t21),
-            },
-            "dimension": self.dimension,
-            "matrices": {key: matrix_to_json(mat) for key, mat in self.matrices().items()},
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        """The canonical text, written directly: what ``json.dumps`` gives with
+        sorted keys and no whitespace, plus a newline.
+
+        A bundle is mostly zero cells and repeats few values, so each matrix
+        is its literal ``[]`` cells with only the nonzero ones filled in, and
+        equal values share one encoding.  ``tests/oracles.py`` holds the
+        dict this text encodes, and the tests compare the two byte for byte.
+        """
+        # Keyed on a value's integers, not on the value, whose hash builds a
+        # Fraction for a rational value.  A value whose terms are stored in
+        # another order is encoded again, to the same text.
+        encoded: dict[tuple, str] = {}
+
+        def scalar_text(value: RadicalScalar) -> str:
+            key = (value._den, tuple(value._num.items()))
+            text = encoded.get(key)
+            if text is None:
+                text = encoded[key] = _compact(scalar_to_json(value))
+            return text
+
+        def matrix_text(mat: Matrix) -> str:
+            cells = ["[]"] * (mat.rows * mat.cols)
+            for i, j, value in mat.nonzero_items():
+                cells[i * mat.cols + j] = scalar_text(value)
+            return "[" + ",".join(cells) + "]"
+
+        params = self.params
+        return _object({
+            "block": _compact(self.block),
+            "caseTag": _compact(self.case.value),
+            "dimension": _compact(self.dimension),
+            "layout": _compact(LAYOUT_NOTE),
+            "matrices": _object({key: matrix_text(mat) for key, mat in self.matrices().items()}),
+            "params": _object({"t12": scalar_text(params.t12), "t21": scalar_text(params.t21)}),
+            "schemaVersion": _compact(SCHEMA_VERSION),
+            "source": _compact(self.source),
+            "spins": _compact(list(self.spins)),
+        }) + "\n"
+
+
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _object(fields: dict[str, str]) -> str:
+    """The JSON object of already encoded values, keys in ``sort_keys`` order."""
+    return "{" + ",".join(f"{_compact(key)}:{fields[key]}" for key in sorted(fields)) + "}"
 
 
 def bundle_from_json_dict(data: dict) -> MatrixBundle:

@@ -23,11 +23,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 RationalLike = Union[int, Fraction]
 
 _TRIAL_LIMIT = 2**20
+
+# Trial division by every odd number runs up to _SMALL_LIMIT; past it the
+# primes below _TRIAL_LIMIT are tested _CHUNK at a time, one gcd per chunk.
+_SMALL_LIMIT = 2**10
+_CHUNK = 256
 
 # Distinct radicands kept: a bound on memory in a long-lived process.
 _RADICAL_CACHE_SIZE = 4096
@@ -37,37 +42,82 @@ _RADICAL_CACHE_SIZE = 4096
 def normalize_radical(n: int) -> tuple[int, int]:
     """Split n >= 0 as outside**2 * core with core squarefree; 0 -> (0, 1).
 
-    Trial division stops past 2**20.  A cofactor left below 2**40 has no
-    factor it missed, so it is prime; a larger one raises ValueError, since
-    splitting it would mean factoring it.  Once a cofactor m below 2**40
-    has p**3 > m, it is 1, q, q*r or q**2 for primes q != r >= p.
+    Only primes up to 2**20 are divided out.  The cofactor they leave is
+    1, q, q*r or q**2 for primes q != r (see ``_trial_divide``), unless it is
+    at least (2**20 + 1)**2: then splitting it would mean factoring it, and
+    ValueError is raised.
     """
     if n < 0:
         raise ValueError(f"radicand must be nonnegative, got {n}")
     if n == 0:
         return (0, 1)
-    outside = 1
-    core = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m < _TRIAL_LIMIT**2 and p * p * p > m:
-            break
-        if p > _TRIAL_LIMIT:
-            raise ValueError(f"radicand {n} has a factor too large to split")
-        if m % p == 0:
-            exp = 0
-            while m % p == 0:
-                m //= p
-                exp += 1
-            outside *= p ** (exp // 2)
-            if exp % 2:
-                core *= p
-        p += 1 if p == 2 else 2
+    factors, m = _trial_divide(n)
+    if m >= (_TRIAL_LIMIT + 1) ** 2:
+        raise ValueError(f"radicand {n} has a factor too large to split")
+    outside = core = 1
+    for p, exp in factors:
+        outside *= p ** (exp // 2)
+        if exp % 2:
+            core *= p
     root = math.isqrt(m)
     if root * root == m:  # m is q**2 or 1
         return (outside * root, core)
     return (outside, core * m)
+
+
+def _trial_divide(m: int) -> tuple[list[tuple[int, int]], int]:
+    """The primes p <= 2**20 dividing m with their exponents, and the cofactor left.
+
+    The divisors come in groups (first, product, primes) in increasing
+    order, and a group is divided in only if its product shares a factor
+    with m.  The search stops early, leaving a cofactor below 2**40, once
+    the cofactor m is free of the primes below p = first and p*p > m, or
+    m < 2**40 and p**3 > m: m is then 1, q, q*r or q**2 for primes
+    q != r >= p, and the caller needs no more of its factors.
+    """
+    found = []
+    for first, product, primes in _divisor_groups():
+        if first * first > m or (m < _TRIAL_LIMIT**2 and first**3 > m):
+            break
+        common = math.gcd(m, product)
+        if common == 1:
+            continue
+        for p in primes:
+            if common % p == 0:
+                exp = 0
+                while m % p == 0:
+                    m //= p
+                    exp += 1
+                found.append((p, exp))
+    return found, m
+
+
+def _divisor_groups() -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """2 and each odd number below _SMALL_LIMIT alone, then the chunks of larger primes."""
+    yield 2, 2, (2,)
+    for p in range(3, _SMALL_LIMIT, 2):
+        yield p, p, (p,)
+    yield from _prime_chunks()
+
+
+@lru_cache(maxsize=1)
+def _prime_chunks() -> list[tuple[int, int, tuple[int, ...]]]:
+    """The primes in (_SMALL_LIMIT, _TRIAL_LIMIT], _CHUNK at a time, with their product.
+
+    Each entry is (first prime, product, primes).  Built on first use, which
+    only a radicand whose trial division runs past 2**10 reaches.
+    """
+    sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, _TRIAL_LIMIT + 1, p)))
+    primes = [p for p in range(_SMALL_LIMIT + 1, _TRIAL_LIMIT + 1) if sieve[p]]
+    chunks = []
+    for k in range(0, len(primes), _CHUNK):
+        chunk = tuple(primes[k : k + _CHUNK])
+        chunks.append((chunk[0], math.prod(chunk), chunk))
+    return chunks
 
 
 class RadicalScalar:

@@ -11,7 +11,11 @@ swapped partner.  ``reference_check_poincare`` checks each of the 45 rules
 by one commutator of the Cartesian matrices J_x ... K_z and V_x ... V_t,
 where the library checks them in the spin and family bases.
 ``reference_equivalence_ratio`` fits and compares the Cartesian blocks,
-where the library compares family blocks.
+where the library compares family blocks.  ``reference_bundle_dict`` is the
+dense dict a bundle's text encodes, for ``json.dumps`` to write, where
+``MatrixBundle.dumps`` writes the text directly.  ``reference_normalize_radical``
+trial-divides by every odd number up to 2**20, where the library tests
+chunks of primes with one gcd each.
 """
 
 import itertools
@@ -20,7 +24,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from poincarerep.bundle import SOURCES, vectors_from_source
+from poincarerep.bundle import (
+    LAYOUT_NOTE,
+    SCHEMA_VERSION,
+    SOURCES,
+    scalar_to_json,
+    vectors_from_source,
+)
 from poincarerep.cg import RatioFit, RatioMismatch
 from poincarerep.generators import block_sum, irrep_generators
 from poincarerep.matrix import Matrix, commutator
@@ -492,3 +502,87 @@ def reference_equivalence_ratio(reference, candidate):
                 return RatioMismatch(which, mu, row, col, ref.get(row, col), cand.get(row, col))
         ratios[which] = ratio
     return RatioFit(ratio12=ratios["12"], ratio21=ratios["21"])
+
+
+def matrix_to_json(mat: Matrix) -> list:
+    """The dense row-major entry grid of ``mat``: [] at every zero cell."""
+    flat = [[] for _ in range(mat.rows * mat.cols)]
+    for i, j, value in mat.nonzero_items():
+        flat[i * mat.cols + j] = scalar_to_json(value)
+    return flat
+
+
+def reference_bundle_dict(bundle) -> dict:
+    """The JSON tree of ``bundle``; its canonical text is
+    ``json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\\n"``."""
+    return {
+        "schemaVersion": SCHEMA_VERSION,
+        "layout": LAYOUT_NOTE,
+        "spins": list(bundle.spins),
+        "caseTag": bundle.case.value,
+        "source": bundle.source,
+        "block": bundle.block,
+        "params": {
+            "t12": scalar_to_json(bundle.params.t12),
+            "t21": scalar_to_json(bundle.params.t21),
+        },
+        "dimension": bundle.dimension,
+        "matrices": {key: matrix_to_json(mat) for key, mat in bundle.matrices().items()},
+    }
+
+
+def reference_normalize_radical(n: int) -> tuple[int, int]:
+    """``radical.normalize_radical`` by trial division with every odd number up to 2**20.
+
+    Splits n >= 0 as outside**2 * core with core squarefree (0 -> (0, 1)),
+    and raises the library's ValueError for a negative n and for a cofactor
+    left above 2**40 once the trial divisors pass 2**20.
+    """
+    limit = 2**20
+    if n < 0:
+        raise ValueError(f"radicand must be nonnegative, got {n}")
+    if n == 0:
+        return (0, 1)
+    outside = 1
+    core = 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m < limit**2 and p * p * p > m:
+            break
+        if p > limit:
+            raise ValueError(f"radicand {n} has a factor too large to split")
+        if m % p == 0:
+            exp = 0
+            while m % p == 0:
+                m //= p
+                exp += 1
+            outside *= p ** (exp // 2)
+            if exp % 2:
+                core *= p
+        p += 1 if p == 2 else 2
+    root = math.isqrt(m)
+    if root * root == m:
+        return (outside * root, core)
+    return (outside, core * m)
+
+
+def is_prime_below_2_41(n: int) -> bool:
+    """Deterministic Miller-Rabin; the bases 2..13 decide every n < 3.4e12."""
+    bases = (2, 3, 5, 7, 11, 13)
+    if n < 2 or n in bases:
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

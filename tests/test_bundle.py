@@ -2,27 +2,34 @@
 
 import copy
 import gc
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarerep.bundle import (
+    BLOCKS,
+    SOURCES,
     MatrixBundle,
     bundle_from_json_dict,
     load_bundle,
     matrix_from_json,
-    matrix_to_json,
     scalar_from_json,
     scalar_to_json,
+    vectors_from_source,
 )
 from poincarerep.cli import EXIT_BAD_INPUT, main
-from poincarerep.generators import direct_sum, spin
+from poincarerep.generators import GeneratorSet, direct_sum, spin
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import ONE, RadicalScalar, sqrt_of_rational
-from poincarerep.spins import SpinPair
-from poincarerep.vectors import CaseTag, FreeParams, closed_form_vectors
+from poincarerep.spins import Spin, SpinPair
+from poincarerep.vectors import CaseTag, FreeParams, VectorSet, classify_case, closed_form_vectors
+
+from oracles import matrix_to_json, reference_bundle_dict
 
 
 def _make_bundle(block="both"):
@@ -174,3 +181,86 @@ def test_keep21_bundle_reports_keep21():
     bundle = _make_bundle(block="keep21")
     assert bundle.block == "keep21"
     assert bundle_from_json_dict(json.loads(bundle.dumps())).block == "keep21"
+
+
+def _reference_text(bundle):
+    return json.dumps(reference_bundle_dict(bundle), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+ADMISSIBLE = [
+    quad for quad in itertools.product(range(4), repeat=4)
+    if classify_case(*(Spin(t) for t in quad)) is not CaseTag.NO_SOLUTION
+]
+
+_coefficients = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=2**60),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(2**59, 2**60)),
+)
+_radicands = st.one_of(st.integers(1, 30), st.sampled_from([2**31 - 1, 12 * (2**40 - 87)]))
+# Arbitrary values: rational ones (which equal an int or a Fraction), negative
+# ones, several radicands, 60-bit denominators, and zero.
+_scalars = st.one_of(
+    st.integers(-5, 5).map(RadicalScalar.from_rational),
+    st.lists(st.tuples(_radicands, _coefficients, _coefficients), max_size=4).map(
+        RadicalScalar.from_terms
+    ),
+)
+
+
+def _generated(quad, source, block, params):
+    spins = tuple(Spin(t) for t in quad)
+    vec = vectors_from_source(source, spins, params)
+    if block != "both":
+        vec = momentum_from_vectors(vec, BlockChoice(block))
+    gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
+    return MatrixBundle(source=source, generators=gen, vectors=vec)
+
+
+@given(
+    quad=st.sampled_from(ADMISSIBLE),
+    source=st.sampled_from(SOURCES),
+    block=st.sampled_from(BLOCKS),
+    t12=_scalars.filter(bool),
+    t21=_scalars.filter(bool),
+)
+@settings(max_examples=75, deadline=None)
+def test_dumps_matches_the_reference_encoder_on_generated_bundles(quad, source, block, t12, t21):
+    bundle = _generated(quad, source, block, FreeParams(t12, t21))
+    assert bundle.dumps() == _reference_text(bundle)
+
+
+@given(
+    quad=st.sampled_from(ADMISSIBLE),
+    data=st.data(),
+    t12=_scalars,
+    t21=_scalars,
+)
+@settings(max_examples=75, deadline=None)
+def test_dumps_matches_the_reference_encoder_on_edited_bundles(quad, data, t12, t21):
+    bundle = _generated(quad, "closed-form", "both", FreeParams(ONE, ONE))
+    n = bundle.dimension
+    mats = bundle.matrices()
+    for _ in range(data.draw(st.integers(1, 6), label="edits")):
+        key = data.draw(st.sampled_from(sorted(mats)), label="matrix")
+        cell = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="cell")
+        entries = {(i, j): v for i, j, v in mats[key].nonzero_items()}
+        entries[cell] = data.draw(_scalars, label="value")
+        mats[key] = Matrix.from_entries(n, n, entries)
+    spins = bundle.vectors.spins
+    edited = MatrixBundle(
+        source=data.draw(st.sampled_from(SOURCES), label="source"),
+        generators=GeneratorSet.from_cartesian(
+            spins,
+            tuple(mats[k] for k in ("Jx", "Jy", "Jz")),
+            tuple(mats[k] for k in ("Kx", "Ky", "Kz")),
+        ),
+        vectors=VectorSet.from_cartesian(
+            spins,
+            FreeParams(t12, t21),
+            tuple(mats[k] for k in ("Vx", "Vy", "Vz", "Vt")),
+            kept_block=data.draw(st.sampled_from([None, "12", "21"]), label="kept"),
+        ),
+    )
+    assert edited.matrices() == mats
+    assert edited.dumps() == _reference_text(edited)

@@ -1,6 +1,7 @@
 """Command-line interface: literals, exit codes, files, reports."""
 
 import copy
+import hashlib
 import io
 import json
 import tempfile
@@ -27,7 +28,9 @@ from poincarerep.cli import (
     parse_scalar,
     parse_spins,
 )
-from poincarerep.radical import I_UNIT, ONE, RadicalScalar, sqrt_of_rational
+from poincarerep.radical import I_UNIT, ONE, RadicalScalar, normalize_radical, sqrt_of_rational
+
+from oracles import is_prime_below_2_41
 
 
 class TestScalarLiterals:
@@ -473,6 +476,31 @@ class TestCommands:
         with redirect_stdout(io.StringIO()):
             assert main(["verify", "--in", out]) == EXIT_OK
         assert len(built) <= 1
+
+    def test_bundle_of_radicands_with_a_prime_factor_near_2_20_verifies_quickly(
+        self, tmp_path, monkeypatch
+    ):
+        # One J_x cell holds 40 terms (2**20 - 3) * q, q the 40 largest primes
+        # below 2**31: each radicand's smallest factor is the largest prime
+        # below 2**20, so trial division by every odd number took about
+        # 0.15 s per radicand, and this verify 4.5-6.5 s.
+        primes = [q for q in range(2**31 - 1, 2**31 - 2000, -2) if is_prime_below_2_41(q)][:40]
+        assert len(primes) == 40
+        monkeypatch.chdir(tmp_path)  # the report names its bundle by this relative path
+        path, report = Path("h.json"), Path("r.json")
+        assert main(["gen", "--spins", "2,1,1,2", "--block", "keep12", "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        data["matrices"]["Jx"][0] = [
+            {"d": (2**20 - 3) * q, "re": [1, 1], "im": [0, 1]} for q in primes
+        ]
+        path.write_text(json.dumps(data))
+        normalize_radical.cache_clear()
+        start = time.perf_counter()
+        assert main(["verify", "--in", str(path), "--out", str(report)]) == EXIT_RULE_FAILURE
+        assert time.perf_counter() - start < 2.0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "e0461067c88089e9c0d01190722bd15d5fbf169fd8347282f92ab5eed9d0d2e0"
+        )
 
 
 # Numbers no float holds, as a bare value, inside a term and as a whole

@@ -3,8 +3,9 @@
 ``data/golden_bundles.json`` holds the sha256 of ``MatrixBundle.dumps()``
 for every admissible quadruple x source x block choice, at unit parameters
 for doubled spins <= 4 and at multi-term radical parameters for doubled
-spins <= 2.  A refactor of any construction route, of the momentum
-projection or of the serializer must leave every digest unchanged.
+spins <= 2, and ``LARGE_BUNDLE_DIGESTS`` does so for ``gen`` at dimension 145
+and 60.  A refactor of any construction route, of the momentum projection
+or of the serializer must leave every digest unchanged.
 ``SWEEP_DIGESTS`` does the same for the ``verify --sweep N`` report, and
 ``CORRUPTED_REPORT_DIGESTS`` for the ``verify --in`` reports of bundles with
 one matrix edited by hand, which pin each failing rule's first residual, and
@@ -60,6 +61,21 @@ EQUIV_DIGESTS = {
     "dressed": "29562d6ab90153aa09f37458d74cd90392063b78774dc21cf1dbc04217bd43d8",
 }
 
+# sha256 of the `gen --spins S --source R --block B` bundle, keyed "S/R/B";
+# the last one is at the dressed parameters DRESSED.
+LARGE_BUNDLE_DIGESTS = {
+    "8,8,7,7/closed-form/both": "04a5da13069c124566e3044890916779dcaa24f42060ddf5e3c3e443ca237c5c",
+    "8,8,7,7/closed-form/keep12": "489a98fdfa8a6af1fc026cf0be0bf875f9c416962fb059a0747948926a4175ba",
+    "8,8,7,7/closed-form/keep21": "dddd8c9f4bf9a2e1a96b0bab510d1c4a023f151975f6b2c04c3907bdc31a7270",
+    "8,8,7,7/recursion/both": "c9810790ef6274f4ceb6b5f060ed0f0d382f8ed9032f8210e8497ff07be55471",
+    "8,8,7,7/recursion/keep12": "8e181634a233d9b565c67ab35a811712057d16c6f11c47da3ce33294885fa11b",
+    "8,8,7,7/recursion/keep21": "98b38648519fc1be94ebe3daefc7227075b5e11667d783fcfd5b7e0a468a73f7",
+    "8,8,7,7/clebsch-gordan/both": "a539410a85f7fbf00857d164a35ece36fee36fda8b6e6ce2918234933cbf2cf9",
+    "8,8,7,7/clebsch-gordan/keep12": "08cba5d9d954211512760b67d4ef5755473c2c6ef8637860801fdbcffe956170",
+    "8,8,7,7/clebsch-gordan/keep21": "e95a5ac8606d39413b6a8afc214f40e8ce429f22626c52cd84eee5368a0ed8b7",
+    "4,5,5,4/closed-form/both/dressed": "9aa0e829508d7126913131b53d8759b0910a7a8049a956600b03088c16a05aa9",
+}
+
 SOURCES = ("closed-form", "recursion", "clebsch-gordan")
 BLOCKS = ("both", "keep12", "keep21")
 
@@ -104,6 +120,15 @@ def test_golden_bundle_digests():
         changed = sorted(k for k in golden[name] if got.get(k) != golden[name][k])
         assert set(got) == set(golden[name]), name
         assert not changed, f"{name}: {len(changed)} bundles changed, first {changed[:5]}"
+
+
+def test_large_bundle_digests(tmp_path):
+    out = tmp_path / "large.json"
+    for key, want in LARGE_BUNDLE_DIGESTS.items():
+        spins, source, block, *dressed = key.split("/")
+        options = ["--source", source, "--block", block, *(DRESSED if dressed else [])]
+        assert main(["gen", "--spins", spins, *options, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, key
 
 
 def test_golden_sweep_reports(tmp_path):

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: canonical form, ring axioms, square roots."""
 
+import itertools
 import math
 import operator
 import time
@@ -18,7 +19,7 @@ from poincarerep.radical import (
     sqrt_of_rational,
 )
 
-from oracles import ReferenceScalar
+from oracles import ReferenceScalar, is_prime_below_2_41, reference_normalize_radical
 
 
 def brute_square_split(n: int) -> tuple[int, int]:
@@ -34,27 +35,6 @@ def brute_square_split(n: int) -> tuple[int, int]:
     return (best, n // (best * best))
 
 
-def is_prime_below_2_41(n: int) -> bool:
-    """Deterministic Miller-Rabin; the bases 2..13 decide every n < 3.4e12."""
-    bases = (2, 3, 5, 7, 11, 13)
-    if n < 2 or n in bases:
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def is_squarefree(n: int) -> bool:
     k = 2
     while k * k <= n:
@@ -62,6 +42,16 @@ def is_squarefree(n: int) -> bool:
             return False
         k += 1
     return True
+
+
+def _primes_near(x: int, count: int) -> list[int]:
+    """The ``count`` primes below x and the ``count`` from x up."""
+    below = (n for n in range(x - 1, 1, -1) if is_prime_below_2_41(n))
+    above = (n for n in itertools.count(x) if is_prime_below_2_41(n))
+    return [*itertools.islice(below, count), *itertools.islice(above, count)]
+
+
+_PRIMES_AT_LIMITS = [p for x in (2**10, 2**20, 2**31, 2**40) for p in _primes_near(x, 3)]
 
 
 class TestNormalizeRadical:
@@ -118,6 +108,26 @@ class TestNormalizeRadical:
             assert out * out * core == n
         assert normalize_radical.cache_info().currsize <= bound
         assert [normalize_radical(n) for n in range(1, 50)] == first
+
+    @given(
+        st.one_of(
+            st.integers(min_value=-(2**64), max_value=2**64),
+            # Products of primes next to 2**10, 2**20, 2**31 and 2**40, where
+            # trial division changes method, reaches its limit, or leaves a
+            # cofactor it must call prime or refuse.
+            st.lists(st.sampled_from(_PRIMES_AT_LIMITS), min_size=1, max_size=4).map(math.prod),
+            st.tuples(st.sampled_from(_PRIMES_AT_LIMITS), st.integers(1, 2**24)).map(math.prod),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_trial_division_by_every_odd_number(self, n):
+        def outcome(split):
+            try:
+                return split(n)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(normalize_radical.__wrapped__) == outcome(reference_normalize_radical)
 
     @given(st.integers(min_value=0, max_value=5000))
     def test_matches_oracle_and_is_squarefree(self, n):
