@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .cg import cg_vector_matrices
 from .generators import GeneratorSet
@@ -27,6 +28,7 @@ from .vectors import (
     CaseTag,
     FreeParams,
     VectorSet,
+    classify_case,
     closed_form_vectors,
     recursion_solve,
     vectors_from_coefficients,
@@ -170,8 +172,7 @@ class MatrixBundle:
     @property
     def spins(self) -> tuple[int, int, int, int]:
         """Doubled (2A, 2B, 2C, 2D)."""
-        pair1, pair2 = self.vectors.spins
-        return (pair1.left.twice, pair1.right.twice, pair2.left.twice, pair2.right.twice)
+        return _doubled(self.vectors.spins)
 
     @property
     def case(self) -> CaseTag:
@@ -198,44 +199,61 @@ class MatrixBundle:
         )
 
     def dumps(self) -> str:
-        """The canonical text, written directly: what ``json.dumps`` gives with
-        sorted keys and no whitespace, plus a newline.
+        """The canonical text: what ``json.dumps`` gives with sorted keys and
+        no whitespace, plus a newline.  See ``_bundle_text``."""
+        return _bundle_text(self.source, self.vectors.spins, self.block, self.params, self.matrices())
 
-        A bundle is mostly zero cells and repeats few values, so each matrix
-        is its literal ``[]`` cells with only the nonzero ones filled in, and
-        equal values share one encoding.  ``tests/oracles.py`` holds the
-        dict this text encodes, and the tests compare the two byte for byte.
-        """
-        # Keyed on a value's integers, not on the value, whose hash builds a
-        # Fraction for a rational value.  A value whose terms are stored in
-        # another order is encoded again, to the same text.
-        encoded: dict[tuple, str] = {}
 
-        def scalar_text(value: RadicalScalar) -> str:
-            key = (value._den, tuple(value._num.items()))
-            text = encoded.get(key)
-            if text is None:
-                text = encoded[key] = _compact(scalar_to_json(value))
-            return text
+def _bundle_text(
+    source: str, pairs: tuple[SpinPair, SpinPair], block: str, params: FreeParams,
+    mats: dict[str, Matrix],
+) -> str:
+    """The canonical text of a bundle with these fields, written directly.
 
-        def matrix_text(mat: Matrix) -> str:
-            cells = ["[]"] * (mat.rows * mat.cols)
-            for i, j, value in mat.nonzero_items():
-                cells[i * mat.cols + j] = scalar_text(value)
-            return "[" + ",".join(cells) + "]"
+    A bundle is mostly zero cells and repeats few values, so each matrix is
+    its literal ``[]`` cells with only the nonzero ones filled in, and equal
+    values share one encoding.  ``tests/oracles.py`` holds the dict this
+    text encodes, and the tests compare the two byte for byte.
+    """
+    # Keyed on a value's integers, not on the value, whose hash builds a
+    # Fraction for a rational value.  A value whose terms are stored in
+    # another order is encoded again, to the same text.
+    encoded: dict[tuple, str] = {}
 
-        params = self.params
-        return _object({
-            "block": _compact(self.block),
-            "caseTag": _compact(self.case.value),
-            "dimension": _compact(self.dimension),
-            "layout": _compact(LAYOUT_NOTE),
-            "matrices": _object({key: matrix_text(mat) for key, mat in self.matrices().items()}),
-            "params": _object({"t12": scalar_text(params.t12), "t21": scalar_text(params.t21)}),
-            "schemaVersion": _compact(SCHEMA_VERSION),
-            "source": _compact(self.source),
-            "spins": _compact(list(self.spins)),
-        }) + "\n"
+    def scalar_text(value: RadicalScalar) -> str:
+        key = (value._den, tuple(value._num.items()))
+        text = encoded.get(key)
+        if text is None:
+            text = encoded[key] = _compact(scalar_to_json(value))
+        return text
+
+    def matrix_text(mat: Matrix) -> str:
+        cells = ["[]"] * (mat.rows * mat.cols)
+        for i, j, value in mat.nonzero_items():
+            cells[i * mat.cols + j] = scalar_text(value)
+        return "[" + ",".join(cells) + "]"
+
+    return _object({
+        "block": _compact(block),
+        "caseTag": _compact(_case(pairs).value),
+        "dimension": _compact(mats["Jx"].rows),
+        "layout": _compact(LAYOUT_NOTE),
+        "matrices": _object({key: matrix_text(mats[key]) for key in MATRIX_KEYS}),
+        "params": _object({"t12": scalar_text(params.t12), "t21": scalar_text(params.t21)}),
+        "schemaVersion": _compact(SCHEMA_VERSION),
+        "source": _compact(source),
+        "spins": _compact(list(_doubled(pairs))),
+    }) + "\n"
+
+
+def _doubled(pairs: tuple[SpinPair, SpinPair]) -> tuple[int, int, int, int]:
+    pair1, pair2 = pairs
+    return (pair1.left.twice, pair1.right.twice, pair2.left.twice, pair2.right.twice)
+
+
+def _case(pairs: tuple[SpinPair, SpinPair]) -> CaseTag:
+    pair1, pair2 = pairs
+    return classify_case(pair1.left, pair1.right, pair2.left, pair2.right)
 
 
 def _compact(value) -> str:
@@ -252,6 +270,22 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
 
     A malformed or inconsistent bundle raises ValueError (or KeyError).
     """
+    decoded: dict = {}
+
+    def read_matrices(matrices: dict, n: int) -> dict[str, Matrix]:
+        return {key: matrix_from_json(matrices[key], n, n, decoded=decoded) for key in MATRIX_KEYS}
+
+    return _assemble(*_checked_fields(data, read_matrices))
+
+
+def _checked_fields(data: dict, read_matrices: Callable[[dict, int], dict[str, Matrix]]) -> tuple:
+    """The fields of a decoded JSON tree, (source, pairs, block, params, mats).
+
+    Every check that needs neither the spin basis nor the families runs
+    here, in the order in which an error is reported.  ``read_matrices``
+    decodes ``data["matrices"]`` at dimension n; the fast loader passes one
+    that reads the matrices from the text instead.
+    """
     version = _expect(data, dict, "a bundle").get("schemaVersion")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schemaVersion {version!r}")
@@ -259,13 +293,11 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
     if len(spins) != 4:
         raise ValueError("spins must hold four doubled integers")
     A, B, C, D = (Spin(t) for t in spins)
-    pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
+    pairs = (SpinPair(A, B), SpinPair(C, D))
     n = _expect(data["dimension"], int, "dimension")
-    if n != pair1.dimension + pair2.dimension:
+    if n != pairs[0].dimension + pairs[1].dimension:
         raise ValueError("dimension field inconsistent with spins")
-    matrices = _expect(data["matrices"], dict, "matrices")
-    decoded: dict = {}
-    mats = {key: matrix_from_json(matrices[key], n, n, decoded=decoded) for key in MATRIX_KEYS}
+    mats = read_matrices(_expect(data["matrices"], dict, "matrices"), n)
     terms = _expect(data["params"], dict, "params")
     params = FreeParams(scalar_from_json(terms["t12"]), scalar_from_json(terms["t21"]))
     block, source = data["block"], data["source"]
@@ -273,14 +305,23 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
         raise ValueError(f"block must be one of {', '.join(BLOCKS)}, not {block!r}")
     if source not in SOURCES:
         raise ValueError(f"source must be one of {', '.join(SOURCES)}, not {source!r}")
+    if data["caseTag"] != _case(pairs).value:
+        raise ValueError(f"caseTag {data['caseTag']!r} disagrees with spins {list(spins)}")
+    return source, pairs, block, params, mats
+
+
+def _assemble(
+    source: str, pairs: tuple[SpinPair, SpinPair], block: str, params: FreeParams,
+    mats: dict[str, Matrix],
+) -> MatrixBundle:
+    """The bundle of checked fields: forms the families and the spin basis,
+    and checks each off-diagonal block of V against its parameter."""
     vectors = VectorSet.from_cartesian(
-        (pair1, pair2),
+        pairs,
         params,
         (mats["Vx"], mats["Vy"], mats["Vz"], mats["Vt"]),
         kept_block=None if block == "both" else block.removeprefix("keep"),
     )
-    if data["caseTag"] != vectors.case.value:
-        raise ValueError(f"caseTag {data['caseTag']!r} disagrees with spins {list(spins)}")
     for which, param in (("12", params.t12), ("21", params.t21)):
         zero = all(mat.is_zero() for mat in vectors.block(which))
         if vectors.kept_block not in (None, which):
@@ -289,15 +330,104 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
         elif zero != param.is_zero():
             raise ValueError(f"t{which} must be zero exactly when the {which}-block of V is")
     generators = GeneratorSet.from_cartesian(
-        (pair1, pair2),
+        pairs,
         (mats["Jx"], mats["Jy"], mats["Jz"]),
         (mats["Kx"], mats["Ky"], mats["Kz"]),
     )
     return MatrixBundle(source=source, generators=generators, vectors=vectors)
 
 
+def _canonical_bundle(text: str) -> MatrixBundle | None:
+    """The bundle of ``text`` if the canonical writer gives ``text`` back, else None.
+
+    Only the short text outside the matrices goes through ``json.loads``.
+    Each matrix span is read in one pass: ``str.count`` counts the ``[]``
+    cells between nonempty ones, and each distinct nonempty cell text is
+    decoded once.  Whatever this reading gets wrong, the text then differs
+    from what ``_bundle_text`` writes of the result, and None sends the
+    caller to ``json.loads``; so does an error met before that check.  A
+    text that passes holds exactly the JSON tree of the result, so it
+    decodes to what the fallback would return, or raises what it would
+    raise: only then are the spin basis and the families formed and the
+    blocks of V checked.  Every step is one forward scan (``str.find`` and
+    ``str.count`` from a position that only grows), so any text is read in
+    linear time.
+    """
+    scanned = _matrix_spans(text)
+    if scanned is None:
+        return None
+    header, spans = scanned
+    decoded: dict[str, RadicalScalar] = {}
+    try:
+        fields = _checked_fields(
+            json.loads(header),
+            lambda _, n: {key: _span_matrix(spans[key], n, decoded) for key in MATRIX_KEYS},
+        )
+    except (ValueError, KeyError, RecursionError):
+        return None
+    if _bundle_text(*fields) != text:
+        return None
+    return _assemble(*fields)
+
+
+def _matrix_spans(text: str) -> tuple[str, dict[str, str]] | None:
+    """``text`` with each matrix replaced by ``0``, and each matrix's text.
+
+    The matrices are looked for as the canonical writer places them: in
+    sorted key order, each ending at the first ``]]``.
+    """
+    head = '"matrices":{'
+    start = text.find(head)
+    if start < 0:
+        return None
+    pos = start + len(head)
+    pieces, spans = [text[:pos]], {}
+    for k, key in enumerate(sorted(MATRIX_KEYS)):
+        head = f'{"," if k else ""}"{key}":'
+        if not text.startswith(head, pos):
+            return None
+        end = text.find("]]", pos)
+        if end < 0:
+            return None
+        spans[key] = text[pos + len(head):end + 2]
+        pieces.append(head + "0")
+        pos = end + 2
+    pieces.append(text[pos:])
+    return "".join(pieces), spans
+
+
+def _span_matrix(span: str, n: int, decoded: dict[str, RadicalScalar]) -> Matrix:
+    """The n x n matrix whose canonical text is ``span``, if it is one.
+
+    ``decoded`` maps each nonempty cell text met so far to its value.  A
+    span that does not hold n * n cells raises ValueError.
+    """
+    entries = {}
+    index, pos = 0, 0
+    while (cell := span.find("[{", pos)) >= 0:
+        end = span.find("}]", cell)
+        if end < 0:
+            raise ValueError("unterminated cell")
+        index += span.count("[]", pos, cell)
+        pos = end + 2
+        terms = span[cell:pos]
+        value = decoded.get(terms)
+        if value is None:
+            value = decoded[terms] = scalar_from_json(json.loads(terms))
+        entries[divmod(index, n)] = value
+        index += 1
+    if index + span.count("[]", pos) != n * n:
+        raise ValueError(f"expected {n * n} cells")
+    return Matrix.from_entries(n, n, entries)
+
+
 def load_bundle(path: str) -> MatrixBundle:
     """Read and decode a bundle file; a malformed one raises ValueError (or KeyError).
+
+    A text that ``MatrixBundle.dumps`` could have written is read by
+    ``_canonical_bundle``; any other goes through ``json.loads`` and
+    ``bundle_from_json_dict``.  Both give the same bundle, or raise the same
+    error, on the same text.
 
     The parse and the decode run with the cyclic garbage collector paused.
     A bundle parses into hundreds of thousands of small lists and dicts, and
@@ -313,6 +443,9 @@ def load_bundle(path: str) -> MatrixBundle:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
+        bundle = _canonical_bundle(text)
+        if bundle is not None:
+            return bundle
         try:
             data = json.loads(text)
         except RecursionError:

@@ -114,11 +114,6 @@ class Matrix:
     def times_i(self) -> "Matrix":
         return _combine(self.rows, self.cols, multiples=[(1, I_UNIT, self)])
 
-    def conjugate_transpose(self) -> "Matrix":
-        return Matrix.from_entries(self.cols, self.rows, {
-            (j, i): v.conjugate() for i, row in self._rows.items() for j, v in row.items()
-        })
-
     def is_zero(self) -> bool:
         return not self._rows
 

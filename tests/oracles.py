@@ -314,6 +314,11 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_entries(a.rows, b.cols, entries)
 
 
+def conjugate_transpose(m: Matrix) -> Matrix:
+    """The adjoint of m: entry (j, i) is the conjugate of m's (i, j)."""
+    return Matrix.from_entries(m.cols, m.rows, {(j, i): v.conjugate() for i, j, v in m.nonzero_items()})
+
+
 def entrywise(fn, *mats: Matrix) -> Matrix:
     """The matrix whose (i, j) entry is fn of the operands' (i, j) entries."""
     rows, cols = mats[0].rows, mats[0].cols

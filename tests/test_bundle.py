@@ -4,14 +4,19 @@ import copy
 import gc
 import itertools
 import json
+import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincarerep import bundle
 from poincarerep.bundle import (
     BLOCKS,
+    MATRIX_KEYS,
     SOURCES,
     MatrixBundle,
     bundle_from_json_dict,
@@ -21,7 +26,7 @@ from poincarerep.bundle import (
     scalar_to_json,
     vectors_from_source,
 )
-from poincarerep.cli import EXIT_BAD_INPUT, main
+from poincarerep.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from poincarerep.generators import GeneratorSet, direct_sum, spin
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
@@ -264,3 +269,144 @@ def test_dumps_matches_the_reference_encoder_on_edited_bundles(quad, data, t12, 
     )
     assert edited.matrices() == mats
     assert edited.dumps() == _reference_text(edited)
+
+
+# -- the canonical fast path against the json.loads path ----------------------
+
+
+def _outcome(load):
+    """The bundle a loader returns, or the type and text of its error."""
+    try:
+        return load()
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_paths_agree(text):
+    """load_bundle, and the fast path where it accepts, give what json.loads gives."""
+    expected = _outcome(lambda: bundle_from_json_dict(json.loads(text)))
+    fast = _outcome(lambda: bundle._canonical_bundle(text))
+    if fast is not None:
+        assert fast == expected
+        assert isinstance(fast, tuple) or fast.dumps() == text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "b.json"
+        path.write_text(text)
+        assert _outcome(lambda: load_bundle(str(path))) == expected
+    return fast
+
+
+def _nth(text, sub, draw):
+    """The start of a drawn occurrence of ``sub`` in ``text``, or None."""
+    starts = [m.start() for m in re.finditer(re.escape(sub), text)]
+    return draw(st.sampled_from(starts)) if starts else None
+
+
+def _reordered(text, draw):
+    tree = json.loads(text)
+    tree["matrices"] = dict(reversed(tree["matrices"].items()))
+    return json.dumps(dict(reversed(tree.items())), separators=(",", ":")) + "\n"
+
+
+def _spaced(text, draw):
+    if draw(st.booleans()):
+        return json.dumps(json.loads(text), sort_keys=True, indent=draw(st.sampled_from([None, 1])))
+    pos = draw(st.integers(0, len(text)))
+    return text[:pos] + draw(st.sampled_from([" ", "\n", "\t"])) + text[pos:]
+
+
+def _spaced_cell(text, draw):
+    pos = _nth(text, "[]", draw)
+    return text if pos is None else text[:pos] + "[ ]" + text[pos + 2:]
+
+
+def _extra_key(text, draw):
+    # The end of a term, of the matrices object or of the params object.
+    pos = _nth(text, "]}", draw)
+    return text if pos is None else text[:pos] + '],"z":0}' + text[pos + 2:]
+
+
+def _zero_term(text, draw):
+    pos = _nth(text, "[{", draw)
+    if pos is None:
+        return text
+    end = text.index("}]", pos) + 2
+    return text[:pos] + '[{"d":1,"im":[0,1],"re":[0,1]}]' + text[end:]
+
+
+def _duplicated_key(text, draw):
+    matrices = json.loads(text)["matrices"]
+    key = draw(st.sampled_from(MATRIX_KEYS))
+    span = json.dumps(matrices[draw(st.sampled_from(MATRIX_KEYS))], separators=(",", ":"))
+    return text.replace(f'"{key}":', f'"{key}":{span},"{key}":', 1)
+
+
+def _truncated(text, draw):
+    return text[:draw(st.integers(0, len(text) - 1))]
+
+
+def _trailing(text, draw):
+    return text.removesuffix("\n") + draw(st.sampled_from(["}", " ", "\n\n", "x", "0", "{}"]))
+
+
+ONE_TERM = [{"d": 1, "im": [0, 1], "re": [1, 1]}]
+FIELD_VALUES = {
+    "block": list(BLOCKS),
+    "caseTag": ["case1", "case2", "case3", "case4"],
+    "source": list(SOURCES),
+    "params": [{"t12": [], "t21": ONE_TERM}, {"t12": ONE_TERM, "t21": []}],
+}
+
+
+def _rewritten_field(text, draw):
+    """A canonical text whose metadata may disagree with its matrices."""
+    tree = json.loads(text)
+    field = draw(st.sampled_from(sorted(FIELD_VALUES)))
+    tree[field] = draw(st.sampled_from(FIELD_VALUES[field]))
+    return json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _duplicated_field(text, draw):
+    """A text that gives a top-level key twice; json.loads keeps the second."""
+    mats = json.loads(text)["matrices"]
+    keys = sorted(mats)
+    options = {**FIELD_VALUES, "matrices": [dict(zip(keys, [mats[k] for k in keys[1:] + keys[:1]]))]}
+    field = draw(st.sampled_from(sorted(options)))
+    first = json.dumps({field: draw(st.sampled_from(options[field]))}, sort_keys=True, separators=(",", ":"))
+    return first[:-1] + "," + text[1:]
+
+
+EDITS = [
+    _reordered, _spaced, _spaced_cell, _extra_key, _zero_term, _duplicated_key, _truncated,
+    _trailing, _rewritten_field, _duplicated_field,
+]
+
+
+@given(
+    quad=st.sampled_from(ADMISSIBLE),
+    source=st.sampled_from(SOURCES),
+    block=st.sampled_from(BLOCKS),
+    t12=_scalars.filter(bool),
+    t21=_scalars.filter(bool),
+    edit=st.sampled_from([None, *EDITS]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_fast_path_agrees_with_the_json_loads_path(quad, source, block, t12, t21, edit, data):
+    text = _generated(quad, source, block, FreeParams(t12, t21)).dumps()
+    if edit is not None:
+        text = edit(text, data.draw)
+    fast = _assert_paths_agree(text)
+    if edit is None:
+        assert fast is not None
+
+
+def test_a_large_generated_bundle_takes_the_fast_path(tmp_path, monkeypatch):
+    path = tmp_path / "b.json"
+    assert main(["gen", "--spins", "8,8,7,7", "--block", "keep12", "--out", str(path)]) == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the json.loads path ran")
+
+    monkeypatch.setattr(bundle, "matrix_from_json", refuse)
+    assert load_bundle(str(path)).dumps() == path.read_text()

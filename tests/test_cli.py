@@ -552,6 +552,41 @@ def _assert_clean_exit(code, err, seconds):
     assert seconds < FUZZ_SECONDS
 
 
+def _mutated(tree, data):
+    """A copy of ``tree`` with one or two drawn subtrees deleted or replaced."""
+    tree = copy.deepcopy(tree)
+    by_depth = {}
+    for path in _paths(tree):
+        by_depth.setdefault(len(path), []).append(path)
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        # Draw the depth first, so the few metadata fields are hit as often as matrix terms.
+        depth = data.draw(st.sampled_from(sorted(by_depth)), label="depth")
+        path = data.draw(st.sampled_from(by_depth[depth]), label="path")
+        if not path:
+            tree = data.draw(st.sampled_from(POOL), label="root")
+            continue
+        parent = tree
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed this path
+        if not isinstance(parent, (dict, list)):
+            continue  # or replaced its parent with a string, which indexes but is immutable
+        if data.draw(st.booleans(), label="delete"):
+            del parent[path[-1]]
+        else:
+            value = data.draw(st.sampled_from(POOL) | st.sampled_from(HUGE), label="value")
+            parent[path[-1]] = copy.deepcopy(value)
+    return tree
+
+
+def _canonical(tree):
+    """``tree`` as ``MatrixBundle.dumps`` writes a bundle: sorted keys, no whitespace."""
+    return json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 @pytest.fixture(scope="module")
 def keep12_bundle():
     with tempfile.TemporaryDirectory() as tmp:
@@ -596,6 +631,36 @@ class TestFuzz:
             _assert_clean_exit(*_run(["verify", "--in", str(bad)]))
             for fmt in ("float-json", "plain"):
                 _assert_clean_exit(*_run(["export", "--in", str(bad), "--format", fmt]))
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_verify_mutated_canonical_bundle(self, keep12_bundle, data):
+        # The mutations of test_verify_mutated_bundle, written as the canonical
+        # writer writes, so that each reaches the fast loader first.
+        tree = _mutated(keep12_bundle, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "bad.json"
+            bad.write_text(_canonical(tree))
+            _assert_clean_exit(*_run(["verify", "--in", str(bad)]))
+            for fmt in ("float-json", "plain"):
+                _assert_clean_exit(*_run(["export", "--in", str(bad), "--format", fmt]))
+
+    @pytest.mark.parametrize("key, span", [
+        pytest.param("Jx", "[" + "[{" * 500_000 + "]]", id="unclosed-cells"),
+        pytest.param("Jx", "[" + "[]," * 350_000, id="unclosed-first-matrix"),
+        pytest.param("Vz", "[" + "[]," * 350_000, id="unclosed-last-matrix"),
+    ])
+    def test_a_hostile_canonical_looking_bundle_ends_quickly(self, keep12_bundle, key, span):
+        tree = copy.deepcopy(keep12_bundle)
+        tree["matrices"][key] = []
+        text = _canonical(tree).replace(f'"{key}":[]', f'"{key}":{span}', 1)
+        assert len(text) > 10**6
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "bad.json"
+            bad.write_text(text)
+            code, err, seconds = _run(["verify", "--in", str(bad)])
+        assert code == EXIT_BAD_INPUT
+        _assert_clean_exit(code, err, seconds)
 
     @given(
         text=st.one_of(

@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+from oracles import conjugate_transpose
+
 from poincarerep.generators import spin
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import (
@@ -50,7 +52,7 @@ def test_keep21_equals_keep12_of_swapped_representation():
     entries = {(n - n1 + i, i): ONE for i in range(n1)}
     entries.update({(j, n1 + j): ONE for j in range(n - n1)})
     perm = Matrix.from_entries(n, n, entries)
-    inv = perm.conjugate_transpose()
+    inv = conjugate_transpose(perm)
     for mu in "xyzt":
         assert perm @ p21.component(mu) @ inv == q12.component(mu)
 

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import racah_cg_signed_square
+from oracles import conjugate_transpose, racah_cg_signed_square
 
 from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
 from poincarerep.generators import direct_sum, ladder_coeff_s, spin
@@ -159,7 +159,7 @@ class TestClosedForm:
             entries = {(n - n1 + i, i): ONE for i in range(n1)}
             entries.update({(j, n1 + j): ONE for j in range(n - n1)})
             perm = Matrix.from_entries(n, n, entries)
-            inv = perm.conjugate_transpose()
+            inv = conjugate_transpose(perm)
             for mu in "xyzt":
                 assert perm @ v.component(mu) @ inv == w.component(mu)
             swap = {

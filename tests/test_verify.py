@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_check_poincare, reference_sweep
+from oracles import conjugate_transpose, reference_check_poincare, reference_sweep
 
 from poincarerep import vectors, verify
 from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
@@ -105,7 +105,7 @@ class TestLorentzChecks:
         g = irrep_generators(SpinPair(spin(1), spin(1)))
         # adjoint of the anti-Hermitian K_x is -K_x: a genuine sign fault
         broken = GeneratorSet.from_cartesian(
-            g.spins, g.J, (g.K[0].conjugate_transpose(), g.K[1], g.K[2])
+            g.spins, g.J, (conjugate_transpose(g.K[0]), g.K[1], g.K[2])
         )
         reports = check_lorentz(broken)
         failing = [r.rule_id for r in reports if not r.holds]
