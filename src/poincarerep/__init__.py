@@ -41,17 +41,14 @@ from .cg import (
 )
 from .momentum import BlockChoice, momentum_from_vectors, noncommutativity_witness, translation_combination
 from .verify import (
-    CliffordReport,
     RuleReport,
-    check_clifford,
     check_lorentz,
     check_poincare,
     check_translations,
     check_vector_rules,
-    finite_covariance_check,
-    matrix_exp,
     sweep,
 )
+from .probes import CliffordReport, check_clifford, finite_covariance_check, matrix_exp
 
 __all__ = [
     "RadicalScalar", "normalize_radical", "sqrt_of_rational", "ZERO", "ONE", "I_UNIT",

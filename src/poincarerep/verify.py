@@ -1,4 +1,4 @@
-"""Zero-tolerance checks of the 45 commutation rules, plus numeric probes.
+"""Zero-tolerance checks of the 45 commutation rules.
 
 Each rule is stated once, on the Cartesian matrices, as [X, Y] = rhs with
 rhs a sum of exact scalar multiples c * Z of the generators or vector
@@ -26,22 +26,19 @@ A full representation produces exactly 45 reports: 15 homogeneous rules,
 
 ``sweep`` runs every construction route and check over all quadruples
 up to a spin bound.  Every pass/fail verdict rests on exact RadicalScalar
-zero tests; only ``finite_covariance_check`` and ``matrix_exp`` work in
-floating point.
+zero tests.  The Clifford test and the floating-point finite-transformation
+check live in ``probes``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .bundle import SOURCES, scalar_to_json, vectors_from_source
 from .cg import RatioFit, equivalence_ratio
 from .generators import SPIN_BASIS, SPIN_BASIS_INVERSE, GeneratorSet, block_sum, irrep_generators
-from .matrix import Matrix, anticommutator, commutator, linear_combination
+from .matrix import Matrix, commutator, linear_combination
 from .momentum import BlockChoice, momentum_from_vectors
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar
 from .spins import Spin, SpinPair
@@ -56,9 +53,6 @@ from .vectors import (
     classify_case,
     closed_form_vectors,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 AXES = ("x", "y", "z")
 
@@ -276,6 +270,14 @@ def sweep(bound: int) -> dict:
     verdicts are replayed from (A,B)+(C,D) under its own label.  (A,B) =
     (C,D) never meets the selection rule, which is symmetric under the swap,
     so every admissible quadruple has a distinct admissible partner.
+
+    An exact identity settles the CG route's rules without a commutator.  When
+    ``equivalence_ratio`` fits V_CG = V_CF / r on each block with both
+    ratios nonzero, every residual of a CG momentum set is that of the
+    closed-form set for the same block choice times 1/r (vector rules,
+    linear in P) or 1/r**2 (translation rules, quadratic), so the
+    closed-form verdicts are replayed under the CG label; otherwise CG is
+    checked directly.
     """
     one = FreeParams(ONE, ONE)
     total = admissible = checks = 0
@@ -305,18 +307,20 @@ def sweep(bound: int) -> dict:
         vecs = {source: vectors_from_source(source, spins, one) for source in SOURCES}
         closed = vecs["closed-form"]
         recursion = vecs["recursion"].families != closed.families
-        cg = not isinstance(equivalence_ratio(closed, vecs["clebsch-gordan"]), RatioFit)
+        fit = equivalence_ratio(closed, vecs["clebsch-gordan"])
+        scaled = isinstance(fit, RatioFit) and bool(fit.ratio12) and bool(fit.ratio21)
         by_source = {}
         for source in ("closed-form", "clebsch-gordan"):
             vec = vecs[source]
             moms = [momentum_from_vectors(vec, choice) for choice in BlockChoice]
             halves = zip(*(mom.families for mom in moms), vec.families)
             split = any(p12 + p21 != v for p12, p21, v in halves)
-            keep12, keep21 = (
-                (check_vector_rules(gen, mom), check_translations(mom)) for mom in moms
-            )
-            by_source[source] = (split, keep12, keep21)
-        return recursion, cg, by_source
+            if source == "clebsch-gordan" and scaled:
+                kept = by_source["closed-form"][1:]
+            else:
+                kept = [(check_vector_rules(gen, mom), check_translations(mom)) for mom in moms]
+            by_source[source] = (split, *kept)
+        return recursion, not isinstance(fit, RatioFit), by_source
 
     for quad in itertools.product(range(bound + 1), repeat=4):
         total += 1
@@ -357,135 +361,3 @@ def sweep(bound: int) -> dict:
         "failures": failures,
         "allHold": not failures,
     }
-
-
-# ---------------------------------------------------------------------------
-# Clifford spot check
-# ---------------------------------------------------------------------------
-
-# Metric diag(1, 1, 1, -1); check_clifford accepts either overall sign of k,
-# so the opposite convention diag(-1, -1, -1, 1) is covered as k < 0.
-_METRIC = {"x": 1, "y": 1, "z": 1, "t": -1}
-
-
-@dataclass(frozen=True)
-class CliffordReport:
-    holds: bool
-    k: RadicalScalar
-    degenerate_zero: bool
-    first_violation: tuple[str, str, int, int, RadicalScalar] | None = None
-
-
-def check_clifford(vec: VectorSet) -> CliffordReport:
-    """Test V_mu V_nu + V_nu V_mu = k * eta_mu_nu * I for a single scalar k."""
-    n = vec.dimension
-    V = {mu: vec.component(mu) for mu in COMPONENTS}
-    anti: dict[tuple[str, str], Matrix] = {}
-    for ai, mu in enumerate(COMPONENTS):
-        for nu in COMPONENTS[ai:]:
-            anti[(mu, nu)] = anticommutator(V[mu], V[nu])
-
-    if all(mat.is_zero() for mat in anti.values()):
-        return CliffordReport(holds=True, k=ZERO, degenerate_zero=True)
-    k = ZERO
-    for mu in COMPONENTS:
-        diag = anti[(mu, mu)]
-        if not diag.is_zero():
-            k = diag.get(0, 0) * Fraction(_METRIC[mu])
-            break
-
-    identity = Matrix.identity(n)
-    for (mu, nu), mat in anti.items():
-        expected = (
-            identity.scale(k * Fraction(_METRIC[mu])) if mu == nu else Matrix.zeros(n)
-        )
-        residual = mat - expected
-        nz = residual.first_nonzero()
-        if nz is not None:
-            row, col, value = nz
-            return CliffordReport(
-                holds=False, k=k, degenerate_zero=False,
-                first_violation=(mu, nu, row, col, value),
-            )
-    return CliffordReport(holds=True, k=k, degenerate_zero=False)
-
-
-# ---------------------------------------------------------------------------
-# Floating-point finite-transformation check
-# ---------------------------------------------------------------------------
-
-
-class SeriesDivergenceError(ArithmeticError):
-    """The scaled exponential series failed to converge."""
-
-
-def matrix_exp(m: np.ndarray, tol: float = 1e-16, max_terms: int = 80) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring of the Taylor series."""
-    import numpy as np
-
-    norm = float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
-    squarings = max(0, int(math.ceil(math.log2(norm)))) + 1 if norm > 1.0 else 0
-    scaled = m / (2.0**squarings)
-    n = m.shape[0]
-    acc = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for order in range(1, max_terms + 1):
-        term = term @ scaled / order
-        acc += term
-        if float(np.max(np.abs(term))) < tol:
-            break
-    else:
-        raise SeriesDivergenceError(f"no convergence after {max_terms} terms")
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
-
-
-def _lambda_matrix(kind: str, axis: str, angle: float) -> np.ndarray:
-    """The 4x4 transformation of the components (x, y, z, t)."""
-    import numpy as np
-
-    lam = np.eye(4)
-    if kind == "rotation":
-        k = AXES.index(axis)
-        i, j = (k + 1) % 3, (k + 2) % 3
-        c, s = math.cos(angle), math.sin(angle)
-        lam[i, i] = c
-        lam[i, j] = -s
-        lam[j, i] = s
-        lam[j, j] = c
-    elif kind == "boost":
-        k = AXES.index(axis)
-        ch, sh = math.cosh(angle), math.sinh(angle)
-        lam[k, k] = ch
-        lam[k, 3] = sh
-        lam[3, k] = sh
-        lam[3, 3] = ch
-    else:
-        raise ValueError("kind must be 'rotation' or 'boost'")
-    return lam
-
-
-def finite_covariance_check(
-    gen: GeneratorSet, vec: VectorSet, kind: str, axis: str, angle: float
-) -> float:
-    """Max-entry residual of D V_mu D^-1 = Lambda_mu^nu V_nu, in floats.
-
-    D = exp(i * angle * G) with G the requested rotation or boost generator.
-    Meaningful for |angle| <= pi (rotations) or |rapidity| <= 2 (boosts);
-    convergence failures of the series raise SeriesDivergenceError.
-    """
-    import numpy as np
-
-    source = gen.J if kind == "rotation" else gen.K
-    g = source[AXES.index(axis)].to_numpy()
-    d = matrix_exp(1j * angle * g)
-    d_inv = matrix_exp(-1j * angle * g)
-    lam = _lambda_matrix(kind, axis, angle)
-    v = [vec.component(mu).to_numpy() for mu in COMPONENTS]
-    worst = 0.0
-    for mu in range(4):
-        transformed = d @ v[mu] @ d_inv
-        target = sum(lam[mu, nu] * v[nu] for nu in range(4))
-        worst = max(worst, float(np.max(np.abs(transformed - target))))
-    return worst

@@ -7,9 +7,10 @@ the matrix oracles form every entry with RadicalScalar arithmetic, one
 entry at a time, and ``ReferenceScalar`` keeps a Fraction pair per
 radicand where RadicalScalar keeps integers over one denominator.  ``reference_sweep`` checks every admissible
 quadruple of the sweep from scratch, with no verdict replayed from its
-swapped partner.  ``reference_check_poincare`` checks each of the 45 rules
-by one commutator of the Cartesian matrices J_x ... K_z and V_x ... V_t,
-where the library checks them in the spin and family bases.
+swapped partner or from the closed-form route.  ``reference_check_poincare``
+checks each of the 45 rules by one commutator of the Cartesian matrices
+J_x ... K_z and V_x ... V_t, where the library checks them in the spin and
+family bases.
 ``reference_equivalence_ratio`` fits and compares the Cartesian blocks,
 where the library compares family blocks.  ``reference_bundle_dict`` is the
 dense dict a bundle's text encodes, for ``json.dumps`` to write, where

@@ -26,6 +26,7 @@ from poincarerep.momentum import (
     noncommutativity_witness,
     translation_combination,
 )
+from poincarerep.probes import check_clifford, finite_covariance_check, matrix_exp
 from poincarerep.radical import I_UNIT, ONE, RadicalScalar, ZERO, sqrt_of_rational
 from poincarerep.spins import SpinPair
 from poincarerep.vectors import (
@@ -37,7 +38,6 @@ from poincarerep.vectors import (
     recursion_solve,
     vectors_from_coefficients,
 )
-from poincarerep.verify import check_clifford, finite_covariance_check, matrix_exp
 from poincarerep.verify import sweep as _verify_sweep
 
 SWEEP_BOUND = 4

@@ -3,15 +3,18 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import conjugate_transpose, reference_check_poincare, reference_sweep
 
 from poincarerep import vectors, verify
 from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
+from poincarerep.cg import RatioFit
 from poincarerep.generators import (
     SPIN_BASIS,
     SPIN_BASIS_INVERSE,
@@ -22,7 +25,7 @@ from poincarerep.generators import (
 )
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
-from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar
+from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
 from poincarerep.vectors import (
     FAMILY,
@@ -33,16 +36,18 @@ from poincarerep.vectors import (
     classify_case,
     closed_form_vectors,
 )
-from poincarerep.verify import (
+from poincarerep.probes import (
     SeriesDivergenceError,
     check_clifford,
+    finite_covariance_check,
+    matrix_exp,
+)
+from poincarerep.verify import (
     check_lorentz,
     check_poincare,
     check_translations,
     check_vector_rules,
     epsilon,
-    finite_covariance_check,
-    matrix_exp,
     sweep,
 )
 
@@ -333,6 +338,7 @@ class TestSweep:
             "1,2,2,1", "2,1,1,2", "0,1,1,0", "1,0,0,1"
         }
         assert report == reference_sweep(3)
+        assert sweep(4) == reference_sweep(4)
 
     def test_each_unordered_pair_is_built_and_checked_once(self, monkeypatch):
         calls = Counter()
@@ -348,8 +354,87 @@ class TestSweep:
         report = sweep(3)
         assert report["admissible"] == 36 and report["allHold"]
         # 18 pairs x 3 sources; 16 irreps x 15 Lorentz rules plus 18 pairs x
-        # 2 sources x 2 block choices x (24 vector + 6 translation) rules.
-        assert calls == {"vectors_from_source": 54, "commutator": 240 + 2160}
+        # 2 block choices x (24 vector + 6 translation) closed-form rules.
+        # The CG verdicts come from its ratio fit.
+        assert calls == {"vectors_from_source": 54, "commutator": 240 + 1080}
+
+
+def _edit_routes(monkeypatch, edits):
+    """Each route in ``edits`` with each block replaced by edit(block, doubled block spins).
+
+    The 12-block of (A,B)+(C,D) has block spins (A, B, C, D) and the 21-block
+    (C, D, A, B), so a quadruple and its swapped partner see the same edit.
+    Both the sweep and the reference sweep build through the edited routes.
+    """
+
+    def edited(name, spins, params):
+        vec = vectors_from_source(name, spins, params)
+        if name not in edits:
+            return vec
+        edit = edits[name]
+        A, B, C, D = (s.twice for s in spins)
+        b12, b21 = edit(vec.block("12"), (A, B, C, D)), edit(vec.block("21"), (C, D, A, B))
+        return VectorSet.from_blocks(vec.spins, vec.params, b12, b21)
+
+    for module in (verify, oracles):
+        monkeypatch.setattr(module, "vectors_from_source", edited)
+
+
+def _bumped_at(spins):
+    """An edit that adds 1 to entry (0, 0) of V+ in the block with these block spins."""
+
+    def bumped(block, block_spins):
+        if block_spins != spins:
+            return block
+        vp, *rest = block
+        return (vp + Matrix.from_entries(vp.rows, vp.cols, {(0, 0): ONE}), *rest)
+
+    return bumped
+
+
+class TestCgReplay:
+    """The CG verdicts are the closed form's exactly when the fit holds with nonzero ratios."""
+
+    def test_scaled_cg_blocks_replay_the_closed_form_verdicts(self, monkeypatch):
+        unpatched = sweep(3)
+
+        def scaled(block, spins):
+            # A single-term scalar, so the fit still finds a single-term entry.
+            c = sqrt_of_rational(Fraction(spins[0] + 2, 3)).times_i() * Fraction(-5, 7)
+            return tuple(fam.scale(c) for fam in block)
+
+        _edit_routes(monkeypatch, {"clebsch-gordan": scaled})
+        assert sweep(3) == unpatched
+
+    def test_a_cg_block_off_the_fit_is_checked_directly(self, monkeypatch):
+        _edit_routes(monkeypatch, {"clebsch-gordan": _bumped_at((1, 2, 2, 1))})
+        report = sweep(3)
+        assert {"1,2,2,1:cg-not-proportional", "2,1,1,2:cg-not-proportional"} <= set(
+            report["failures"]
+        )
+        assert any(":clebsch-gordan:keep" in f for f in report["failures"])
+        assert report == reference_sweep(3)
+
+    # The sweep meets 0,1,1,0 before 1,0,0,1, so editing block 0,1 -> 1,0
+    # edits its 12-block and editing 1,0 -> 0,1 its 21-block.  With the
+    # closed-form block zero the fit holds with that ratio zero, and the
+    # bumped CG block then breaks rules that only a direct check sees.
+    @pytest.mark.parametrize("spins, ratio", [((0, 1, 1, 0), "ratio12"), ((1, 0, 0, 1), "ratio21")])
+    def test_a_zero_ratio_checks_cg_directly(self, monkeypatch, spins, ratio):
+        def zeroed(block, block_spins):
+            if block_spins != spins:
+                return block
+            return tuple(Matrix.zeros(fam.rows, fam.cols) for fam in block)
+
+        _edit_routes(monkeypatch, {"closed-form": zeroed, "clebsch-gordan": _bumped_at(spins)})
+        quad = tuple(spin(t) for t in (0, 1, 1, 0))
+        fit = verify.equivalence_ratio(
+            *(verify.vectors_from_source(s, quad, UNIT) for s in ("closed-form", "clebsch-gordan"))
+        )
+        assert isinstance(fit, RatioFit) and not getattr(fit, ratio)
+        report = sweep(3)
+        assert any(f.startswith("0,1,1,0:clebsch-gordan:keep") for f in report["failures"])
+        assert report == reference_sweep(3)
 
 
 class TestClifford:
