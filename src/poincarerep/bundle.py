@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .cg import cg_vector_matrices
@@ -28,6 +29,7 @@ from .vectors import (
     CaseTag,
     FreeParams,
     VectorSet,
+    block_bounds,
     classify_case,
     closed_form_vectors,
     recursion_solve,
@@ -160,100 +162,99 @@ def matrix_from_json(
 
 @dataclass(frozen=True)
 class MatrixBundle:
-    """One generated representation: its route and its ten matrices.
+    """One generated representation as its file holds it: the route, the
+    spins, the block choice, the parameters and the ten Cartesian matrices.
 
-    The spins, case, parameters and block choice are read off the vectors.
+    The generators and the vectors in the paper's bases are formed from the
+    matrices when first read, so a command that only writes the matrices
+    out forms neither.
     """
 
     source: str  # one of SOURCES
-    generators: GeneratorSet
-    vectors: VectorSet
+    pairs: tuple[SpinPair, SpinPair]
+    block: str  # one of BLOCKS
+    params: FreeParams
+    cartesian: tuple[Matrix, ...]  # in MATRIX_KEYS order
+
+    @classmethod
+    def of(cls, source: str, generators: GeneratorSet, vectors: VectorSet) -> "MatrixBundle":
+        """The bundle of a built representation; a momentum set gives its kept block."""
+        kept = vectors.kept_block
+        return cls(
+            source, vectors.spins, "both" if kept is None else f"keep{kept}", vectors.params,
+            (*generators.J, *generators.K, *vectors.components()),
+        )
 
     @property
     def spins(self) -> tuple[int, int, int, int]:
         """Doubled (2A, 2B, 2C, 2D)."""
-        return _doubled(self.vectors.spins)
+        pair1, pair2 = self.pairs
+        return (pair1.left.twice, pair1.right.twice, pair2.left.twice, pair2.right.twice)
 
     @property
     def case(self) -> CaseTag:
-        return self.vectors.case
-
-    @property
-    def params(self) -> FreeParams:
-        return self.vectors.params
-
-    @property
-    def block(self) -> str:
-        """One of BLOCKS."""
-        kept = self.vectors.kept_block
-        return "both" if kept is None else f"keep{kept}"
+        pair1, pair2 = self.pairs
+        return classify_case(pair1.left, pair1.right, pair2.left, pair2.right)
 
     @property
     def dimension(self) -> int:
-        return self.generators.dimension
+        return self.cartesian[0].rows
+
+    @cached_property
+    def generators(self) -> GeneratorSet:
+        return GeneratorSet.from_cartesian(self.pairs, self.cartesian[:3], self.cartesian[3:6])
+
+    @cached_property
+    def vectors(self) -> VectorSet:
+        kept = None if self.block == "both" else self.block.removeprefix("keep")
+        return VectorSet.from_cartesian(self.pairs, self.params, self.cartesian[6:], kept)
 
     def matrices(self) -> dict[str, Matrix]:
-        """The ten matrices keyed by MATRIX_KEYS, in that order."""
-        return dict(
-            zip(MATRIX_KEYS, (*self.generators.J, *self.generators.K, *self.vectors.components()))
-        )
+        """The ten matrices keyed by MATRIX_KEYS, in that order, in a new dict."""
+        return dict(zip(MATRIX_KEYS, self.cartesian))
 
     def dumps(self) -> str:
         """The canonical text: what ``json.dumps`` gives with sorted keys and
-        no whitespace, plus a newline.  See ``_bundle_text``."""
-        return _bundle_text(self.source, self.vectors.spins, self.block, self.params, self.matrices())
+        no whitespace, plus a newline, written directly.
 
+        A bundle is mostly zero cells and repeats few values, so each matrix
+        is its literal ``[]`` cells with only the nonzero ones filled in, and
+        equal values share one encoding.  ``tests/oracles.py`` holds the dict
+        this text encodes, and the tests compare the two byte for byte.
+        """
+        # Keyed on a value's integers, not on the value, whose hash builds a
+        # Fraction for a rational value.  A value whose terms are stored in
+        # another order is encoded again, to the same text.
+        encoded: dict[tuple, str] = {}
 
-def _bundle_text(
-    source: str, pairs: tuple[SpinPair, SpinPair], block: str, params: FreeParams,
-    mats: dict[str, Matrix],
-) -> str:
-    """The canonical text of a bundle with these fields, written directly.
+        def scalar_text(value: RadicalScalar) -> str:
+            key = (value._den, tuple(value._num.items()))
+            text = encoded.get(key)
+            if text is None:
+                text = encoded[key] = _compact(scalar_to_json(value))
+            return text
 
-    A bundle is mostly zero cells and repeats few values, so each matrix is
-    its literal ``[]`` cells with only the nonzero ones filled in, and equal
-    values share one encoding.  ``tests/oracles.py`` holds the dict this
-    text encodes, and the tests compare the two byte for byte.
-    """
-    # Keyed on a value's integers, not on the value, whose hash builds a
-    # Fraction for a rational value.  A value whose terms are stored in
-    # another order is encoded again, to the same text.
-    encoded: dict[tuple, str] = {}
+        def matrix_text(mat: Matrix) -> str:
+            cells = ["[]"] * (mat.rows * mat.cols)
+            for i, j, value in mat.nonzero_items():
+                cells[i * mat.cols + j] = scalar_text(value)
+            return "[" + ",".join(cells) + "]"
 
-    def scalar_text(value: RadicalScalar) -> str:
-        key = (value._den, tuple(value._num.items()))
-        text = encoded.get(key)
-        if text is None:
-            text = encoded[key] = _compact(scalar_to_json(value))
-        return text
-
-    def matrix_text(mat: Matrix) -> str:
-        cells = ["[]"] * (mat.rows * mat.cols)
-        for i, j, value in mat.nonzero_items():
-            cells[i * mat.cols + j] = scalar_text(value)
-        return "[" + ",".join(cells) + "]"
-
-    return _object({
-        "block": _compact(block),
-        "caseTag": _compact(_case(pairs).value),
-        "dimension": _compact(mats["Jx"].rows),
-        "layout": _compact(LAYOUT_NOTE),
-        "matrices": _object({key: matrix_text(mats[key]) for key in MATRIX_KEYS}),
-        "params": _object({"t12": scalar_text(params.t12), "t21": scalar_text(params.t21)}),
-        "schemaVersion": _compact(SCHEMA_VERSION),
-        "source": _compact(source),
-        "spins": _compact(list(_doubled(pairs))),
-    }) + "\n"
-
-
-def _doubled(pairs: tuple[SpinPair, SpinPair]) -> tuple[int, int, int, int]:
-    pair1, pair2 = pairs
-    return (pair1.left.twice, pair1.right.twice, pair2.left.twice, pair2.right.twice)
-
-
-def _case(pairs: tuple[SpinPair, SpinPair]) -> CaseTag:
-    pair1, pair2 = pairs
-    return classify_case(pair1.left, pair1.right, pair2.left, pair2.right)
+        return _object({
+            "block": _compact(self.block),
+            "caseTag": _compact(self.case.value),
+            "dimension": _compact(self.dimension),
+            "layout": _compact(LAYOUT_NOTE),
+            "matrices": _object({
+                key: matrix_text(mat) for key, mat in zip(MATRIX_KEYS, self.cartesian)
+            }),
+            "params": _object({
+                "t12": scalar_text(self.params.t12), "t21": scalar_text(self.params.t21)
+            }),
+            "schemaVersion": _compact(SCHEMA_VERSION),
+            "source": _compact(self.source),
+            "spins": _compact(list(self.spins)),
+        }) + "\n"
 
 
 def _compact(value) -> str:
@@ -271,20 +272,22 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
     A malformed or inconsistent bundle raises ValueError (or KeyError).
     """
     decoded: dict = {}
-
-    def read_matrices(matrices: dict, n: int) -> dict[str, Matrix]:
-        return {key: matrix_from_json(matrices[key], n, n, decoded=decoded) for key in MATRIX_KEYS}
-
-    return _assemble(*_checked_fields(data, read_matrices))
+    return _checked_bundle(data, lambda matrices, n: tuple(
+        matrix_from_json(matrices[key], n, n, decoded=decoded) for key in MATRIX_KEYS
+    ))
 
 
-def _checked_fields(data: dict, read_matrices: Callable[[dict, int], dict[str, Matrix]]) -> tuple:
-    """The fields of a decoded JSON tree, (source, pairs, block, params, mats).
+def _checked_bundle(
+    data: dict, read_matrices: Callable[[dict, int], tuple[Matrix, ...]]
+) -> MatrixBundle:
+    """The bundle of a decoded JSON tree, after every check, in the order
+    in which an error is reported.
 
-    Every check that needs neither the spin basis nor the families runs
-    here, in the order in which an error is reported.  ``read_matrices``
-    decodes ``data["matrices"]`` at dimension n; the fast loader passes one
-    that reads the matrices from the text instead.
+    ``read_matrices`` decodes ``data["matrices"]`` at dimension n, in
+    MATRIX_KEYS order; the fast loader passes one that reads the matrices
+    from the text instead.  The last check reads each off-diagonal block of
+    V_x, V_y, V_z, V_t: a block of the families is zero exactly when that
+    block of every V_mu is, since the families mix the V_mu cell by cell.
     """
     version = _expect(data, dict, "a bundle").get("schemaVersion")
     if type(version) is not int or version != SCHEMA_VERSION:
@@ -305,36 +308,18 @@ def _checked_fields(data: dict, read_matrices: Callable[[dict, int], dict[str, M
         raise ValueError(f"block must be one of {', '.join(BLOCKS)}, not {block!r}")
     if source not in SOURCES:
         raise ValueError(f"source must be one of {', '.join(SOURCES)}, not {source!r}")
-    if data["caseTag"] != _case(pairs).value:
+    bundle = MatrixBundle(source, pairs, block, params, mats)
+    if data["caseTag"] != bundle.case.value:
         raise ValueError(f"caseTag {data['caseTag']!r} disagrees with spins {list(spins)}")
-    return source, pairs, block, params, mats
-
-
-def _assemble(
-    source: str, pairs: tuple[SpinPair, SpinPair], block: str, params: FreeParams,
-    mats: dict[str, Matrix],
-) -> MatrixBundle:
-    """The bundle of checked fields: forms the families and the spin basis,
-    and checks each off-diagonal block of V against its parameter."""
-    vectors = VectorSet.from_cartesian(
-        pairs,
-        params,
-        (mats["Vx"], mats["Vy"], mats["Vz"], mats["Vt"]),
-        kept_block=None if block == "both" else block.removeprefix("keep"),
-    )
     for which, param in (("12", params.t12), ("21", params.t21)):
-        zero = all(mat.is_zero() for mat in vectors.block(which))
-        if vectors.kept_block not in (None, which):
+        bounds = block_bounds(pairs, which)
+        zero = all(mat.submatrix(*bounds).is_zero() for mat in mats[6:])
+        if block not in ("both", f"keep{which}"):
             if not zero:
                 raise ValueError(f"block {block!r} but the {which}-block of V is nonzero")
         elif zero != param.is_zero():
             raise ValueError(f"t{which} must be zero exactly when the {which}-block of V is")
-    generators = GeneratorSet.from_cartesian(
-        pairs,
-        (mats["Jx"], mats["Jy"], mats["Jz"]),
-        (mats["Kx"], mats["Ky"], mats["Kz"]),
-    )
-    return MatrixBundle(source=source, generators=generators, vectors=vectors)
+    return bundle
 
 
 def _canonical_bundle(text: str) -> MatrixBundle | None:
@@ -344,12 +329,11 @@ def _canonical_bundle(text: str) -> MatrixBundle | None:
     Each matrix span is read in one pass: ``str.count`` counts the ``[]``
     cells between nonempty ones, and each distinct nonempty cell text is
     decoded once.  Whatever this reading gets wrong, the text then differs
-    from what ``_bundle_text`` writes of the result, and None sends the
-    caller to ``json.loads``; so does an error met before that check.  A
-    text that passes holds exactly the JSON tree of the result, so it
-    decodes to what the fallback would return, or raises what it would
-    raise: only then are the spin basis and the families formed and the
-    blocks of V checked.  Every step is one forward scan (``str.find`` and
+    from what ``MatrixBundle.dumps`` writes of the result, and None sends
+    the caller to ``json.loads``; so does an error met before that check,
+    and the fallback then raises it again.  A text that passes holds
+    exactly the JSON tree of the result, so it decodes to what the fallback
+    would return.  Every step is one forward scan (``str.find`` and
     ``str.count`` from a position that only grows), so any text is read in
     linear time.
     """
@@ -359,15 +343,13 @@ def _canonical_bundle(text: str) -> MatrixBundle | None:
     header, spans = scanned
     decoded: dict[str, RadicalScalar] = {}
     try:
-        fields = _checked_fields(
+        bundle = _checked_bundle(
             json.loads(header),
-            lambda _, n: {key: _span_matrix(spans[key], n, decoded) for key in MATRIX_KEYS},
+            lambda _, n: tuple(_span_matrix(spans[key], n, decoded) for key in MATRIX_KEYS),
         )
     except (ValueError, KeyError, RecursionError):
         return None
-    if _bundle_text(*fields) != text:
-        return None
-    return _assemble(*fields)
+    return bundle if bundle.dumps() == text else None
 
 
 def _matrix_spans(text: str) -> tuple[str, dict[str, str]] | None:

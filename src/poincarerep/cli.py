@@ -137,7 +137,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
     if args.block != "both":
         vec = momentum_from_vectors(vec, BlockChoice(args.block))
-    bundle = MatrixBundle(source=args.source, generators=gen, vectors=vec)
+    bundle = MatrixBundle.of(args.source, gen, vec)
     try:
         save_bundle(bundle, args.out)
     except OSError as exc:

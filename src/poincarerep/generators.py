@@ -77,10 +77,8 @@ class GeneratorSet:
 
     @classmethod
     def from_cartesian(cls, spins: tuple[SpinPair, ...], J: tuple, K: tuple) -> "GeneratorSet":
-        """The set with these J and K: its basis is formed once and they are kept as the view."""
-        gen = cls(spins, change_basis(SPIN_BASIS, J + K))
-        vars(gen)["cartesian"] = J + K
-        return gen
+        """The set with these J and K, stored as its spin basis."""
+        return cls(spins, change_basis(SPIN_BASIS, J + K))
 
     @property
     def dimension(self) -> int:

@@ -138,10 +138,8 @@ class VectorSet:
         cls, spins: tuple[SpinPair, SpinPair], params: FreeParams,
         V: tuple[Matrix, ...], kept_block: str | None = None,
     ) -> "VectorSet":
-        """The set with these V: its families are formed once and V is kept as the view."""
-        vec = cls(spins, params, change_basis(FAMILY, V), kept_block)
-        vars(vec)["cartesian"] = tuple(V)
-        return vec
+        """The set with these V_x, V_y, V_z, V_t, stored as its families."""
+        return cls(spins, params, change_basis(FAMILY, V), kept_block)
 
     @classmethod
     def from_blocks(
@@ -151,7 +149,7 @@ class VectorSet:
         """Place the 12-block at (0, n1) and the 21-block at (n1, 0); None is zero.
 
         b12 has the rows of spins[0] and the columns of spins[1], b21 the
-        reverse.  This is the only place that knows where a block sits.
+        reverse.
         """
         n1 = spins[0].dimension
         n = n1 + spins[1].dimension
@@ -185,14 +183,19 @@ class VectorSet:
 
     def block(self, which: str) -> Block:
         """The families of the "12" or "21" block, as from_blocks takes them."""
-        n1, n = self.block1_dim, self.dimension
-        if which == "12":
-            bounds = (0, n1, n1, n)
-        elif which == "21":
-            bounds = (n1, n, 0, n1)
-        else:
-            raise ValueError("block must be '12' or '21'")
+        bounds = block_bounds(self.spins, which)
         return tuple(mat.submatrix(*bounds) for mat in self.families)
+
+
+def block_bounds(spins: tuple[SpinPair, SpinPair], which: str) -> tuple[int, int, int, int]:
+    """(r0, r1, c0, c1) of the "12" or "21" block, where from_blocks places it."""
+    n1 = spins[0].dimension
+    n = n1 + spins[1].dimension
+    if which == "12":
+        return (0, n1, n1, n)
+    if which == "21":
+        return (n1, n, 0, n1)
+    raise ValueError("block must be '12' or '21'")
 
 
 def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:

@@ -15,8 +15,8 @@ those 45 residuals.  A rule holds when every residual in its combination
 is zero; otherwise its residual is formed in one kernel call, the same
 exact matrix as [X, Y] - rhs, so its first nonzero entry is the same.  A
 ``GeneratorSet`` holds its spin basis and a ``VectorSet`` its families,
-each placed directly or, for a loaded bundle, formed once from the
-Cartesian matrices it read.
+each placed directly or, for a loaded bundle, formed from its Cartesian
+matrices when the bundle's ``generators`` or ``vectors`` is first read.
 
 Rule identifiers: "JJ.xy" means [J_x, J_y] against its right-hand side,
 "KV.zt" means [K_z, V_t], "PP.xt" means [P_x, P_t], and so on.  The axis
@@ -313,8 +313,11 @@ def sweep(bound: int) -> dict:
         for source in ("closed-form", "clebsch-gordan"):
             vec = vecs[source]
             moms = [momentum_from_vectors(vec, choice) for choice in BlockChoice]
+            # Each momentum set copies V's entries in one off-diagonal block,
+            # and the two blocks are disjoint, so keep12 + keep21 = V exactly
+            # when their entries number as many as V's: no sum is formed.
             halves = zip(*(mom.families for mom in moms), vec.families)
-            split = any(p12 + p21 != v for p12, p21, v in halves)
+            split = any(p12.nnz() + p21.nnz() != v.nnz() for p12, p21, v in halves)
             if source == "clebsch-gordan" and scaled:
                 kept = by_source["closed-form"][1:]
             else:

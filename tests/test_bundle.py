@@ -27,12 +27,12 @@ from poincarerep.bundle import (
     vectors_from_source,
 )
 from poincarerep.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from poincarerep.generators import GeneratorSet, direct_sum, spin
+from poincarerep.generators import direct_sum, spin
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import ONE, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import Spin, SpinPair
-from poincarerep.vectors import CaseTag, FreeParams, VectorSet, classify_case, closed_form_vectors
+from poincarerep.vectors import CaseTag, FreeParams, classify_case, closed_form_vectors
 
 from oracles import matrix_to_json, reference_bundle_dict
 
@@ -44,7 +44,7 @@ def _make_bundle(block="both"):
     if block != "both":
         vec = momentum_from_vectors(vec, BlockChoice(block))
     gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
-    return MatrixBundle(source="closed-form", generators=gen, vectors=vec)
+    return MatrixBundle.of("closed-form", gen, vec)
 
 
 def test_scalar_terms_sorted_and_exact():
@@ -78,6 +78,20 @@ def test_bundle_round_trip():
     for mu in "xyzt":
         assert back.vectors.component(mu) == bundle.vectors.component(mu)
     assert back.dumps() == bundle.dumps()
+
+
+def test_editing_the_matrices_dict_leaves_the_bundle_as_it_was():
+    bundle, unedited = _make_bundle("keep12"), _make_bundle("keep12")
+    text, formed = bundle.dumps(), (bundle.generators, bundle.vectors)
+    mats = bundle.matrices()
+    mats["Jx"] = Matrix.zeros(bundle.dimension)
+    del mats["Vt"]
+    assert bundle.matrices() is not mats
+    assert bundle == unedited and bundle.dumps() == text
+    assert (bundle.generators, bundle.vectors) == formed
+    # A set formed after the edit is formed from the bundle's own matrices.
+    unedited.matrices()["Kz"] = Matrix.zeros(bundle.dimension)
+    assert (unedited.generators, unedited.vectors) == formed
 
 
 def test_dumps_deterministic():
@@ -173,7 +187,7 @@ def test_metadata_is_read_off_the_vectors(choice):
     if choice is not None:
         vec = momentum_from_vectors(vec, choice)
     gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
-    bundle = MatrixBundle(source="recursion", generators=gen, vectors=vec)
+    bundle = MatrixBundle.of("recursion", gen, vec)
     assert bundle.spins == (2, 1, 1, 2)
     assert bundle.case is vec.case is CaseTag.CASE_2
     assert bundle.params is vec.params
@@ -219,7 +233,7 @@ def _generated(quad, source, block, params):
     if block != "both":
         vec = momentum_from_vectors(vec, BlockChoice(block))
     gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
-    return MatrixBundle(source=source, generators=gen, vectors=vec)
+    return MatrixBundle.of(source, gen, vec)
 
 
 @given(
@@ -252,20 +266,12 @@ def test_dumps_matches_the_reference_encoder_on_edited_bundles(quad, data, t12, 
         entries = {(i, j): v for i, j, v in mats[key].nonzero_items()}
         entries[cell] = data.draw(_scalars, label="value")
         mats[key] = Matrix.from_entries(n, n, entries)
-    spins = bundle.vectors.spins
     edited = MatrixBundle(
         source=data.draw(st.sampled_from(SOURCES), label="source"),
-        generators=GeneratorSet.from_cartesian(
-            spins,
-            tuple(mats[k] for k in ("Jx", "Jy", "Jz")),
-            tuple(mats[k] for k in ("Kx", "Ky", "Kz")),
-        ),
-        vectors=VectorSet.from_cartesian(
-            spins,
-            FreeParams(t12, t21),
-            tuple(mats[k] for k in ("Vx", "Vy", "Vz", "Vt")),
-            kept_block=data.draw(st.sampled_from([None, "12", "21"]), label="kept"),
-        ),
+        pairs=bundle.pairs,
+        block=data.draw(st.sampled_from(BLOCKS), label="block"),
+        params=FreeParams(t12, t21),
+        cartesian=tuple(mats[k] for k in MATRIX_KEYS),
     )
     assert edited.matrices() == mats
     assert edited.dumps() == _reference_text(edited)

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+import random
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -30,7 +31,7 @@ from poincarerep.cli import (
 )
 from poincarerep.radical import I_UNIT, ONE, RadicalScalar, normalize_radical, sqrt_of_rational
 
-from oracles import is_prime_below_2_41
+from oracles import is_prime_below_2_41, reference_bundle_dict
 
 
 class TestScalarLiterals:
@@ -382,22 +383,25 @@ class TestCommands:
             assert dup.read_bytes() == canonical
 
     def test_export_of_a_loaded_bundle_runs_no_kernel_call(self, tmp_path, monkeypatch):
-        # The loader forms the spin basis and keeps the J and K it read as
-        # their Cartesian view, so writing them back forms no matrix.
-        src, dup = tmp_path / "p.json", tmp_path / "dup.json"
-        argv = ["gen", "--spins", "2,1,1,2", "--block", "keep12", "--out", str(src)]
-        assert main(argv) == EXIT_OK
-        bundle = load_bundle(str(src))
+        # A bundle holds the matrices its file holds, and forms the spin
+        # basis and the families only when a check reads them: neither the
+        # loader, on either path, nor any export forms a matrix.
+        src, indented, dup = tmp_path / "p.json", tmp_path / "pi.json", tmp_path / "dup.json"
+        argv = ["gen", "--spins", "2,1,1,2", "--t12", "1/2*sqrt(3)+i", "--block", "keep12"]
+        assert main([*argv, "--out", str(src)]) == EXIT_OK
+        indented.write_text(json.dumps(json.loads(src.read_text()), indent=1))
 
         def no_kernel(*args, **kwargs):
             raise AssertionError("matrix._combine was called")
 
         monkeypatch.setattr(matrix, "_combine", no_kernel)
-        monkeypatch.setattr(cli, "load_bundle", lambda path: bundle)
-        assert main([
-            "export", "--in", str(src), "--format", "exact-json", "--out", str(dup)
-        ]) == EXIT_OK
-        assert dup.read_bytes() == src.read_bytes()
+        for path in (src, indented):
+            assert load_bundle(str(path)).dumps() == src.read_text()
+            for fmt in ("float-json", "plain", "exact-json"):
+                assert main([
+                    "export", "--in", str(path), "--format", fmt, "--out", str(dup)
+                ]) == EXIT_OK
+            assert dup.read_bytes() == src.read_bytes()
 
     @pytest.mark.parametrize("change, message", [
         ({"d": True}, "a radicand must be a JSON integer"),
@@ -661,6 +665,30 @@ class TestFuzz:
             code, err, seconds = _run(["verify", "--in", str(bad)])
         assert code == EXIT_BAD_INPUT
         _assert_clean_exit(code, err, seconds)
+
+    def test_export_of_a_hostile_bundle_ends_quickly(self, tmp_path):
+        # Each nonzero J_x, J_y, K_x, K_y and V cell divided by its own odd
+        # 60-bit number: one basis change over such matrices packs them over
+        # an lcm of thousands of bits.  Export forms no basis.
+        rng = random.Random(23)
+        path, out = tmp_path / "hostile.json", tmp_path / "out.json"
+        argv = ["gen", "--spins", "8,8,7,7", "--block", "keep12", "--out", str(path)]
+        assert main(argv) == EXIT_OK
+        tree = json.loads(path.read_text())
+        for key in ("Jx", "Jy", "Kx", "Ky", "Vx", "Vy", "Vz", "Vt"):
+            for cell in tree["matrices"][key]:
+                factor = rng.getrandbits(60) | 1 << 59 | 1
+                for term in cell:
+                    for part in (term["re"], term["im"]):
+                        if part[0]:
+                            part[1] *= factor
+        path.write_text(_canonical(tree))
+        code, err, seconds = _run(
+            ["export", "--in", str(path), "--format", "exact-json", "--out", str(out)]
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert seconds < FUZZ_SECONDS
+        assert out.read_text() == _canonical(reference_bundle_dict(load_bundle(str(path))))
 
     @given(
         text=st.one_of(

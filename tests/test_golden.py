@@ -106,7 +106,7 @@ def digests(bound, params):
             full = vectors_from_source(source, spins, params)
             for block in BLOCKS:
                 vec = full if block == "both" else momentum_from_vectors(full, BlockChoice(block))
-                bundle = MatrixBundle(source=source, generators=gen, vectors=vec)
+                bundle = MatrixBundle.of(source, gen, vec)
                 text = bundle.dumps().encode("utf-8")
                 out[f"{label}/{source}/{block}"] = hashlib.sha256(text).hexdigest()
     return out

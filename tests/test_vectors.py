@@ -393,10 +393,3 @@ class TestFromCartesian:
                     assert again == v
                     count += 1
         assert count == 64 * 3 * 3
-
-    def test_view_is_kept(self):
-        # from_cartesian keeps the matrices it was given as the view.
-        v = closed_form_vectors(spin(2), spin(1), spin(1), spin(2), UNIT)
-        comps = v.components()
-        again = VectorSet.from_cartesian(v.spins, v.params, comps)
-        assert all(again.component(mu) is comps[k] for k, mu in enumerate("xyzt"))

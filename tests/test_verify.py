@@ -340,6 +340,22 @@ class TestSweep:
         assert report == reference_sweep(3)
         assert sweep(4) == reference_sweep(4)
 
+    def test_a_stray_diagonal_block_entry_is_a_block_split(self, monkeypatch):
+        # Neither momentum set holds an entry of a diagonal block, so their
+        # sum misses it on every quadruple, for both checked routes.
+        def strayed(name, spins, params):
+            vec = vectors_from_source(name, spins, params)
+            plus, *rest = vec.families
+            stray = Matrix.from_entries(plus.rows, plus.cols, {(0, 0): ONE})
+            return VectorSet(vec.spins, vec.params, (plus + stray, *rest))
+
+        for module in (verify, oracles):
+            monkeypatch.setattr(module, "vectors_from_source", strayed)
+        report = sweep(3)
+        splits = [f for f in report["failures"] if f.endswith(":block-split")]
+        assert len(splits) == 2 * report["admissible"]
+        assert report == reference_sweep(3)
+
     def test_each_unordered_pair_is_built_and_checked_once(self, monkeypatch):
         calls = Counter()
 
