@@ -29,7 +29,8 @@ Coupling selection rules enforce A = C +/- 1/2, B = D +/- 1/2, so
 inadmissible spins yield identically zero blocks.
 
 ``equivalence_ratio`` compares two vector sets on their family blocks; it
-forms Cartesian entries only to fit the ratio and to report a mismatch.
+reads Cartesian entries, one cell at a time from the families, only to fit
+the ratio and to report a mismatch.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .generators import ladder_coeff_r, ladder_coeff_s
-from .matrix import Matrix, change_basis, linear_combination
+from .matrix import linear_combination
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from .spins import Spin, SpinPair
-from .vectors import COMPONENTS, FAMILY_INVERSE, Block, FreeParams, VectorSet, _block_pair, pattern_block
+from .vectors import COMPONENTS, Block, FreeParams, VectorSet, _block_pair, cartesian_entry, pattern_block
 
 
 def _as_rational(value: RadicalScalar) -> Fraction:
@@ -170,9 +172,13 @@ class RatioMismatch:
     candidate: RadicalScalar
 
 
-def _cartesian(block: Block, k: int) -> Matrix:
-    """Component k of (V_x, V_y, V_z, V_t) of a block given by its families."""
-    return change_basis(FAMILY_INVERSE[k : k + 1], block)[0]
+def _cartesian_items(block: Block, k: int) -> Iterator[tuple[int, int, RadicalScalar]]:
+    """The nonzero entries of component k of a block, row-major, as ``nonzero_items`` gives them."""
+    pair = block[:2] if k < 2 else block[2:]
+    for row, col in sorted({(i, j) for fam in pair for i, j, _ in fam.nonzero_items()}):
+        value = cartesian_entry(block, k, row, col)
+        if value:
+            yield row, col, value
 
 
 def _fit(reference: Block, candidate: Block) -> RadicalScalar:
@@ -180,9 +186,9 @@ def _fit(reference: Block, candidate: Block) -> RadicalScalar:
     if all(fam.is_zero() for fam in candidate):
         return ONE
     for k in range(4):
-        for row, col, val in _cartesian(candidate, k).nonzero_items():
+        for row, col, val in _cartesian_items(candidate, k):
             if len(val.terms) == 1:
-                return _cartesian(reference, k).get(row, col) / val
+                return cartesian_entry(reference, k, row, col) / val
     raise ValueError("cannot fit a ratio: candidate block has no single-term entries")
 
 
@@ -205,10 +211,8 @@ def equivalence_ratio(
         residuals = tuple(linear_combination([(ONE, r), (-ratio, c)]) for r, c in zip(ref, cand))
         if not all(res.is_zero() for res in residuals):
             for k, mu in enumerate(COMPONENTS):
-                bad = _cartesian(residuals, k).first_nonzero()
-                if bad is not None:
-                    row, col, _ = bad
-                    ref_mu, cand_mu = (_cartesian(b, k).get(row, col) for b in (ref, cand))
+                for row, col, _ in _cartesian_items(residuals, k):
+                    ref_mu, cand_mu = (cartesian_entry(b, k, row, col) for b in (ref, cand))
                     return RatioMismatch(which, mu, row, col, ref_mu, cand_mu)
         ratios[which] = ratio
     return RatioFit(ratio12=ratios["12"], ratio21=ratios["21"])

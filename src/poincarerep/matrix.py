@@ -17,6 +17,12 @@ matrix never changes, its integer form is computed the first time it is
 an operand and kept with it; a scalar c is taken as its own integer terms
 over its denominator, which meet every packed row of Z.  Nothing is
 rounded.
+
+A basis change (``change_basis``: each output a fixed linear combination
+of the same input matrices) runs outside the kernel, cell by cell.  The
+inputs' values at one position are mapped through the whole table as one
+exact integer sum per output, over the lcm of that cell's own
+denominators only, and each distinct tuple of values is mapped once.
 """
 
 from __future__ import annotations
@@ -205,9 +211,87 @@ def linear_combination(terms: Sequence[tuple[RadicalScalar | RationalLike, Matri
     return _combine(first.rows, first.cols, multiples=[(1, c, z) for c, z in terms])
 
 
-def change_basis(table: Sequence[Sequence], mats: Sequence[Matrix]) -> tuple[Matrix, ...]:
-    """Row k of table as the sum of table[k][p] * mats[p] over p, for each row."""
-    return tuple(linear_combination([(c, m) for c, m in zip(row, mats) if c]) for row in table)
+def change_basis(
+    table: Sequence[Sequence[RadicalScalar | RationalLike]], mats: Sequence[Matrix]
+) -> tuple[Matrix, ...]:
+    """Row k of table as the sum of table[k][p] * mats[p] over p, for each row.
+
+    The sums run cell by cell: the values mats hold at one position are
+    mapped through the whole table at once, in integers over the lcm of
+    that cell's own denominators, and each distinct tuple of values is
+    mapped once.  The memo is keyed on the values' identities, which stay
+    fixed while mats hold them.
+    """
+    first = mats[0]
+    for m in mats:
+        first._same_shape(m)
+    coeffs = [[_coerce(c) for c in row] for row in table]
+    tden = math.lcm(*(c._den for row in coeffs for c in row))
+    # Column p of the table: (k, d, re, im) for each term of each table[k][p], over tden.
+    columns = [[] for _ in mats]
+    for k, row in enumerate(coeffs):
+        for column, c in zip(columns, row):
+            f = tden // c._den
+            column += [(k, d, re * f, im * f) for d, (re, im) in c._num.items()]
+    cells: dict[int, dict[int, list]] = {}
+    for p, m in enumerate(mats):
+        for i, row in m._rows.items():
+            cell_row = cells.setdefault(i, {})
+            for j, v in row.items():
+                values = cell_row.get(j)
+                if values is None:
+                    values = cell_row[j] = [None] * len(mats)
+                values[p] = v
+    outs: list[dict[int, dict[int, RadicalScalar]]] = [{} for _ in coeffs]
+    mapped: dict[tuple[int, ...], list] = {}
+    for i, cell_row in cells.items():
+        for j, values in cell_row.items():
+            key = tuple(map(id, values))
+            results = mapped.get(key)
+            if results is None:
+                results = mapped[key] = _map_cell(columns, tden, values)
+            for k, value in results:
+                outs[k].setdefault(i, {})[j] = value
+    changed = tuple(Matrix(first.rows, first.cols) for _ in outs)
+    for m, out in zip(changed, outs):
+        m._rows = out
+    return changed
+
+
+def _map_cell(columns: list, tden: int, values: list) -> list[tuple[int, RadicalScalar]]:
+    """(k, row k of the table applied to one cell's values), for each nonzero result.
+
+    values[p] is the cell's entry in mats[p], None where it is zero.  Every
+    value is taken as integer terms over the lcm of the cell's
+    denominators, so each result is one exact integer sum, reduced by _make.
+    """
+    den = math.lcm(*[v._den for v in values if v is not None])
+    gcd = math.gcd
+    accs: dict[int, dict[int, list[int]]] = {}
+    for column, v in zip(columns, values):
+        if v is None:
+            continue
+        f = den // v._den
+        for d2, (c, e) in v._num.items():
+            c, e = c * f, e * f
+            for k, d1, a, b in column:
+                # Squarefree radicands: d1*d2 = g**2 * (d1/g)*(d2/g).
+                g = gcd(d1, d2)
+                core = (d1 // g) * (d2 // g)
+                re, im = (a * c - b * e) * g, (a * e + b * c) * g
+                acc = accs.setdefault(k, {})
+                prev = acc.get(core)
+                if prev is None:
+                    acc[core] = [re, im]
+                else:
+                    prev[0] += re
+                    prev[1] += im
+    results = []
+    for k, acc in accs.items():
+        value = _make(acc, den * tden)
+        if value._num:
+            results.append((k, value))
+    return results
 
 
 # -- the kernel -----------------------------------------------------------------

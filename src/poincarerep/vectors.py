@@ -96,6 +96,18 @@ FAMILY = gaussian_table([[1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, 1, 1], [0, 0, 1, 
 FAMILY_INVERSE = gaussian_table([[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]])
 
 
+def cartesian_entry(block: Block, k: int, row: int, col: int) -> RadicalScalar:
+    """Row k of FAMILY_INVERSE applied to a block's families at one cell: V_x ... V_t (k = 0 ... 3).
+
+    The signs are those of FAMILY_INVERSE, written out so that one cell costs
+    one sum and no table multiplications.
+    """
+    plus, minus = (fam.get(row, col) for fam in (block[:2] if k < 2 else block[2:]))
+    if k == 1:
+        return (minus - plus).times_i()
+    return plus - minus if k == 3 else plus + minus
+
+
 def pattern_block(
     P: Spin, Q: Spin, R: Spin, S: Spin,
     coeff: Callable[[int, int, int, int], RadicalScalar],

@@ -34,7 +34,7 @@ from poincarerep.bundle import (
 )
 from poincarerep.cg import RatioFit, RatioMismatch
 from poincarerep.generators import block_sum, irrep_generators
-from poincarerep.matrix import Matrix, commutator
+from poincarerep.matrix import Matrix, commutator, linear_combination
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, normalize_radical
 from poincarerep.spins import Spin, SpinPair
@@ -343,6 +343,15 @@ def reference_commutator(m: Matrix, n: Matrix, rhs=()) -> Matrix:
 
 def reference_anticommutator(m: Matrix, n: Matrix) -> Matrix:
     return entrywise(lambda mn, nm: mn + nm, reference_matmul(m, n), reference_matmul(n, m))
+
+
+
+def reference_change_basis(table, mats) -> tuple[Matrix, ...]:
+    """Row k of table applied to mats as one kernel ``linear_combination`` per row.
+
+    Each row needs a nonzero coefficient.
+    """
+    return tuple(linear_combination([(c, m) for c, m in zip(row, mats) if c]) for row in table)
 
 
 # -- the 45 rules on the Cartesian matrices -------------------------------------

@@ -600,6 +600,30 @@ def keep12_bundle():
         return json.loads(path.read_text())
 
 
+# Forming both sets of the hostile (9,9,8,8) bundle: with each matrix packed
+# over one lcm of its denominators, as the product kernel packs, it takes
+# over 20 s.
+HOSTILE_BASIS_SECONDS = 2.0
+
+
+def _hostile_bundle(tmp_path, spins):
+    """A keep12 bundle with each nonzero J_x, J_y, K_x, K_y and V cell divided
+    by its own odd 60-bit number, written as the canonical writer writes."""
+    rng = random.Random(23)
+    path = tmp_path / "hostile.json"
+    assert main(["gen", "--spins", spins, "--block", "keep12", "--out", str(path)]) == EXIT_OK
+    tree = json.loads(path.read_text())
+    for key in ("Jx", "Jy", "Kx", "Ky", "Vx", "Vy", "Vz", "Vt"):
+        for cell in tree["matrices"][key]:
+            factor = rng.getrandbits(60) | 1 << 59 | 1
+            for term in cell:
+                for part in (term["re"], term["im"]):
+                    if part[0]:
+                        part[1] *= factor
+    path.write_text(_canonical(tree))
+    return path
+
+
 class TestFuzz:
     @given(data=st.data())
     @settings(max_examples=250, deadline=None)
@@ -667,28 +691,23 @@ class TestFuzz:
         _assert_clean_exit(code, err, seconds)
 
     def test_export_of_a_hostile_bundle_ends_quickly(self, tmp_path):
-        # Each nonzero J_x, J_y, K_x, K_y and V cell divided by its own odd
-        # 60-bit number: one basis change over such matrices packs them over
-        # an lcm of thousands of bits.  Export forms no basis.
-        rng = random.Random(23)
-        path, out = tmp_path / "hostile.json", tmp_path / "out.json"
-        argv = ["gen", "--spins", "8,8,7,7", "--block", "keep12", "--out", str(path)]
-        assert main(argv) == EXIT_OK
-        tree = json.loads(path.read_text())
-        for key in ("Jx", "Jy", "Kx", "Ky", "Vx", "Vy", "Vz", "Vt"):
-            for cell in tree["matrices"][key]:
-                factor = rng.getrandbits(60) | 1 << 59 | 1
-                for term in cell:
-                    for part in (term["re"], term["im"]):
-                        if part[0]:
-                            part[1] *= factor
-        path.write_text(_canonical(tree))
+        # Export forms no basis.
+        path, out = _hostile_bundle(tmp_path, "8,8,7,7"), tmp_path / "out.json"
         code, err, seconds = _run(
             ["export", "--in", str(path), "--format", "exact-json", "--out", str(out)]
         )
         assert (code, err) == (EXIT_OK, "")
         assert seconds < FUZZ_SECONDS
         assert out.read_text() == _canonical(reference_bundle_dict(load_bundle(str(path))))
+
+    def test_bases_of_a_hostile_bundle_form_quickly(self, tmp_path):
+        # A basis change sums each cell over that cell's own denominators, not
+        # over the lcm of a whole matrix, so forming both sets takes milliseconds.
+        bundle = load_bundle(str(_hostile_bundle(tmp_path, "9,9,8,8")))
+        start = time.perf_counter()
+        gen, vec = bundle.generators, bundle.vectors
+        assert time.perf_counter() - start < HOSTILE_BASIS_SECONDS
+        assert gen.cartesian + vec.cartesian == bundle.cartesian
 
     @given(
         text=st.one_of(

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import entrywise, reference_anticommutator, reference_commutator, reference_matmul
+from oracles import (
+    entrywise,
+    reference_anticommutator,
+    reference_change_basis,
+    reference_commutator,
+    reference_matmul,
+)
 from poincarerep import matrix
-from poincarerep.matrix import Matrix, anticommutator, commutator
+from poincarerep.generators import SPIN_BASIS, SPIN_BASIS_INVERSE, direct_sum, spin
+from poincarerep.matrix import Matrix, anticommutator, change_basis, commutator
 from poincarerep.radical import ONE, ZERO, RadicalScalar
+from poincarerep.spins import SpinPair
+from poincarerep.vectors import FAMILY, FAMILY_INVERSE, FreeParams, closed_form_vectors
 
 # Shared and coprime radicands, one non-squarefree (12 = 2**2 * 3) and one
 # large prime; denominators are mixed so each operand needs a real lcm.
@@ -171,6 +180,86 @@ def test_cancelling_results_are_the_zero_matrix(pair, r, s):
     assert commutator(m, m).is_zero()
     assert anticommutator(n, -n) == (n @ n).scale(-2)
     assert (m @ (n - n)).is_zero()
+
+
+# -- basis changes --------------------------------------------------------------
+
+BASIS_TABLES = (SPIN_BASIS, SPIN_BASIS_INVERSE, FAMILY, FAMILY_INVERSE)
+
+# Odd 60-bit denominator factors, one drawn for each value of a pool.
+_denominators_60 = st.integers(2**59, 2**60 - 1).map(lambda q: q | 1)
+
+
+@st.composite
+def basis_tables(draw):
+    """One of the package's tables, or a drawn one of single-term coefficients and zeros."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(BASIS_TABLES))
+    width = draw(st.integers(1, 4))
+    coefficient = st.builds(lambda d, re, im: RadicalScalar.from_terms([(d, re, im)]),
+                            _radicand, _coefficient, _coefficient).filter(bool)
+    row = st.lists(st.just(ZERO) | coefficient, min_size=width, max_size=width).filter(any)
+    return tuple(tuple(r) for r in draw(st.lists(row, min_size=1, max_size=4)))
+
+
+@st.composite
+def basis_changes(draw):
+    """(table, mats): values shared across cells, equal values in distinct
+    objects, multi-term values, 60-bit denominators and cells where a row
+    of the table cancels."""
+    table = draw(basis_tables())
+    width = len(table[0])
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pool = draw(st.lists(scalars(), min_size=1, max_size=3))
+    pool += [v / draw(_denominators_60) for v in pool]
+
+    def value():
+        v = draw(st.sampled_from(pool))
+        how = draw(st.sampled_from(["shared", "copy", "reordered", "fresh"]))
+        if how == "copy":
+            return RadicalScalar(dict(v._num), v._den)
+        if how == "reordered":
+            return RadicalScalar(dict(reversed(list(v._num.items()))), v._den)
+        return draw(scalars()) if how == "fresh" else v
+
+    entries = [{} for _ in range(width)]
+    for cell in draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)))):
+        for p in draw(st.sets(st.integers(0, width - 1), min_size=1)):
+            entries[p][cell] = value()
+        if draw(st.booleans()):
+            # Fix one value so that row k of the table is zero at this cell.
+            k = draw(st.integers(0, len(table) - 1))
+            p = draw(st.sampled_from([p for p, c in enumerate(table[k]) if c]))
+            rest = sum((c * entries[q].get(cell, ZERO)
+                        for q, c in enumerate(table[k]) if q != p), ZERO)
+            entries[p][cell] = -rest / table[k][p]
+    return table, [Matrix.from_entries(rows, cols, e) for e in entries]
+
+
+@given(basis_changes())
+@settings(max_examples=150, deadline=None)
+def test_change_basis_matches_reference(case):
+    table, mats = case
+    out = change_basis(table, mats)
+    assert out == reference_change_basis(table, mats)
+    assert all((m.rows, m.cols) == (mats[0].rows, mats[0].cols) and _canonical(m) for m in out)
+    for k in range(len(table)):
+        assert change_basis(table[k : k + 1], mats) == reference_change_basis(table[k : k + 1], mats)
+
+
+def test_change_basis_runs_outside_the_kernel():
+    pair1, pair2 = SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(2))
+    gen = direct_sum(pair1, pair2)
+    vec = closed_form_vectors(spin(2), spin(1), spin(1), spin(2), FreeParams.of(1, 1))
+    with mock.patch.object(matrix, "_combine", wraps=matrix._combine) as combine, \
+            mock.patch.object(matrix, "_pack", wraps=matrix._pack) as pack:
+        cartesian = change_basis(SPIN_BASIS_INVERSE, gen.spin_basis)
+        components = change_basis(FAMILY_INVERSE, vec.families)
+    assert combine.call_count == 0 and pack.call_count == 0
+    assert cartesian == reference_change_basis(SPIN_BASIS_INVERSE, gen.spin_basis)
+    assert components == reference_change_basis(FAMILY_INVERSE, vec.families)
+    assert change_basis(SPIN_BASIS, cartesian) == gen.spin_basis
+    assert change_basis(FAMILY, components) == vec.families
 
 
 def test_hand_cancellation_across_radicands():

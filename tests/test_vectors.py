@@ -8,7 +8,7 @@ from oracles import conjugate_transpose, racah_cg_signed_square
 
 from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
 from poincarerep.generators import direct_sum, ladder_coeff_s, spin
-from poincarerep.matrix import Matrix
+from poincarerep.matrix import Matrix, change_basis
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
@@ -17,8 +17,10 @@ from poincarerep.vectors import (
     CaseTag,
     FreeParams,
     NoSolutionError,
+    FAMILY_INVERSE,
     VectorSet,
     _one_spin,
+    cartesian_entry,
     classify_case,
     closed_form_vectors,
     pattern_block,
@@ -393,3 +395,16 @@ class TestFromCartesian:
                     assert again == v
                     count += 1
         assert count == 64 * 3 * 3
+
+    def test_cartesian_entry_is_a_row_of_family_inverse(self):
+        # The hand-written signs of cartesian_entry agree with FAMILY_INVERSE
+        # at every cell, zero cells included.
+        params = FreeParams(sqrt_of_rational(2) + Fraction(1, 3), I_UNIT * sqrt_of_rational(3))
+        for q in admissible(2):
+            for source in SOURCES:
+                block = vectors_from_source(source, q, params).families
+                n = block[0].rows
+                for k in range(4):
+                    (want,) = change_basis(FAMILY_INVERSE[k : k + 1], block)
+                    for row, col in itertools.product(range(n), repeat=2):
+                        assert cartesian_entry(block, k, row, col) == want.get(row, col), (q, source, k)
