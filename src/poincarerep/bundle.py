@@ -12,7 +12,6 @@ canonical dump (sorted keys, no whitespace) is byte-reproducible.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from dataclasses import dataclass
@@ -103,61 +102,19 @@ def scalar_from_json(terms: list[dict]) -> RadicalScalar:
         raise ValueError(f"malformed scalar term: {exc}") from exc
 
 
-def _term_key(terms) -> tuple[int, ...] | None:
-    """The integers of a well-formed term list, or None if it is not one.
-
-    The checks are on exact types, as in ``scalar_from_json``: a JSON
-    ``true`` equals and hashes like 1, so a test with ``isinstance`` would
-    let it share a key with 1 and load a value it should reject.
-    """
-    if type(terms) is not list:
-        return None
-    key: list[int] = []
-    for t in terms:
-        if type(t) is not dict:
-            return None
-        d, re, im = t.get("d"), t.get("re"), t.get("im")
-        if type(d) is not int or type(re) is not list or type(im) is not list:
-            return None
-        if len(re) != 2 or len(im) != 2:
-            return None
-        key.append(d)
-        for x in (*re, *im):
-            if type(x) is not int:
-                return None
-            key.append(x)
-    return tuple(key)
-
-
-def matrix_from_json(
-    entries: list[list[dict]], rows: int, cols: int, *, decoded: dict | None = None
-) -> Matrix:
+def matrix_from_json(entries: list[list[dict]], rows: int, cols: int) -> Matrix:
     """Decode a dense row-major entry grid; a malformed entry raises ValueError.
 
-    A bundle's entries hold few distinct values, so each distinct
-    well-formed term list is decoded once and the value shared: ``decoded``
-    maps the integers of a term list (see ``_term_key``) to its value, and
-    one dict may serve all matrices of a bundle.  A term list only enters
-    it after ``scalar_from_json`` accepted it, and any other entry goes
-    through ``scalar_from_json`` itself, so errors and their messages are
-    those of an entry-by-entry decode.
+    ``[]`` is exact zero, and every other entry, a falsy one such as
+    ``null`` or ``{}`` included, is decoded by ``scalar_from_json``.
     """
     if len(_expect(entries, list, "a matrix")) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(entries)}")
-    if decoded is None:
-        decoded = {}
-    values = {}
-    for pos, terms in enumerate(entries):
-        if not terms and type(terms) is list:
-            continue  # [] is exact zero; a falsy non-array is rejected below
-        key = _term_key(terms)
-        value = decoded.get(key)  # None is never a key
-        if value is None:
-            value = scalar_from_json(terms)
-            if key is not None:
-                decoded[key] = value
-        values[divmod(pos, cols)] = value
-    return Matrix.from_entries(rows, cols, values)
+    return Matrix.from_entries(rows, cols, {
+        divmod(pos, cols): scalar_from_json(terms)
+        for pos, terms in enumerate(entries)
+        if terms != []
+    })
 
 
 @dataclass(frozen=True)
@@ -271,9 +228,8 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
 
     A malformed or inconsistent bundle raises ValueError (or KeyError).
     """
-    decoded: dict = {}
     return _checked_bundle(data, lambda matrices, n: tuple(
-        matrix_from_json(matrices[key], n, n, decoded=decoded) for key in MATRIX_KEYS
+        matrix_from_json(matrices[key], n, n) for key in MATRIX_KEYS
     ))
 
 
@@ -409,33 +365,21 @@ def load_bundle(path: str) -> MatrixBundle:
     A text that ``MatrixBundle.dumps`` could have written is read by
     ``_canonical_bundle``; any other goes through ``json.loads`` and
     ``bundle_from_json_dict``.  Both give the same bundle, or raise the same
-    error, on the same text.
-
-    The parse and the decode run with the cyclic garbage collector paused.
-    A bundle parses into hundreds of thousands of small lists and dicts, and
-    each allocation counts towards the next collection, which scans every
-    tracked container: full collections would be set off again and again
-    while the tree is still being built.  Parsing and decoding make no
-    reference cycles, so the pause defers nothing that could be freed.  The
-    collector is turned back on, whether the load returns or raises, only
-    if it was on before.
+    error, on the same text.  Every file the program writes is canonical,
+    so ``json.loads`` reads only files edited or re-indented elsewhere; it
+    decodes each cell on its own, as the decoder the fast path is tested
+    against.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    was_enabled = gc.isenabled()
-    gc.disable()
+    bundle = _canonical_bundle(text)
+    if bundle is not None:
+        return bundle
     try:
-        bundle = _canonical_bundle(text)
-        if bundle is not None:
-            return bundle
-        try:
-            data = json.loads(text)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
-        return bundle_from_json_dict(data)
-    finally:
-        if was_enabled:
-            gc.enable()
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    return bundle_from_json_dict(data)
 
 
 def save_bundle(bundle: MatrixBundle, path: str) -> None:

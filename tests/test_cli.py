@@ -608,7 +608,8 @@ HOSTILE_BASIS_SECONDS = 2.0
 
 def _hostile_bundle(tmp_path, spins):
     """A keep12 bundle with each nonzero J_x, J_y, K_x, K_y and V cell divided
-    by its own odd 60-bit number, written as the canonical writer writes."""
+    by its own odd 60-bit number, written as the canonical writer writes:
+    each fraction in lowest terms, so the fast loader reads it."""
     rng = random.Random(23)
     path = tmp_path / "hostile.json"
     assert main(["gen", "--spins", spins, "--block", "keep12", "--out", str(path)]) == EXIT_OK
@@ -619,7 +620,8 @@ def _hostile_bundle(tmp_path, spins):
             for term in cell:
                 for part in (term["re"], term["im"]):
                     if part[0]:
-                        part[1] *= factor
+                        value = Fraction(*part) / factor
+                        part[:] = [value.numerator, value.denominator]
     path.write_text(_canonical(tree))
     return path
 
@@ -691,14 +693,17 @@ class TestFuzz:
         _assert_clean_exit(code, err, seconds)
 
     def test_export_of_a_hostile_bundle_ends_quickly(self, tmp_path):
-        # Export forms no basis.
+        # Export forms no basis.  The indented copy is read through json.loads.
         path, out = _hostile_bundle(tmp_path, "8,8,7,7"), tmp_path / "out.json"
-        code, err, seconds = _run(
-            ["export", "--in", str(path), "--format", "exact-json", "--out", str(out)]
-        )
-        assert (code, err) == (EXIT_OK, "")
-        assert seconds < FUZZ_SECONDS
-        assert out.read_text() == _canonical(reference_bundle_dict(load_bundle(str(path))))
+        tree = json.loads(path.read_text())
+        for text in (_canonical(tree), json.dumps(tree, indent=1)):
+            path.write_text(text)
+            code, err, seconds = _run(
+                ["export", "--in", str(path), "--format", "exact-json", "--out", str(out)]
+            )
+            assert (code, err) == (EXIT_OK, "")
+            assert seconds < FUZZ_SECONDS
+            assert out.read_text() == _canonical(reference_bundle_dict(load_bundle(str(path))))
 
     def test_bases_of_a_hostile_bundle_form_quickly(self, tmp_path):
         # A basis change sums each cell over that cell's own denominators, not
