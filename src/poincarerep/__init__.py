@@ -16,7 +16,6 @@ from .generators import (
     ladder_coeff_r,
     ladder_coeff_s,
     rotation_rep,
-    spin,
 )
 from .vectors import (
     CaseTag,
@@ -27,7 +26,7 @@ from .vectors import (
     VectorSet,
     classify_case,
     closed_form_vectors,
-    pattern_block,
+    pattern_vectors,
     recursion_solve,
     vectors_from_coefficients,
 )
@@ -55,10 +54,10 @@ __all__ = [
     "Spin", "SpinPair",
     "Matrix", "commutator", "anticommutator", "block_diag",
     "GeneratorSet", "direct_sum", "irrep_generators",
-    "ladder_coeff_r", "ladder_coeff_s", "rotation_rep", "spin",
+    "ladder_coeff_r", "ladder_coeff_s", "rotation_rep",
     "CaseTag", "FreeParams", "NoSolutionError", "SELECTION_RULE",
     "TUCoefficients", "VectorSet", "classify_case", "closed_form_vectors",
-    "pattern_block", "recursion_solve", "vectors_from_coefficients",
+    "pattern_vectors", "recursion_solve", "vectors_from_coefficients",
     "RatioFit", "RatioMismatch",
     "cg_block", "cg_vector_matrices", "clebsch_gordan",
     "equivalence_ratio",

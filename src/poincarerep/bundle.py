@@ -269,7 +269,7 @@ def _checked_bundle(
         raise ValueError(f"caseTag {data['caseTag']!r} disagrees with spins {list(spins)}")
     for which, param in (("12", params.t12), ("21", params.t21)):
         bounds = block_bounds(pairs, which)
-        zero = all(mat.submatrix(*bounds).is_zero() for mat in mats[6:])
+        zero = all(mat.window(*bounds).is_zero() for mat in mats[6:])
         if block not in ("both", f"keep{which}"):
             if not zero:
                 raise ValueError(f"block {block!r} but the {which}-block of V is nonzero")

@@ -20,8 +20,9 @@ b-d = dq/2 has the entries
     lam12 * <1/2 dp/2, C c|A a> <1/2 -dq/2, B b|D d>,
 
 negated on (dp, dq) = (-1, +1); the families are V+, V-, (V_z + V_t)/2
-and (V_z - V_t)/2, ``vectors.pattern_block`` places them, and
-``vectors._block_pair`` builds the 21-block from the same formula.  The
+and (V_z - V_t)/2.  ``cg_block`` states only this entry formula,
+``vectors._block_pair`` gives the 21-block's from the same formula, and
+``vectors.pattern_vectors`` writes both into the n x n families.  The
 signs are those of the 12-block of the spin (1/2,0)+(0,1/2) vector
 matrices in this package's basis and metric convention; relative to the
 usual contravariant tabulation this flips the sign of the t component.
@@ -44,7 +45,9 @@ from .generators import ladder_coeff_r, ladder_coeff_s
 from .matrix import linear_combination
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from .spins import Spin, SpinPair
-from .vectors import COMPONENTS, Block, FreeParams, VectorSet, _block_pair, cartesian_entry, pattern_block
+from .vectors import (
+    COMPONENTS, Block, Coeff, FreeParams, VectorSet, _block_pair, cartesian_entry, pattern_vectors,
+)
 
 
 def _as_rational(value: RadicalScalar) -> Fraction:
@@ -120,8 +123,8 @@ def clebsch_gordan(j1: Spin, m1: int, j2: Spin, m2: int, J: Spin, M: int) -> Rad
 _HALF = Spin(1)
 
 
-def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Block:
-    """The families of the coupling block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
+def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Coeff:
+    """The coupling entry formula of the block, rows (p,q) of (P,Q) and columns (r,s) of (R,S).
 
     The family (dp, dq) entry is lam * <1/2 dp/2, R r|P p> <1/2 -dq/2, Q q|S s>,
     negated on (-1, +1).
@@ -135,14 +138,14 @@ def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Block:
         )
         return -value if (dp, dq) == (-1, 1) else value
 
-    return pattern_block(P, Q, R, S, coeff)
+    return coeff
 
 
 def cg_vector_matrices(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> VectorSet:
     """Full vector matrices from the coupling route; t12 and t21 scale the blocks."""
-    return VectorSet.from_blocks(
+    return pattern_vectors(
         (SpinPair(A, B), SpinPair(C, D)),
         params,
         *_block_pair(cg_block, A, B, C, D, params.t12, params.t21),

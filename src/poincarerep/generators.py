@@ -127,8 +127,3 @@ def block_sum(g1: GeneratorSet, g2: GeneratorSet) -> GeneratorSet:
     """Block-diagonal generators of two representations, g1's block first."""
     basis = tuple(block_diag(a, b) for a, b in zip(g1.spin_basis, g2.spin_basis))
     return GeneratorSet(g1.spins + g2.spins, basis)
-
-
-def spin(twice: int) -> Spin:
-    """Shorthand: spin from its doubled integer value."""
-    return Spin(twice)

@@ -149,6 +149,15 @@ class Matrix:
             for j, v in row.items() if c0 <= j < c1
         })
 
+    def window(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
+        """This matrix with only its entries in rows r0..r1-1 and columns c0..c1-1, in place."""
+        out = Matrix(self.rows, self.cols)
+        for i, row in self._rows.items():
+            kept = {j: v for j, v in row.items() if c0 <= j < c1} if r0 <= i < r1 else None
+            if kept:
+                out._rows[i] = kept
+        return out
+
     # -- export ---------------------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:

@@ -4,8 +4,9 @@ Keeping only one off-diagonal block makes every product P_mu P_nu land in
 a zero block, so all pairwise commutators vanish and (sum x_mu P_mu)^2 = 0
 for any four-vector x.  Keeping both blocks breaks commutativity whenever
 t12 * t21 != 0; ``noncommutativity_witness`` exhibits the failure.
-The block choice moves the stored families, so P+- = (P_x +- iP_y)/2 are
-the families V+- of the kept block, and the Cartesian P_mu are a view.
+A momentum set keeps the chosen block's rectangle of each stored family
+in place, so P+- = (P_x +- iP_y)/2 are the families V+- of the kept
+block, and the Cartesian P_mu are a view.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import enum
 from fractions import Fraction
 
 from .matrix import Matrix, commutator, linear_combination
-from .vectors import VectorSet
+from .vectors import VectorSet, block_bounds
 
 
 class BlockChoice(enum.Enum):
@@ -23,11 +24,11 @@ class BlockChoice(enum.Enum):
 
 
 def momentum_from_vectors(vec: VectorSet, choice: BlockChoice) -> VectorSet:
-    """Zero the non-chosen off-diagonal block of every component."""
+    """Keep only the chosen off-diagonal block of every family, at its own positions."""
     which = "12" if choice is BlockChoice.KEEP_12 else "21"
-    kept = vec.block(which)
-    b12, b21 = (kept, None) if which == "12" else (None, kept)
-    return VectorSet.from_blocks(vec.spins, vec.params, b12, b21, kept_block=which)
+    bounds = block_bounds(vec.spins, which)
+    families = tuple(fam.window(*bounds) for fam in vec.families)
+    return VectorSet(vec.spins, vec.params, families, kept_block=which)
 
 
 def translation_combination(vec: VectorSet, x: tuple) -> Matrix:

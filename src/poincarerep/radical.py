@@ -246,9 +246,6 @@ class RadicalScalar:
         """Multiply by the imaginary unit."""
         return RadicalScalar({d: (-im, re) for d, (re, im) in self._num.items()}, self._den)
 
-    def conjugate(self) -> "RadicalScalar":
-        return RadicalScalar({d: (re, -im) for d, (re, im) in self._num.items()}, self._den)
-
     def reciprocal_single(self) -> "RadicalScalar":
         """Invert a single-term value (p + i q) / den * sqrt(d).
 

@@ -19,9 +19,12 @@ Two independent construction routes are provided and must agree exactly:
   ladder coefficients.
 
 Both routes, like the Clebsch-Gordan route in ``cg``, supply only the
-entry formula of each family; ``pattern_block`` places the entries.  Each
-route states only its 12-block; ``_block_pair`` applies the selection rule
-and builds the 21-block by exchanging the roles of the two irreps.
+entry formula ``coeff(dp, dq, p, q)`` of each family; ``pattern_vectors``
+writes the entries of both off-diagonal blocks straight into the four
+n x n families.  Each route states only its 12-block; ``_block_pair``
+applies the selection rule and gives the 21-block's formula by exchanging
+the roles of the two irreps.  A momentum set keeps one block's rectangle
+of each family in place (``momentum.momentum_from_vectors``).
 
 Nonzero solutions exist only when A = C +/- 1/2 and B = D +/- 1/2; every
 other spin choice admits exactly the zero solution and is reported as
@@ -36,8 +39,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .matrix import Matrix, change_basis, place
-from .radical import ZERO, RadicalScalar, RationalLike, _coerce, gaussian_table, sqrt_of_rational
+from .matrix import Matrix, change_basis
+from .radical import ZERO, RadicalScalar, gaussian_table, sqrt_of_rational
 from .spins import Spin, SpinPair
 from .generators import ladder_coeff_r
 
@@ -73,13 +76,12 @@ class FreeParams:
     t12: RadicalScalar
     t21: RadicalScalar
 
-    @classmethod
-    def of(cls, t12: "RadicalScalar | RationalLike", t21: "RadicalScalar | RationalLike") -> "FreeParams":
-        return cls(_coerce(t12), _coerce(t21))
-
 
 # The four families of one off-diagonal block, in FAMILIES order.
 Block = tuple[Matrix, Matrix, Matrix, Matrix]
+
+# A route's entry formula for one block: coeff(dp, dq, p, q), see pattern_vectors.
+Coeff = Callable[[int, int, int, int], RadicalScalar]
 
 # The delta patterns (2(p-r), 2(q-s)) of a block's four families: V+ and V-,
 # then F+ = (V_z + V_t)/2 and F- = (V_z - V_t)/2.
@@ -108,29 +110,6 @@ def cartesian_entry(block: Block, k: int, row: int, col: int) -> RadicalScalar:
     return plus - minus if k == 3 else plus + minus
 
 
-def pattern_block(
-    P: Spin, Q: Spin, R: Spin, S: Spin,
-    coeff: Callable[[int, int, int, int], RadicalScalar],
-) -> Block:
-    """The families of the block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
-
-    All indices are doubled.  coeff(dp, dq, p, q) is the entry of family
-    (dp, dq) at row (p, q) and column (p - dp, q - dq); it is asked only
-    where that column exists.  The column map is read off ``cols.basis()``
-    once per block, so that list alone states where a column sits.  Every
-    route builds its blocks here.
-    """
-    rows, cols = SpinPair(P, Q), SpinPair(R, S)
-    col = {rs: j for j, rs in enumerate(cols.basis())}
-    families = tuple({} for _ in FAMILIES)
-    for i, (p, q) in enumerate(rows.basis()):
-        for entries, (dp, dq) in zip(families, FAMILIES):
-            j = col.get((p - dp, q - dq))
-            if j is not None:
-                entries[i, j] = coeff(dp, dq, p, q)
-    return tuple(Matrix.from_entries(rows.dimension, cols.dimension, m) for m in families)
-
-
 @dataclass(frozen=True)
 class VectorSet:
     """Vector matrices as the families (V+, V-, F+, F-), with their construction metadata.
@@ -152,22 +131,6 @@ class VectorSet:
     ) -> "VectorSet":
         """The set with these V_x, V_y, V_z, V_t, stored as its families."""
         return cls(spins, params, change_basis(FAMILY, V), kept_block)
-
-    @classmethod
-    def from_blocks(
-        cls, spins: tuple[SpinPair, SpinPair], params: FreeParams,
-        b12: Block | None, b21: Block | None, kept_block: str | None = None,
-    ) -> "VectorSet":
-        """Place the 12-block at (0, n1) and the 21-block at (n1, 0); None is zero.
-
-        b12 has the rows of spins[0] and the columns of spins[1], b21 the
-        reverse.
-        """
-        n1 = spins[0].dimension
-        n = n1 + spins[1].dimension
-        placed = [(block, r0, c0) for block, r0, c0 in ((b12, 0, n1), (b21, n1, 0)) if block]
-        families = (place(n, n, [(block[k], r0, c0) for block, r0, c0 in placed]) for k in range(4))
-        return cls(spins, params, tuple(families), kept_block=kept_block)
 
     @property
     def case(self) -> CaseTag:
@@ -194,13 +157,13 @@ class VectorSet:
         return self.cartesian[COMPONENTS.index(mu)]
 
     def block(self, which: str) -> Block:
-        """The families of the "12" or "21" block, as from_blocks takes them."""
+        """The families of the "12" or "21" block, in block-relative positions."""
         bounds = block_bounds(self.spins, which)
         return tuple(mat.submatrix(*bounds) for mat in self.families)
 
 
 def block_bounds(spins: tuple[SpinPair, SpinPair], which: str) -> tuple[int, int, int, int]:
-    """(r0, r1, c0, c1) of the "12" or "21" block, where from_blocks places it."""
+    """(r0, r1, c0, c1) of the "12" or "21" block, where pattern_vectors places it."""
     n1 = spins[0].dimension
     n = n1 + spins[1].dimension
     if which == "12":
@@ -208,6 +171,34 @@ def block_bounds(spins: tuple[SpinPair, SpinPair], which: str) -> tuple[int, int
     if which == "21":
         return (n1, n, 0, n1)
     raise ValueError("block must be '12' or '21'")
+
+
+def pattern_vectors(
+    spins: tuple[SpinPair, SpinPair], params: FreeParams, coeff12: Coeff, coeff21: Coeff
+) -> VectorSet:
+    """The set whose 12-block entries coeff12 gives and whose 21-block entries coeff21 gives.
+
+    All indices are doubled.  coeff(dp, dq, p, q) is the entry of family
+    (dp, dq) at row (p, q) and column (p - dp, q - dq) of its block; it is
+    asked only where that column exists.  The 12-block, rows of spins[0]
+    and columns of spins[1], sits at (0, n1), and the 21-block, the
+    reverse, at (n1, 0).  Each block's column map is read off
+    ``basis()`` once, so that list alone states where a column sits.  Every
+    route builds its set here, and each entry is written once, straight
+    into the n x n families.
+    """
+    pair1, pair2 = spins
+    n1 = pair1.dimension
+    n = n1 + pair2.dimension
+    families = tuple({} for _ in FAMILIES)
+    for rows, cols, r0, c0, coeff in ((pair1, pair2, 0, n1, coeff12), (pair2, pair1, n1, 0, coeff21)):
+        col = {rs: j for j, rs in enumerate(cols.basis(), c0)}
+        for i, (p, q) in enumerate(rows.basis(), r0):
+            for entries, (dp, dq) in zip(families, FAMILIES):
+                j = col.get((p - dp, q - dq))
+                if j is not None:
+                    entries[i, j] = coeff(dp, dq, p, q)
+    return VectorSet(spins, params, tuple(Matrix.from_entries(n, n, m) for m in families))
 
 
 def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:
@@ -224,15 +215,16 @@ def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:
 
 
 def _block_pair(block: Callable, A: Spin, B: Spin, C: Spin, D: Spin, arg12, arg21) -> tuple:
-    """The 12- and 21-block of (A,B)+(C,D) as one route builds them.
+    """The 12- and 21-block of (A,B)+(C,D) as one route states them.
 
     Raises NoSolutionError unless the selection rule holds.  ``block(P, Q,
-    R, S, arg)`` builds a route's block with rows (p,q) of (P,Q) and columns
-    (r,s) of (R,S); the 12-block is block(A, B, C, D, arg12) and the
-    21-block is block(C, D, A, B, arg21).  The swap is valid because J and
-    K are block-diagonal: every rule [J_i, V_mu], [K_i, V_mu] acts on each
-    off-diagonal block alone, through the generators of its row irrep on
-    the left and of its column irrep on the right.  The 21-block, rows of
+    R, S, arg)`` states a route's block with rows (p,q) of (P,Q) and columns
+    (r,s) of (R,S), as its entry formula or its coefficients; the 12-block
+    is block(A, B, C, D, arg12) and the 21-block is block(C, D, A, B,
+    arg21).  The swap is valid because J and K are block-diagonal: every
+    rule [J_i, V_mu], [K_i, V_mu] acts on each off-diagonal block alone,
+    through the generators of its row irrep on the left and of its column
+    irrep on the right.  The 21-block, rows of
     (C,D) and columns of (A,B), therefore obeys exactly the equations of
     the 12-block of (C,D)+(A,B), and t21 takes the place of t12.  The rule
     A = C +/- 1/2, B = D +/- 1/2 is symmetric under the swap, which maps
@@ -259,8 +251,8 @@ def _one_spin(X: Spin, Y: Spin, x: int, s: int) -> tuple[RadicalScalar, bool]:
     return sqrt_of_rational(Fraction(Y.twice - s * (x - s), 2)), False
 
 
-def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> Block:
-    """The closed-form block with rows (p,q) of (P,Q) and columns (r,s) of (R,S).
+def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> Coeff:
+    """The closed-form entry formula of the block, rows (p,q) of (P,Q) and columns of (R,S).
 
     Family (dp, dq) has t * f(P, R, p, dp) * f(Q, S, q, dq), negated on V-.
     """
@@ -271,14 +263,14 @@ def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> 
         value = f1 * f2 * t
         return -value if neg1 ^ neg2 ^ (dp == dq < 0) else value
 
-    return pattern_block(P, Q, R, S, coeff)
+    return coeff
 
 
 def closed_form_vectors(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> VectorSet:
     """Assemble the four families from the one-spin factors of each block."""
-    return VectorSet.from_blocks(
+    return pattern_vectors(
         (SpinPair(A, B), SpinPair(C, D)),
         params,
         *_block_pair(_closed_form_block, A, B, C, D, params.t12, params.t21),
@@ -347,8 +339,8 @@ def recursion_solve(
 def _place_block(
     P: Spin, Q: Spin, R: Spin, S: Spin,
     coeffs: tuple[dict[tuple[int, int], RadicalScalar], dict[tuple[int, int], RadicalScalar]],
-) -> Block:
-    """One block, rows (p,q) of (P,Q) and columns (r,s) of (R,S), from its (tau, ups)."""
+) -> Coeff:
+    """The entry formula of one block, rows (p,q) of (P,Q) and columns of (R,S), from (tau, ups)."""
     tau, ups = coeffs
 
     def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
@@ -360,7 +352,7 @@ def _place_block(
         return (ladder_coeff_r(Q, q - 2) * ups.get((p, q - 2), ZERO)
                 - ladder_coeff_r(S, q - 1) * ups.get((p, q), ZERO))
 
-    return pattern_block(P, Q, R, S, coeff)
+    return coeff
 
 
 def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:
@@ -371,7 +363,7 @@ def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:
     and F- on the mirrored pattern likewise.
     """
     pair1, pair2 = coeffs.spins
-    return VectorSet.from_blocks(
+    return pattern_vectors(
         coeffs.spins,
         coeffs.params,
         *_block_pair(

@@ -16,7 +16,10 @@ where the library compares family blocks.  ``reference_bundle_dict`` is the
 dense dict a bundle's text encodes, for ``json.dumps`` to write, where
 ``MatrixBundle.dumps`` writes the text directly.  ``reference_normalize_radical``
 trial-divides by every odd number up to 2**20, where the library tests
-chunks of primes with one gcd each.
+chunks of primes with one gcd each.  ``from_blocks`` places two blocks'
+families into a vector set entry by entry, where the routes write their
+entries straight into the full families; the tests edit blocks through it.
+``spin``, ``free_params`` and ``conjugate`` are the tests' shorthands.
 """
 
 import itertools
@@ -36,13 +39,14 @@ from poincarerep.cg import RatioFit, RatioMismatch
 from poincarerep.generators import block_sum, irrep_generators
 from poincarerep.matrix import Matrix, commutator, linear_combination
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
-from poincarerep.radical import I_UNIT, ONE, ZERO, normalize_radical
+from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, _coerce, normalize_radical
 from poincarerep.spins import Spin, SpinPair
 from poincarerep.vectors import (
     COMPONENTS,
     CaseTag,
     FreeParams,
     NoSolutionError,
+    VectorSet,
     classify_case,
     closed_form_vectors,
 )
@@ -315,9 +319,43 @@ def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_entries(a.rows, b.cols, entries)
 
 
+def spin(twice: int) -> Spin:
+    """Shorthand: spin from its doubled integer value."""
+    return Spin(twice)
+
+
+def free_params(t12, t21) -> FreeParams:
+    """FreeParams of two scalars, each a RadicalScalar, int or Fraction."""
+    return FreeParams(_coerce(t12), _coerce(t21))
+
+
+def conjugate(v: RadicalScalar) -> RadicalScalar:
+    """The complex conjugate of v: every imaginary numerator negated."""
+    return RadicalScalar({d: (re, -im) for d, (re, im) in v._num.items()}, v._den)
+
+
 def conjugate_transpose(m: Matrix) -> Matrix:
     """The adjoint of m: entry (j, i) is the conjugate of m's (i, j)."""
-    return Matrix.from_entries(m.cols, m.rows, {(j, i): v.conjugate() for i, j, v in m.nonzero_items()})
+    return Matrix.from_entries(m.cols, m.rows, {(j, i): conjugate(v) for i, j, v in m.nonzero_items()})
+
+
+def from_blocks(spins, params, b12, b21, kept_block=None) -> VectorSet:
+    """The set with the families b12 at (0, n1) and b21 at (n1, 0); None is zero.
+
+    b12 has the rows of spins[0] and the columns of spins[1], b21 the
+    reverse, each as ``VectorSet.block`` returns it.  Every entry is placed
+    on its own.
+    """
+    n1 = spins[0].dimension
+    n = n1 + spins[1].dimension
+    placed = [(block, r0, c0) for block, r0, c0 in ((b12, 0, n1), (b21, n1, 0)) if block]
+    families = tuple(
+        Matrix.from_entries(n, n, {
+            (r0 + i, c0 + j): v for block, r0, c0 in placed for i, j, v in block[k].nonzero_items()
+        })
+        for k in range(4)
+    )
+    return VectorSet(spins, params, families, kept_block)
 
 
 def entrywise(fn, *mats: Matrix) -> Matrix:

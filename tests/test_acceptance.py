@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import racah_cg_signed_square, vector_rule_nullspace_dim
+from oracles import racah_cg_signed_square, spin, vector_rule_nullspace_dim
 
 from poincarerep.cg import RatioFit, cg_vector_matrices, equivalence_ratio
 from poincarerep.cli import parse_scalar
-from poincarerep.generators import direct_sum, spin
+from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import (
     BlockChoice,

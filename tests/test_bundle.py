@@ -27,14 +27,14 @@ from poincarerep.bundle import (
     vectors_from_source,
 )
 from poincarerep.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from poincarerep.generators import direct_sum, spin
+from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import ONE, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import Spin, SpinPair
 from poincarerep.vectors import CaseTag, FreeParams, classify_case, closed_form_vectors
 
-from oracles import matrix_to_json, reference_bundle_dict
+from oracles import matrix_to_json, reference_bundle_dict, spin
 
 
 def _make_bundle(block="both"):

@@ -1,12 +1,13 @@
 """Clebsch-Gordan values against the closed Racah sum, and the CG route."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import racah_cg_signed_square, reference_equivalence_ratio
+from oracles import racah_cg_signed_square, reference_equivalence_ratio, spin
 
 from poincarerep.cg import (
     RatioFit,
@@ -17,7 +18,7 @@ from poincarerep.cg import (
     clebsch_gordan,
     equivalence_ratio,
 )
-from poincarerep.generators import direct_sum, spin
+from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
@@ -28,6 +29,7 @@ from poincarerep.vectors import (
     VectorSet,
     classify_case,
     closed_form_vectors,
+    pattern_vectors,
 )
 from poincarerep.verify import check_vector_rules
 
@@ -134,21 +136,44 @@ class TestClebschGordan:
 
 class TestCouplingBlocks:
     def test_zero_scale_gives_zero(self):
-        blocks = cg_block(spin(0), spin(1), spin(1), spin(0), ZERO)
-        assert all(m.is_zero() for m in blocks)
-        blocks12 = cg_block(spin(1), spin(0), spin(0), spin(1), ZERO)
-        assert all(m.is_zero() for m in blocks12)
+        spins = (SpinPair(spin(0), spin(1)), SpinPair(spin(1), spin(0)))
+        vec = pattern_vectors(
+            spins, UNIT_PARAMS,
+            cg_block(spin(0), spin(1), spin(1), spin(0), ZERO),
+            cg_block(spin(1), spin(0), spin(0), spin(1), ZERO),
+        )
+        assert all(m.is_zero() for m in vec.families)
 
     def test_triangle_rule_kills_distant_spins(self):
-        blocks = cg_block(spin(0), spin(0), spin(4), spin(0), ONE)
-        assert all(m.is_zero() for m in blocks)
+        # (0,0)+(3/2,1/2): every pattern cell has its column, but each entry
+        # holds <1/2 m, 3/2 r|0 0> or <1/2 m, 0 0|3/2 r>, zero by the triangle rule.
+        asked = Counter()
+
+        def counted(coeff, which):
+            def wrapper(*args):
+                asked[which] += 1
+                return coeff(*args)
+            return wrapper
+
+        A, B, C, D = spin(0), spin(0), spin(3), spin(1)
+        vec = pattern_vectors(
+            (SpinPair(A, B), SpinPair(C, D)), UNIT_PARAMS,
+            counted(cg_block(A, B, C, D, ONE), "12"),
+            counted(cg_block(C, D, A, B, ONE), "21"),
+        )
+        assert asked == {"12": 4, "21": 4}
+        assert all(m.is_zero() for m in vec.families)
 
     def test_weyl_t_block_is_multiple_of_identity(self):
         # (1/2,0)+(0,1/2): both couplings collapse to singlet factors, so
         # the t component's 21-block is a multiple of the identity pattern.
-        blocks = cg_block(spin(0), spin(1), spin(1), spin(0), ONE)
         spins = (SpinPair(spin(1), spin(0)), SpinPair(spin(0), spin(1)))
-        weyl = VectorSet.from_blocks(spins, UNIT_PARAMS, None, blocks)
+        weyl = pattern_vectors(
+            spins, UNIT_PARAMS,
+            cg_block(spin(1), spin(0), spin(0), spin(1), ZERO),
+            cg_block(spin(0), spin(1), spin(1), spin(0), ONE),
+        )
+        assert all(part.is_zero() for part in weyl.block("12"))
         bt = weyl.component("t").submatrix(2, 4, 0, 2)
         half = RadicalScalar.from_rational(Fraction(1, 2))
         assert bt.get(0, 0) == half

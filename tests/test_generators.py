@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from oracles import conjugate_transpose
+from oracles import conjugate_transpose, spin
 
 from poincarerep.generators import (
     GeneratorSet,
@@ -12,7 +12,6 @@ from poincarerep.generators import (
     ladder_coeff_r,
     ladder_coeff_s,
     rotation_rep,
-    spin,
 )
 from poincarerep.matrix import Matrix
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational

@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 
 from oracles import (
     entrywise,
+    free_params,
     reference_anticommutator,
     reference_change_basis,
     reference_commutator,
     reference_matmul,
+    spin,
 )
 from poincarerep import matrix
-from poincarerep.generators import SPIN_BASIS, SPIN_BASIS_INVERSE, direct_sum, spin
+from poincarerep.generators import SPIN_BASIS, SPIN_BASIS_INVERSE, direct_sum
 from poincarerep.matrix import Matrix, anticommutator, change_basis, commutator
 from poincarerep.radical import ONE, ZERO, RadicalScalar
 from poincarerep.spins import SpinPair
-from poincarerep.vectors import FAMILY, FAMILY_INVERSE, FreeParams, closed_form_vectors
+from poincarerep.vectors import FAMILY, FAMILY_INVERSE, closed_form_vectors
 
 # Shared and coprime radicands, one non-squarefree (12 = 2**2 * 3) and one
 # large prime; denominators are mixed so each operand needs a real lcm.
@@ -250,7 +252,7 @@ def test_change_basis_matches_reference(case):
 def test_change_basis_runs_outside_the_kernel():
     pair1, pair2 = SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(2))
     gen = direct_sum(pair1, pair2)
-    vec = closed_form_vectors(spin(2), spin(1), spin(1), spin(2), FreeParams.of(1, 1))
+    vec = closed_form_vectors(spin(2), spin(1), spin(1), spin(2), free_params(1, 1))
     with mock.patch.object(matrix, "_combine", wraps=matrix._combine) as combine, \
             mock.patch.object(matrix, "_pack", wraps=matrix._pack) as pack:
         cartesian = change_basis(SPIN_BASIS_INVERSE, gen.spin_basis)
@@ -303,3 +305,15 @@ def test_from_entries_checks_indices_drops_zeros_and_coerces():
     assert mixed.get(0, 0) == RadicalScalar.from_rational(3)
     assert mixed.get(1, 2) == RadicalScalar.from_rational(Fraction(-1, 2))
     assert all(isinstance(v, RadicalScalar) for _, _, v in mixed.nonzero_items())
+
+
+@given(m=matrices(5, 4), bounds=st.tuples(*(st.integers(0, 5),) * 4))
+@settings(max_examples=100, deadline=None)
+def test_window_keeps_the_rectangle_in_place(m, bounds):
+    r0, r1, c0, c1 = bounds
+    got = m.window(r0, r1, c0, c1)
+    assert (got.rows, got.cols) == (m.rows, m.cols)
+    # Equal stored rows: the window keeps no emptied row.
+    assert got == Matrix.from_entries(m.rows, m.cols, {
+        (i, j): m.get(i, j) for i in range(r0, min(r1, m.rows)) for j in range(c0, min(c1, m.cols))
+    })

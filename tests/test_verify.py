@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracles
-from oracles import conjugate_transpose, reference_check_poincare, reference_sweep
+from oracles import conjugate_transpose, reference_check_poincare, reference_sweep, spin
 
 from poincarerep import vectors, verify
 from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
@@ -21,7 +21,6 @@ from poincarerep.generators import (
     GeneratorSet,
     direct_sum,
     irrep_generators,
-    spin,
 )
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import BlockChoice, momentum_from_vectors
@@ -316,7 +315,7 @@ class TestBlockComposition:
 # Doubled spins (P, Q, R, S) of ordered blocks P,Q -> R,S.  The sweep meets
 # 1,2,2,1 before 2,1,1,2, so 2,1 -> 1,2 is first built as a 21-block, and it
 # meets 0,1,1,0 first, so 0,1 -> 1,0 is first built as a 12-block.
-_NEGATED_VT = {(2, 1, 1, 2), (0, 1, 1, 0)}
+_NEGATED_F_PLUS = {(2, 1, 1, 2), (0, 1, 1, 0)}
 
 
 class TestSweep:
@@ -325,13 +324,18 @@ class TestSweep:
     def test_replayed_verdicts_equal_a_full_check(self, monkeypatch):
         block = vectors._closed_form_block
 
-        def negated_vt(P, Q, R, S, t):
-            vx, vy, vz, vt = block(P, Q, R, S, t)
-            if tuple(s.twice for s in (P, Q, R, S)) in _NEGATED_VT:
-                vt = -vt
-            return vx, vy, vz, vt
+        def negated_f_plus(P, Q, R, S, t):
+            coeff = block(P, Q, R, S, t)
+            if tuple(s.twice for s in (P, Q, R, S)) not in _NEGATED_F_PLUS:
+                return coeff
 
-        monkeypatch.setattr(vectors, "_closed_form_block", negated_vt)
+            def negated(dp, dq, p, q):
+                value = coeff(dp, dq, p, q)
+                return -value if (dp, dq) == (1, -1) else value
+
+            return negated
+
+        monkeypatch.setattr(vectors, "_closed_form_block", negated_f_plus)
         report = sweep(3)
         assert report["failures"]
         assert {f.split(":")[0] for f in report["failures"]} == {
@@ -390,7 +394,7 @@ def _edit_routes(monkeypatch, edits):
         edit = edits[name]
         A, B, C, D = (s.twice for s in spins)
         b12, b21 = edit(vec.block("12"), (A, B, C, D)), edit(vec.block("21"), (C, D, A, B))
-        return VectorSet.from_blocks(vec.spins, vec.params, b12, b21)
+        return oracles.from_blocks(vec.spins, vec.params, b12, b21)
 
     for module in (verify, oracles):
         monkeypatch.setattr(module, "vectors_from_source", edited)
