@@ -38,7 +38,7 @@ from .cg import (
     clebsch_gordan,
     equivalence_ratio,
 )
-from .momentum import BlockChoice, momentum_from_vectors, noncommutativity_witness, translation_combination
+from .momentum import momentum_from_vectors, noncommutativity_witness, translation_combination
 from .verify import (
     RuleReport,
     check_lorentz,
@@ -61,7 +61,7 @@ __all__ = [
     "RatioFit", "RatioMismatch",
     "cg_block", "cg_vector_matrices", "clebsch_gordan",
     "equivalence_ratio",
-    "BlockChoice", "momentum_from_vectors", "noncommutativity_witness",
+    "momentum_from_vectors", "noncommutativity_witness",
     "translation_combination",
     "CliffordReport", "RuleReport", "check_clifford", "check_lorentz",
     "check_poincare", "check_translations", "check_vector_rules",

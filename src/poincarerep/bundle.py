@@ -25,6 +25,7 @@ from .matrix import Matrix
 from .radical import RadicalScalar
 from .spins import Spin, SpinPair
 from .vectors import (
+    BLOCKS,
     CaseTag,
     FreeParams,
     VectorSet,
@@ -44,7 +45,6 @@ LAYOUT_NOTE = (
 
 MATRIX_KEYS = ("Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Vx", "Vy", "Vz", "Vt")
 SOURCES = ("closed-form", "recursion", "clebsch-gordan")
-BLOCKS = ("both", "keep12", "keep21")
 
 
 def vectors_from_source(
@@ -135,10 +135,9 @@ class MatrixBundle:
 
     @classmethod
     def of(cls, source: str, generators: GeneratorSet, vectors: VectorSet) -> "MatrixBundle":
-        """The bundle of a built representation; a momentum set gives its kept block."""
-        kept = vectors.kept_block
+        """The bundle of a built representation, holding the vector set's block."""
         return cls(
-            source, vectors.spins, "both" if kept is None else f"keep{kept}", vectors.params,
+            source, vectors.spins, vectors.block, vectors.params,
             (*generators.J, *generators.K, *vectors.components()),
         )
 
@@ -163,8 +162,7 @@ class MatrixBundle:
 
     @cached_property
     def vectors(self) -> VectorSet:
-        kept = None if self.block == "both" else self.block.removeprefix("keep")
-        return VectorSet.from_cartesian(self.pairs, self.params, self.cartesian[6:], kept)
+        return VectorSet.from_cartesian(self.pairs, self.params, self.cartesian[6:], self.block)
 
     def matrices(self) -> dict[str, Matrix]:
         """The ten matrices keyed by MATRIX_KEYS, in that order, in a new dict."""

@@ -46,7 +46,8 @@ from .matrix import linear_combination
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from .spins import Spin, SpinPair
 from .vectors import (
-    COMPONENTS, Block, Coeff, FreeParams, VectorSet, _block_pair, cartesian_entry, pattern_vectors,
+    COMPONENTS, Block, Coeff, FreeParams, VectorSet, _block_pair, block_bounds, cartesian_entry,
+    pattern_vectors,
 )
 
 
@@ -167,6 +168,8 @@ class RatioFit:
 
 @dataclass(frozen=True)
 class RatioMismatch:
+    """The first entry where no ratio fits: row and col are positions within the named block."""
+
     block: str
     component: str
     row: int
@@ -190,7 +193,7 @@ def _fit(reference: Block, candidate: Block) -> RadicalScalar:
         return ONE
     for k in range(4):
         for row, col, val in _cartesian_items(candidate, k):
-            if len(val.terms) == 1:
+            if len(val._num) == 1:
                 return cartesian_entry(reference, k, row, col) / val
     raise ValueError("cannot fit a ratio: candidate block has no single-term entries")
 
@@ -200,22 +203,25 @@ def equivalence_ratio(
 ) -> "RatioFit | RatioMismatch":
     """Fit one constant per off-diagonal block or report the first mismatch.
 
-    The residual reference - ratio * candidate is formed on the families.
-    When it is nonzero, the mismatch is its first nonzero Cartesian entry,
-    in the order V_x, V_y, V_z, V_t.  An all-zero candidate block fits with
+    Each block is read as a momentum set reads it, as the window of every
+    family at ``block_bounds``.  The residual reference - ratio * candidate
+    is formed on those families.  When it is nonzero, the mismatch is its
+    first nonzero Cartesian entry, in the order V_x, V_y, V_z, V_t, at its
+    row and column within the block.  An all-zero candidate block fits with
     ratio 1, so it matches only an all-zero reference block.
     """
     if reference.spins != candidate.spins:
         raise ValueError("vector sets live on different representations")
     ratios = {}
     for which in ("12", "21"):
-        ref, cand = reference.block(which), candidate.block(which)
+        bounds = r0, _, c0, _ = block_bounds(reference.spins, which)
+        ref, cand = (tuple(fam.window(*bounds) for fam in v.families) for v in (reference, candidate))
         ratio = _fit(ref, cand)
         residuals = tuple(linear_combination([(ONE, r), (-ratio, c)]) for r, c in zip(ref, cand))
         if not all(res.is_zero() for res in residuals):
             for k, mu in enumerate(COMPONENTS):
                 for row, col, _ in _cartesian_items(residuals, k):
                     ref_mu, cand_mu = (cartesian_entry(b, k, row, col) for b in (ref, cand))
-                    return RatioMismatch(which, mu, row, col, ref_mu, cand_mu)
+                    return RatioMismatch(which, mu, row - r0, col - c0, ref_mu, cand_mu)
         ratios[which] = ratio
     return RatioFit(ratio12=ratios["12"], ratio21=ratios["21"])

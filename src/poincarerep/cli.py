@@ -21,7 +21,6 @@ import sys
 from fractions import Fraction
 
 from .bundle import (
-    BLOCKS,
     SCHEMA_VERSION,
     SOURCES,
     MatrixBundle,
@@ -32,10 +31,10 @@ from .bundle import (
 )
 from .cg import RatioFit, cg_vector_matrices, equivalence_ratio
 from .generators import direct_sum
-from .momentum import BlockChoice, momentum_from_vectors
+from .momentum import momentum_from_vectors
 from .radical import RadicalScalar
 from .spins import Spin, SpinPair
-from .vectors import FreeParams, NoSolutionError, closed_form_vectors
+from .vectors import BLOCKS, FreeParams, NoSolutionError, closed_form_vectors
 from .verify import check_poincare, sweep
 
 EXIT_OK = 0
@@ -136,7 +135,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     vec = vectors_from_source(args.source, spins, params)
     gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
     if args.block != "both":
-        vec = momentum_from_vectors(vec, BlockChoice(args.block))
+        vec = momentum_from_vectors(vec, args.block)
     bundle = MatrixBundle.of(args.source, gen, vec)
     try:
         save_bundle(bundle, args.out)

@@ -4,31 +4,26 @@ Keeping only one off-diagonal block makes every product P_mu P_nu land in
 a zero block, so all pairwise commutators vanish and (sum x_mu P_mu)^2 = 0
 for any four-vector x.  Keeping both blocks breaks commutativity whenever
 t12 * t21 != 0; ``noncommutativity_witness`` exhibits the failure.
-A momentum set keeps the chosen block's rectangle of each stored family
-in place, so P+- = (P_x +- iP_y)/2 are the families V+- of the kept
-block, and the Cartesian P_mu are a view.
+A momentum set's ``block``, "keep12" or "keep21", names the block it keeps
+in place, so P+- = (P_x +- iP_y)/2 are the families V+- of that block, and
+the Cartesian P_mu are a view.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 
 from .matrix import Matrix, commutator, linear_combination
-from .vectors import VectorSet, block_bounds
+from .vectors import BLOCKS, VectorSet, block_bounds
 
 
-class BlockChoice(enum.Enum):
-    KEEP_12 = "keep12"
-    KEEP_21 = "keep21"
-
-
-def momentum_from_vectors(vec: VectorSet, choice: BlockChoice) -> VectorSet:
-    """Keep only the chosen off-diagonal block of every family, at its own positions."""
-    which = "12" if choice is BlockChoice.KEEP_12 else "21"
-    bounds = block_bounds(vec.spins, which)
+def momentum_from_vectors(vec: VectorSet, block: str) -> VectorSet:
+    """The set with only the block that block, "keep12" or "keep21", names, kept in place."""
+    if block not in BLOCKS[1:]:
+        raise ValueError(f"block must be keep12 or keep21, not {block!r}")
+    bounds = block_bounds(vec.spins, block.removeprefix("keep"))
     families = tuple(fam.window(*bounds) for fam in vec.families)
-    return VectorSet(vec.spins, vec.params, families, kept_block=which)
+    return VectorSet(vec.spins, vec.params, families, block)
 
 
 def translation_combination(vec: VectorSet, x: tuple) -> Matrix:

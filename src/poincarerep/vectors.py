@@ -110,27 +110,32 @@ def cartesian_entry(block: Block, k: int, row: int, col: int) -> RadicalScalar:
     return plus - minus if k == 3 else plus + minus
 
 
+# Which off-diagonal blocks a set holds: both, or only the 12- or 21-block
+# of a momentum set.  The same strings name them in a bundle and in ``gen --block``.
+BLOCKS = ("both", "keep12", "keep21")
+
+
 @dataclass(frozen=True)
 class VectorSet:
     """Vector matrices as the families (V+, V-, F+, F-), with their construction metadata.
 
     The Cartesian V_x, V_y, V_z, V_t are a view formed from the families.
-    ``kept_block`` is None for a full vector set; momentum sets produced by
-    zeroing one block carry "12" or "21" so callers cannot confuse the two.
+    ``block`` is one of BLOCKS: "both" for a full vector set, and "keep12"
+    or "keep21" for a momentum set, so callers cannot confuse the two.
     """
 
     spins: tuple[SpinPair, SpinPair]
     params: FreeParams
     families: tuple[Matrix, Matrix, Matrix, Matrix]
-    kept_block: str | None = None
+    block: str = "both"
 
     @classmethod
     def from_cartesian(
         cls, spins: tuple[SpinPair, SpinPair], params: FreeParams,
-        V: tuple[Matrix, ...], kept_block: str | None = None,
+        V: tuple[Matrix, ...], block: str = "both",
     ) -> "VectorSet":
         """The set with these V_x, V_y, V_z, V_t, stored as its families."""
-        return cls(spins, params, change_basis(FAMILY, V), kept_block)
+        return cls(spins, params, change_basis(FAMILY, V), block)
 
     @property
     def case(self) -> CaseTag:
@@ -155,11 +160,6 @@ class VectorSet:
 
     def component(self, mu: str) -> Matrix:
         return self.cartesian[COMPONENTS.index(mu)]
-
-    def block(self, which: str) -> Block:
-        """The families of the "12" or "21" block, in block-relative positions."""
-        bounds = block_bounds(self.spins, which)
-        return tuple(mat.submatrix(*bounds) for mat in self.families)
 
 
 def block_bounds(spins: tuple[SpinPair, SpinPair], which: str) -> tuple[int, int, int, int]:

@@ -39,10 +39,11 @@ from .bundle import SOURCES, scalar_to_json, vectors_from_source
 from .cg import RatioFit, equivalence_ratio
 from .generators import SPIN_BASIS, SPIN_BASIS_INVERSE, GeneratorSet, block_sum, irrep_generators
 from .matrix import Matrix, commutator, linear_combination
-from .momentum import BlockChoice, momentum_from_vectors
+from .momentum import momentum_from_vectors
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar
 from .spins import Spin, SpinPair
 from .vectors import (
+    BLOCKS,
     COMPONENTS,
     FAMILY,
     FAMILY_INVERSE,
@@ -312,7 +313,7 @@ def sweep(bound: int) -> dict:
         by_source = {}
         for source in ("closed-form", "clebsch-gordan"):
             vec = vecs[source]
-            moms = [momentum_from_vectors(vec, choice) for choice in BlockChoice]
+            moms = [momentum_from_vectors(vec, block) for block in BLOCKS[1:]]
             # Each momentum set copies V's entries in one off-diagonal block,
             # and the two blocks are disjoint, so keep12 + keep21 = V exactly
             # when their entries number as many as V's: no sum is formed.
@@ -353,9 +354,9 @@ def sweep(bound: int) -> dict:
             if split:
                 failures.append(f"{label}:{source}:block-split")
             run(f"{label}:{source}:V", _both_blocks(*(rules for rules, _ in kept)))
-            for choice, (rules, translations) in zip(BlockChoice, kept):
-                run(f"{label}:{source}:{choice.value}", rules)
-                run(f"{label}:{source}:{choice.value}", translations)
+            for block, (rules, translations) in zip(BLOCKS[1:], kept):
+                run(f"{label}:{source}:{block}", rules)
+                run(f"{label}:{source}:{block}", translations)
     return {
         "sweepBound": bound,
         "quadruples": total,

@@ -19,6 +19,8 @@ trial-divides by every odd number up to 2**20, where the library tests
 chunks of primes with one gcd each.  ``from_blocks`` places two blocks'
 families into a vector set entry by entry, where the routes write their
 entries straight into the full families; the tests edit blocks through it.
+``block`` takes one block's families out in block-relative positions,
+where the library reads a block as a window in place.
 ``spin``, ``free_params`` and ``conjugate`` are the tests' shorthands.
 """
 
@@ -38,15 +40,17 @@ from poincarerep.bundle import (
 from poincarerep.cg import RatioFit, RatioMismatch
 from poincarerep.generators import block_sum, irrep_generators
 from poincarerep.matrix import Matrix, commutator, linear_combination
-from poincarerep.momentum import BlockChoice, momentum_from_vectors
+from poincarerep.momentum import momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, _coerce, normalize_radical
 from poincarerep.spins import Spin, SpinPair
 from poincarerep.vectors import (
+    BLOCKS,
     COMPONENTS,
     CaseTag,
     FreeParams,
     NoSolutionError,
     VectorSet,
+    block_bounds,
     classify_case,
     closed_form_vectors,
 )
@@ -339,23 +343,29 @@ def conjugate_transpose(m: Matrix) -> Matrix:
     return Matrix.from_entries(m.cols, m.rows, {(j, i): conjugate(v) for i, j, v in m.nonzero_items()})
 
 
-def from_blocks(spins, params, b12, b21, kept_block=None) -> VectorSet:
+def block(vec: VectorSet, which: str) -> tuple:
+    """The families of vec's "12" or "21" block, in block-relative positions."""
+    bounds = block_bounds(vec.spins, which)
+    return tuple(fam.submatrix(*bounds) for fam in vec.families)
+
+
+def from_blocks(spins, params, b12, b21, block="both") -> VectorSet:
     """The set with the families b12 at (0, n1) and b21 at (n1, 0); None is zero.
 
     b12 has the rows of spins[0] and the columns of spins[1], b21 the
-    reverse, each as ``VectorSet.block`` returns it.  Every entry is placed
-    on its own.
+    reverse, each as ``block(vec, which)`` returns it.  Every entry is
+    placed on its own, and the set's ``VectorSet.block`` is block.
     """
     n1 = spins[0].dimension
     n = n1 + spins[1].dimension
-    placed = [(block, r0, c0) for block, r0, c0 in ((b12, 0, n1), (b21, n1, 0)) if block]
+    placed = [(fams, r0, c0) for fams, r0, c0 in ((b12, 0, n1), (b21, n1, 0)) if fams]
     families = tuple(
         Matrix.from_entries(n, n, {
-            (r0 + i, c0 + j): v for block, r0, c0 in placed for i, j, v in block[k].nonzero_items()
+            (r0 + i, c0 + j): v for fams, r0, c0 in placed for i, j, v in fams[k].nonzero_items()
         })
         for k in range(4)
     )
-    return VectorSet(spins, params, families, kept_block)
+    return VectorSet(spins, params, families, block)
 
 
 def entrywise(fn, *mats: Matrix) -> Matrix:
@@ -497,15 +507,15 @@ def reference_sweep(bound: int) -> dict:
             failures.append(f"{label}:cg-not-proportional")
         for source in ("closed-form", "clebsch-gordan"):
             vec = vecs[source]
-            moms = {choice: momentum_from_vectors(vec, choice) for choice in BlockChoice}
+            moms = {choice: momentum_from_vectors(vec, choice) for choice in BLOCKS[1:]}
             rules = {choice: check_vector_rules(gen, mom) for choice, mom in moms.items()}
             halves = zip(*(mom.components() for mom in moms.values()), vec.components())
             if any(p12 + p21 != v for p12, p21, v in halves):
                 failures.append(f"{label}:{source}:block-split")
             run(f"{label}:{source}:V", _both_blocks(*rules.values()))
             for choice, mom in moms.items():
-                run(f"{label}:{source}:{choice.value}", rules[choice])
-                run(f"{label}:{source}:{choice.value}", check_translations(mom))
+                run(f"{label}:{source}:{choice}", rules[choice])
+                run(f"{label}:{source}:{choice}", check_translations(mom))
     return {
         "sweepBound": bound,
         "quadruples": total,

@@ -21,7 +21,6 @@ from poincarerep.cli import parse_scalar
 from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import (
-    BlockChoice,
     momentum_from_vectors,
     noncommutativity_witness,
     translation_combination,
@@ -30,6 +29,7 @@ from poincarerep.probes import check_clifford, finite_covariance_check, matrix_e
 from poincarerep.radical import I_UNIT, ONE, RadicalScalar, ZERO, sqrt_of_rational
 from poincarerep.spins import SpinPair
 from poincarerep.vectors import (
+    BLOCKS,
     CaseTag,
     FreeParams,
     NoSolutionError,
@@ -179,7 +179,7 @@ def test_criterion_7_nilpotency():
     bundles = 0
     for q in _admissible():
         vec = closed_form_vectors(*q, UNIT)
-        for choice in BlockChoice:
+        for choice in BLOCKS[1:]:
             mom = momentum_from_vectors(vec, choice)
             combo = translation_combination(mom, x)
             assert (combo @ combo).is_zero(), q

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from poincarerep import bundle
 from poincarerep.bundle import (
-    BLOCKS,
     MATRIX_KEYS,
     SOURCES,
     MatrixBundle,
     bundle_from_json_dict,
     load_bundle,
     matrix_from_json,
+    save_bundle,
     scalar_from_json,
     scalar_to_json,
     vectors_from_source,
@@ -29,10 +29,10 @@ from poincarerep.bundle import (
 from poincarerep.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix
-from poincarerep.momentum import BlockChoice, momentum_from_vectors
+from poincarerep.momentum import momentum_from_vectors
 from poincarerep.radical import ONE, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import Spin, SpinPair
-from poincarerep.vectors import CaseTag, FreeParams, classify_case, closed_form_vectors
+from poincarerep.vectors import BLOCKS, CaseTag, FreeParams, classify_case, closed_form_vectors
 
 from oracles import matrix_to_json, reference_bundle_dict, spin
 
@@ -42,7 +42,7 @@ def _make_bundle(block="both"):
     params = FreeParams(ONE + sqrt_of_rational(2).times_i(), ONE)
     vec = closed_form_vectors(*spins, params)
     if block != "both":
-        vec = momentum_from_vectors(vec, BlockChoice(block))
+        vec = momentum_from_vectors(vec, block)
     gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
     return MatrixBundle.of("closed-form", gen, vec)
 
@@ -156,11 +156,13 @@ def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_momentum_block_flag_round_trips():
-    bundle = _make_bundle(block="keep12")
-    back = bundle_from_json_dict(json.loads(bundle.dumps()))
-    assert back.block == "keep12"
-    assert back.vectors.kept_block == "12"
+def test_momentum_block_flag_round_trips(tmp_path):
+    path = str(tmp_path / "b.json")
+    for block in BLOCKS:
+        bundle = _make_bundle(block=block)
+        assert bundle_from_json_dict(json.loads(bundle.dumps())).block == block
+        save_bundle(bundle, path)
+        assert load_bundle(path).vectors.block == block
 
 
 def test_dimension_mismatch_rejected():
@@ -177,19 +179,19 @@ def test_unknown_schema_rejected():
         bundle_from_json_dict(data)
 
 
-@pytest.mark.parametrize("choice", [None, *BlockChoice])
-def test_metadata_is_read_off_the_vectors(choice):
+@pytest.mark.parametrize("block", BLOCKS)
+def test_metadata_is_read_off_the_vectors(block):
     spins = (spin(2), spin(1), spin(1), spin(2))
     params = FreeParams(sqrt_of_rational(2), ONE.times_i())
     vec = closed_form_vectors(*spins, params)
-    if choice is not None:
-        vec = momentum_from_vectors(vec, choice)
+    if block != "both":
+        vec = momentum_from_vectors(vec, block)
     gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
     bundle = MatrixBundle.of("recursion", gen, vec)
     assert bundle.spins == (2, 1, 1, 2)
     assert bundle.case is vec.case is CaseTag.CASE_2
     assert bundle.params is vec.params
-    assert bundle.block == ("both" if choice is None else choice.value)
+    assert bundle.block == vec.block == block
     data = json.loads(bundle.dumps())
     assert (data["spins"], data["caseTag"], data["block"]) == ([2, 1, 1, 2], "case2", bundle.block)
 
@@ -229,7 +231,7 @@ def _generated(quad, source, block, params):
     spins = tuple(Spin(t) for t in quad)
     vec = vectors_from_source(source, spins, params)
     if block != "both":
-        vec = momentum_from_vectors(vec, BlockChoice(block))
+        vec = momentum_from_vectors(vec, block)
     gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
     return MatrixBundle.of(source, gen, vec)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import racah_cg_signed_square, reference_equivalence_ratio, spin
+from oracles import block, racah_cg_signed_square, reference_equivalence_ratio, spin
 
 from poincarerep.cg import (
     RatioFit,
@@ -173,7 +173,7 @@ class TestCouplingBlocks:
             cg_block(spin(1), spin(0), spin(0), spin(1), ZERO),
             cg_block(spin(0), spin(1), spin(1), spin(0), ONE),
         )
-        assert all(part.is_zero() for part in weyl.block("12"))
+        assert all(part.is_zero() for part in block(weyl, "12"))
         bt = weyl.component("t").submatrix(2, 4, 0, 2)
         half = RadicalScalar.from_rational(Fraction(1, 2))
         assert bt.get(0, 0) == half

@@ -32,12 +32,14 @@ def test_readme_library_example_runs():
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    # The command line and the whole package, each in a fresh interpreter.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import poincarerep.cli, sys; assert 'numpy' not in sys.modules"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+    for module in ("poincarerep.cli", "poincarerep"):
+        code = f"import {module}, sys; assert 'numpy' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, (module, proc.stderr)
 
 
 _BLOCKED_NUMPY_CLI = """

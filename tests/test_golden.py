@@ -24,7 +24,7 @@ from pathlib import Path
 from poincarerep.bundle import MatrixBundle, vectors_from_source
 from poincarerep.cli import main
 from poincarerep.generators import direct_sum
-from poincarerep.momentum import BlockChoice, momentum_from_vectors
+from poincarerep.momentum import momentum_from_vectors
 from poincarerep.radical import ONE, RadicalScalar
 from poincarerep.spins import Spin, SpinPair
 from poincarerep.vectors import CaseTag, FreeParams, classify_case
@@ -105,7 +105,7 @@ def digests(bound, params):
         for source in SOURCES:
             full = vectors_from_source(source, spins, params)
             for block in BLOCKS:
-                vec = full if block == "both" else momentum_from_vectors(full, BlockChoice(block))
+                vec = full if block == "both" else momentum_from_vectors(full, block)
                 bundle = MatrixBundle.of(source, gen, vec)
                 text = bundle.dumps().encode("utf-8")
                 out[f"{label}/{source}/{block}"] = hashlib.sha256(text).hexdigest()

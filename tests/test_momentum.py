@@ -4,20 +4,19 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import conjugate_transpose, free_params, from_blocks, spin
+from oracles import block, conjugate_transpose, free_params, from_blocks, spin
 
 from poincarerep.bundle import SOURCES, MatrixBundle, load_bundle, save_bundle, vectors_from_source
 from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import (
-    BlockChoice,
     momentum_from_vectors,
     noncommutativity_witness,
     translation_combination,
 )
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
-from poincarerep.vectors import CaseTag, FreeParams, VectorSet, classify_case, closed_form_vectors
+from poincarerep.vectors import BLOCKS, CaseTag, FreeParams, VectorSet, classify_case, closed_form_vectors
 from poincarerep.verify import check_translations
 
 UNIT = FreeParams(ONE, ONE)
@@ -25,8 +24,8 @@ UNIT = FreeParams(ONE, ONE)
 
 def test_keep12_is_strictly_upper_block_and_commutes():
     v = closed_form_vectors(spin(1), spin(1), spin(0), spin(0), UNIT)
-    p = momentum_from_vectors(v, BlockChoice.KEEP_12)
-    assert p.kept_block == "12"
+    p = momentum_from_vectors(v, "keep12")
+    assert p.block == "keep12"
     n1, n = p.block1_dim, p.dimension
     for mat in p.components():
         assert mat.submatrix(n1, n, 0, n1).is_zero()
@@ -37,9 +36,17 @@ def test_keep12_is_strictly_upper_block_and_commutes():
     assert all(r.holds for r in check_translations(p))
 
 
+@pytest.mark.parametrize("kept", ["keep13", "both", "12", None])
+def test_only_keep12_or_keep21_names_a_momentum_set(kept):
+    v = closed_form_vectors(spin(1), spin(1), spin(0), spin(0), UNIT)
+    with pytest.raises(ValueError) as err:
+        momentum_from_vectors(v, kept)
+    assert str(err.value) == f"block must be keep12 or keep21, not {kept!r}"
+
+
 def test_zero_vectors_give_zero_momentum():
     v = closed_form_vectors(spin(1), spin(0), spin(0), spin(1), FreeParams(ZERO, ZERO))
-    p = momentum_from_vectors(v, BlockChoice.KEEP_21)
+    p = momentum_from_vectors(v, "keep21")
     assert all(m.is_zero() for m in p.components())
 
 
@@ -47,8 +54,8 @@ def test_keep21_equals_keep12_of_swapped_representation():
     A, B, C, D = spin(2), spin(1), spin(1), spin(0)
     v = closed_form_vectors(A, B, C, D, free_params(5, 7))
     w = closed_form_vectors(C, D, A, B, free_params(7, 5))
-    p21 = momentum_from_vectors(v, BlockChoice.KEEP_21)
-    q12 = momentum_from_vectors(w, BlockChoice.KEEP_12)
+    p21 = momentum_from_vectors(v, "keep21")
+    q12 = momentum_from_vectors(w, "keep12")
     n1 = v.block1_dim
     n = v.dimension
     entries = {(n - n1 + i, i): ONE for i in range(n1)}
@@ -99,7 +106,7 @@ def test_nilpotency_of_translation_combination():
     for q in [(1, 1, 0, 0), (1, 0, 0, 1), (2, 1, 1, 2)]:
         A, B, C, D = (spin(t) for t in q)
         v = closed_form_vectors(A, B, C, D, UNIT)
-        for choice in BlockChoice:
+        for choice in BLOCKS[1:]:
             p = momentum_from_vectors(v, choice)
             x = translation_combination(p, (1, 2, 3, 4))
             assert (x @ x).is_zero()
@@ -124,14 +131,14 @@ def test_momentum_set_is_its_block_placed_alone(source, tmp_path):
         plus, *rest = vec.families
         stray = Matrix.from_entries(n, n, {(0, 0): ONE, (n - 1, n1): I_UNIT})
         strayed = VectorSet(vec.spins, vec.params, (plus + stray, *rest))
-        for choice, which in ((BlockChoice.KEEP_12, "12"), (BlockChoice.KEEP_21, "21")):
+        for choice, which in (("keep12", "12"), ("keep21", "21")):
             want = momentum_from_vectors(vec, choice)
-            assert want.kept_block == which
+            assert want.block == choice
             for v in (vec, loaded, strayed):
-                kept = v.block(which)
+                kept = block(v, which)
                 b12, b21 = (kept, None) if which == "12" else (None, kept)
                 got = momentum_from_vectors(v, choice)
-                assert got == from_blocks(v.spins, v.params, b12, b21, kept_block=which), (q, which)
+                assert got == from_blocks(v.spins, v.params, b12, b21, block=choice), (q, which)
                 assert got == want, (q, which)
         count += 1
     assert count == 16

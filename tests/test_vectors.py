@@ -4,15 +4,16 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import conjugate_transpose, free_params, from_blocks, racah_cg_signed_square, spin
+from oracles import block, conjugate_transpose, free_params, from_blocks, racah_cg_signed_square, spin
 
-from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
+from poincarerep.bundle import SOURCES, vectors_from_source
 from poincarerep.generators import direct_sum, ladder_coeff_s
 from poincarerep.matrix import Matrix, change_basis
-from poincarerep.momentum import BlockChoice, momentum_from_vectors
+from poincarerep.momentum import momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
 from poincarerep.vectors import (
+    BLOCKS,
     FAMILIES,
     CaseTag,
     FreeParams,
@@ -311,7 +312,7 @@ class TestPatternBlock:
                 return coeff
 
             vec = pattern_vectors(spins, UNIT, asking("12"), asking("21"))
-            assert vec.spins == spins and vec.params == UNIT and vec.kept_block is None
+            assert vec.spins == spins and vec.params == UNIT and vec.block == "both"
             basis = [("12", pq) for pq in spins[0].basis()] + [("21", rs) for rs in spins[1].basis()]
             families = {f: {} for f in FAMILIES}
             for i, (row_block, (p, q)) in enumerate(basis):
@@ -347,7 +348,7 @@ class TestFromBlocks:
             for k in range(4)
         )
         vec = from_blocks(spins, UNIT, b12, b21)
-        assert vec.dimension == 5 and vec.kept_block is None
+        assert vec.dimension == 5 and vec.block == "both"
         for comp, p12, p21 in zip(vec.families, b12, b21):
             assert comp.rows == comp.cols == 5
             assert comp.nnz() == p12.nnz() + p21.nnz()
@@ -358,12 +359,12 @@ class TestFromBlocks:
     def test_none_block_stays_zero(self):
         spins = (SpinPair(spin(1), spin(1)), SpinPair(spin(0), spin(0)))
         b21 = tuple(Matrix.from_entries(1, 4, {(0, k): ONE}) for k in range(4))
-        vec = from_blocks(spins, UNIT, None, b21, kept_block="21")
-        assert vec.kept_block == "21"
-        assert all(part.is_zero() for part in vec.block("12"))
-        assert vec.block("21") == b21
+        vec = from_blocks(spins, UNIT, None, b21, block="keep21")
+        assert vec.block == "keep21"
+        assert all(part.is_zero() for part in block(vec, "12"))
+        assert block(vec, "21") == b21
         with pytest.raises(ValueError, match="block must be"):
-            vec.block("13")
+            block(vec, "13")
         empty = from_blocks(spins, UNIT, None, None)
         assert all(comp.is_zero() for comp in empty.components())
 
@@ -374,12 +375,12 @@ class TestFromBlocks:
         count = 0
         for q in admissible(2):
             vec = vectors_from_source(source, q, params)
-            again = from_blocks(vec.spins, vec.params, vec.block("12"), vec.block("21"))
+            again = from_blocks(vec.spins, vec.params, block(vec, "12"), block(vec, "21"))
             assert again == vec, q
             assert again.case is classify_case(*q)
             # The 21-block of (A,B)+(C,D) is the 12-block of (C,D)+(A,B).
             mirror = vectors_from_source(source, q[2:] + q[:2], swapped)
-            assert vec.block("21") == mirror.block("12"), q
+            assert block(vec, "21") == block(mirror, "12"), q
             count += 1
         assert count == 16
 
@@ -391,11 +392,11 @@ class TestFromCartesian:
         for q in admissible(4):
             for source in SOURCES:
                 full = vectors_from_source(source, q, UNIT)
-                for block in BLOCKS:
-                    v = full if block == "both" else momentum_from_vectors(full, BlockChoice(block))
+                for kept in BLOCKS:
+                    v = full if kept == "both" else momentum_from_vectors(full, kept)
                     comps = v.components()
-                    again = VectorSet.from_cartesian(v.spins, v.params, comps, v.kept_block)
-                    assert again.families == v.families, (q, source, block)
+                    again = VectorSet.from_cartesian(v.spins, v.params, comps, v.block)
+                    assert again.families == v.families, (q, source, kept)
                     assert again == v
                     count += 1
         assert count == 64 * 3 * 3

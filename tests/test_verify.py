@@ -13,7 +13,7 @@ import oracles
 from oracles import conjugate_transpose, reference_check_poincare, reference_sweep, spin
 
 from poincarerep import vectors, verify
-from poincarerep.bundle import BLOCKS, SOURCES, vectors_from_source
+from poincarerep.bundle import SOURCES, vectors_from_source
 from poincarerep.cg import RatioFit
 from poincarerep.generators import (
     SPIN_BASIS,
@@ -23,10 +23,11 @@ from poincarerep.generators import (
     irrep_generators,
 )
 from poincarerep.matrix import Matrix, commutator
-from poincarerep.momentum import BlockChoice, momentum_from_vectors
+from poincarerep.momentum import momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
 from poincarerep.vectors import (
+    BLOCKS,
     FAMILY,
     FAMILY_INVERSE,
     CaseTag,
@@ -63,7 +64,7 @@ def _weyl_rep():
 def _with_component(vec, mu, mat):
     """vec with its Cartesian component mu replaced by mat."""
     comps = dict(zip("xyzt", vec.components()), **{mu: mat})
-    return VectorSet.from_cartesian(vec.spins, vec.params, tuple(comps.values()), vec.kept_block)
+    return VectorSet.from_cartesian(vec.spins, vec.params, tuple(comps.values()), vec.block)
 
 
 class TestEpsilon:
@@ -157,7 +158,7 @@ class TestVectorRuleChecks:
 class TestTranslationsAndCount:
     def test_momentum_holds_and_full_set_is_45(self):
         g, v = _weyl_rep()
-        p = momentum_from_vectors(v, BlockChoice.KEEP_21)
+        p = momentum_from_vectors(v, "keep21")
         reports = check_poincare(g, p)
         assert len(reports) == 45
         assert all(r.holds for r in reports)
@@ -226,7 +227,7 @@ def bundles(draw):
     vec = vectors_from_source(draw(st.sampled_from(SOURCES)), spins, params)
     block = draw(st.sampled_from(BLOCKS))
     if block != "both":
-        vec = momentum_from_vectors(vec, BlockChoice(block))
+        vec = momentum_from_vectors(vec, block)
     return direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:])), vec
 
 
@@ -245,7 +246,7 @@ def _edited(gen, vec, changes):
         entries[i, j] = value
         mats[k] = Matrix.from_entries(mats[k].rows, mats[k].cols, entries)
     edited_gen = GeneratorSet.from_cartesian(gen.spins, tuple(mats[:3]), tuple(mats[3:6]))
-    edited_vec = VectorSet.from_cartesian(vec.spins, vec.params, tuple(mats[6:]), vec.kept_block)
+    edited_vec = VectorSet.from_cartesian(vec.spins, vec.params, tuple(mats[6:]), vec.block)
     return edited_gen, edited_vec
 
 
@@ -289,7 +290,7 @@ class TestBlockComposition:
                 check_lorentz(irrep_generators(p1)), check_lorentz(irrep_generators(p2))
             ), quad
             vec = closed_form_vectors(A, B, C, D, UNIT)
-            halves = [check_vector_rules(gen, momentum_from_vectors(vec, c)) for c in BlockChoice]
+            halves = [check_vector_rules(gen, momentum_from_vectors(vec, c)) for c in BLOCKS[1:]]
             assert _verdicts(check_vector_rules(gen, vec)) == _composed(*halves), quad
             count += 1
         assert count == 16
@@ -302,7 +303,7 @@ class TestBlockComposition:
         bump = Matrix.from_entries(n, n, {(vec.block1_dim, 0): ONE})
         broken = _with_component(vec, "z", vec.component("z") + bump)
         keep12, keep21 = (
-            check_vector_rules(gen, momentum_from_vectors(broken, c)) for c in BlockChoice
+            check_vector_rules(gen, momentum_from_vectors(broken, c)) for c in BLOCKS[1:]
         )
         full = _verdicts(check_vector_rules(gen, broken))
         assert full == _composed(keep12, keep21)
@@ -393,7 +394,8 @@ def _edit_routes(monkeypatch, edits):
             return vec
         edit = edits[name]
         A, B, C, D = (s.twice for s in spins)
-        b12, b21 = edit(vec.block("12"), (A, B, C, D)), edit(vec.block("21"), (C, D, A, B))
+        b12 = edit(oracles.block(vec, "12"), (A, B, C, D))
+        b21 = edit(oracles.block(vec, "21"), (C, D, A, B))
         return oracles.from_blocks(vec.spins, vec.params, b12, b21)
 
     for module in (verify, oracles):
