@@ -1,10 +1,12 @@
 """Dense-semantics exact matrices over RadicalScalar entries.
 
 A Matrix is an immutable value: ``Matrix(rows, cols)`` is the zero matrix
-and ``Matrix.from_entries`` is the only way to give one entries.  Entries
-are held sparsely (zeros dropped) so products of the very sparse spin
-matrices stay cheap, but the interface is an ordinary rows x cols matrix
-and serialization emits the full row-major grid.
+and ``Matrix.from_entries`` is the only public way to give one entries
+(``Matrix.window``, ``change_basis`` and the kernel fill a new matrix's
+rows from values they formed, before returning it); nothing changes a
+matrix after that.  Entries are held sparsely (zeros dropped) so products
+of the very sparse spin matrices stay cheap, but the interface is an
+ordinary rows x cols matrix and serialization emits the full row-major grid.
 
 Every matrix-valued result (``+``, ``-``, ``scale``, ``times_i``, ``@``,
 ``commutator``, ``anticommutator``, ``linear_combination``) is one call of
@@ -239,6 +241,8 @@ def change_basis(
     # Column p of the table: (k, d, re, im) for each term of each table[k][p], over tden.
     columns = [[] for _ in mats]
     for k, row in enumerate(coeffs):
+        if len(row) != len(mats):
+            raise ValueError(f"table row {k} has {len(row)} entries for {len(mats)} matrices")
         for column, c in zip(columns, row):
             f = tden // c._den
             column += [(k, d, re * f, im * f) for d, (re, im) in c._num.items()]

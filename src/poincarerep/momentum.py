@@ -28,6 +28,8 @@ def momentum_from_vectors(vec: VectorSet, block: str) -> VectorSet:
 
 def translation_combination(vec: VectorSet, x: tuple) -> Matrix:
     """sum over mu of x_mu P_mu for rational four-vector x = (x, y, z, t)."""
+    if len(x) != 4:
+        raise ValueError(f"x needs 4 entries (x, y, z, t), not {len(x)}")
     terms = [(Fraction(w), comp) for w, comp in zip(x, vec.components()) if w]
     return linear_combination(terms) if terms else Matrix.zeros(vec.dimension)
 

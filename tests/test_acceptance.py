@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from oracles import racah_cg_signed_square, spin, vector_rule_nullspace_dim
 
+from poincarerep.bundle import SOURCES, vectors_from_source
 from poincarerep.cg import RatioFit, cg_vector_matrices, equivalence_ratio
 from poincarerep.cli import parse_scalar
 from poincarerep.generators import direct_sum
@@ -90,11 +91,15 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_no_solution_theorem():
-    # Library-level refusal on every violating quadruple in the sweep.
+    # Library-level refusal on every violating quadruple in the sweep, by
+    # each route; the sweep asks no route for one (test_verify counts it).
     violating = _violating(SWEEP_BOUND)
     for q in violating:
         with pytest.raises(NoSolutionError):
             closed_form_vectors(*q, UNIT)
+        for source in SOURCES:
+            with pytest.raises(NoSolutionError):
+                vectors_from_source(source, q, UNIT)
     # Independent brute force: the 24 rules admit only the zero solution.
     checked = 0
     small = _violating(2)

@@ -30,9 +30,11 @@ from poincarerep.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import momentum_from_vectors
-from poincarerep.radical import ONE, RadicalScalar, sqrt_of_rational
+from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import Spin, SpinPair
-from poincarerep.vectors import BLOCKS, CaseTag, FreeParams, classify_case, closed_form_vectors
+from poincarerep.vectors import (
+    BLOCKS, CaseTag, FreeParams, VectorSet, classify_case, closed_form_vectors,
+)
 
 from oracles import matrix_to_json, reference_bundle_dict, spin
 
@@ -194,6 +196,28 @@ def test_metadata_is_read_off_the_vectors(block):
     assert bundle.block == vec.block == block
     data = json.loads(bundle.dumps())
     assert (data["spins"], data["caseTag"], data["block"]) == ([2, 1, 1, 2], "case2", bundle.block)
+
+
+def test_a_no_solution_bundle_with_zero_vectors_loads(tmp_path):
+    # gen refuses spins with no vector matrices, but a hand-made file for
+    # them with V = 0 and t12 = t21 = 0 agrees with its metadata, so it is
+    # the one no-solution representation that loads: all 45 rules hold on
+    # it, and it exports back byte for byte.
+    pairs = (SpinPair(spin(2), spin(0)), SpinPair(spin(0), spin(0)))
+    gen = direct_sum(*pairs)
+    zero = Matrix.zeros(gen.dimension)
+    vec = VectorSet(pairs, FreeParams(ZERO, ZERO), (zero,) * 4)
+    path, report, dup = (str(tmp_path / name) for name in ("n.json", "r.json", "e.json"))
+    save_bundle(MatrixBundle.of("closed-form", gen, vec), path)
+    assert json.loads(Path(path).read_text())["caseTag"] == "nosolution"
+    loaded = load_bundle(path)
+    assert loaded.case is CaseTag.NO_SOLUTION and loaded.vectors.families == (zero,) * 4
+    assert main(["verify", "--in", path, "--out", report]) == EXIT_OK
+    data = json.loads(Path(report).read_text())
+    assert data["caseTag"] == "nosolution" and data["allHold"]
+    assert len(data["rules"]) == 45 and all(rule["holds"] for rule in data["rules"])
+    assert main(["export", "--in", path, "--format", "exact-json", "--out", dup]) == EXIT_OK
+    assert Path(dup).read_bytes() == Path(path).read_bytes()
 
 
 def test_keep21_bundle_reports_keep21():

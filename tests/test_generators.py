@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from oracles import conjugate_transpose, spin
 
 from poincarerep.generators import (
@@ -158,3 +159,10 @@ class TestFromCartesian:
         for p1, p2 in itertools.product(pairs, repeat=2):
             g = direct_sum(p1, p2)
             assert GeneratorSet.from_cartesian(g.spins, g.J, g.K).spin_basis == g.spin_basis
+
+    def test_a_missing_matrix_is_refused(self):
+        # Each row of the spin-basis table mixes six matrices; five would
+        # silently drop K_z's share.
+        g = direct_sum(SpinPair(spin(1), spin(1)), SpinPair(spin(0), spin(0)))
+        with pytest.raises(ValueError, match="table row 0 has 6 entries for 5 matrices"):
+            GeneratorSet.from_cartesian(g.spins, g.J[:2], g.K)

@@ -264,6 +264,16 @@ def test_change_basis_runs_outside_the_kernel():
     assert change_basis(FAMILY, components) == vec.families
 
 
+def test_change_basis_refuses_a_row_of_another_length():
+    # Each row is zipped with the matrices, so a row of another length
+    # would be cut short without a word.
+    mats = closed_form_vectors(spin(1), spin(1), spin(0), spin(0), free_params(1, 1)).families
+    with pytest.raises(ValueError, match="table row 0 has 2 entries for 4 matrices"):
+        change_basis(((1, 1), (1, -1)), mats)
+    with pytest.raises(ValueError, match="table row 1 has 5 entries for 4 matrices"):
+        change_basis(((1, 0, 0, 0), (1, 0, 0, 0, 1)), mats)
+
+
 def test_hand_cancellation_across_radicands():
     # sqrt2*sqrt6 - 2*sqrt3 = 0: the product's radicand 12 splits as 2**2 * 3.
     root2 = RadicalScalar.from_terms([(2, 1, 0)])

@@ -112,6 +112,15 @@ def test_nilpotency_of_translation_combination():
             assert (x @ x).is_zero()
 
 
+@pytest.mark.parametrize("x", [(1, 2, 3), (1, 2, 3, 4, 5)])
+def test_translation_combination_needs_four_weights(x):
+    # The weights are zipped with P_x, P_y, P_z, P_t: three would drop P_t,
+    # and a fifth would be ignored.
+    p = momentum_from_vectors(closed_form_vectors(spin(1), spin(0), spin(0), spin(1), UNIT), "keep12")
+    with pytest.raises(ValueError, match=f"x needs 4 entries \\(x, y, z, t\\), not {len(x)}"):
+        translation_combination(p, x)
+
+
 @pytest.mark.parametrize("source", SOURCES)
 def test_momentum_set_is_its_block_placed_alone(source, tmp_path):
     # For a built set, the same set loaded from a bundle, and the set with a

@@ -401,6 +401,13 @@ class TestFromCartesian:
                     count += 1
         assert count == 64 * 3 * 3
 
+    def test_a_missing_component_is_refused(self):
+        # Three components would leave V_t out of every family: nnz
+        # [2, 2, 4, 4] on (1,1,0,0) instead of [2, 2, 2, 2].
+        v = closed_form_vectors(spin(1), spin(1), spin(0), spin(0), UNIT)
+        with pytest.raises(ValueError, match="table row 0 has 4 entries for 3 matrices"):
+            VectorSet.from_cartesian(v.spins, v.params, v.components()[:3])
+
     def test_cartesian_entry_is_a_row_of_family_inverse(self):
         # The hand-written signs of cartesian_entry agree with FAMILY_INVERSE
         # at every cell, zero cells included.

@@ -32,6 +32,7 @@ from poincarerep.vectors import (
     FAMILY_INVERSE,
     CaseTag,
     FreeParams,
+    NoSolutionError,
     VectorSet,
     classify_case,
     closed_form_vectors,
@@ -372,12 +373,17 @@ class TestSweep:
 
         for name in ("vectors_from_source", "commutator"):
             monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+        monkeypatch.setattr(
+            NoSolutionError, "__init__", counted("NoSolutionError", NoSolutionError.__init__)
+        )
         report = sweep(3)
         assert report["admissible"] == 36 and report["allHold"]
         # 18 pairs x 3 sources; 16 irreps x 15 Lorentz rules plus 18 pairs x
         # 2 block choices x (24 vector + 6 translation) closed-form rules.
-        # The CG verdicts come from its ratio fit.
+        # The CG verdicts come from its ratio fit.  No route is asked to
+        # build one of the 220 inadmissible quadruples.
         assert calls == {"vectors_from_source": 54, "commutator": 240 + 1080}
+        assert calls["NoSolutionError"] == 0
 
 
 def _edit_routes(monkeypatch, edits):
