@@ -182,19 +182,22 @@ class MatrixBundle:
         # another order is encoded again, to the same text.
         encoded: dict[tuple, str] = {}
 
-        def scalar_text(value: RadicalScalar) -> str:
-            key = (value._den, tuple(value._num.items()))
-            text = encoded.get(key)
-            if text is None:
-                text = encoded[key] = _compact(scalar_to_json(value))
-            return text
-
         def matrix_text(mat: Matrix) -> str:
-            cells = ["[]"] * (mat.rows * mat.cols)
-            for i, j, value in mat.nonzero_items():
-                cells[i * mat.cols + j] = scalar_text(value)
+            cols = mat.cols
+            cells = ["[]"] * (mat.rows * cols)
+            for i, row in mat._rows.items():
+                for j, value in row.items():
+                    key = (value._den, tuple(value._num.items()))
+                    text = encoded.get(key)
+                    if text is None:
+                        text = encoded[key] = _scalar_text(value)
+                    cells[i * cols + j] = text
             return "[" + ",".join(cells) + "]"
 
+        return self._text(matrix_text)
+
+    def _text(self, matrix_text: Callable[[Matrix], str]) -> str:
+        """The canonical text with each matrix written by ``matrix_text``."""
         return _object({
             "block": _compact(self.block),
             "caseTag": _compact(self.case.value),
@@ -204,7 +207,7 @@ class MatrixBundle:
                 key: matrix_text(mat) for key, mat in zip(MATRIX_KEYS, self.cartesian)
             }),
             "params": _object({
-                "t12": scalar_text(self.params.t12), "t21": scalar_text(self.params.t21)
+                "t12": _scalar_text(self.params.t12), "t21": _scalar_text(self.params.t21)
             }),
             "schemaVersion": _compact(SCHEMA_VERSION),
             "source": _compact(self.source),
@@ -214,6 +217,10 @@ class MatrixBundle:
 
 def _compact(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _scalar_text(value: RadicalScalar) -> str:
+    return _compact(scalar_to_json(value))
 
 
 def _object(fields: dict[str, str]) -> str:
@@ -277,19 +284,28 @@ def _checked_bundle(
 
 
 def _canonical_bundle(text: str) -> MatrixBundle | None:
-    """The bundle of ``text`` if the canonical writer gives ``text`` back, else None.
+    """The bundle of ``text`` if ``text`` is its ``dumps()``, else None.
 
-    Only the short text outside the matrices goes through ``json.loads``.
-    Each matrix span is read in one pass: ``str.count`` counts the ``[]``
-    cells between nonempty ones, and each distinct nonempty cell text is
-    decoded once.  Whatever this reading gets wrong, the text then differs
-    from what ``MatrixBundle.dumps`` writes of the result, and None sends
-    the caller to ``json.loads``; so does an error met before that check,
-    and the fallback then raises it again.  A text that passes holds
-    exactly the JSON tree of the result, so it decodes to what the fallback
-    would return.  Every step is one forward scan (``str.find`` and
-    ``str.count`` from a position that only grows), so any text is read in
-    linear time.
+    ``text == bundle.dumps()`` is proved piece by piece while the text is
+    read, without writing that string.  ``_matrix_spans`` cuts the text into
+    a header, the text with each matrix replaced by ``0``, and the ten
+    matrix spans; only the short header goes through ``json.loads``.
+    ``dumps()`` is ``_text`` with the matrix writer, so ``_text`` with each
+    matrix written as ``0`` must give the header back.  The placeholders
+    then sit at the same offsets in both: the header's first
+    ``"matrices":{`` is where ``_matrix_spans`` cut, and in the writer's
+    text the fields before that key hold only a block name, a case tag, an
+    integer and the layout note.  ``_span_matrix`` proves each span equal to
+    what the matrix writer writes of the matrix it returns.  Header
+    equality and the ten span equalities together are exactly
+    ``text == dumps()``.
+
+    A miss at any step, or an error met on the way, returns None, and the
+    caller's ``json.loads`` fallback reads the text or raises that error
+    again.  A text that passes holds exactly the JSON tree of the result,
+    so it decodes to what the fallback would return.  Every step is one
+    forward scan (``str.find`` and ``str.count`` from a position that only
+    grows), so any text is read in linear time.
     """
     scanned = _matrix_spans(text)
     if scanned is None:
@@ -303,7 +319,7 @@ def _canonical_bundle(text: str) -> MatrixBundle | None:
         )
     except (ValueError, KeyError, RecursionError):
         return None
-    return bundle if bundle.dumps() == text else None
+    return bundle if bundle._text(lambda mat: "0") == header else None
 
 
 def _matrix_spans(text: str) -> tuple[str, dict[str, str]] | None:
@@ -333,35 +349,53 @@ def _matrix_spans(text: str) -> tuple[str, dict[str, str]] | None:
 
 
 def _span_matrix(span: str, n: int, decoded: dict[str, RadicalScalar]) -> Matrix:
-    """The n x n matrix whose canonical text is ``span``, if it is one.
+    """The n x n matrix the writer writes as ``span``; ValueError if there is none.
 
-    ``decoded`` maps each nonempty cell text met so far to its value.  A
-    span that does not hold n * n cells raises ValueError.
+    The writer gives ``"[" + ",".join(cells) + "]"`` of n * n cells: ``[]``
+    for zero, else the canonical text of a nonzero value.  So the span's
+    inside, with a ``,`` put after it, must be each cell followed by ``,``.
+    A run of k empty cells must be ``"[],"*k``: its length is tested to be
+    3k, and ``str.count`` must then find k ``[],`` in it, which tile it.
+    Each distinct nonempty cell text is decoded once, kept in ``decoded``
+    (text to value), and must be the writer's text of a nonzero value.
     """
-    entries = {}
+    if not (span.startswith("[") and span.endswith("]")):
+        raise ValueError("a matrix must be a JSON array")
+    body = span[1:-1] + ","
+    rows: dict[int, dict[int, RadicalScalar]] = {}
     index, pos = 0, 0
-    while (cell := span.find("[{", pos)) >= 0:
-        end = span.find("}]", cell)
-        if end < 0:
+    while True:
+        cell = body.find("[{", pos)
+        stop = len(body) if cell < 0 else cell
+        if (stop - pos) % 3 or body.count("[],", pos, stop) * 3 != stop - pos:
+            raise ValueError("empty cells not as the writer writes them")
+        index += (stop - pos) // 3
+        if cell < 0:
+            break
+        pos = body.find("}],", cell) + 3
+        if pos < 3:
             raise ValueError("unterminated cell")
-        index += span.count("[]", pos, cell)
-        pos = end + 2
-        terms = span[cell:pos]
+        terms = body[cell:pos - 1]
         value = decoded.get(terms)
         if value is None:
-            value = decoded[terms] = scalar_from_json(json.loads(terms))
-        entries[divmod(index, n)] = value
+            value = scalar_from_json(json.loads(terms))
+            if value.is_zero() or _scalar_text(value) != terms:
+                raise ValueError("a cell not as the writer writes it")
+            decoded[terms] = value
+        i, j = divmod(index, n)
+        rows.setdefault(i, {})[j] = value
         index += 1
-    if index + span.count("[]", pos) != n * n:
+    if index != n * n:
         raise ValueError(f"expected {n * n} cells")
-    return Matrix.from_entries(n, n, entries)
+    return Matrix._from_rows(n, n, rows)
 
 
 def load_bundle(path: str) -> MatrixBundle:
     """Read and decode a bundle file; a malformed one raises ValueError (or KeyError).
 
     A text that ``MatrixBundle.dumps`` could have written is read by
-    ``_canonical_bundle``; any other goes through ``json.loads`` and
+    ``_canonical_bundle``, which checks it against the writer as it scans
+    and writes nothing; any other goes through ``json.loads`` and
     ``bundle_from_json_dict``.  Both give the same bundle, or raise the same
     error, on the same text.  Every file the program writes is canonical,
     so ``json.loads`` reads only files edited or re-indented elsewhere; it

@@ -75,6 +75,10 @@ class GeneratorSet:
     spins: tuple[SpinPair, ...]
     spin_basis: tuple[Matrix, ...]
 
+    def __post_init__(self):
+        if (count := len(self.spin_basis)) != 6:
+            raise ValueError(f"a generator set holds 6 spin-basis matrices, not {count}")
+
     @classmethod
     def from_cartesian(cls, spins: tuple[SpinPair, ...], J: tuple, K: tuple) -> "GeneratorSet":
         """The set with these J and K, stored as its spin basis."""

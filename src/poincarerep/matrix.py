@@ -1,12 +1,14 @@
 """Dense-semantics exact matrices over RadicalScalar entries.
 
 A Matrix is an immutable value: ``Matrix(rows, cols)`` is the zero matrix
-and ``Matrix.from_entries`` is the only public way to give one entries
-(``Matrix.window``, ``change_basis`` and the kernel fill a new matrix's
-rows from values they formed, before returning it); nothing changes a
-matrix after that.  Entries are held sparsely (zeros dropped) so products
-of the very sparse spin matrices stay cheap, but the interface is an
-ordinary rows x cols matrix and serialization emits the full row-major grid.
+and ``Matrix.from_entries`` is the only public way to give one entries.
+``Matrix._from_rows`` takes rows its caller has already formed in the
+stored form (nonzero values at positions inside the shape), unchecked;
+``Matrix.window``, ``change_basis``, the kernel and the bundle loader use
+it.  Nothing changes a matrix after it is made.  Entries are held
+sparsely (zeros dropped) so products of the very sparse spin matrices
+stay cheap, but the interface is an ordinary rows x cols matrix and
+serialization emits the full row-major grid.
 
 Every matrix-valued result (``+``, ``-``, ``scale``, ``times_i``, ``@``,
 ``commutator``, ``anticommutator``, ``linear_combination``) is one call of
@@ -70,6 +72,19 @@ class Matrix:
             v = _coerce(v)
             if not v.is_zero():
                 m._rows.setdefault(i, {})[j] = v
+        return m
+
+    @classmethod
+    def _from_rows(
+        cls, rows: int, cols: int, entries: dict[int, dict[int, RadicalScalar]]
+    ) -> "Matrix":
+        """The matrix holding ``entries`` as its rows, which it takes as they are.
+
+        The caller vouches for the stored form: entries[i][j] is a nonzero
+        RadicalScalar with (i, j) inside the shape, and no row is empty.
+        """
+        m = cls(rows, cols)
+        m._rows = entries
         return m
 
     # -- element access -------------------------------------------------
@@ -153,12 +168,12 @@ class Matrix:
 
     def window(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """This matrix with only its entries in rows r0..r1-1 and columns c0..c1-1, in place."""
-        out = Matrix(self.rows, self.cols)
+        out = {}
         for i, row in self._rows.items():
             kept = {j: v for j, v in row.items() if c0 <= j < c1} if r0 <= i < r1 else None
             if kept:
-                out._rows[i] = kept
-        return out
+                out[i] = kept
+        return Matrix._from_rows(self.rows, self.cols, out)
 
     # -- export ---------------------------------------------------------------
 
@@ -216,6 +231,8 @@ def anticommutator(m: Matrix, n: Matrix) -> Matrix:
 
 def linear_combination(terms: Sequence[tuple[RadicalScalar | RationalLike, Matrix]]) -> Matrix:
     """Sum of c * Z over (c, Z) in terms: one or more matrices of one shape."""
+    if not terms:
+        raise ValueError("a linear combination needs at least one term")
     first = terms[0][1]
     for _, z in terms:
         first._same_shape(z)
@@ -265,10 +282,7 @@ def change_basis(
                 results = mapped[key] = _map_cell(columns, tden, values)
             for k, value in results:
                 outs[k].setdefault(i, {})[j] = value
-    changed = tuple(Matrix(first.rows, first.cols) for _ in outs)
-    for m, out in zip(changed, outs):
-        m._rows = out
-    return changed
+    return tuple(Matrix._from_rows(first.rows, first.cols, out) for out in outs)
 
 
 def _map_cell(columns: list, tden: int, values: list) -> list[tuple[int, RadicalScalar]]:
@@ -383,9 +397,7 @@ def _combine(rows: int, cols: int, products: Sequence = (), multiples: Sequence 
     for (i, j, core), pair in acc.items():
         if pair[0] or pair[1]:
             cells.setdefault(i, {}).setdefault(j, {})[core] = pair
-    out = Matrix(rows, cols)
-    out._rows = {
+    return Matrix._from_rows(rows, cols, {
         i: {j: _make(num, den) for j, num in row.items()}
         for i, row in cells.items()
-    }
-    return out
+    })

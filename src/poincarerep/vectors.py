@@ -129,6 +129,10 @@ class VectorSet:
     families: tuple[Matrix, Matrix, Matrix, Matrix]
     block: str = "both"
 
+    def __post_init__(self):
+        if (count := len(self.families)) != 4:
+            raise ValueError(f"a vector set holds 4 families, not {count}")
+
     @classmethod
     def from_cartesian(
         cls, spins: tuple[SpinPair, SpinPair], params: FreeParams,

@@ -371,6 +371,17 @@ def _duplicated_key(text, draw):
     return text.replace(f'"{key}":', f'"{key}":{span},"{key}":', 1)
 
 
+def _swapped_gap(text, draw):
+    # The same length and the same count of [] as the text it replaces.
+    pos = _nth(text, "[],[],", draw)
+    return text if pos is None else text[:pos] + "[][],," + text[pos + 6:]
+
+
+def _dropped_cell(text, draw):
+    pos = _nth(text, "[],", draw)
+    return text if pos is None else text[:pos] + text[pos + 3:]
+
+
 def _truncated(text, draw):
     return text[:draw(st.integers(0, len(text) - 1))]
 
@@ -407,8 +418,8 @@ def _duplicated_field(text, draw):
 
 
 EDITS = [
-    _reordered, _spaced, _spaced_cell, _extra_key, _zero_term, _duplicated_key, _truncated,
-    _trailing, _rewritten_field, _duplicated_field,
+    _reordered, _spaced, _spaced_cell, _extra_key, _zero_term, _duplicated_key, _swapped_gap,
+    _dropped_cell, _truncated, _trailing, _rewritten_field, _duplicated_field,
 ]
 
 
@@ -432,11 +443,39 @@ def test_fast_path_agrees_with_the_json_loads_path(quad, source, block, t12, t21
 
 
 def test_a_large_generated_bundle_takes_the_fast_path(tmp_path, monkeypatch):
+    # The fast path proves the text is the writer's without running it.
     path = tmp_path / "b.json"
     assert main(["gen", "--spins", "8,8,7,7", "--block", "keep12", "--out", str(path)]) == EXIT_OK
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the json.loads path ran")
+    def refuse(what):
+        def raise_(*args, **kwargs):
+            raise AssertionError(f"{what} ran")
+        return raise_
 
-    monkeypatch.setattr(bundle, "matrix_from_json", refuse)
-    assert load_bundle(str(path)).dumps() == path.read_text()
+    monkeypatch.setattr(bundle, "matrix_from_json", refuse("the json.loads path"))
+    monkeypatch.setattr(MatrixBundle, "dumps", refuse("the writer"))
+    loaded = load_bundle(str(path))
+    monkeypatch.undo()
+    assert loaded.dumps() == path.read_text()
+
+
+HALF = '[{"d":1,"im":[0,1],"re":[1,2]}]'  # the first J_z cell in _make_bundle()
+
+
+@pytest.mark.parametrize("old, new", [
+    (HALF, '[{"d":1,"im":[0,1],"re":[2,4]}]'),  # a fraction not in lowest terms
+    (HALF, '[{"d":3,"im":[0,1],"re":[1,1]},{"d":1,"im":[0,1],"re":[1,2]}]'),  # d out of order
+    (HALF, '[{"d":1, "im":[0,1],"re":[1,2]}]'),  # a space inside a cell
+    (HALF, '[{"d":1,"im":[0,1],"re":[0,1]}]'),  # a nonempty cell whose value is zero
+    ("[],[],", "[][],,"),  # two empty cells respelled at the same length
+    ("[],", ""),  # one cell too few
+    ('"spins":', '"spins": '),  # a space outside the matrices
+], ids=["unreduced", "unsorted", "spaced", "zero", "gap", "dropped", "header"])
+def test_a_text_the_writer_would_not_write_takes_the_json_loads_path(old, new):
+    text = _make_bundle().dumps()
+    assert text.startswith('"Jz":[' + HALF, text.index('"Jz":'))
+    pos = text.index(old, text.index('"Jz":'))
+    edited = text[:pos] + new + text[pos + len(old):]
+    assert bundle._canonical_bundle(edited) is None
+    _assert_paths_agree(edited)
+

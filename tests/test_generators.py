@@ -166,3 +166,8 @@ class TestFromCartesian:
         g = direct_sum(SpinPair(spin(1), spin(1)), SpinPair(spin(0), spin(0)))
         with pytest.raises(ValueError, match="table row 0 has 6 entries for 5 matrices"):
             GeneratorSet.from_cartesian(g.spins, g.J[:2], g.K)
+
+    def test_a_set_of_five_matrices_is_refused(self):
+        g = direct_sum(SpinPair(spin(1), spin(1)), SpinPair(spin(0), spin(0)))
+        with pytest.raises(ValueError, match="a generator set holds 6 spin-basis matrices, not 5"):
+            GeneratorSet(g.spins, g.spin_basis[:5])

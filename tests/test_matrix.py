@@ -18,7 +18,7 @@ from oracles import (
 )
 from poincarerep import matrix
 from poincarerep.generators import SPIN_BASIS, SPIN_BASIS_INVERSE, direct_sum
-from poincarerep.matrix import Matrix, anticommutator, change_basis, commutator
+from poincarerep.matrix import Matrix, anticommutator, change_basis, commutator, linear_combination
 from poincarerep.radical import ONE, ZERO, RadicalScalar
 from poincarerep.spins import SpinPair
 from poincarerep.vectors import FAMILY, FAMILY_INVERSE, closed_form_vectors
@@ -272,6 +272,12 @@ def test_change_basis_refuses_a_row_of_another_length():
         change_basis(((1, 1), (1, -1)), mats)
     with pytest.raises(ValueError, match="table row 1 has 5 entries for 4 matrices"):
         change_basis(((1, 0, 0, 0), (1, 0, 0, 0, 1)), mats)
+
+
+def test_a_linear_combination_of_no_terms_is_refused():
+    # An empty sum has no shape; before, terms[0] raised IndexError.
+    with pytest.raises(ValueError, match="at least one term"):
+        linear_combination([])
 
 
 def test_hand_cancellation_across_radicands():

@@ -408,6 +408,12 @@ class TestFromCartesian:
         with pytest.raises(ValueError, match="table row 0 has 4 entries for 3 matrices"):
             VectorSet.from_cartesian(v.spins, v.params, v.components()[:3])
 
+    def test_a_set_of_three_families_is_refused(self):
+        # Before, only check_vector_rules met it, as an IndexError.
+        v = closed_form_vectors(spin(1), spin(1), spin(0), spin(0), UNIT)
+        with pytest.raises(ValueError, match="a vector set holds 4 families, not 3"):
+            VectorSet(v.spins, v.params, v.families[:3])
+
     def test_cartesian_entry_is_a_row_of_family_inverse(self):
         # The hand-written signs of cartesian_entry agree with FAMILY_INVERSE
         # at every cell, zero cells included.
