@@ -23,7 +23,11 @@ negated on (dp, dq) = (-1, +1); the families are V+, V-, (V_z + V_t)/2
 and (V_z - V_t)/2.  ``cg_block`` states only this entry formula,
 ``vectors._block_pair`` gives the 21-block's from the same formula, and
 ``vectors.pattern_vectors`` writes both into the n x n families.  The
-signs are those of the 12-block of the spin (1/2,0)+(0,1/2) vector
+formula rests on one-spin factor tables: the CG coefficients of each
+spin are formed once per block and held as signed squares over one
+denominator, each distinct signed product of two of them is one square
+root scaled by lam once, and every entry equal to it is that one object.
+The signs are those of the 12-block of the spin (1/2,0)+(0,1/2) vector
 matrices in this package's basis and metric convention; relative to the
 usual contravariant tabulation this flips the sign of the t component.
 Coupling selection rules enforce A = C +/- 1/2, B = D +/- 1/2, so
@@ -36,6 +40,7 @@ the ratio and to report a mismatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -124,20 +129,56 @@ def clebsch_gordan(j1: Spin, m1: int, j2: Spin, m2: int, J: Spin, M: int) -> Rad
 _HALF = Spin(1)
 
 
+def _signed_squares(
+    factors: dict[tuple[int, int], RadicalScalar],
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """(den, n) with factors[k] = sign(n[k]) sqrt(|n[k]| / den), over one denominator.
+
+    A CG coefficient is zero or one real term (re / den) sqrt(d), so its
+    signed square re |re| d / den**2 states it exactly.
+    """
+    squares = {}
+    for k, value in factors.items():
+        if not value:
+            squares[k] = Fraction(0)
+            continue
+        (d, (re, im)), *rest = value._num.items()
+        if rest or im:
+            raise ValueError(f"expected one real term, got {value}")
+        squares[k] = Fraction(re * abs(re) * d, value._den ** 2)
+    den = math.lcm(*(square.denominator for square in squares.values()))
+    return den, {k: square.numerator * (den // square.denominator) for k, square in squares.items()}
+
+
 def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Coeff:
     """The coupling entry formula of the block, rows (p,q) of (P,Q) and columns (r,s) of (R,S).
 
     The family (dp, dq) entry is lam * <1/2 dp/2, R r|P p> <1/2 -dq/2, Q q|S s>,
-    negated on (-1, +1).
+    negated on (-1, +1).  The CG factors of each spin are tabled once per
+    block as signed squares over one denominator, so an entry is fixed by
+    the signed product of two table numerators: each distinct one is one
+    square root times lam, and every entry equal to it is that one object.
     """
+    den1, left = _signed_squares({
+        (p, dp): clebsch_gordan(_HALF, dp, R, p - dp, P, p)
+        for p in P.projections() for dp in (1, -1)
+    })
+    den2, right = _signed_squares({
+        (q, dq): clebsch_gordan(_HALF, -dq, Q, q, S, q - dq)
+        for q in Q.projections() for dq in (1, -1)
+    })
+    den = den1 * den2
+    values: dict[int, RadicalScalar] = {}
 
     def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
-        value = (
-            lam
-            * clebsch_gordan(_HALF, dp, R, p - dp, P, p)
-            * clebsch_gordan(_HALF, -dq, Q, q, S, q - dq)
-        )
-        return -value if (dp, dq) == (-1, 1) else value
+        key = left[p, dp] * right[q, dq]
+        if dp < dq:
+            key = -key
+        value = values.get(key)
+        if value is None:
+            root = sqrt_of_rational(Fraction(abs(key), den))
+            value = values[key] = (root if key > 0 else -root) * lam
+        return value
 
     return coeff
 

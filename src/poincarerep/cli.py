@@ -312,6 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse (Python 3.11 at least) takes the value "--" in "--t12=--"
+        # for its option separator and hands the option an empty list.
+        if any(isinstance(value, list) for value in vars(args).values()):
+            raise CliError("an option was given '--' as its value")
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -4,8 +4,8 @@ A Matrix is an immutable value: ``Matrix(rows, cols)`` is the zero matrix
 and ``Matrix.from_entries`` is the only public way to give one entries.
 ``Matrix._from_rows`` takes rows its caller has already formed in the
 stored form (nonzero values at positions inside the shape), unchecked;
-``Matrix.window``, ``change_basis``, the kernel and the bundle loader use
-it.  Nothing changes a matrix after it is made.  Entries are held
+``Matrix.window``, ``change_basis``, the kernel, the bundle loader and
+``vectors.pattern_vectors`` use it.  Nothing changes a matrix after it is made.  Entries are held
 sparsely (zeros dropped) so products of the very sparse spin matrices
 stay cheap, but the interface is an ordinary rows x cols matrix and
 serialization emits the full row-major grid.

@@ -10,7 +10,10 @@ Two independent construction routes are provided and must agree exactly:
   (A, C) and a factor of (B, D).  A factor is up when A = C + 1/2, with
   sqrt((A +/- a)/2A), and down when A = C - 1/2, with sqrt(C -/+ c); the
   paper's case 1 is (up, up), case 2 (up, down), case 3 (down, up) and
-  case 4 (down, down).
+  case 4 (down, down).  The factors of each spin are tabled once per
+  block.  sqrt(x1) sqrt(x2) = sqrt(x1 x2), so each distinct signed product
+  of two table values is one square root, multiplied by t once, and every
+  entry equal to it is that one object.
 
 * ``recursion_solve`` + ``vectors_from_coefficients`` re-derives the same
   matrices by anchoring the two free parameters at the extreme index of
@@ -20,11 +23,15 @@ Two independent construction routes are provided and must agree exactly:
 
 Both routes, like the Clebsch-Gordan route in ``cg``, supply only the
 entry formula ``coeff(dp, dq, p, q)`` of each family; ``pattern_vectors``
-writes the entries of both off-diagonal blocks straight into the four
-n x n families.  Each route states only its 12-block; ``_block_pair``
-applies the selection rule and gives the 21-block's formula by exchanging
-the roles of the two irreps.  A momentum set keeps one block's rectangle
-of each family in place (``momentum.momentum_from_vectors``).
+writes the entries of both off-diagonal blocks straight into the rows of
+the four n x n families, skipping zeros.  The closed-form and
+Clebsch-Gordan routes keep their factor tables and product memos for one
+route call, and each block of a set they generate holds each distinct
+value as one object, so ``change_basis`` maps each once.  Each route
+states only its 12-block; ``_block_pair`` applies the selection rule and
+gives the 21-block's formula by exchanging the roles of the two irreps.
+A momentum set keeps one block's rectangle of each family in place
+(``momentum.momentum_from_vectors``).
 
 Nonzero solutions exist only when A = C +/- 1/2 and B = D +/- 1/2; every
 other spin choice admits exactly the zero solution and is reported as
@@ -188,8 +195,9 @@ def pattern_vectors(
     and columns of spins[1], sits at (0, n1), and the 21-block, the
     reverse, at (n1, 0).  Each block's column map is read off
     ``basis()`` once, so that list alone states where a column sits.  Every
-    route builds its set here, and each entry is written once, straight
-    into the n x n families.
+    route builds its set here.  A family holds at most one entry per row,
+    so each nonzero entry is written as its row, straight into the rows of
+    the n x n families, and a zero entry (t = 0) writes no row.
     """
     pair1, pair2 = spins
     n1 = pair1.dimension
@@ -198,11 +206,13 @@ def pattern_vectors(
     for rows, cols, r0, c0, coeff in ((pair1, pair2, 0, n1, coeff12), (pair2, pair1, n1, 0, coeff21)):
         col = {rs: j for j, rs in enumerate(cols.basis(), c0)}
         for i, (p, q) in enumerate(rows.basis(), r0):
-            for entries, (dp, dq) in zip(families, FAMILIES):
+            for family, (dp, dq) in zip(families, FAMILIES):
                 j = col.get((p - dp, q - dq))
                 if j is not None:
-                    entries[i, j] = coeff(dp, dq, p, q)
-    return VectorSet(spins, params, tuple(Matrix.from_entries(n, n, m) for m in families))
+                    value = coeff(dp, dq, p, q)
+                    if value:
+                        family[i] = {j: value}
+    return VectorSet(spins, params, tuple(Matrix._from_rows(n, n, family) for family in families))
 
 
 def classify_case(A: Spin, B: Spin, C: Spin, D: Spin) -> CaseTag:
@@ -243,29 +253,45 @@ def _block_pair(block: Callable, A: Spin, B: Spin, C: Spin, D: Spin, arg12, arg2
 # Closed-form route
 # ---------------------------------------------------------------------------
 
-def _one_spin(X: Spin, Y: Spin, x: int, s: int) -> tuple[RadicalScalar, bool]:
-    """(|f|, f < 0) for the factor of row spin X, column spin Y, y = x - s/2.
+def _one_spin(X: Spin, Y: Spin) -> tuple[int, dict[tuple[int, int], int]]:
+    """The factors f of row spin X, column spin Y, as (den, n): f = sign(n) sqrt(|n| / den).
 
-    ``x`` is passed doubled, as 2x.  Up, X = Y + 1/2: f = sqrt((X + s x)/(2X)),
-    negated when s = -1.  Down, X = Y - 1/2: f = sqrt(Y - s y).  Either way
-    f = s <1/2 s/2, Y y|X x>, times sqrt(2Y + 1) when down.
+    n maps (x, s) to the factor's signed numerator, for x over the doubled
+    projections of X, s = +1 and -1, and y = x - s/2.  Up, X = Y + 1/2:
+    f = s sqrt((X + s x)/(2X)).  Down, X = Y - 1/2: f = sqrt(Y - s y).
+    Either way f = s <1/2 s/2, Y y|X x>, times sqrt(2Y + 1) when down.  n
+    is never 0 where the column y exists.
     """
+    pairs = [(x, s) for x in X.projections() for s in (1, -1)]
     if X.twice > Y.twice:
-        return sqrt_of_rational(Fraction(X.twice + s * x, 2 * X.twice)), s < 0
-    return sqrt_of_rational(Fraction(Y.twice - s * (x - s), 2)), False
+        return 2 * X.twice, {(x, s): s * X.twice + x for x, s in pairs}
+    return 2, {(x, s): Y.twice - s * x + 1 for x, s in pairs}
 
 
 def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> Coeff:
     """The closed-form entry formula of the block, rows (p,q) of (P,Q) and columns of (R,S).
 
     Family (dp, dq) has t * f(P, R, p, dp) * f(Q, S, q, dq), negated on V-.
+    The one-spin factor tables are formed once per block.  Since
+    sqrt(x1) sqrt(x2) = sqrt(x1 x2) and each table has one denominator, an
+    entry is fixed by the signed product of two table numerators: each
+    distinct one is one square root times t, and every entry equal to it is
+    that one object.
     """
+    den1, left = _one_spin(P, R)
+    den2, right = _one_spin(Q, S)
+    den = den1 * den2
+    values: dict[int, RadicalScalar] = {}
 
     def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
-        f1, neg1 = _one_spin(P, R, p, dp)
-        f2, neg2 = _one_spin(Q, S, q, dq)
-        value = f1 * f2 * t
-        return -value if neg1 ^ neg2 ^ (dp == dq < 0) else value
+        key = left[p, dp] * right[q, dq]
+        if dp == dq < 0:
+            key = -key
+        value = values.get(key)
+        if value is None:
+            root = sqrt_of_rational(Fraction(abs(key), den))
+            value = values[key] = (root if key > 0 else -root) * t
+        return value
 
     return coeff
 

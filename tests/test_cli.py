@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poincarerep import cli, matrix
@@ -733,6 +733,8 @@ class TestFuzz:
             ).map("+".join),
         )
     )
+    # "--t12=--" reaches the command as an empty list on Python 3.11.
+    @example(text="--")
     @settings(max_examples=80, deadline=None)
     def test_gen_literals(self, text):
         with tempfile.TemporaryDirectory() as tmp:

@@ -62,7 +62,7 @@ EQUIV_DIGESTS = {
 }
 
 # sha256 of the `gen --spins S --source R --block B` bundle, keyed "S/R/B";
-# the last one is at the dressed parameters DRESSED.
+# the keys ending in /dressed are at the dressed parameters DRESSED.
 LARGE_BUNDLE_DIGESTS = {
     "8,8,7,7/closed-form/both": "04a5da13069c124566e3044890916779dcaa24f42060ddf5e3c3e443ca237c5c",
     "8,8,7,7/closed-form/keep12": "489a98fdfa8a6af1fc026cf0be0bf875f9c416962fb059a0747948926a4175ba",
@@ -74,6 +74,8 @@ LARGE_BUNDLE_DIGESTS = {
     "8,8,7,7/clebsch-gordan/keep12": "08cba5d9d954211512760b67d4ef5755473c2c6ef8637860801fdbcffe956170",
     "8,8,7,7/clebsch-gordan/keep21": "e95a5ac8606d39413b6a8afc214f40e8ce429f22626c52cd84eee5368a0ed8b7",
     "4,5,5,4/closed-form/both/dressed": "9aa0e829508d7126913131b53d8759b0910a7a8049a956600b03088c16a05aa9",
+    "4,5,5,4/clebsch-gordan/keep12/dressed": "e482a13ff86b8353e3968cfbd4371ca7f50e9f17aa31525c771b94210c57c510",
+    "4,5,5,4/recursion/keep21/dressed": "11631e41131003c24232df82a7c7fef55d1055d46fd44d1983a9a1322c7f0fae",
 }
 
 SOURCES = ("closed-form", "recursion", "clebsch-gordan")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from oracles import block, conjugate_transpose, free_params, from_blocks, racah_cg_signed_square, spin
 
+from poincarerep import matrix
 from poincarerep.bundle import SOURCES, vectors_from_source
 from poincarerep.generators import direct_sum, ladder_coeff_s
 from poincarerep.matrix import Matrix, change_basis
@@ -94,9 +95,10 @@ class TestClosedForm:
                     sign, square = racah_cg_signed_square(1, s, tY, tx - s, tX, tx)
                     if tX < tY:
                         square *= tY + 1
-                    magnitude, negative = _one_spin(spin(tX), spin(tY), tx, s)
-                    assert magnitude == sqrt_of_rational(square)
-                    assert (-1 if negative else 1) == s * sign
+                    den, table = _one_spin(spin(tX), spin(tY))
+                    signed = table[tx, s]
+                    assert Fraction(abs(signed), den) == square
+                    assert (-1 if signed < 0 else 1) == s * sign
                     cases += 1
         assert cases == 242
 
@@ -333,6 +335,46 @@ class TestPatternBlock:
                 f_plus + f_minus,
                 f_plus - f_minus,
             ), (A, B, C, D)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_rows_are_written_in_stored_form(self, source):
+        # The families are built from rows unchecked, so the placer itself
+        # must drop the zero entries of a block whose parameter is 0.
+        dressed = RadicalScalar.from_terms([(6, Fraction(3, 4), 0), (10, 0, Fraction(2, 5))])
+        # Row irreps (1,1), (1/2,1/2), (3/2,1) and (1,3/2): integer, half-integer and mixed spins.
+        quads = [(2, 2, 1, 1), (1, 1, 2, 2), (3, 2, 2, 1), (2, 3, 3, 4)]
+        one_block = (free_params(0, dressed), free_params(dressed, 0))
+        for quad, params in itertools.product(quads, one_block):
+            vec = vectors_from_source(source, tuple(spin(t) for t in quad), params)
+            assert any(not fam.is_zero() for fam in vec.families), (quad, params)
+            for fam in vec.families:
+                assert all(fam._rows.values()), (quad, params)
+                assert all(v for row in fam._rows.values() for v in row.values()), (quad, params)
+                entries = {(i, j): value for i, j, value in fam.nonzero_items()}
+                assert fam == Matrix.from_entries(fam.rows, fam.cols, entries), (quad, params)
+            zero = block(vec, "12" if params.t12 == 0 else "21")
+            assert all(part.is_zero() for part in zero), (quad, params)
+
+    @pytest.mark.parametrize("source", ["closed-form", "clebsch-gordan"])
+    def test_equal_entries_are_one_object(self, source, monkeypatch):
+        # Each distinct product is scaled once and shared, so the Cartesian
+        # view maps each distinct value of each family once.
+        params = free_params(
+            RadicalScalar.from_terms([(6, Fraction(3, 4), 0), (10, 0, Fraction(2, 5))]),
+            RadicalScalar.from_terms([(3, Fraction(-5, 7), 0), (14, 0, Fraction(1, 3))]),
+        )
+        vec = vectors_from_source(source, tuple(spin(t) for t in (4, 5, 5, 4)), params)
+        distinct = 0
+        for fam in vec.families:
+            values = [value for _, _, value in fam.nonzero_items()]
+            by_integers = {(v._den, tuple(sorted(v._num.items()))) for v in values}
+            assert len({id(v) for v in values}) == len(by_integers) < len(values)
+            distinct += len(by_integers)
+        calls = []
+        map_cell = matrix._map_cell
+        monkeypatch.setattr(matrix, "_map_cell", lambda *args: calls.append(1) or map_cell(*args))
+        change_basis(FAMILY_INVERSE, vec.families)
+        assert len(calls) == distinct
 
 
 class TestFromBlocks:
