@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable
 
 from .cg import cg_vector_matrices
-from .generators import GeneratorSet
+from .generators import GeneratorSet, cartesian_generators
 from .matrix import Matrix
 from .radical import RadicalScalar
 from .spins import Spin, SpinPair
@@ -134,11 +134,16 @@ class MatrixBundle:
     cartesian: tuple[Matrix, ...]  # in MATRIX_KEYS order
 
     @classmethod
-    def of(cls, source: str, generators: GeneratorSet, vectors: VectorSet) -> "MatrixBundle":
-        """The bundle of a built representation, holding the vector set's block."""
+    def of(cls, source: str, vectors: VectorSet) -> "MatrixBundle":
+        """The bundle of a built vector set, holding its block.
+
+        Every bundle's generators are the standard ones of its spins, so J
+        and K are placed by ``cartesian_generators`` and V by
+        ``VectorSet.cartesian``; neither takes a basis change.
+        """
         return cls(
             source, vectors.spins, vectors.block, vectors.params,
-            (*generators.J, *generators.K, *vectors.components()),
+            (*cartesian_generators(*vectors.spins), *vectors.cartesian),
         )
 
     @property

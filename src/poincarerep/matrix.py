@@ -4,8 +4,10 @@ A Matrix is an immutable value: ``Matrix(rows, cols)`` is the zero matrix
 and ``Matrix.from_entries`` is the only public way to give one entries.
 ``Matrix._from_rows`` takes rows its caller has already formed in the
 stored form (nonzero values at positions inside the shape), unchecked;
-``Matrix.window``, ``change_basis``, the kernel, the bundle loader and
-``vectors.pattern_vectors`` use it.  Nothing changes a matrix after it is made.  Entries are held
+``Matrix.window``, ``change_basis``, the kernel and its row-by-row
+``first_nonzero_of_sum``, the bundle loader, ``vectors.pattern_vectors``,
+``VectorSet.cartesian`` and ``generators.cartesian_generators`` use it.
+Nothing changes a matrix after it is made.  Entries are held
 sparsely (zeros dropped) so products of the very sparse spin matrices
 stay cheap, but the interface is an ordinary rows x cols matrix and
 serialization emits the full row-major grid.
@@ -24,6 +26,9 @@ rounded.
 
 A basis change (``change_basis``: each output a fixed linear combination
 of the same input matrices) runs outside the kernel, cell by cell.  The
+two ``from_cartesian`` constructors call it, as ``verify --in`` reads a
+bundle, and so does ``GeneratorSet.cartesian`` for the probes and
+hand-built sets; ``gen`` writes its matrices without one.  The
 inputs' values at one position are mapped through the whole table as one
 exact integer sum per output, over the lcm of that cell's own
 denominators only, and each distinct tuple of values is mapped once.
@@ -237,6 +242,32 @@ def linear_combination(terms: Sequence[tuple[RadicalScalar | RationalLike, Matri
     for _, z in terms:
         first._same_shape(z)
     return _combine(first.rows, first.cols, multiples=[(1, c, z) for c, z in terms])
+
+
+def first_nonzero_of_sum(
+    terms: Sequence[tuple[RadicalScalar | RationalLike, Matrix]]
+) -> tuple[int, int, RadicalScalar] | None:
+    """``linear_combination(terms).first_nonzero()``, formed one row at a time.
+
+    The terms' rows are summed through the kernel in ascending row order,
+    each as a one-row matrix, and the scan stops at the first row whose sum
+    is nonzero, so no row below it is formed.
+    """
+    if not terms:
+        raise ValueError("a linear combination needs at least one term")
+    first = terms[0][1]
+    for _, z in terms:
+        first._same_shape(z)
+    cols = first.cols
+    for i in sorted({i for _, z in terms for i in z._rows}):
+        row = _combine(1, cols, multiples=[
+            (1, c, Matrix._from_rows(1, cols, {0: z._rows[i]})) for c, z in terms if i in z._rows
+        ])
+        if row._rows:
+            cells = row._rows[0]
+            j = min(cells)
+            return i, j, cells[j]
+    return None
 
 
 def change_basis(

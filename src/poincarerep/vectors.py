@@ -2,7 +2,9 @@
 
 A ``VectorSet`` stores the paper's four families of each off-diagonal
 block: V+- = (V_x +- iV_y)/2 and F+- = (V_z +- V_t)/2.  The Cartesian
-V_x, V_y, V_z, V_t are a view formed from them through ``FAMILY_INVERSE``.
+V_x, V_y, V_z, V_t are a view written out from them row by row, as
+``FAMILY_INVERSE`` gives them: each cell is 1, -1, i or -i times one
+family entry, so the view takes no basis change.
 
 Two independent construction routes are provided and must agree exactly:
 
@@ -27,9 +29,10 @@ writes the entries of both off-diagonal blocks straight into the rows of
 the four n x n families, skipping zeros.  The closed-form and
 Clebsch-Gordan routes keep their factor tables and product memos for one
 route call, and each block of a set they generate holds each distinct
-value as one object, so ``change_basis`` maps each once.  Each route
-states only its 12-block; ``_block_pair`` applies the selection rule and
-gives the 21-block's formula by exchanging the roles of the two irreps.
+value as one object, so the Cartesian view negates or turns each once.
+Each route states only its 12-block; ``_block_pair`` applies the
+selection rule and gives the 21-block's formula by exchanging the roles
+of the two irreps.
 A momentum set keeps one block's rectangle of each family in place
 (``momentum.momentum_from_vectors``).
 
@@ -101,20 +104,34 @@ COMPONENTS = ("x", "y", "z", "t")
 # with V+- = (V_x +- iV_y)/2 and F+- = (V_z +- V_t)/2.  Row k of FAMILY
 # gives family k as a sum over V, and row mu of FAMILY_INVERSE gives V_mu
 # back: V_x = V+ + V-, V_y = -i(V+ - V-), V_z = F+ + F-, V_t = F+ - F-.
+# _UNITS states those signs once: V_mu = u+ P + u- M with (u+, u-) its
+# row, (P, M) = (V+, V-) for V_x, V_y and (F+, F-) for V_z, V_t.
 FAMILY = gaussian_table([[1, 1j, 0, 0], [1, -1j, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]], 2)
-FAMILY_INVERSE = gaussian_table([[1, 1, 0, 0], [-1j, 1j, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]])
+_UNITS = ((1, 1), (-1j, 1j), (1, 1), (1, -1))
+FAMILY_INVERSE = gaussian_table(
+    [[*units, 0, 0] if k < 2 else [0, 0, *units] for k, units in enumerate(_UNITS)]
+)
+
+
+def _times_unit(value: RadicalScalar, unit: complex) -> RadicalScalar:
+    """unit * value for a unit 1, -1, i or -i, by negation and ``times_i`` alone."""
+    if unit == 1:
+        return value
+    if unit == -1:
+        return -value
+    value = value.times_i()
+    return value if unit == 1j else -value
 
 
 def cartesian_entry(block: Block, k: int, row: int, col: int) -> RadicalScalar:
     """Row k of FAMILY_INVERSE applied to a block's families at one cell: V_x ... V_t (k = 0 ... 3).
 
-    The signs are those of FAMILY_INVERSE, written out so that one cell costs
-    one sum and no table multiplications.
+    u+ P + u- M is u+ (P +- M), since u- = +-u+: one sum and no table
+    multiplications per cell.
     """
+    plus_unit, minus_unit = _UNITS[k]
     plus, minus = (fam.get(row, col) for fam in (block[:2] if k < 2 else block[2:]))
-    if k == 1:
-        return (minus - plus).times_i()
-    return plus - minus if k == 3 else plus + minus
+    return _times_unit(plus + minus if minus_unit == plus_unit else plus - minus, plus_unit)
 
 
 # Which off-diagonal blocks a set holds: both, or only the 12- or 21-block
@@ -126,7 +143,9 @@ BLOCKS = ("both", "keep12", "keep21")
 class VectorSet:
     """Vector matrices as the families (V+, V-, F+, F-), with their construction metadata.
 
-    The Cartesian V_x, V_y, V_z, V_t are a view formed from the families.
+    The Cartesian V_x, V_y, V_z, V_t are a view written out from the
+    families with no basis change; ``from_cartesian`` forms the families of
+    given V_mu by ``change_basis``.
     ``block`` is one of BLOCKS: "both" for a full vector set, and "keep12"
     or "keep21" for a momentum set, so callers cannot confuse the two.
     """
@@ -163,8 +182,46 @@ class VectorSet:
 
     @cached_property
     def cartesian(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-        """(V_x, V_y, V_z, V_t), formed on first use and kept."""
-        return change_basis(FAMILY_INVERSE, self.families)
+        """(V_x, V_y, V_z, V_t): FAMILY_INVERSE written out row by row on first use, and kept.
+
+        V_mu = u+ P + u- M with each unit 1, -1, i or -i (``_UNITS``), so a
+        cell that one family of the pair holds is its entry times that unit,
+        with no basis change.  V_x and V_z hold the family objects
+        themselves, and each distinct entry is negated or turned by i once,
+        memoised by identity.  A cell that both families hold, which only a
+        set formed from edited Cartesian matrices has, is their exact sum.
+        """
+        n = self.dimension
+        scaled: dict[tuple[int, complex], RadicalScalar] = {}
+
+        def times(value: RadicalScalar, unit: complex) -> RadicalScalar:
+            if unit == 1:
+                return value
+            key = (id(value), unit)
+            out = scaled.get(key)
+            if out is None:
+                out = scaled[key] = _times_unit(value, unit)
+            return out
+
+        components = []
+        for k, (plus_unit, minus_unit) in enumerate(_UNITS):
+            plus, minus = self.families[:2] if k < 2 else self.families[2:]
+            rows = {
+                i: {j: times(v, plus_unit) for j, v in row.items()}
+                for i, row in plus._rows.items()
+            }
+            for i, row in minus._rows.items():
+                out = rows.setdefault(i, {})
+                for j, v in row.items():
+                    v = times(v, minus_unit)
+                    if j in out:
+                        v = out.pop(j) + v
+                    if v:
+                        out[j] = v
+                if not out:
+                    del rows[i]
+            components.append(Matrix._from_rows(n, n, rows))
+        return tuple(components)
 
     def components(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         return self.cartesian

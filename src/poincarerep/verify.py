@@ -12,8 +12,9 @@ at import every rule family is restated by bilinearity: one ``commutator``
 call per new-basis pair, 45 in all, each against a right-hand side of at
 most one term, and each Cartesian residual as an exact combination of
 those 45 residuals.  A rule holds when every residual in its combination
-is zero; otherwise its residual is formed in one kernel call, the same
-exact matrix as [X, Y] - rhs, so its first nonzero entry is the same.  A
+is zero; otherwise its residual, the same exact matrix as [X, Y] - rhs,
+is formed through the kernel one row at a time in ascending order, up to
+its first nonzero row, which holds the same first nonzero entry.  A
 ``GeneratorSet`` holds its spin basis and a ``VectorSet`` its families,
 each placed directly or, for a loaded bundle, formed from its Cartesian
 matrices when the bundle's ``generators`` or ``vectors`` is first read.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from .bundle import SOURCES, scalar_to_json, vectors_from_source
 from .cg import RatioFit, equivalence_ratio
 from .generators import SPIN_BASIS, SPIN_BASIS_INVERSE, GeneratorSet, block_sum, irrep_generators
-from .matrix import Matrix, commutator, linear_combination
+from .matrix import Matrix, commutator, first_nonzero_of_sum
 from .momentum import momentum_from_vectors
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar
 from .spins import Spin, SpinPair
@@ -214,7 +215,10 @@ _TRANSLATIONS = _family(_translation_rules(), _FAMILY, _FAMILY)
 
 
 def _check(family: _Family, left: tuple[Matrix, ...], right: tuple[Matrix, ...]) -> list[RuleReport]:
-    """One commutator per pair of the family's bases; a rule's residual is formed only if nonzero."""
+    """One commutator per pair of the family's bases.
+
+    A failing rule's residual is formed only up to its first nonzero row.
+    """
     residuals = [
         commutator(left[a], right[b], [(c, right[m]) for c, m in rhs])
         for a, b, rhs in family.pairs
@@ -222,7 +226,7 @@ def _check(family: _Family, left: tuple[Matrix, ...], right: tuple[Matrix, ...])
     reports = []
     for rule_id, support in family.rules:
         terms = [(c, residuals[k]) for c, k in support if not residuals[k].is_zero()]
-        nz = linear_combination(terms).first_nonzero() if terms else None
+        nz = first_nonzero_of_sum(terms) if terms else None
         reports.append(RuleReport(rule_id, nz is None, nz))
     return reports
 

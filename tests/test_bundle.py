@@ -27,7 +27,6 @@ from poincarerep.bundle import (
     vectors_from_source,
 )
 from poincarerep.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import momentum_from_vectors
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
@@ -45,8 +44,7 @@ def _make_bundle(block="both"):
     vec = closed_form_vectors(*spins, params)
     if block != "both":
         vec = momentum_from_vectors(vec, block)
-    gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
-    return MatrixBundle.of("closed-form", gen, vec)
+    return MatrixBundle.of("closed-form", vec)
 
 
 def test_scalar_terms_sorted_and_exact():
@@ -188,8 +186,7 @@ def test_metadata_is_read_off_the_vectors(block):
     vec = closed_form_vectors(*spins, params)
     if block != "both":
         vec = momentum_from_vectors(vec, block)
-    gen = direct_sum(SpinPair(spins[0], spins[1]), SpinPair(spins[2], spins[3]))
-    bundle = MatrixBundle.of("recursion", gen, vec)
+    bundle = MatrixBundle.of("recursion", vec)
     assert bundle.spins == (2, 1, 1, 2)
     assert bundle.case is vec.case is CaseTag.CASE_2
     assert bundle.params is vec.params
@@ -204,11 +201,10 @@ def test_a_no_solution_bundle_with_zero_vectors_loads(tmp_path):
     # the one no-solution representation that loads: all 45 rules hold on
     # it, and it exports back byte for byte.
     pairs = (SpinPair(spin(2), spin(0)), SpinPair(spin(0), spin(0)))
-    gen = direct_sum(*pairs)
-    zero = Matrix.zeros(gen.dimension)
+    zero = Matrix.zeros(pairs[0].dimension + pairs[1].dimension)
     vec = VectorSet(pairs, FreeParams(ZERO, ZERO), (zero,) * 4)
     path, report, dup = (str(tmp_path / name) for name in ("n.json", "r.json", "e.json"))
-    save_bundle(MatrixBundle.of("closed-form", gen, vec), path)
+    save_bundle(MatrixBundle.of("closed-form", vec), path)
     assert json.loads(Path(path).read_text())["caseTag"] == "nosolution"
     loaded = load_bundle(path)
     assert loaded.case is CaseTag.NO_SOLUTION and loaded.vectors.families == (zero,) * 4
@@ -256,8 +252,7 @@ def _generated(quad, source, block, params):
     vec = vectors_from_source(source, spins, params)
     if block != "both":
         vec = momentum_from_vectors(vec, block)
-    gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
-    return MatrixBundle.of(source, gen, vec)
+    return MatrixBundle.of(source, vec)
 
 
 @given(

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poincarerep import cli, matrix
-from poincarerep.bundle import load_bundle
+from poincarerep.bundle import SOURCES, load_bundle
 from poincarerep.cli import (
     EXIT_BAD_INPUT,
     EXIT_NO_SOLUTION,
@@ -30,6 +31,7 @@ from poincarerep.cli import (
     parse_spins,
 )
 from poincarerep.radical import I_UNIT, ONE, RadicalScalar, normalize_radical, sqrt_of_rational
+from poincarerep.vectors import BLOCKS
 
 from oracles import is_prime_below_2_41, reference_bundle_dict
 
@@ -742,3 +744,71 @@ class TestFuzz:
             code, err, seconds = _run(["gen", "--spins", "1,0,0,1", f"--t12={text}", "--out", out])
         assert code in (EXIT_OK, EXIT_BAD_INPUT)
         _assert_clean_exit(code, err, seconds)
+
+
+class TestGenWritesWithoutABasisChange:
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_gen_never_calls_change_basis(self, source, tmp_path, monkeypatch):
+        # J and K are written out from each irrep's ladders and V from its
+        # families, so gen runs with change_basis refused under every name.
+        original = matrix.change_basis
+
+        def refuse(*args):
+            raise AssertionError("change_basis called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("poincarerep") and vars(module).get("change_basis") is original:
+                monkeypatch.setattr(module, "change_basis", refuse)
+        for block in BLOCKS:
+            out = tmp_path / f"{block}.json"
+            argv = ["gen", "--spins", "3,2,2,1", "--source", source, "--block", block,
+                    "--t12=3/4*sqrt(6)+2/5*i*sqrt(10)", "--t21=-5/7*sqrt(3)", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+        # The refusal is live: verify --in forms the loaded bundle's bases.
+        with pytest.raises(AssertionError, match="change_basis called"):
+            main(["verify", "--in", str(out), "--out", str(tmp_path / "r.json")])
+
+
+class TestDigitLimit:
+    """Integers past the 4300 digits CPython converts to text by default."""
+
+    def test_a_residual_past_the_limit_is_written(self, tmp_path):
+        # 3**8500 has 4056 digits, so the parser takes it; the six PP
+        # residuals of a both bundle hold t12 * t21, of about 8100 digits.
+        with cli._unlimited_int_digits():
+            literal = str(3**8500)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        bundle, report = tmp_path / "g.json", tmp_path / "r.json"
+        gen = ["gen", "--spins", "1,1,0,0", f"--t12={literal}", f"--t21={literal}",
+               "--out", str(bundle)]
+        assert _run(gen)[:2] == (EXIT_OK, "")
+        code, err, seconds = _run(["verify", "--in", str(bundle), "--out", str(report)])
+        assert (code, err) == (EXIT_RULE_FAILURE, "")
+        assert seconds < FUZZ_SECONDS
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with cli._unlimited_int_digits():
+            rules = json.loads(report.read_text())["rules"]
+            failing = [rule for rule in rules if not rule["holds"]]
+            assert [rule["ruleId"] for rule in failing] == [
+                "PP.xy", "PP.xz", "PP.xt", "PP.yz", "PP.yt", "PP.zt"
+            ]
+            digits = max(
+                len(str(abs(n)))
+                for rule in failing
+                for term in rule["firstViolation"]["residual"]
+                for n in term["re"] + term["im"]
+            )
+        assert digits > 4300
+
+    def test_a_ratio_past_the_limit_is_written(self, tmp_path):
+        with cli._unlimited_int_digits():
+            literal = str(3**8500)
+        out = tmp_path / "e.json"
+        argv = ["equiv", "--spins", "1,1,0,0", f"--t12={literal}", f"--lambda12=1/{literal}",
+                "--out", str(out)]
+        code, err, seconds = _run(argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert seconds < FUZZ_SECONDS
+        with cli._unlimited_int_digits():
+            ratio = json.loads(out.read_text())["ratio12"]["terms"]
+            assert len(str(ratio[0]["re"][0])) > 4300

@@ -8,6 +8,7 @@ from oracles import conjugate_transpose, spin
 
 from poincarerep.generators import (
     GeneratorSet,
+    cartesian_generators,
     direct_sum,
     irrep_generators,
     ladder_coeff_r,
@@ -171,3 +172,34 @@ class TestFromCartesian:
         g = direct_sum(SpinPair(spin(1), spin(1)), SpinPair(spin(0), spin(0)))
         with pytest.raises(ValueError, match="a generator set holds 6 spin-basis matrices, not 5"):
             GeneratorSet(g.spins, g.spin_basis[:5])
+
+
+class TestCartesianPlacement:
+    """J and K written out from each irrep's ladders are the change_basis view of the spin basis."""
+
+    IRREPS = [SpinPair(spin(ta), spin(tb)) for ta, tb in itertools.product(range(9), repeat=2)]
+
+    def test_every_irrep_up_to_doubled_spin_8_in_either_block(self):
+        # Each irrep, integer and half-integer, as the first block and as the
+        # second, beside a neighbour of another size, so both offsets are met.
+        for p, q in zip(self.IRREPS, self.IRREPS[1:] + self.IRREPS[:1]):
+            for p1, p2 in ((p, q), (q, p)):
+                placed = cartesian_generators(p1, p2)
+                assert placed == direct_sum(p1, p2).cartesian, (p1, p2)
+                # Written unchecked: no empty row and no zero entry.
+                for m in placed:
+                    assert all(row and all(row.values()) for row in m._rows.values())
+
+    def test_equal_values_are_one_object(self):
+        placed = cartesian_generators(SpinPair(spin(8), spin(7)), SpinPair(spin(7), spin(8)))
+        values = [v for m in placed for _, _, v in m.nonzero_items()]
+        by_integers = {(v._den, tuple(sorted(v._num.items()))) for v in values}
+        assert len({id(v) for v in values}) == len(by_integers) < len(values)
+
+    def test_values_are_built_without_a_multiplication(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("RadicalScalar.__mul__ called")
+
+        monkeypatch.setattr(RadicalScalar, "__mul__", refuse)
+        monkeypatch.setattr(RadicalScalar, "__rmul__", refuse)
+        cartesian_generators(SpinPair(spin(5), spin(4)), SpinPair(spin(4), spin(3)))

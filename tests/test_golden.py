@@ -23,10 +23,9 @@ from pathlib import Path
 
 from poincarerep.bundle import MatrixBundle, vectors_from_source
 from poincarerep.cli import main
-from poincarerep.generators import direct_sum
 from poincarerep.momentum import momentum_from_vectors
 from poincarerep.radical import ONE, RadicalScalar
-from poincarerep.spins import Spin, SpinPair
+from poincarerep.spins import Spin
 from poincarerep.vectors import CaseTag, FreeParams, classify_case
 
 DATA = Path(__file__).parent / "data" / "golden_bundles.json"
@@ -102,13 +101,12 @@ def digests(bound, params):
         spins = tuple(Spin(t) for t in quad)
         if classify_case(*spins) is CaseTag.NO_SOLUTION:
             continue
-        gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
         label = ",".join(str(t) for t in quad)
         for source in SOURCES:
             full = vectors_from_source(source, spins, params)
             for block in BLOCKS:
                 vec = full if block == "both" else momentum_from_vectors(full, block)
-                bundle = MatrixBundle.of(source, gen, vec)
+                bundle = MatrixBundle.of(source, vec)
                 text = bundle.dumps().encode("utf-8")
                 out[f"{label}/{source}/{block}"] = hashlib.sha256(text).hexdigest()
     return out

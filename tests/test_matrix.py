@@ -18,7 +18,14 @@ from oracles import (
 )
 from poincarerep import matrix
 from poincarerep.generators import SPIN_BASIS, SPIN_BASIS_INVERSE, direct_sum
-from poincarerep.matrix import Matrix, anticommutator, change_basis, commutator, linear_combination
+from poincarerep.matrix import (
+    Matrix,
+    anticommutator,
+    change_basis,
+    commutator,
+    first_nonzero_of_sum,
+    linear_combination,
+)
 from poincarerep.radical import ONE, ZERO, RadicalScalar
 from poincarerep.spins import SpinPair
 from poincarerep.vectors import FAMILY, FAMILY_INVERSE, closed_form_vectors
@@ -278,6 +285,28 @@ def test_a_linear_combination_of_no_terms_is_refused():
     # An empty sum has no shape; before, terms[0] raised IndexError.
     with pytest.raises(ValueError, match="at least one term"):
         linear_combination([])
+    with pytest.raises(ValueError, match="at least one term"):
+        first_nonzero_of_sum([])
+
+
+@st.composite
+def cancelling_sums(draw):
+    """1-4 terms c * Z of one shape, often with the top rows of the first term cancelled."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    terms = draw(st.lists(st.tuples(_factors, matrices(rows, cols)), min_size=1, max_size=4))
+    c, z = terms[0]
+    cut = draw(st.integers(0, rows))
+    if cut:
+        terms.append((-c, z.window(0, cut, 0, cols)))
+    return terms
+
+
+@given(cancelling_sums())
+@settings(max_examples=60, deadline=None)
+def test_first_nonzero_of_sum_is_that_of_the_whole_sum(terms):
+    # Summed row by row up to the first nonzero row, as a failing rule's
+    # residual is, it finds the entry the whole combination's first_nonzero finds.
+    assert first_nonzero_of_sum(terms) == linear_combination(terms).first_nonzero()
 
 
 def test_hand_cancellation_across_radicands():

@@ -7,7 +7,6 @@ import pytest
 from oracles import block, conjugate_transpose, free_params, from_blocks, spin
 
 from poincarerep.bundle import SOURCES, MatrixBundle, load_bundle, save_bundle, vectors_from_source
-from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import (
     momentum_from_vectors,
@@ -134,7 +133,7 @@ def test_momentum_set_is_its_block_placed_alone(source, tmp_path):
         if classify_case(*spins) is CaseTag.NO_SOLUTION:
             continue
         vec = vectors_from_source(source, spins, params)
-        save_bundle(MatrixBundle.of(source, direct_sum(*vec.spins), vec), path)
+        save_bundle(MatrixBundle.of(source, vec), path)
         loaded = load_bundle(path).vectors
         n1, n = vec.block1_dim, vec.dimension
         plus, *rest = vec.families

@@ -468,3 +468,46 @@ class TestFromCartesian:
                     (want,) = change_basis(FAMILY_INVERSE[k : k + 1], block)
                     for row, col in itertools.product(range(n), repeat=2):
                         assert cartesian_entry(block, k, row, col) == want.get(row, col), (q, source, k)
+
+
+DRESSED = FreeParams(
+    RadicalScalar.from_terms([(6, Fraction(3, 4), 0), (10, 0, Fraction(2, 5))]),
+    RadicalScalar.from_terms([(3, Fraction(-5, 7), 0), (14, 0, Fraction(1, 3))]),
+)
+
+
+class TestCartesianView:
+    """``VectorSet.cartesian`` writes FAMILY_INVERSE out row by row, with no basis change."""
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("kept", BLOCKS)
+    def test_it_is_the_basis_change_of_the_families(self, source, kept):
+        for params in (UNIT, DRESSED):
+            for q in [(2, 2, 1, 1), (3, 2, 2, 1), (2, 3, 3, 4), (4, 5, 5, 4)]:
+                full = vectors_from_source(source, tuple(spin(t) for t in q), params)
+                vec = full if kept == "both" else momentum_from_vectors(full, kept)
+                assert vec.cartesian == change_basis(FAMILY_INVERSE, vec.families), (q, params)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_v_x_and_v_z_hold_the_family_objects(self, source):
+        vec = vectors_from_source(source, (spin(4), spin(5), spin(5), spin(4)), DRESSED)
+        vx, vy, vz, vt = vec.cartesian
+        for comp, pair in ((vx, vec.families[:2]), (vz, vec.families[2:])):
+            held = {id(v) for fam in pair for _, _, v in fam.nonzero_items()}
+            assert comp.nnz() == sum(fam.nnz() for fam in pair)
+            assert {id(v) for _, _, v in comp.nonzero_items()} == held
+        # Each entry object is negated or turned by i once per family.
+        for comp, pair in ((vy, vec.families[:2]), (vt, vec.families[2:])):
+            entries = {(k, id(v)) for k, fam in enumerate(pair) for _, _, v in fam.nonzero_items()}
+            assert len({id(v) for _, _, v in comp.nonzero_items()}) == len(entries)
+
+    def test_a_cell_both_families_hold_is_their_exact_sum(self):
+        # Only a set formed from edited Cartesian matrices has such cells.  With
+        # V- = V+, V_y cancels everywhere; with F- = F+ + F-, V_t cancels at
+        # every cell of F+ and keeps those of F-.
+        vec = closed_form_vectors(spin(3), spin(2), spin(2), spin(1), DRESSED)
+        plus, _, f_plus, f_minus = vec.families
+        edited = VectorSet(vec.spins, vec.params, (plus, plus, f_plus, f_plus + f_minus))
+        assert edited.cartesian == change_basis(FAMILY_INVERSE, edited.families)
+        assert edited.cartesian[1].is_zero()
+        assert edited.cartesian[3] == -f_minus
