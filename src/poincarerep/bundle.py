@@ -8,12 +8,20 @@ row-major entry lists.  Every entry is a list of terms
 
 sorted by d ascending, so equal values serialize identically and the
 canonical dump (sorted keys, no whitespace) is byte-reproducible.
+
+The canonical text is what ``json.dumps`` gives with sorted keys and no
+whitespace, but the matrices never pass through ``json``: ``_scalar_text``
+formats a value's terms straight from its integers, and ``dumps`` writes
+each run of zero cells whole.  The loader reads such a text back cell by
+cell with one fixed pattern and proves each cell is the text the writer
+writes of the value it reads; any other text goes through ``json.loads``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,7 +30,7 @@ from typing import Callable
 from .cg import cg_vector_matrices
 from .generators import GeneratorSet, cartesian_generators
 from .matrix import Matrix
-from .radical import RadicalScalar
+from .radical import RadicalScalar, _make, normalize_radical
 from .spins import Spin, SpinPair
 from .vectors import (
     BLOCKS,
@@ -177,27 +185,47 @@ class MatrixBundle:
         """The canonical text: what ``json.dumps`` gives with sorted keys and
         no whitespace, plus a newline, written directly.
 
-        A bundle is mostly zero cells and repeats few values, so each matrix
-        is its literal ``[]`` cells with only the nonzero ones filled in, and
-        equal values share one encoding.  ``tests/oracles.py`` holds the dict
-        this text encodes, and the tests compare the two byte for byte.
+        A bundle is mostly zero cells and repeats few values.  So each
+        matrix is written from its nonzero cells, sorted by row-major
+        position, each cell with the comma before it: a run of k zero cells
+        between them is written whole as ``",[]"*k``, and each distinct
+        value is formatted once by ``_scalar_text``.  The first cell's comma
+        is then dropped, and the pieces are joined once.
+        ``tests/oracles.py`` holds the dict this text encodes, and the tests
+        compare the two byte for byte.
         """
-        # Keyed on a value's integers, not on the value, whose hash builds a
-        # Fraction for a rational value.  A value whose terms are stored in
-        # another order is encoded again, to the same text.
-        encoded: dict[tuple, str] = {}
+        # A value's cell text is looked up by the value's id first: the
+        # matrices share their entry objects, and every one lives while this
+        # runs.  An id not seen yet falls back to the value's integers, not
+        # to the value, whose hash builds a Fraction for a rational value.  A
+        # value whose terms are stored in another order is formatted again,
+        # to the same text.
+        by_id: dict[int, str] = {}
+        by_key: dict[tuple, str] = {}
 
         def matrix_text(mat: Matrix) -> str:
-            cols = mat.cols
-            cells = ["[]"] * (mat.rows * cols)
+            cols, cells = mat.cols, []  # (row-major position, "," + text) of each nonzero cell
             for i, row in mat._rows.items():
                 for j, value in row.items():
-                    key = (value._den, tuple(value._num.items()))
-                    text = encoded.get(key)
-                    if text is None:
-                        text = encoded[key] = _scalar_text(value)
-                    cells[i * cols + j] = text
-            return "[" + ",".join(cells) + "]"
+                    cell = by_id.get(id(value))
+                    if cell is None:
+                        key = (value._den, tuple(value._num.items()))
+                        cell = by_key.get(key)
+                        if cell is None:
+                            cell = by_key[key] = "," + _scalar_text(value)
+                        by_id[id(value)] = cell
+                    cells.append((i * cols + j, cell))
+            cells.sort()
+            pieces, done = ["["], 0  # done: the cells written so far
+            for pos, cell in cells:
+                pieces.append(",[]"*(pos - done))
+                pieces.append(cell)
+                done = pos + 1
+            pieces.append(",[]"*(mat.rows * cols - done))
+            first = 1 if pieces[1] else 2  # the first cell has no comma before it
+            pieces[first] = pieces[first][1:]
+            pieces.append("]")
+            return "".join(pieces)
 
         return self._text(matrix_text)
 
@@ -225,7 +253,49 @@ def _compact(value) -> str:
 
 
 def _scalar_text(value: RadicalScalar) -> str:
-    return _compact(scalar_to_json(value))
+    """``_compact(scalar_to_json(value))``, formatted straight from the integers.
+
+    Each term is ``{"d":D,"im":[n,m],"re":[n,m]}``, in ascending d, with each
+    fraction brought to lowest terms by one gcd; an integer past Python's
+    digit limit raises the ValueError ``json.dumps`` raises.
+    """
+    den, gcd, terms = value._den, math.gcd, []
+    for d, (real, imag) in sorted(value._num.items()):
+        g, h = gcd(real, den), gcd(imag, den)
+        terms.append(f'{{"d":{d},"im":[{imag // h},{den // h}],"re":[{real // g},{den // g}]}}')
+    return "[" + ",".join(terms) + "]"
+
+
+# One term as the writer writes it, its five integers captured in text order.
+_TERM = re.compile(r'\{"d":([0-9]+),"im":\[(-?[0-9]+),([0-9]+)\],"re":\[(-?[0-9]+),([0-9]+)\]\}')
+
+
+def _cell_value(text: str) -> RadicalScalar:
+    """The nonzero value whose ``_scalar_text`` is ``text``; ValueError if there is none.
+
+    The terms are read with ``_TERM`` and summed as ``from_terms`` sums
+    them, each radicand through ``normalize_radical``; the text is then
+    proved to be the writer's text of the sum.  So a leading zero, ``-0``, a
+    fraction not in lowest terms, a radicand that is not squarefree, keys
+    out of order or anything between the terms makes a miss, as does an
+    integer past Python's digit limit, which ``int`` refuses.
+    """
+    terms = [tuple(map(int, t)) for t in _TERM.findall(text)]
+    den = 1
+    for _, _, iq, _, rq in terms:
+        if not (iq and rq):
+            raise ValueError("a zero denominator")
+        den = math.lcm(den, iq, rq)
+    acc: dict[int, tuple[int, int]] = {}
+    for d, in_, iq, rn, rq in terms:
+        out, core = normalize_radical(d)
+        real, imag = rn * out * (den // rq), in_ * out * (den // iq)
+        prev = acc.get(core)
+        acc[core] = (real, imag) if prev is None else (prev[0] + real, prev[1] + imag)
+    value = _make(acc, den)
+    if value.is_zero() or _scalar_text(value) != text:
+        raise ValueError("a cell not as the writer writes it")
+    return value
 
 
 def _object(fields: dict[str, str]) -> str:
@@ -310,7 +380,8 @@ def _canonical_bundle(text: str) -> MatrixBundle | None:
     again.  A text that passes holds exactly the JSON tree of the result,
     so it decodes to what the fallback would return.  Every step is one
     forward scan (``str.find`` and ``str.count`` from a position that only
-    grows), so any text is read in linear time.
+    grows, and ``_TERM`` within one cell, where a term fails within its
+    digits), so any text is read in linear time.
     """
     scanned = _matrix_spans(text)
     if scanned is None:
@@ -357,40 +428,40 @@ def _span_matrix(span: str, n: int, decoded: dict[str, RadicalScalar]) -> Matrix
     """The n x n matrix the writer writes as ``span``; ValueError if there is none.
 
     The writer gives ``"[" + ",".join(cells) + "]"`` of n * n cells: ``[]``
-    for zero, else the canonical text of a nonzero value.  So the span's
-    inside, with a ``,`` put after it, must be each cell followed by ``,``.
-    A run of k empty cells must be ``"[],"*k``: its length is tested to be
-    3k, and ``str.count`` must then find k ``[],`` in it, which tile it.
-    Each distinct nonempty cell text is decoded once, kept in ``decoded``
-    (text to value), and must be the writer's text of a nonzero value.
+    for zero, else the canonical text of a nonzero value, which ends in
+    ``}]`` and holds no ``}],``.  So the span's inside, with a ``,`` put
+    after it, must be a run of empty cells, a nonzero cell and its ``,``,
+    over and over, and then a last run: each nonzero cell starts one
+    character before the first ``{`` after the run before it (an empty
+    cell holds none) and ends at the next ``}],``.
+    A run of k empty cells must be ``"[],"*k``: ``str.count`` must find k
+    ``[],`` in its 3k characters, which they then tile.  Each distinct
+    nonempty cell text is decoded once by ``_cell_value``, without ``json``
+    or ``Fraction``, and kept in ``decoded`` (text to value); it must be the
+    writer's text of a nonzero value.
     """
     if not (span.startswith("[") and span.endswith("]")):
         raise ValueError("a matrix must be a JSON array")
     body = span[1:-1] + ","
     rows: dict[int, dict[int, RadicalScalar]] = {}
-    index, pos = 0, 0
-    while True:
-        cell = body.find("[{", pos)
-        stop = len(body) if cell < 0 else cell
-        if (stop - pos) % 3 or body.count("[],", pos, stop) * 3 != stop - pos:
+    index = pos = 0
+    while (brace := body.find("{", pos)) >= 0:
+        cell, end = brace - 1, body.find("}],", brace)
+        if end < 0 or body.count("[],", pos, cell) * 3 != cell - pos:
             raise ValueError("empty cells not as the writer writes them")
-        index += (stop - pos) // 3
-        if cell < 0:
-            break
-        pos = body.find("}],", cell) + 3
-        if pos < 3:
-            raise ValueError("unterminated cell")
-        terms = body[cell:pos - 1]
+        index += (cell - pos) // 3
+        terms = body[cell:end]
         value = decoded.get(terms)
         if value is None:
-            value = scalar_from_json(json.loads(terms))
-            if value.is_zero() or _scalar_text(value) != terms:
-                raise ValueError("a cell not as the writer writes it")
-            decoded[terms] = value
+            value = decoded[terms] = _cell_value(terms + "}]")
         i, j = divmod(index, n)
         rows.setdefault(i, {})[j] = value
         index += 1
-    if index != n * n:
+        pos = end + 3
+    rest = len(body) - pos
+    if body.count("[],", pos) * 3 != rest:
+        raise ValueError("empty cells not as the writer writes them")
+    if index + rest // 3 != n * n:
         raise ValueError(f"expected {n * n} cells")
     return Matrix._from_rows(n, n, rows)
 
@@ -420,5 +491,11 @@ def load_bundle(path: str) -> MatrixBundle:
 
 
 def save_bundle(bundle: MatrixBundle, path: str) -> None:
+    """Write ``bundle.dumps()`` to ``path``.
+
+    The text is formed before the file is opened, so a ValueError from an
+    integer past Python's digit limit leaves the file as it was.
+    """
+    text = bundle.dumps()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(bundle.dumps())
+        fh.write(text)

@@ -162,6 +162,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         save_bundle(bundle, args.out)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc
+    except ValueError:
+        # A literal near the limit times a radical or a coefficient of the
+        # route can give an entry more digits than the loader would read.
+        raise CliError(
+            f"cannot write {args.out}: a matrix entry holds an integer of more than"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) from None
     sys.stdout.write(
         f"wrote {bundle.dimension}x{bundle.dimension} bundle ({bundle.case.value}, "
         f"source={args.source}, block={args.block}) to {args.out}\n"

@@ -44,17 +44,20 @@ def rotation_rep(spin: Spin) -> tuple[Matrix, Matrix, Matrix]:
 
     Position idx holds the idx-th projection m (doubled), descending by one
     unit per position, so M+ has r_m at (idx - 1, idx) and M- has s_m at
-    (idx + 1, idx); Mz is diagonal with the projection values.
+    (idx + 1, idx); Mz is diagonal with the projection values.  r_m is
+    nonzero below the top of the ladder and s_m above its bottom, so the
+    only zero cell left out is Mz's at m = 0.
     """
     n = spin.multiplicity
     mplus, mminus, mz = {}, {}, {}
     for idx, m in enumerate(spin.projections()):
-        mz[idx, idx] = Fraction(m, 2)
+        if m:
+            mz[idx] = {idx: RadicalScalar.from_rational(Fraction(m, 2))}
         if idx > 0:
-            mplus[idx - 1, idx] = ladder_coeff_r(spin, m)
+            mplus[idx - 1] = {idx: ladder_coeff_r(spin, m)}
         if idx < n - 1:
-            mminus[idx + 1, idx] = ladder_coeff_s(spin, m)
-    return tuple(Matrix.from_entries(n, n, m) for m in (mplus, mminus, mz))
+            mminus[idx + 1] = {idx: ladder_coeff_s(spin, m)}
+    return tuple(Matrix._from_rows(n, n, rows) for rows in (mplus, mminus, mz))
 
 
 def _kron(left, right) -> list[list]:
@@ -119,8 +122,10 @@ def irrep_generators(pair: SpinPair) -> GeneratorSet:
     """
     n, nb = pair.dimension, pair.right.multiplicity
     outer = (
-        Matrix.from_entries(n, n, {
-            (i * nb + k, j * nb + k): v for i, j, v in m.nonzero_items() for k in range(nb)
+        Matrix._from_rows(n, n, {
+            i * nb + k: {j * nb + k: v for j, v in row.items()}
+            for i, row in m._rows.items()
+            for k in range(nb)
         })
         for m in rotation_rep(pair.left)
     )

@@ -4,9 +4,11 @@ A Matrix is an immutable value: ``Matrix(rows, cols)`` is the zero matrix
 and ``Matrix.from_entries`` is the only public way to give one entries.
 ``Matrix._from_rows`` takes rows its caller has already formed in the
 stored form (nonzero values at positions inside the shape), unchecked;
-``Matrix.window``, ``change_basis``, the kernel and its row-by-row
-``first_nonzero_of_sum``, the bundle loader, ``vectors.pattern_vectors``,
-``VectorSet.cartesian`` and ``generators.cartesian_generators`` use it.
+``Matrix.window``, ``place``, ``change_basis``, the kernel and its
+row-by-row ``first_nonzero_of_sum``, the bundle loader,
+``vectors.pattern_vectors``, ``VectorSet.cartesian`` and the generator
+builders (``rotation_rep``, ``irrep_generators``,
+``cartesian_generators``) use it.
 Nothing changes a matrix after it is made.  Entries are held
 sparsely (zeros dropped) so products of the very sparse spin matrices
 stay cheap, but the interface is an ordinary rows x cols matrix and
@@ -200,13 +202,22 @@ class Matrix:
 
 
 def place(rows: int, cols: int, parts: Iterable[tuple[Matrix, int, int]]) -> Matrix:
-    """The rows x cols matrix holding each part with its (0, 0) entry at (r0, c0)."""
-    return Matrix.from_entries(rows, cols, {
-        (r0 + i, c0 + j): v
-        for part, r0, c0 in parts
-        for i, row in part._rows.items()
-        for j, v in row.items()
-    })
+    """The rows x cols matrix holding each part with its (0, 0) entry at (r0, c0).
+
+    Each part's extent is checked once: IndexError if it does not lie
+    inside the shape.  Where parts overlap, a later one's entries win.
+    """
+    out: dict[int, dict[int, RadicalScalar]] = {}
+    for part, r0, c0 in parts:
+        if not (0 <= r0 and r0 + part.rows <= rows and 0 <= c0 and c0 + part.cols <= cols):
+            raise IndexError(
+                f"a {part.rows}x{part.cols} part at ({r0},{c0}) outside {rows}x{cols} matrix"
+            )
+        for i, row in part._rows.items():
+            target = out.setdefault(r0 + i, {})
+            for j, v in row.items():
+                target[c0 + j] = v
+    return Matrix._from_rows(rows, cols, out)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:

@@ -5,15 +5,16 @@ import gc
 import itertools
 import json
 import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarerep import bundle
+from poincarerep import bundle, cli
 from poincarerep.bundle import (
     MATRIX_KEYS,
     SOURCES,
@@ -296,6 +297,59 @@ def test_dumps_matches_the_reference_encoder_on_edited_bundles(quad, data, t12, 
     assert edited.dumps() == _reference_text(edited)
 
 
+# Coefficients for the formatter: zero, small, negative, and integers on both
+# sides of the 4300 digits CPython writes as text by default.  A big one is
+# drawn as (a, e, b, f) and formed in the test, so that no drawn value needs
+# such an integer written out to be shown.
+_big_coefficients = st.tuples(
+    st.integers(-9, 9), st.sampled_from([0, 4290, 4299, 4300, 4301]),
+    st.integers(1, 9), st.sampled_from([0, 4299, 4300, 4301]),
+)
+
+
+def _big_coefficient(a, e, b, f):
+    return Fraction(a * (10**e - 7), b * (10**f + 3))
+
+
+_text_coefficients = st.one_of(st.just(0), _coefficients, _big_coefficients)
+_text_terms = st.lists(st.tuples(_radicands, _text_coefficients, _text_coefficients), max_size=4)
+
+
+def _text_outcome(write):
+    """The text ``write`` gives, or the type and message of its ValueError."""
+    try:
+        return write()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(terms=_text_terms)
+# A multi-term value with 4300-digit integers, which both write, and one
+# with a 4301-digit denominator, which both refuse.
+@example(terms=[(3, (1, 4300, 7, 0), 0), (2, -5, Fraction(1, 9))])
+@example(terms=[(1, (-1, 0, 1, 4300), 1), (6, 0, -2)])
+@settings(max_examples=150, deadline=None)
+def test_the_direct_formatter_writes_what_the_json_encoder_writes(terms):
+    value = RadicalScalar.from_terms(
+        (d, *(_big_coefficient(*c) if isinstance(c, tuple) else c for c in parts))
+        for d, *parts in terms
+    )
+
+    def reference():
+        return bundle._compact(scalar_to_json(value))
+
+    with cli._unlimited_int_digits():
+        text = reference()
+        assert bundle._scalar_text(value) == text
+        digits = max((len(n) for n in re.findall(r"[0-9]+", text)), default=0)
+    # Under the interpreter's own limit both write the same text, or both
+    # refuse an integer past it with the same ValueError.
+    written = _text_outcome(lambda: bundle._scalar_text(value))
+    assert written == _text_outcome(reference)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert isinstance(written, tuple) == (0 < limit < digits)
+
+
 # -- the canonical fast path against the json.loads path ----------------------
 
 
@@ -462,10 +516,22 @@ HALF = '[{"d":1,"im":[0,1],"re":[1,2]}]'  # the first J_z cell in _make_bundle()
     (HALF, '[{"d":3,"im":[0,1],"re":[1,1]},{"d":1,"im":[0,1],"re":[1,2]}]'),  # d out of order
     (HALF, '[{"d":1, "im":[0,1],"re":[1,2]}]'),  # a space inside a cell
     (HALF, '[{"d":1,"im":[0,1],"re":[0,1]}]'),  # a nonempty cell whose value is zero
+    (HALF, '[{"d":1,"im":[0,1],"re":[01,2]}]'),  # a leading zero, which JSON refuses
+    (HALF, '[{"d":1,"im":[-0,1],"re":[1,2]}]'),  # -0, which JSON reads as 0
+    (HALF, '[{"d":1,"im":[0,0],"re":[1,2]}]'),  # a zero denominator
+    (HALF, '[{"d":1,"im":[0,1],"re":[-1,-2]}]'),  # a negative denominator, of the same value
+    (HALF, '[{"d":4,"im":[0,1],"re":[1,4]}]'),  # a radicand not squarefree, of the same value
+    (HALF, '[{"d":1,"re":[1,2],"im":[0,1]}]'),  # re written before im
+    (HALF, '[{"d":1,"im":[0,1],"re":[1,2],"x":0}]'),  # an extra key, which json.loads ignores
+    (HALF, '[{"d":1,"im":[0,1],"re":[1,' + "3" * 4301 + ']}]'),  # past the digit limit
     ("[],[],", "[][],,"),  # two empty cells respelled at the same length
     ("[],", ""),  # one cell too few
     ('"spins":', '"spins": '),  # a space outside the matrices
-], ids=["unreduced", "unsorted", "spaced", "zero", "gap", "dropped", "header"])
+], ids=[
+    "unreduced", "unsorted", "spaced", "zero", "leading-zero", "minus-zero", "zero-denominator",
+    "negative-denominator", "square-radicand", "re-first", "extra-key", "digit-limit", "gap",
+    "dropped", "header",
+])
 def test_a_text_the_writer_would_not_write_takes_the_json_loads_path(old, new):
     text = _make_bundle().dumps()
     assert text.startswith('"Jz":[' + HALF, text.index('"Jz":'))

@@ -745,6 +745,56 @@ class TestFuzz:
         assert code in (EXIT_OK, EXIT_BAD_INPUT)
         _assert_clean_exit(code, err, seconds)
 
+    # Terms at the limits the parser sets: literals of about 4300 digits, on
+    # both sides of Python's limit, and radicands just below 2**40 and at it.
+    CHAIN_TERMS = st.tuples(
+        st.sampled_from(["", "-"]),
+        st.sampled_from(["2", "3/4", "9" * 4299, "9" * 4300, "1/" + "7" * 4300, "9" * 4301]),
+        st.sampled_from(["", "*i"]),
+        st.sampled_from(["", "", "*sqrt(6)", "*sqrt(1099511627773)", "*sqrt(1099511627775)",
+                         "*sqrt(1099511627776)"]),
+    ).map("".join)
+
+    @given(
+        spins=st.sampled_from(["1,0,0,1", "1,1,0,0", "3,2,2,1"]),
+        source=st.sampled_from(SOURCES),
+        block=st.sampled_from(BLOCKS),
+        t12=st.lists(CHAIN_TERMS, min_size=1, max_size=2).map("+".join),
+        t21=st.lists(CHAIN_TERMS, min_size=1, max_size=2).map("+".join),
+        lam=st.sampled_from(["1", "-2/3", "7" * 4300, "i*sqrt(1099511627775)"]),
+    )
+    # A 4300-digit literal times a radical near 2**40 gives an entry past the
+    # digit limit; gen once raised the writer's ValueError with a traceback.
+    @example(spins="3,2,2,1", source="closed-form", block="both",
+             t12="9" * 4300 + "*sqrt(1099511627775)", t21="1", lam="1")
+    @settings(max_examples=40, deadline=None)
+    def test_the_command_chain_at_the_limits(self, spins, source, block, t12, t21, lam):
+        # gen, verify --in, equiv and export, each ending with exit 0, 1 or 3
+        # and, on 3, one error: line.
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle, report, fit, exported = (str(Path(tmp) / name) for name in "brex")
+            steps = [
+                ["gen", "--spins", spins, "--source", source, "--block", block,
+                 f"--t12={t12}", f"--t21={t21}", "--out", bundle],
+                ["verify", "--in", bundle, "--out", report],
+                ["equiv", "--spins", spins, f"--t12={t12}", f"--t21={t21}", f"--lambda12={lam}",
+                 "--out", fit],
+                ["export", "--in", bundle, "--format", "exact-json", "--out", exported],
+                ["export", "--in", bundle, "--format", "float-json"],
+                ["export", "--in", bundle, "--format", "plain"],
+            ]
+            codes = []
+            for argv in steps:
+                code, err, seconds = _run(argv)
+                assert code in (EXIT_OK, EXIT_RULE_FAILURE, EXIT_BAD_INPUT), (argv[0], code)
+                assert "Traceback" not in err
+                _assert_clean_exit(code, err, seconds)
+                codes.append(code)
+            if codes[0] == EXIT_OK:
+                assert Path(exported).read_bytes() == Path(bundle).read_bytes()
+            else:
+                assert not Path(bundle).exists()
+
 
 class TestGenWritesWithoutABasisChange:
     @pytest.mark.parametrize("source", SOURCES)

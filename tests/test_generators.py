@@ -15,7 +15,7 @@ from poincarerep.generators import (
     ladder_coeff_s,
     rotation_rep,
 )
-from poincarerep.matrix import Matrix
+from poincarerep.matrix import Matrix, place
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import SpinPair
 from poincarerep.verify import check_lorentz
@@ -203,3 +203,76 @@ class TestCartesianPlacement:
         monkeypatch.setattr(RadicalScalar, "__mul__", refuse)
         monkeypatch.setattr(RadicalScalar, "__rmul__", refuse)
         cartesian_generators(SpinPair(spin(5), spin(4)), SpinPair(spin(4), spin(3)))
+
+
+def _checked_rotation_rep(s):
+    """rotation_rep built through the checked Matrix.from_entries."""
+    n = s.multiplicity
+    mplus, mminus, mz = {}, {}, {}
+    for idx, m in enumerate(s.projections()):
+        mz[idx, idx] = Fraction(m, 2)
+        if idx > 0:
+            mplus[idx - 1, idx] = ladder_coeff_r(s, m)
+        if idx < n - 1:
+            mminus[idx + 1, idx] = ladder_coeff_s(s, m)
+    return tuple(Matrix.from_entries(n, n, m) for m in (mplus, mminus, mz))
+
+
+def _checked_irrep_basis(pair):
+    """irrep_generators(pair).spin_basis built entry by entry through from_entries."""
+    n, na, nb = pair.dimension, pair.left.multiplicity, pair.right.multiplicity
+    outer = [
+        Matrix.from_entries(n, n, {
+            (i * nb + k, j * nb + k): v for i, j, v in m.nonzero_items() for k in range(nb)
+        })
+        for m in _checked_rotation_rep(pair.left)
+    ]
+    inner = [
+        Matrix.from_entries(n, n, {
+            (a * nb + i, a * nb + j): v for i, j, v in m.nonzero_items() for a in range(na)
+        })
+        for m in _checked_rotation_rep(pair.right)
+    ]
+    return tuple(outer + inner)
+
+
+class TestUncheckedConstruction:
+    """The generators are built through Matrix._from_rows, as from_entries would build them."""
+
+    IRREPS = [SpinPair(spin(ta), spin(tb)) for ta, tb in itertools.product(range(9), repeat=2)]
+
+    @staticmethod
+    def _stored_form(m):
+        # Equal stored rows mean no zero entry and no empty row was kept.
+        return all(row and all(row.values()) for row in m._rows.values())
+
+    def test_rotation_reps_up_to_doubled_spin_8(self):
+        for twice in range(9):
+            built = rotation_rep(spin(twice))
+            assert built == _checked_rotation_rep(spin(twice)), twice
+            assert all(self._stored_form(m) for m in built)
+
+    def test_every_irrep_up_to_doubled_spin_8(self):
+        for pair in self.IRREPS:
+            basis = irrep_generators(pair).spin_basis
+            assert basis == _checked_irrep_basis(pair), pair
+            assert all(self._stored_form(m) for m in basis)
+
+    def test_direct_sums_place_each_irrep_on_its_block(self):
+        for p1, p2 in zip(self.IRREPS, self.IRREPS[1:] + self.IRREPS[:1]):
+            n1, n = p1.dimension, p1.dimension + p2.dimension
+            expected = [
+                Matrix.from_entries(n, n, {
+                    **{(i, j): v for i, j, v in a.nonzero_items()},
+                    **{(n1 + i, n1 + j): v for i, j, v in b.nonzero_items()},
+                })
+                for a, b in zip(_checked_irrep_basis(p1), _checked_irrep_basis(p2))
+            ]
+            assert list(direct_sum(p1, p2).spin_basis) == expected, (p1, p2)
+
+    def test_a_part_outside_the_shape_is_refused(self):
+        part = Matrix.identity(2)
+        for r0, c0 in ((2, 0), (0, 2), (-1, 0), (0, -1), (3, 3)):
+            with pytest.raises(IndexError, match="outside 3x3 matrix"):
+                place(3, 3, [(part, r0, c0)])
+        assert place(3, 3, [(part, 1, 1)]) == Matrix.from_entries(3, 3, {(1, 1): ONE, (2, 2): ONE})
