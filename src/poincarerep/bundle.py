@@ -11,10 +11,19 @@ canonical dump (sorted keys, no whitespace) is byte-reproducible.
 
 The canonical text is what ``json.dumps`` gives with sorted keys and no
 whitespace, but the matrices never pass through ``json``: ``_scalar_text``
-formats a value's terms straight from its integers, and ``dumps`` writes
-each run of zero cells whole.  The loader reads such a text back cell by
-cell with one fixed pattern and proves each cell is the text the writer
-writes of the value it reads; any other text goes through ``json.loads``.
+formats a value's terms straight from its integers, ``dumps`` writes each
+run of zero cells whole, and the pieces of the whole text are joined once.
+The loader reads such a text back cell by cell with one fixed pattern and
+proves each cell is the text the writer writes of the value it reads; any
+other text goes through ``json.loads``.
+
+The paper starts from the standard J and K of the spins, and only V (or P)
+is solved for.  So a ``MatrixBundle`` holds J and K only when its file's
+differ from the standard ones.  ``generator_texts`` writes the standard
+J and K as text, row by row from the one-spin ladder tables; ``dumps``
+writes that text, and the fast loader compares each J and K span with it,
+so string equality proves those six spans and they are never parsed.  A
+file with edited J or K is read as before and holds them.
 """
 
 from __future__ import annotations
@@ -28,7 +37,9 @@ from functools import cached_property
 from typing import Callable
 
 from .cg import cg_vector_matrices
-from .generators import GeneratorSet, cartesian_generators
+from .generators import (
+    _DIAGONAL, _LADDER_PLACES, _LADDERS, GeneratorSet, direct_sum, rotation_rep,
+)
 from .matrix import Matrix
 from .radical import RadicalScalar, _make, normalize_radical
 from .spins import Spin, SpinPair
@@ -130,29 +141,32 @@ class MatrixBundle:
     """One generated representation as its file holds it: the route, the
     spins, the block choice, the parameters and the ten Cartesian matrices.
 
-    The generators and the vectors in the paper's bases are formed from the
-    matrices when first read, so a command that only writes the matrices
-    out forms neither.
+    The paper starts from the standard J and K of the spins, so a bundle
+    holds V always but J and K only when they are not the standard ones
+    (``JK`` is None otherwise, as for every bundle ``gen`` writes); both
+    loaders read a file whose J and K are the standard ones that way.  Its
+    J and K in the file are then ``generator_texts`` of the spins, and
+    ``cartesian`` reads them from that text on first use.  The generators
+    and the vectors in the paper's bases are formed when first read, so a
+    command that only writes the matrices out forms neither.
     """
 
     source: str  # one of SOURCES
     pairs: tuple[SpinPair, SpinPair]
     block: str  # one of BLOCKS
     params: FreeParams
-    cartesian: tuple[Matrix, ...]  # in MATRIX_KEYS order
+    V: tuple[Matrix, ...]  # (Vx, Vy, Vz, Vt)
+    JK: tuple[Matrix, ...] | None = None  # (Jx, Jy, Jz, Kx, Ky, Kz); None for the standard ones
 
     @classmethod
     def of(cls, source: str, vectors: VectorSet) -> "MatrixBundle":
         """The bundle of a built vector set, holding its block.
 
-        Every bundle's generators are the standard ones of its spins, so J
-        and K are placed by ``cartesian_generators`` and V by
-        ``VectorSet.cartesian``; neither takes a basis change.
+        Every route's generators are the standard ones of its spins, so the
+        bundle holds only V, placed by ``VectorSet.cartesian`` with no basis
+        change.
         """
-        return cls(
-            source, vectors.spins, vectors.block, vectors.params,
-            (*cartesian_generators(*vectors.spins), *vectors.cartesian),
-        )
+        return cls(source, vectors.spins, vectors.block, vectors.params, vectors.cartesian)
 
     @property
     def spins(self) -> tuple[int, int, int, int]:
@@ -167,15 +181,24 @@ class MatrixBundle:
 
     @property
     def dimension(self) -> int:
-        return self.cartesian[0].rows
+        return self.V[0].rows
+
+    @cached_property
+    def cartesian(self) -> tuple[Matrix, ...]:
+        """The ten matrices in MATRIX_KEYS order; standard J and K are read from their text."""
+        if self.JK is not None:
+            return self.JK + self.V
+        return standard_generators(self.pairs) + self.V
 
     @cached_property
     def generators(self) -> GeneratorSet:
-        return GeneratorSet.from_cartesian(self.pairs, self.cartesian[:3], self.cartesian[3:6])
+        if self.JK is None:
+            return direct_sum(*self.pairs)
+        return GeneratorSet.from_cartesian(self.pairs, self.JK[:3], self.JK[3:])
 
     @cached_property
     def vectors(self) -> VectorSet:
-        return VectorSet.from_cartesian(self.pairs, self.params, self.cartesian[6:], self.block)
+        return VectorSet.from_cartesian(self.pairs, self.params, self.V, self.block)
 
     def matrices(self) -> dict[str, Matrix]:
         """The ten matrices keyed by MATRIX_KEYS, in that order, in a new dict."""
@@ -185,67 +208,223 @@ class MatrixBundle:
         """The canonical text: what ``json.dumps`` gives with sorted keys and
         no whitespace, plus a newline, written directly.
 
-        A bundle is mostly zero cells and repeats few values.  So each
-        matrix is written from its nonzero cells, sorted by row-major
-        position, each cell with the comma before it: a run of k zero cells
-        between them is written whole as ``",[]"*k``, and each distinct
-        value is formatted once by ``_scalar_text``.  The first cell's comma
-        is then dropped, and the pieces are joined once.
+        Standard J and K are written by ``_generator_pieces`` from the
+        one-spin tables, and every matrix the bundle holds by
+        ``_matrix_pieces``; the pieces of the whole text are joined once.
         ``tests/oracles.py`` holds the dict this text encodes, and the tests
         compare the two byte for byte.
         """
-        # A value's cell text is looked up by the value's id first: the
-        # matrices share their entry objects, and every one lives while this
-        # runs.  An id not seen yet falls back to the value's integers, not
-        # to the value, whose hash builds a Fraction for a rational value.  A
-        # value whose terms are stored in another order is formatted again,
-        # to the same text.
         by_id: dict[int, str] = {}
         by_key: dict[tuple, str] = {}
+        runs: dict[int, str] = {}
 
-        def matrix_text(mat: Matrix) -> str:
-            cols, cells = mat.cols, []  # (row-major position, "," + text) of each nonzero cell
-            for i, row in mat._rows.items():
-                for j, value in row.items():
-                    cell = by_id.get(id(value))
-                    if cell is None:
-                        key = (value._den, tuple(value._num.items()))
-                        cell = by_key.get(key)
-                        if cell is None:
-                            cell = by_key[key] = "," + _scalar_text(value)
-                        by_id[id(value)] = cell
-                    cells.append((i * cols + j, cell))
-            cells.sort()
-            pieces, done = ["["], 0  # done: the cells written so far
-            for pos, cell in cells:
-                pieces.append(",[]"*(pos - done))
-                pieces.append(cell)
-                done = pos + 1
-            pieces.append(",[]"*(mat.rows * cols - done))
-            first = 1 if pieces[1] else 2  # the first cell has no comma before it
-            pieces[first] = pieces[first][1:]
-            pieces.append("]")
-            return "".join(pieces)
+        def written(mats: tuple[Matrix, ...]) -> list[list[str]]:
+            return [_matrix_pieces(mat, by_id, by_key, runs) for mat in mats]
 
-        return self._text(matrix_text)
+        jk = _generator_pieces(*self.pairs) if self.JK is None else written(self.JK)
+        return self._text(jk + written(self.V))
 
-    def _text(self, matrix_text: Callable[[Matrix], str]) -> str:
-        """The canonical text with each matrix written by ``matrix_text``."""
-        return _object({
-            "block": _compact(self.block),
-            "caseTag": _compact(self.case.value),
-            "dimension": _compact(self.dimension),
-            "layout": _compact(LAYOUT_NOTE),
-            "matrices": _object({
-                key: matrix_text(mat) for key, mat in zip(MATRIX_KEYS, self.cartesian)
-            }),
+    def _text(self, matrices: list[list[str]]) -> str:
+        """The canonical text, matrices[k] the pieces of the text of MATRIX_KEYS[k]."""
+        pieces = _object({
+            "block": [_compact(self.block)],
+            "caseTag": [_compact(self.case.value)],
+            "dimension": [_compact(self.dimension)],
+            "layout": [_compact(LAYOUT_NOTE)],
+            "matrices": _object(dict(zip(MATRIX_KEYS, matrices))),
             "params": _object({
-                "t12": _scalar_text(self.params.t12), "t21": _scalar_text(self.params.t21)
+                "t12": [_scalar_text(self.params.t12)], "t21": [_scalar_text(self.params.t21)]
             }),
-            "schemaVersion": _compact(SCHEMA_VERSION),
-            "source": _compact(self.source),
-            "spins": _compact(list(self.spins)),
-        }) + "\n"
+            "schemaVersion": [_compact(SCHEMA_VERSION)],
+            "source": [_compact(self.source)],
+            "spins": [_compact(list(self.spins))],
+        })
+        pieces.append("\n")
+        return "".join(pieces)
+
+
+def _matrix_pieces(
+    mat: Matrix, by_id: dict[int, str], by_key: dict[tuple, str], runs: dict[int, str]
+) -> list[str]:
+    """The pieces of the canonical text of ``mat``, joined by the caller.
+
+    A bundle is mostly zero cells and repeats few values.  So the matrix is
+    written from its nonzero cells, sorted by row-major position, and each
+    distinct value is formatted once by ``_scalar_text``; ``_cell_pieces``
+    puts the runs of zero cells between them.
+
+    A value's cell text is looked up by the value's id first (``by_id``):
+    the matrices of one bundle share their entry objects, and every one
+    lives while the caller writes.  An id not seen yet falls back to the
+    value's integers (``by_key``), not to the value, whose hash builds a
+    Fraction for a rational value.  A value whose terms are stored in
+    another order is formatted again, to the same text.
+    """
+    cols, cells = mat.cols, []  # (row-major position, "," + text) of each nonzero cell
+    for i, row in mat._rows.items():
+        for j, value in row.items():
+            cell = by_id.get(id(value))
+            if cell is None:
+                key = (value._den, tuple(value._num.items()))
+                cell = by_key.get(key)
+                if cell is None:
+                    cell = by_key[key] = "," + _scalar_text(value)
+                by_id[id(value)] = cell
+            cells.append((i * cols + j, cell))
+    cells.sort()
+    runs_before = _empty_runs([pos for pos, _ in cells], mat.rows * cols, runs)
+    return _cell_pieces(runs_before, [cell for _, cell in cells])
+
+
+def _empty_runs(positions: list[int], total: int, runs: dict[int, str]) -> list[str]:
+    """The run of empty cells before each nonempty cell, at ``positions``
+    in ascending order, and the run after the last, of ``total`` cells.
+
+    A run of k empty cells is written whole as ``",[]"*k``, each with the
+    comma before it, and made once per k (kept in ``runs``).
+    """
+    out, done = [], 0  # done: the cells written so far
+    for pos in positions + [total]:
+        k = pos - done
+        run = runs.get(k)
+        if run is None:
+            run = runs[k] = ",[]" * k
+        out.append(run)
+        done = pos + 1
+    return out
+
+
+def _cell_pieces(runs_before: list[str], cells: list[str]) -> list[str]:
+    """The pieces of a matrix text: each run of ``_empty_runs`` and each
+    nonempty cell (``"," + text``) in turn, in brackets, with the first
+    comma dropped."""
+    pieces = ["["] * (2 * len(cells) + 2)
+    pieces[1::2] = runs_before
+    pieces[2::2] = cells
+    first = 1 if pieces[1] else 2
+    pieces[first] = pieces[first][1:]
+    pieces.append("]")
+    return pieces
+
+
+def matrix_text(mat: Matrix) -> str:
+    """The canonical text of one matrix, as ``dumps`` writes it."""
+    return "".join(_matrix_pieces(mat, {}, {}, {}))
+
+
+# The G_p the ladders enter: J_x, J_y, K_x and K_y.  Every ladder enters
+# all four, so their cells share one layout; J_z and K_z hold only the
+# diagonal.
+_OFF_DIAGONAL = sorted({p for _, units in _LADDERS for p, _, _ in units})
+
+
+def _generator_pieces(p1: SpinPair, p2: SpinPair) -> list[list[str]]:
+    """The text pieces of the standard (Jx, Jy, Jz, Kx, Ky, Kz) of p1 + p2.
+
+    Each is what ``_matrix_pieces`` gives of ``direct_sum(p1, p2).cartesian``,
+    written row by row in position order from ``rotation_rep`` of each spin,
+    with no Matrix, no sort and no basis change.  An off-diagonal cell of
+    G_p is one ladder entry r times (re + i im)/2 (``_LADDERS``), and within
+    a row of an irrep the ladders sit at fixed column steps from the
+    diagonal: -mult(B) (A-), -1 (B-), +1 (B+) and +mult(B) (A+).  So the
+    positions of the ladder cells, and the empty runs between them, are
+    found once and shared by the four G_p they enter, each of which then
+    only looks up its texts.  The diagonal is (on_a m_a + on_b m_b)/4 for
+    the doubled projections (``_DIAGONAL``).  Each distinct value is
+    formatted once by ``_scalar_text``.
+    """
+    n = p1.dimension + p2.dimension
+    texts: dict[tuple, str] = {}  # "," + the text of each value, keyed on its integers
+    runs: dict[int, str] = {}
+
+    def cell(num: dict[int, tuple[int, int]], den: int) -> str:
+        key = (den, tuple(num.items()))
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = "," + _scalar_text(_make(num, den))
+        return text
+
+    # columns[p][slot]: the texts of one ladder of one irrep in G_p, over
+    # the one-spin rows, None where the ladder has no entry; each ladder
+    # cell is (position, slot, one-spin row).  A spin's ladders, and the
+    # texts of one ladder times one coefficient, are made once.
+    columns: dict[int, list[list[str | None]]] = {p: [] for p in _OFF_DIAGONAL}
+    made: dict[tuple, list[str | None]] = {}
+    reps: dict[Spin, tuple[Matrix, ...]] = {}
+    positions: list[int] = []
+    slots: list[tuple[int, int]] = []
+    diagonal: dict[int, tuple[list[int], list[str]]] = {p: ([], []) for p, _, _ in _DIAGONAL}
+    quarters: dict[complex, str] = {}  # the text of z / 4
+    offset = 0
+    for pair in (p1, p2):
+        nb = pair.right.multiplicity
+        stencil = []  # (column step from the diagonal, on the outer index, slot, has an entry)
+        for a, units in _LADDERS:
+            outer, sign = _LADDER_PLACES[a]
+            spin = pair.left if outer else pair.right
+            if spin not in reps:
+                reps[spin] = rotation_rep(spin)
+            ladder = reps[spin][0 if sign > 0 else 1]._rows
+            entries = [
+                next(iter(ladder[idx].values())) if idx in ladder else None
+                for idx in range(spin.multiplicity)
+            ]
+            slot = len(columns[_OFF_DIAGONAL[0]])
+            for p, re, im in units:
+                key = (spin, sign, re, im)
+                if key not in made:
+                    made[key] = [
+                        None if r is None else cell(
+                            {d: (x * re - y * im, x * im + y * re) for d, (x, y) in r._num.items()},
+                            2 * r._den,
+                        )
+                        for r in entries
+                    ]
+                columns[p].append(made[key])
+            present = [r is not None for r in entries]
+            stencil.append((sign * nb if outer else sign, outer, slot, present))
+        stencil.sort(key=lambda s: s[0])
+        row = offset
+        for ia in range(pair.left.multiplicity):
+            for ib in range(nb):
+                at = row * (n + 1)  # the diagonal cell's position
+                for step, outer, slot, present in stencil:
+                    idx = ia if outer else ib
+                    if present[idx]:
+                        positions.append(at + step)
+                        slots.append((slot, idx))
+                row += 1
+        for p, on_a, on_b in _DIAGONAL:
+            at, cells = diagonal[p]
+            for row, (ma, mb) in enumerate(pair.basis(), offset):
+                if z := on_a * ma + on_b * mb:
+                    if z not in quarters:
+                        quarters[z] = cell({1: (int(z.real), int(z.imag))}, 4)
+                    at.append(row * (n + 1))
+                    cells.append(quarters[z])
+        offset += pair.dimension
+    shared = _empty_runs(positions, n * n, runs)
+    out = []
+    for p in range(6):
+        if p in columns:
+            column = columns[p]
+            out.append(_cell_pieces(shared, [column[slot][idx] for slot, idx in slots]))
+        else:
+            at, cells = diagonal[p]
+            out.append(_cell_pieces(_empty_runs(at, n * n, runs), cells))
+    return out
+
+
+def generator_texts(p1: SpinPair, p2: SpinPair) -> tuple[str, ...]:
+    """The canonical text of the standard (Jx, Jy, Jz, Kx, Ky, Kz) of p1 + p2."""
+    return tuple("".join(pieces) for pieces in _generator_pieces(p1, p2))
+
+
+def standard_generators(pairs: tuple[SpinPair, SpinPair]) -> tuple[Matrix, ...]:
+    """The standard (Jx, Jy, Jz, Kx, Ky, Kz) of the two irreps, read from their text."""
+    n = pairs[0].dimension + pairs[1].dimension
+    decoded: dict[str, RadicalScalar] = {}
+    return tuple(_span_matrix(text, n, decoded) for text in generator_texts(*pairs))
 
 
 def _compact(value) -> str:
@@ -298,32 +477,41 @@ def _cell_value(text: str) -> RadicalScalar:
     return value
 
 
-def _object(fields: dict[str, str]) -> str:
-    """The JSON object of already encoded values, keys in ``sort_keys`` order."""
-    return "{" + ",".join(f"{_compact(key)}:{fields[key]}" for key in sorted(fields)) + "}"
+def _object(fields: dict[str, list[str]]) -> list[str]:
+    """The pieces of the JSON object of values given as pieces, keys in ``sort_keys`` order."""
+    pieces = ["{"]
+    for k, key in enumerate(sorted(fields)):
+        pieces.append(f'{"," if k else ""}{_compact(key)}:')
+        pieces += fields[key]
+    pieces.append("}")
+    return pieces
 
 
 def bundle_from_json_dict(data: dict) -> MatrixBundle:
     """Decode a bundle, checking its metadata against its spins and matrices.
 
-    A malformed or inconsistent bundle raises ValueError (or KeyError).
+    A malformed or inconsistent bundle raises ValueError (or KeyError).  J
+    and K equal to the standard ones of the spins are not kept.
     """
-    return _checked_bundle(data, lambda matrices, n: tuple(
-        matrix_from_json(matrices[key], n, n) for key in MATRIX_KEYS
-    ))
+    def read(matrices: dict, n: int, pairs: tuple[SpinPair, SpinPair]):
+        mats = tuple(matrix_from_json(matrices[key], n, n) for key in MATRIX_KEYS)
+        jk = mats[:6]
+        return (None if jk == standard_generators(pairs) else jk), mats[6:]
+
+    return _checked_bundle(data, read)
 
 
-def _checked_bundle(
-    data: dict, read_matrices: Callable[[dict, int], tuple[Matrix, ...]]
-) -> MatrixBundle:
+def _checked_bundle(data: dict, read_matrices: Callable) -> MatrixBundle:
     """The bundle of a decoded JSON tree, after every check, in the order
     in which an error is reported.
 
-    ``read_matrices`` decodes ``data["matrices"]`` at dimension n, in
-    MATRIX_KEYS order; the fast loader passes one that reads the matrices
-    from the text instead.  The last check reads each off-diagonal block of
-    V_x, V_y, V_z, V_t: a block of the families is zero exactly when that
-    block of every V_mu is, since the families mix the V_mu cell by cell.
+    ``read_matrices(data["matrices"], n, pairs)`` decodes the matrices at
+    dimension n, in MATRIX_KEYS order, and gives (J and K, or None where
+    they are the standard ones of ``pairs``; V); the fast loader passes one
+    that reads the matrices from the text instead.  The last check reads
+    each off-diagonal block of V_x, V_y, V_z, V_t: a block of the families
+    is zero exactly when that block of every V_mu is, since the families
+    mix the V_mu cell by cell.
     """
     version = _expect(data, dict, "a bundle").get("schemaVersion")
     if type(version) is not int or version != SCHEMA_VERSION:
@@ -336,7 +524,7 @@ def _checked_bundle(
     n = _expect(data["dimension"], int, "dimension")
     if n != pairs[0].dimension + pairs[1].dimension:
         raise ValueError("dimension field inconsistent with spins")
-    mats = read_matrices(_expect(data["matrices"], dict, "matrices"), n)
+    jk, V = read_matrices(_expect(data["matrices"], dict, "matrices"), n, pairs)
     terms = _expect(data["params"], dict, "params")
     params = FreeParams(scalar_from_json(terms["t12"]), scalar_from_json(terms["t21"]))
     block, source = data["block"], data["source"]
@@ -344,12 +532,12 @@ def _checked_bundle(
         raise ValueError(f"block must be one of {', '.join(BLOCKS)}, not {block!r}")
     if source not in SOURCES:
         raise ValueError(f"source must be one of {', '.join(SOURCES)}, not {source!r}")
-    bundle = MatrixBundle(source, pairs, block, params, mats)
+    bundle = MatrixBundle(source, pairs, block, params, V, jk)
     if data["caseTag"] != bundle.case.value:
         raise ValueError(f"caseTag {data['caseTag']!r} disagrees with spins {list(spins)}")
     for which, param in (("12", params.t12), ("21", params.t21)):
         bounds = block_bounds(pairs, which)
-        zero = all(mat.window(*bounds).is_zero() for mat in mats[6:])
+        zero = all(mat.window(*bounds).is_zero() for mat in V)
         if block not in ("both", f"keep{which}"):
             if not zero:
                 raise ValueError(f"block {block!r} but the {which}-block of V is nonzero")
@@ -365,15 +553,19 @@ def _canonical_bundle(text: str) -> MatrixBundle | None:
     read, without writing that string.  ``_matrix_spans`` cuts the text into
     a header, the text with each matrix replaced by ``0``, and the ten
     matrix spans; only the short header goes through ``json.loads``.
-    ``dumps()`` is ``_text`` with the matrix writer, so ``_text`` with each
-    matrix written as ``0`` must give the header back.  The placeholders
-    then sit at the same offsets in both: the header's first
+    ``dumps()`` is ``_text`` with the matrices' pieces, so ``_text`` with
+    each matrix written as ``0`` must give the header back.  The
+    placeholders then sit at the same offsets in both: the header's first
     ``"matrices":{`` is where ``_matrix_spans`` cut, and in the writer's
     text the fields before that key hold only a block name, a case tag, an
-    integer and the layout note.  ``_span_matrix`` proves each span equal to
-    what the matrix writer writes of the matrix it returns.  Header
-    equality and the ten span equalities together are exactly
-    ``text == dumps()``.
+    integer and the layout note.  The J and K spans are compared with
+    ``generator_texts`` of the spins: if all six are equal, string equality
+    is the proof for them, the bundle holds no J and K, and they are not
+    parsed.  Otherwise, and for V always, ``_span_matrix`` proves each span
+    equal to what the matrix writer writes of the matrix it returns; the
+    six J and K it returns are then not all the standard ones, whose text
+    is one.  Header equality and the ten span equalities together are
+    exactly ``text == dumps()``.
 
     A miss at any step, or an error met on the way, returns None, and the
     caller's ``json.loads`` fallback reads the text or raises that error
@@ -381,21 +573,29 @@ def _canonical_bundle(text: str) -> MatrixBundle | None:
     so it decodes to what the fallback would return.  Every step is one
     forward scan (``str.find`` and ``str.count`` from a position that only
     grows, and ``_TERM`` within one cell, where a term fails within its
-    digits), so any text is read in linear time.
+    digits), so any text is read in linear time; the standard text is
+    written only when each J and K span is as long as n * n cells need, so
+    it is no longer than the text read.
     """
     scanned = _matrix_spans(text)
     if scanned is None:
         return None
     header, spans = scanned
     decoded: dict[str, RadicalScalar] = {}
+
+    def read(_, n: int, pairs: tuple[SpinPair, SpinPair]):
+        jk = [spans[key] for key in MATRIX_KEYS[:6]]
+        # A matrix text holds n * n cells of at least 2 characters, n * n - 1
+        # commas and 2 brackets, so a shorter span is not the standard text.
+        standard = all(len(span) > 3 * n * n for span in jk) and list(generator_texts(*pairs)) == jk
+        held = None if standard else tuple(_span_matrix(span, n, decoded) for span in jk)
+        return held, tuple(_span_matrix(spans[key], n, decoded) for key in MATRIX_KEYS[6:])
+
     try:
-        bundle = _checked_bundle(
-            json.loads(header),
-            lambda _, n: tuple(_span_matrix(spans[key], n, decoded) for key in MATRIX_KEYS),
-        )
+        bundle = _checked_bundle(json.loads(header), read)
     except (ValueError, KeyError, RecursionError):
         return None
-    return bundle if bundle._text(lambda mat: "0") == header else None
+    return bundle if bundle._text([["0"]] * len(MATRIX_KEYS)) == header else None
 
 
 def _matrix_spans(text: str) -> tuple[str, dict[str, str]] | None:

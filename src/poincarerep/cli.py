@@ -14,7 +14,6 @@ Exit status: 0 success / all rules hold; 1 verification failure;
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import re
@@ -32,7 +31,7 @@ from .bundle import (
 )
 from .cg import RatioFit, cg_vector_matrices, equivalence_ratio
 from .momentum import momentum_from_vectors
-from .radical import RadicalScalar
+from .radical import RadicalScalar, unlimited_int_digits
 from .spins import Spin
 from .vectors import BLOCKS, FreeParams, NoSolutionError, closed_form_vectors
 from .verify import check_poincare, sweep
@@ -122,28 +121,6 @@ def _write_text(text: str, out: str | None) -> None:
             raise CliError(f"cannot write {out}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift Python's limit on the digits of an int written as text, for this block only.
-
-    A failing rule's residual, or a fitted ratio, can hold integers of more
-    digits than CPython converts by default (4300): at t12 = t21 = 3**8500,
-    a literal the parser accepts, the PP residuals hold t12 * t21.  The limit
-    is restored on exit, so the loader still refuses such literals.  A
-    Python without the limit runs the block as it is.
-    """
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(limit)
-
-
 def _load(path: str) -> MatrixBundle:
     try:
         return load_bundle(path)
@@ -202,7 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"--sweep bound {args.sweep} is too large: the limit is {MAX_SWEEP_BOUND}"
             )
         report = sweep(args.sweep)
-    with _unlimited_int_digits():
+    with unlimited_int_digits():
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     _write_text(text, args.out)
     return EXIT_OK if report["allHold"] else EXIT_RULE_FAILURE
@@ -224,7 +201,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
         "caseTag": reference.case.value,
         "proportional": proportional,
     }
-    with _unlimited_int_digits():  # each scalar's display text is written here too
+    with unlimited_int_digits():  # each scalar's display text is written here too
         if proportional:
             payload["ratio12"] = _scalar_json(fit.ratio12)
             payload["ratio21"] = _scalar_json(fit.ratio21)

@@ -3,11 +3,17 @@
 A ``GeneratorSet`` stores the paper's two rotation ladders (A+, A-, Az,
 B+, B-, Bz); J = A + B and K = -i(A - B) are a view formed from them by
 ``change_basis``.  That view serves sets formed from J and K
-(``from_cartesian``), the probes and hand-built sets.  A generated set's
-J and K need no basis change: ``cartesian_generators`` writes them out
-cell by cell from each irrep's ladders, since within an irrep each cell
-of J and K off the diagonal is one ladder entry times a fixed coefficient
-of ``SPIN_BASIS_INVERSE``.  ``gen`` writes those matrices.
+(``from_cartesian``), the probes and hand-built sets.
+
+The paper starts from the standard J and K, so they are fixed by the
+spins alone.  A set placed by ``irrep_generators``, ``block_sum`` or
+``direct_sum`` is marked ``standard``: its spin basis is rotation_rep(A)
+on the outer index and rotation_rep(B) on the inner one, block by block,
+and ``verify.check_lorentz`` settles its rules from the one-spin algebra.
+``bundle.generator_texts`` writes the standard J and K of two irreps as
+text straight from the one-spin tables, with the strides
+``irrep_generators`` uses and the coefficients in ``_LADDERS`` and
+``_DIAGONAL``; ``gen`` writes that text, and ``verify --in`` recognises it.
 
 Basis convention, fixed once for the whole package: within an irreducible
 block (A,B) the index pair (a, b) runs with a descending from +A to -A as
@@ -18,12 +24,12 @@ diagonal of J_z starts at its maximum.  In a two-block direct sum the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .matrix import Matrix, block_diag, change_basis, place
-from .radical import ZERO, RadicalScalar, _make, gaussian_table, sqrt_of_rational
+from .radical import ZERO, RadicalScalar, gaussian_table, sqrt_of_rational
 from .spins import Spin, SpinPair
 
 
@@ -78,10 +84,17 @@ SPIN_BASIS_INVERSE = gaussian_table(_SPIN_INVERSE_TWICE, 2)
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """A representation's generators as (A+, A-, Az, B+, B-, Bz); J and K are a view."""
+    """A representation's generators as (A+, A-, Az, B+, B-, Bz); J and K are a view.
+
+    ``standard`` is true only for a set placed by ``irrep_generators``,
+    ``block_sum`` or ``direct_sum``, whose spin basis is the one-spin
+    ladders of its spins placed block by block; it takes no part in
+    equality, which compares the matrices.
+    """
 
     spins: tuple[SpinPair, ...]
     spin_basis: tuple[Matrix, ...]
+    standard: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if (count := len(self.spin_basis)) != 6:
@@ -98,11 +111,7 @@ class GeneratorSet:
 
     @cached_property
     def cartesian(self) -> tuple[Matrix, ...]:
-        """(Jx, Jy, Jz, Kx, Ky, Kz), formed on first use by ``change_basis`` and kept.
-
-        A generated set's J and K are also ``cartesian_generators`` of its
-        spins, which places them without a basis change.
-        """
+        """(Jx, Jy, Jz, Kx, Ky, Kz), formed on first use by ``change_basis`` and kept."""
         return change_basis(SPIN_BASIS_INVERSE, self.spin_basis)
 
     @property
@@ -133,7 +142,7 @@ def irrep_generators(pair: SpinPair) -> GeneratorSet:
         place(n, n, [(m, a * nb, a * nb) for a in range(pair.left.multiplicity)])
         for m in rotation_rep(pair.right)
     )
-    return GeneratorSet(spins=(pair,), spin_basis=(*outer, *inner))
+    return GeneratorSet(spins=(pair,), spin_basis=(*outer, *inner), standard=True)
 
 
 def direct_sum(p1: SpinPair, p2: SpinPair) -> GeneratorSet:
@@ -144,12 +153,14 @@ def direct_sum(p1: SpinPair, p2: SpinPair) -> GeneratorSet:
 def block_sum(g1: GeneratorSet, g2: GeneratorSet) -> GeneratorSet:
     """Block-diagonal generators of two representations, g1's block first."""
     basis = tuple(block_diag(a, b) for a, b in zip(g1.spin_basis, g2.spin_basis))
-    return GeneratorSet(g1.spins + g2.spins, basis)
+    return GeneratorSet(g1.spins + g2.spins, basis, g1.standard and g2.standard)
 
 
 # The coefficients of 2 G_p on N = (A+, A-, Az, B+, B-, Bz): for each
 # ladder a, (a, [(p, re, im)]) over the G_p it enters, the coefficient
 # re + i im a Gaussian integer; for the diagonal, (p, on Az, on Bz).
+# Within an irrep the ladders A+, A-, B+ and B- share no cell, so each
+# off-diagonal cell of G_p is one ladder entry r times (re + i im) / 2.
 _LADDERS = [
     (a, [(p, int(row[a].real), int(row[a].imag)) for p, row in enumerate(_SPIN_INVERSE_TWICE)
          if row[a]])
@@ -157,56 +168,9 @@ _LADDERS = [
 ]
 _DIAGONAL = [(p, row[2], row[5]) for p, row in enumerate(_SPIN_INVERSE_TWICE) if row[2] or row[5]]
 
-
-def cartesian_generators(p1: SpinPair, p2: SpinPair) -> tuple[Matrix, ...]:
-    """(Jx, Jy, Jz, Kx, Ky, Kz) of p1 + p2, written out cell by cell with no basis change.
-
-    Equal to ``direct_sum(p1, p2).cartesian``.  G_p is the sum of
-    SPIN_BASIS_INVERSE[p][a] N_a.  Within an irrep the ladders A+, A-, B+
-    and B- share no cell (``irrep_generators`` places rotation_rep(A) on
-    the outer index, with stride mult(B), and rotation_rep(B) on the inner
-    one), so an off-diagonal cell of G_p is one ladder entry r of the
-    irrep's spin basis times one coefficient: r/2 or +-(i/2) r.  The
-    diagonal holds J_z = (m_a + m_b)/2 and K_z = -i(m_a - m_b)/2, read off
-    ``SpinPair.basis()``.  Each value is built once from integers, with no
-    product, and equal values are one object.
-    """
-    n = p1.dimension + p2.dimension
-    rows: list[dict[int, dict[int, RadicalScalar]]] = [{} for _ in range(6)]
-    values: dict[tuple, RadicalScalar] = {}  # each value, keyed on its integers
-
-    def one_object(num: dict[int, tuple[int, int]], den: int) -> RadicalScalar:
-        v = _make(num, den)
-        return values.setdefault((v._den, tuple(v._num.items())), v)
-
-    def ladder_cells(r: RadicalScalar, units: list) -> list:
-        """(rows of G_p, (re + i im) r / 2) for each (p, re, im) in units."""
-        return [
-            (rows[p], one_object(
-                {d: (x * re - y * im, x * im + y * re) for d, (x, y) in r._num.items()}, 2 * r._den
-            ))
-            for p, re, im in units
-        ]
-
-    # Both irreps' spin bases live to the end, so no id in ``scaled`` is reused.
-    irreps = [(pair, irrep_generators(pair).spin_basis) for pair in (p1, p2)]
-    scaled: dict[tuple[int, int], list] = {}  # ladder_cells of each entry object of ladder a
-    diagonal: dict[complex, RadicalScalar] = {}  # z -> z / 4
-    offset = 0
-    for pair, spin_basis in irreps:
-        for a, units in _LADDERS:
-            for i, row in spin_basis[a]._rows.items():
-                for j, r in row.items():
-                    cells = scaled.get((id(r), a))
-                    if cells is None:
-                        cells = scaled[id(r), a] = ladder_cells(r, units)
-                    for out, v in cells:
-                        out.setdefault(offset + i, {})[offset + j] = v
-        for i, (ma, mb) in enumerate(pair.basis(), offset):
-            for p, on_a, on_b in _DIAGONAL:
-                if z := on_a * ma + on_b * mb:
-                    if z not in diagonal:
-                        diagonal[z] = one_object({1: (int(z.real), int(z.imag))}, 4)
-                    rows[p].setdefault(i, {})[i] = diagonal[z]
-        offset += pair.dimension
-    return tuple(Matrix._from_rows(n, n, r) for r in rows)
+# Where ``irrep_generators`` puts each ladder a of ``_LADDERS`` within an
+# irrep: (on the outer index, +1 for a raising ladder or -1 for a lowering
+# one).  The one-spin matrix of a raising ladder holds row idx at column
+# idx + 1, and of a lowering one at idx - 1; A+- act on the outer index
+# with stride mult(B), B+- on the inner one with stride 1.
+_LADDER_PLACES = {0: (True, 1), 1: (True, -1), 3: (False, 1), 4: (False, -1)}

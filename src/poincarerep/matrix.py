@@ -7,8 +7,7 @@ stored form (nonzero values at positions inside the shape), unchecked;
 ``Matrix.window``, ``place``, ``change_basis``, the kernel and its
 row-by-row ``first_nonzero_of_sum``, the bundle loader,
 ``vectors.pattern_vectors``, ``VectorSet.cartesian`` and the generator
-builders (``rotation_rep``, ``irrep_generators``,
-``cartesian_generators``) use it.
+builders (``rotation_rep``, ``irrep_generators``) use it.
 Nothing changes a matrix after it is made.  Entries are held
 sparsely (zeros dropped) so products of the very sparse spin matrices
 stay cheap, but the interface is an ordinary rows x cols matrix and
@@ -29,8 +28,10 @@ rounded.
 A basis change (``change_basis``: each output a fixed linear combination
 of the same input matrices) runs outside the kernel, cell by cell.  The
 two ``from_cartesian`` constructors call it, as ``verify --in`` reads a
-bundle, and so does ``GeneratorSet.cartesian`` for the probes and
-hand-built sets; ``gen`` writes its matrices without one.  The
+bundle's V, or J and K edited by hand, and so does
+``GeneratorSet.cartesian`` for the probes and hand-built sets; ``gen``
+writes its matrices without one, and the standard J and K of a bundle
+are placed in the spin basis by ``direct_sum``.  The
 inputs' values at one position are mapped through the whole table as one
 exact integer sum per output, over the lcm of that cell's own
 denominators only, and each distinct tuple of values is mapped once.

@@ -20,7 +20,9 @@ rationals and by single-term values is needed to build the matrices.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
@@ -289,6 +291,13 @@ class RadicalScalar:
         return f"RadicalScalar({self})"
 
     def __str__(self) -> str:
+        try:
+            return self._display()
+        except ValueError:  # an integer past Python's digit limit for int-to-text
+            with unlimited_int_digits():
+                return self._display()
+
+    def _display(self) -> str:
         if not self._num:
             return "0"
         parts = []
@@ -302,6 +311,28 @@ class RadicalScalar:
                 parts.append(("-" if coeff < 0 else "+") + body)
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift Python's limit on the digits of an int written as text, for this block only.
+
+    A value the package forms can hold integers of more digits than CPython
+    converts by default (4300): at t12 = t21 = 3**8500, a literal the
+    command line accepts, the PP residuals hold t12 * t21.  The limit is
+    restored on exit, so the bundle loader still refuses such literals.  A
+    Python without the limit runs the block as it is.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 def _make(acc: dict[int, tuple[int, int]], den: int) -> RadicalScalar:

@@ -17,7 +17,17 @@ is formed through the kernel one row at a time in ascending order, up to
 its first nonzero row, which holds the same first nonzero entry.  A
 ``GeneratorSet`` holds its spin basis and a ``VectorSet`` its families,
 each placed directly or, for a loaded bundle, formed from its Cartesian
-matrices when the bundle's ``generators`` or ``vectors`` is first read.
+matrices when the bundle's ``generators`` or ``vectors`` is first read; a
+bundle whose J and K are the standard ones of its spins places its
+generators by ``direct_sum``.
+
+The 15 Lorentz verdicts of a standard set (one placed by
+``irrep_generators``, ``block_sum`` or ``direct_sum``) are settled by the
+one-spin algebra: its spin basis is M_a(A) x 1 and 1 x M_b(B) block by
+block, so the three ladder relations of each distinct spin, checked
+exactly through the kernel on (2A+1)-dimensional matrices, make all 15
+residuals zero.  Any other set, or a failing one-spin check, takes the 15
+commutators.
 
 Rule identifiers: "JJ.xy" means [J_x, J_y] against its right-hand side,
 "KV.zt" means [K_z, V_t], "PP.xt" means [P_x, P_t], and so on.  The axis
@@ -39,7 +49,9 @@ from dataclasses import dataclass
 
 from .bundle import SOURCES, scalar_to_json, vectors_from_source
 from .cg import RatioFit, equivalence_ratio
-from .generators import SPIN_BASIS, SPIN_BASIS_INVERSE, GeneratorSet, block_sum, irrep_generators
+from .generators import (
+    SPIN_BASIS, SPIN_BASIS_INVERSE, GeneratorSet, block_sum, irrep_generators, rotation_rep,
+)
 from .matrix import Matrix, commutator, first_nonzero_of_sum
 from .momentum import momentum_from_vectors
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar
@@ -231,9 +243,52 @@ def _check(family: _Family, left: tuple[Matrix, ...], right: tuple[Matrix, ...])
     return reports
 
 
+def _one_spin_pairs(family: _Family) -> tuple:
+    """The pairs of ``family`` among (A+, A-, Az), once its split is proved.
+
+    The Kronecker identity needs the B pairs to be the A pairs moved by
+    three places and every pair of an A and a B ladder to have no
+    right-hand side; this is checked here, once, on the restated family.
+    """
+    one = [(a, b, rhs) for a, b, rhs in family.pairs if b < 3]
+    moved = [(a + 3, b + 3, [(c, m + 3) for c, m in rhs]) for a, b, rhs in one]
+    if [pair for pair in family.pairs if pair[0] >= 3] != moved or any(
+        rhs for a, b, rhs in family.pairs if a < 3 <= b
+    ):
+        raise AssertionError("the Lorentz pairs do not split into one-spin rules")
+    return tuple(one)
+
+
+_ONE_SPIN = _one_spin_pairs(_LORENTZ)
+_LORENTZ_HOLDS = tuple(RuleReport(rule_id, True) for rule_id, _ in _LORENTZ.rules)
+
+
 def check_lorentz(gen: GeneratorSet) -> list[RuleReport]:
-    """The 15 homogeneous rules among the J and K matrices."""
+    """The 15 homogeneous rules among the J and K matrices.
+
+    A standard set's verdicts come from the one-spin algebra.  Its spin
+    basis is, block by block, A_a = M_a(A) x 1 and B_b = 1 x M_b(B) for the
+    ladders (M+, M-, Mz) = rotation_rep of each spin, so [A_a, B_b] = 0 and
+    [A_a, A_b] - rhs = ([M_a, M_b] - rhs) x 1, and likewise for B.  So when
+    [M+, M-] = 2Mz and [Mz, M+-] = +-M+- hold exactly for each distinct
+    spin, as three kernel zero tests on (2A+1)-dimensional matrices, every
+    one of the 15 residuals is zero.  Any other set, or any failure, takes
+    the 15 commutators of ``_check``, which also give each violation.
+    """
+    if gen.standard and _one_spin_algebra_holds(gen.spins):
+        return list(_LORENTZ_HOLDS)
     return _check(_LORENTZ, gen.spin_basis, gen.spin_basis)
+
+
+def _one_spin_algebra_holds(spins: tuple[SpinPair, ...]) -> bool:
+    """Whether the one-spin pairs of ``_LORENTZ`` hold for each distinct spin of ``spins``."""
+    distinct = sorted({spin.twice for pair in spins for spin in (pair.left, pair.right)})
+    for twice in distinct:
+        ladders = rotation_rep(Spin(twice))
+        for a, b, rhs in _ONE_SPIN:
+            if not commutator(ladders[a], ladders[b], [(c, ladders[m]) for c, m in rhs]).is_zero():
+                return False
+    return True
 
 
 def check_vector_rules(gen: GeneratorSet, vec: VectorSet) -> list[RuleReport]:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarerep import bundle, cli
+from poincarerep import bundle, generators
 from poincarerep.bundle import (
     MATRIX_KEYS,
     SOURCES,
@@ -28,9 +28,10 @@ from poincarerep.bundle import (
     vectors_from_source,
 )
 from poincarerep.cli import EXIT_BAD_INPUT, EXIT_OK, main
+from poincarerep.generators import direct_sum
 from poincarerep.matrix import Matrix
 from poincarerep.momentum import momentum_from_vectors
-from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
+from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational, unlimited_int_digits
 from poincarerep.spins import Spin, SpinPair
 from poincarerep.vectors import (
     BLOCKS, CaseTag, FreeParams, VectorSet, classify_case, closed_form_vectors,
@@ -291,7 +292,8 @@ def test_dumps_matches_the_reference_encoder_on_edited_bundles(quad, data, t12, 
         pairs=bundle.pairs,
         block=data.draw(st.sampled_from(BLOCKS), label="block"),
         params=FreeParams(t12, t21),
-        cartesian=tuple(mats[k] for k in MATRIX_KEYS),
+        V=tuple(mats[k] for k in MATRIX_KEYS[6:]),
+        JK=tuple(mats[k] for k in MATRIX_KEYS[:6]),
     )
     assert edited.matrices() == mats
     assert edited.dumps() == _reference_text(edited)
@@ -338,7 +340,7 @@ def test_the_direct_formatter_writes_what_the_json_encoder_writes(terms):
     def reference():
         return bundle._compact(scalar_to_json(value))
 
-    with cli._unlimited_int_digits():
+    with unlimited_int_digits():
         text = reference()
         assert bundle._scalar_text(value) == text
         digits = max((len(n) for n in re.findall(r"[0-9]+", text)), default=0)
@@ -489,6 +491,35 @@ def test_fast_path_agrees_with_the_json_loads_path(quad, source, block, t12, t21
     fast = _assert_paths_agree(text)
     if edit is None:
         assert fast is not None
+
+
+def test_standard_j_and_k_are_recognised_by_their_text(tmp_path, monkeypatch):
+    path = tmp_path / "b.json"
+    assert main(["gen", "--spins", "4,3,3,2", "--block", "keep12", "--out", str(path)]) == EXIT_OK
+    text = path.read_text()
+    parsed = []
+    span_matrix = bundle._span_matrix
+
+    def counted(span, n, decoded):
+        parsed.append(span)
+        return span_matrix(span, n, decoded)
+
+    monkeypatch.setattr(bundle, "_span_matrix", counted)
+    loaded = load_bundle(str(path))
+    assert loaded.JK is None and len(parsed) == 4  # the V spans only
+    from_json = bundle_from_json_dict(json.loads(text))
+    assert from_json.JK is None and from_json == loaded
+    # The generators are placed, with no basis change.
+    def refuse(*args):
+        raise AssertionError("change_basis called")
+
+    monkeypatch.setattr(generators, "change_basis", refuse)
+    gen = loaded.generators
+    assert gen.standard and gen == direct_sum(*loaded.pairs)
+    monkeypatch.undo()
+    # J and K are read from their text when asked for.
+    assert loaded.cartesian[:6] == direct_sum(*loaded.pairs).cartesian
+    assert loaded.dumps() == text
 
 
 def test_a_large_generated_bundle_takes_the_fast_path(tmp_path, monkeypatch):

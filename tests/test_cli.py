@@ -30,7 +30,9 @@ from poincarerep.cli import (
     parse_scalar,
     parse_spins,
 )
-from poincarerep.radical import I_UNIT, ONE, RadicalScalar, normalize_radical, sqrt_of_rational
+from poincarerep.radical import (
+    I_UNIT, ONE, RadicalScalar, normalize_radical, sqrt_of_rational, unlimited_int_digits,
+)
 from poincarerep.vectors import BLOCKS
 
 from oracles import is_prime_below_2_41, reference_bundle_dict
@@ -825,7 +827,7 @@ class TestDigitLimit:
     def test_a_residual_past_the_limit_is_written(self, tmp_path):
         # 3**8500 has 4056 digits, so the parser takes it; the six PP
         # residuals of a both bundle hold t12 * t21, of about 8100 digits.
-        with cli._unlimited_int_digits():
+        with unlimited_int_digits():
             literal = str(3**8500)
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         bundle, report = tmp_path / "g.json", tmp_path / "r.json"
@@ -836,7 +838,7 @@ class TestDigitLimit:
         assert (code, err) == (EXIT_RULE_FAILURE, "")
         assert seconds < FUZZ_SECONDS
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-        with cli._unlimited_int_digits():
+        with unlimited_int_digits():
             rules = json.loads(report.read_text())["rules"]
             failing = [rule for rule in rules if not rule["holds"]]
             assert [rule["ruleId"] for rule in failing] == [
@@ -851,7 +853,7 @@ class TestDigitLimit:
         assert digits > 4300
 
     def test_a_ratio_past_the_limit_is_written(self, tmp_path):
-        with cli._unlimited_int_digits():
+        with unlimited_int_digits():
             literal = str(3**8500)
         out = tmp_path / "e.json"
         argv = ["equiv", "--spins", "1,1,0,0", f"--t12={literal}", f"--lambda12=1/{literal}",
@@ -859,6 +861,6 @@ class TestDigitLimit:
         code, err, seconds = _run(argv)
         assert (code, err) == (EXIT_OK, "")
         assert seconds < FUZZ_SECONDS
-        with cli._unlimited_int_digits():
+        with unlimited_int_digits():
             ratio = json.loads(out.read_text())["ratio12"]["terms"]
             assert len(str(ratio[0]["re"][0])) > 4300

@@ -1,14 +1,17 @@
 """Ladder matrices and Lorentz generators against hand-evaluated values."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from oracles import conjugate_transpose, spin
 
+from poincarerep import bundle
+from poincarerep.bundle import generator_texts, matrix_text
 from poincarerep.generators import (
     GeneratorSet,
-    cartesian_generators,
+    block_sum,
     direct_sum,
     irrep_generators,
     ladder_coeff_r,
@@ -175,7 +178,7 @@ class TestFromCartesian:
 
 
 class TestCartesianPlacement:
-    """J and K written out from each irrep's ladders are the change_basis view of the spin basis."""
+    """The standard J and K written as text from one-spin tables are the text of the change_basis view."""
 
     IRREPS = [SpinPair(spin(ta), spin(tb)) for ta, tb in itertools.product(range(9), repeat=2)]
 
@@ -184,17 +187,23 @@ class TestCartesianPlacement:
         # second, beside a neighbour of another size, so both offsets are met.
         for p, q in zip(self.IRREPS, self.IRREPS[1:] + self.IRREPS[:1]):
             for p1, p2 in ((p, q), (q, p)):
-                placed = cartesian_generators(p1, p2)
-                assert placed == direct_sum(p1, p2).cartesian, (p1, p2)
-                # Written unchecked: no empty row and no zero entry.
-                for m in placed:
-                    assert all(row and all(row.values()) for row in m._rows.values())
+                reference = tuple(matrix_text(m) for m in direct_sum(p1, p2).cartesian)
+                assert generator_texts(p1, p2) == reference, (p1, p2)
 
-    def test_equal_values_are_one_object(self):
-        placed = cartesian_generators(SpinPair(spin(8), spin(7)), SpinPair(spin(7), spin(8)))
-        values = [v for m in placed for _, _, v in m.nonzero_items()]
-        by_integers = {(v._den, tuple(sorted(v._num.items()))) for v in values}
-        assert len({id(v) for v in values}) == len(by_integers) < len(values)
+    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
+        formatted = []
+
+        def counted(value):
+            formatted.append((value._den, tuple(sorted(value._num.items()))))
+            return scalar_text(value)
+
+        scalar_text = bundle._scalar_text
+        monkeypatch.setattr(bundle, "_scalar_text", counted)
+        p1, p2 = SpinPair(spin(8), spin(7)), SpinPair(spin(7), spin(8))
+        texts = generator_texts(p1, p2)
+        assert len(formatted) == len(set(formatted))
+        cells = {cell for text in texts for cell in re.findall(r"\[\{.*?\}\]", text)}
+        assert len(formatted) == len(cells)
 
     def test_values_are_built_without_a_multiplication(self, monkeypatch):
         def refuse(*args):
@@ -202,7 +211,23 @@ class TestCartesianPlacement:
 
         monkeypatch.setattr(RadicalScalar, "__mul__", refuse)
         monkeypatch.setattr(RadicalScalar, "__rmul__", refuse)
-        cartesian_generators(SpinPair(spin(5), spin(4)), SpinPair(spin(4), spin(3)))
+        generator_texts(SpinPair(spin(5), spin(4)), SpinPair(spin(4), spin(3)))
+
+
+class TestStandardMark:
+    """Only the placing constructors mark a set as the standard generators of its spins."""
+
+    def test_placed_sets_are_standard(self):
+        p1, p2 = SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(0))
+        assert irrep_generators(p1).standard and direct_sum(p1, p2).standard
+        assert block_sum(irrep_generators(p1), irrep_generators(p2)).standard
+
+    def test_formed_and_hand_built_sets_are_not(self):
+        g = direct_sum(SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(0)))
+        formed = GeneratorSet.from_cartesian(g.spins, g.J, g.K)
+        assert formed == g and not formed.standard
+        assert not GeneratorSet(g.spins, g.spin_basis).standard
+        assert not block_sum(formed, irrep_generators(SpinPair(spin(0), spin(0)))).standard
 
 
 def _checked_rotation_rep(s):

@@ -21,6 +21,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from poincarerep import bundle as bundle_module
 from poincarerep.bundle import MatrixBundle, vectors_from_source
 from poincarerep.cli import main
 from poincarerep.momentum import momentum_from_vectors
@@ -47,6 +48,16 @@ CORRUPTED_REPORT_DIGESTS = {
     "keep12/Jz-diagonal-bumped": "dcdcdae0514edb8254995ff4e2a6d0a092b8271550a42eec1b0cf032e40e2161",
     "keep21/Ky-negated": "ebaa0f56091231728666a2b05158f0ff3e6c5777510d89be201027b3df553489",
     "both/unedited": "35c0ad9b29ae56d034a15e0611ac23fb6bc8adcd5ef21a22fd7aa851de930a88",
+}
+
+# sha256 of the `verify --in` report of the canonical keep12 (2,1,1,2) bundle
+# with one J_x cell rewritten to the canonical text of 1, keyed by the cell's
+# row-major position: 1 lies in the first irrep's block, where J_x holds 1/2,
+# and 6 in the empty 12-block, where only the Lorentz rules see the edit.
+# Recorded from the release before standard J and K were recognised by text.
+EDITED_JX_REPORT_DIGESTS = {
+    1: "f89bbd8aab53ab2a4fd98826c6757f201acdedcf20022bc2e15af1df70ccfeb6",
+    6: "e5708553a3db6dabd4490035d1f0eae60c032e23c6a4e3d63e816941eccda4c3",
 }
 
 # sha256 of the `equiv --out` payloads of the 36 admissible quadruples with
@@ -187,6 +198,28 @@ def corrupted_report_digests():
 def test_corrupted_bundle_reports(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert corrupted_report_digests() == CORRUPTED_REPORT_DIGESTS
+
+
+def test_a_canonical_bundle_with_an_edited_j_x_takes_the_general_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bundle, report = Path("bundle.json"), Path("report.json")
+    for pos, want in EDITED_JX_REPORT_DIGESTS.items():
+        assert main(["gen", "--spins", "2,1,1,2", "--block", "keep12", "--out", str(bundle)]) == 0
+        data = json.loads(bundle.read_text())
+        assert data["matrices"]["Jx"][pos] != [{"d": 1, "im": [0, 1], "re": [1, 1]}]
+        data["matrices"]["Jx"][pos] = [{"d": 1, "im": [0, 1], "re": [1, 1]}]
+        text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        # Still canonical, so the fast loader reads it; its J and K are held.
+        loaded = bundle_module._canonical_bundle(text)
+        assert loaded is not None and loaded.JK is not None
+        assert not loaded.generators.standard
+        bundle.write_text(text)
+        assert main(["verify", "--in", str(bundle), "--out", str(report)]) == 1
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == want, pos
+        failing = {r["ruleId"][:2] for r in json.loads(report.read_text())["rules"] if not r["holds"]}
+        assert {"JJ", "JK"} <= failing
+        if pos == 6:
+            assert failing <= {"JJ", "JK", "KK"}
 
 
 # name -> (equiv options after --spins, exit code of every quadruple)

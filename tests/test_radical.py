@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from poincarerep.radical import (
     RadicalScalar,
     normalize_radical,
     sqrt_of_rational,
+    unlimited_int_digits,
 )
 
 from oracles import ReferenceScalar, conjugate, is_prime_below_2_41, reference_normalize_radical
@@ -224,6 +226,30 @@ class TestFloatBridge:
     def test_i_sqrt3(self):
         val = sqrt_of_rational(3).times_i().to_complex()
         assert abs(val - 1.7320508075688772j) < 1e-15
+
+
+class TestDisplayPastTheDigitLimit:
+    """A value with integers past the 4300 digits CPython writes as text by default."""
+
+    def test_str_and_repr_of_3_to_the_8500_times_sqrt_2(self):
+        value = RadicalScalar.from_terms([(2, 3**8500, 0)])
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        text = str(value)
+        assert repr(value) == f"RadicalScalar({text})"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        with unlimited_int_digits():
+            assert text == f"{3**8500}*sqrt(2)"
+        assert str(-value.times_i()) == f"-{text[:-len('*sqrt(2)')]}*i*sqrt(2)"
+
+    def test_the_limit_is_restored_after_an_error(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        with pytest.raises(KeyError):
+            with unlimited_int_digits():
+                raise KeyError("inside")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        if limit:
+            with pytest.raises(ValueError):
+                str(10**(limit + 1))
 
 
 _small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=6)

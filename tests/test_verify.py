@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import conjugate_transpose, reference_check_poincare, reference_sweep, spin
 
-from poincarerep import vectors, verify
+from poincarerep import generators, vectors, verify
 from poincarerep.bundle import SOURCES, vectors_from_source
 from poincarerep.cg import RatioFit
 from poincarerep.generators import (
@@ -21,6 +21,7 @@ from poincarerep.generators import (
     GeneratorSet,
     direct_sum,
     irrep_generators,
+    rotation_rep,
 )
 from poincarerep.matrix import Matrix, commutator
 from poincarerep.momentum import momentum_from_vectors
@@ -126,6 +127,81 @@ class TestLorentzChecks:
         row, col, residual = bad[0].first_violation
         assert not residual.is_zero()
         assert bad[0].to_json()["firstViolation"]["row"] == row
+
+
+def _counted_commutators(monkeypatch):
+    calls = []
+    kernel = verify.commutator
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(verify, "commutator", counted)
+    return calls
+
+
+class TestSettledLorentz:
+    """A standard set's 15 verdicts come from the one-spin algebra, and equal the 15 commutators'."""
+
+    IRREPS = [SpinPair(spin(ta), spin(tb)) for ta, tb in itertools.product(range(9), repeat=2)]
+
+    @staticmethod
+    def _commuted(gen):
+        return verify._check(verify._LORENTZ, gen.spin_basis, gen.spin_basis)
+
+    def test_every_irrep_up_to_doubled_spin_8_alone_and_in_either_block(self, monkeypatch):
+        calls = _counted_commutators(monkeypatch)
+        for p, q in zip(self.IRREPS, self.IRREPS[1:] + self.IRREPS[:1]):
+            for gen in (irrep_generators(p), direct_sum(p, q), direct_sum(q, p)):
+                assert gen.standard
+                del calls[:]
+                reports = check_lorentz(gen)
+                # Three one-spin zero tests per distinct spin, and no more.
+                distinct = {s for pair in gen.spins for s in (pair.left, pair.right)}
+                assert len(calls) == 3 * len(distinct)
+                assert all(m.rows == calls[0][0].rows for m, *_ in calls[:3])
+                assert reports == self._commuted(gen) and len(reports) == 15, gen.spins
+
+    def test_the_lorentz_pairs_split_into_one_spin_rules(self):
+        # [A+, A-] = 2 Az, [A+, Az] = -A+, [A-, Az] = A-; the B pairs are the
+        # same three moved by three places, and an A and a B ladder commute.
+        assert verify._ONE_SPIN == (
+            (0, 1, [(2, 2)]), (0, 2, [(-1, 0)]), (1, 2, [(1, 1)]),
+        )
+        pairs = verify._LORENTZ.pairs
+        crossed = verify._Family(tuple(
+            (a, b, [(ONE, 0)]) if (a, b) == (0, 3) else (a, b, rhs) for a, b, rhs in pairs
+        ), ())
+        with pytest.raises(AssertionError, match="do not split"):
+            verify._one_spin_pairs(crossed)
+
+    def test_a_failing_one_spin_check_takes_the_fifteen_commutators(self, monkeypatch):
+        # Ladders with M+ doubled, placed by the standard constructors: the
+        # one-spin check fails, and the reports are the commutators', each
+        # with its first violation.
+        def doubled(spin_):
+            mplus, mminus, mz = rotation_rep(spin_)
+            return mplus.scale(2), mminus, mz
+
+        monkeypatch.setattr(generators, "rotation_rep", doubled)
+        monkeypatch.setattr(verify, "rotation_rep", doubled)
+        gen = direct_sum(SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(0)))
+        assert gen.standard
+        calls = _counted_commutators(monkeypatch)
+        reports = check_lorentz(gen)
+        # Spin 0, whose ladders are zero, passes its three checks; spin 1/2
+        # fails its first, and the 15 commutators follow.
+        assert len(calls) == 3 + 1 + 15
+        assert reports == self._commuted(gen)
+        bad = [r for r in reports if not r.holds]
+        assert bad and all(r.first_violation is not None for r in bad)
+
+    def test_a_formed_set_is_checked_by_its_commutators(self, monkeypatch):
+        g = direct_sum(SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(0)))
+        formed = GeneratorSet.from_cartesian(g.spins, g.J, g.K)
+        calls = _counted_commutators(monkeypatch)
+        assert check_lorentz(formed) == check_lorentz(g) and len(calls) == 15 + 3 * 3
 
 
 class TestVectorRuleChecks:
@@ -378,11 +454,12 @@ class TestSweep:
         )
         report = sweep(3)
         assert report["admissible"] == 36 and report["allHold"]
-        # 18 pairs x 3 sources; 16 irreps x 15 Lorentz rules plus 18 pairs x
-        # 2 block choices x (24 vector + 6 translation) closed-form rules.
-        # The CG verdicts come from its ratio fit.  No route is asked to
-        # build one of the 220 inadmissible quadruples.
-        assert calls == {"vectors_from_source": 54, "commutator": 240 + 1080}
+        # 18 pairs x 3 sources; 16 irreps x 3 one-spin rules per distinct
+        # spin (4 irreps of one spin, 12 of two: 84 in all) plus 18 pairs x 2
+        # block choices x (24 vector + 6 translation) closed-form rules.  The
+        # CG verdicts come from its ratio fit.  No route is asked to build one
+        # of the 220 inadmissible quadruples.
+        assert calls == {"vectors_from_source": 54, "commutator": 3 * (4 + 12 * 2) + 1080}
         assert calls["NoSolutionError"] == 0
 
 
