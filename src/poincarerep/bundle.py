@@ -214,6 +214,10 @@ class MatrixBundle:
         ``tests/oracles.py`` holds the dict this text encodes, and the tests
         compare the two byte for byte.
         """
+        return "".join(self._pieces(self._matrix_texts()))
+
+    def _matrix_texts(self) -> list[list[str]]:
+        """The pieces of the text of each matrix, in MATRIX_KEYS order."""
         by_id: dict[int, str] = {}
         by_key: dict[tuple, str] = {}
         runs: dict[int, str] = {}
@@ -222,10 +226,14 @@ class MatrixBundle:
             return [_matrix_pieces(mat, by_id, by_key, runs) for mat in mats]
 
         jk = _generator_pieces(*self.pairs) if self.JK is None else written(self.JK)
-        return self._text(jk + written(self.V))
+        return jk + written(self.V)
 
-    def _text(self, matrices: list[list[str]]) -> str:
-        """The canonical text, matrices[k] the pieces of the text of MATRIX_KEYS[k]."""
+    def _pieces(self, matrices: list[list]) -> list:
+        """The pieces of the canonical text, matrices[k] those of the text of MATRIX_KEYS[k].
+
+        Each matrices[k] is spliced in as it is, so a list nested in it
+        stays one element of the result.
+        """
         pieces = _object({
             "block": [_compact(self.block)],
             "caseTag": [_compact(self.case.value)],
@@ -240,7 +248,7 @@ class MatrixBundle:
             "spins": [_compact(list(self.spins))],
         })
         pieces.append("\n")
-        return "".join(pieces)
+        return pieces
 
 
 def _matrix_pieces(
@@ -595,7 +603,7 @@ def _canonical_bundle(text: str) -> MatrixBundle | None:
         bundle = _checked_bundle(json.loads(header), read)
     except (ValueError, KeyError, RecursionError):
         return None
-    return bundle if bundle._text([["0"]] * len(MATRIX_KEYS)) == header else None
+    return bundle if "".join(bundle._pieces([["0"]] * len(MATRIX_KEYS))) == header else None
 
 
 def _matrix_spans(text: str) -> tuple[str, dict[str, str]] | None:
@@ -691,11 +699,14 @@ def load_bundle(path: str) -> MatrixBundle:
 
 
 def save_bundle(bundle: MatrixBundle, path: str) -> None:
-    """Write ``bundle.dumps()`` to ``path``.
+    """Write ``bundle.dumps()`` to ``path``, one matrix at a time.
 
-    The text is formed before the file is opened, so a ValueError from an
-    integer past Python's digit limit leaves the file as it was.
+    Every piece of the text is formed before the file is opened, so a
+    ValueError from an integer past Python's digit limit leaves the file as
+    it was.  Each matrix's pieces are then joined only as that matrix is
+    written, so the whole text is never held, nor encoded, at once.
     """
-    text = bundle.dumps()
+    # Each matrix's pieces, nested in a list, stay one element of ``pieces``.
+    pieces = bundle._pieces([[matrix] for matrix in bundle._matrix_texts()])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(piece if isinstance(piece, str) else "".join(piece) for piece in pieces)

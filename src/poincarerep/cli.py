@@ -43,7 +43,8 @@ EXIT_BAD_INPUT = 3
 
 # Work bounds.  A bundle of dimension 1201 is already 44 MB, and its size
 # grows with the square of the dimension; ``verify --sweep 12`` takes about
-# 15 s, and the sweep's cost grows with the fourth power of its bound.
+# 6 s (a fresh process on a 2-core Xeon, Python 3.11), and the sweep's cost
+# grows with the fourth power of its bound.
 MAX_DIMENSION = 2048
 MAX_SWEEP_BOUND = 12
 

@@ -6,17 +6,18 @@ and ``Matrix.from_entries`` is the only public way to give one entries.
 stored form (nonzero values at positions inside the shape), unchecked;
 ``Matrix.window``, ``place``, ``change_basis``, the kernel and its
 row-by-row ``first_nonzero_of_sum``, the bundle loader,
-``vectors.pattern_vectors``, ``VectorSet.cartesian`` and the generator
-builders (``rotation_rep``, ``irrep_generators``) use it.
+``vectors.pattern_vectors``, ``VectorSet.cartesian``, the generator
+builders (``rotation_rep``, ``irrep_generators``) and the sweep's
+one-spin settling of the vector rules (``verify``) use it.
 Nothing changes a matrix after it is made.  Entries are held
 sparsely (zeros dropped) so products of the very sparse spin matrices
 stay cheap, but the interface is an ordinary rows x cols matrix and
 serialization emits the full row-major grid.
 
 Every matrix-valued result (``+``, ``-``, ``scale``, ``times_i``, ``@``,
-``commutator``, ``anticommutator``, ``linear_combination``) is one call of
-a kernel that computes a signed sum of products plus exact scalar
-multiples c * Z.  It uses each operand as integer numerators over one
+``commutator``, ``anticommutator``, ``residual``, ``linear_combination``)
+is one call of a kernel that computes a signed sum of products plus exact
+scalar multiples c * Z.  It uses each operand as integer numerators over one
 denominator, the lcm of the operand's entry denominators, multiplies and
 sums with Python ints, and reduces each nonzero entry of the result by
 one gcd into a RadicalScalar, which holds the same integer form.  Since a
@@ -238,6 +239,31 @@ def commutator(
     for _, z in rhs:
         m._same_shape(z)
     return _combine(m.rows, m.cols, [(1, m, n), (-1, n, m)], [(-1, c, z) for c, z in rhs])
+
+
+def residual(
+    products: Sequence[tuple[int, Matrix, Matrix]],
+    rhs: Sequence[tuple[RadicalScalar | RationalLike, Matrix]] = (),
+) -> Matrix:
+    """Sum of sign * X @ Y over (sign, X, Y) in products, minus c * Z over (c, Z) in rhs.
+
+    Each sign is 1 or -1.  The operands need not be square, only conform:
+    each product and each Z has the result's shape.  So X1 @ A - A @ X2 - c * B
+    tests whether a rectangular A intertwines X1 on its rows with X2 on its
+    columns, and U @ W - c * Z whether Z is the outer product U @ W / c.
+    """
+    if not products:
+        raise ValueError("a residual needs at least one product")
+    rows, cols = products[0][1].rows, products[0][2].cols
+    for _, x, y in products:
+        if x.cols != y.rows or x.rows != rows or y.cols != cols:
+            raise ValueError(
+                f"a {x.rows}x{x.cols} by {y.rows}x{y.cols} product in a {rows}x{cols} residual"
+            )
+    for _, z in rhs:
+        if z.rows != rows or z.cols != cols:
+            raise ValueError(f"a {z.rows}x{z.cols} term in a {rows}x{cols} residual")
+    return _combine(rows, cols, products, [(-1, c, z) for c, z in rhs])
 
 
 def anticommutator(m: Matrix, n: Matrix) -> Matrix:

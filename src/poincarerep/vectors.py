@@ -406,9 +406,12 @@ def _solve_block(
     for p in range(phi, plo, -2):
         step = ladder_coeff_r(R, p - 3) / ladder_coeff_r(P, p - 2)
         tau[(p - 2, qhi)] = tau[(p, qhi)] * step
+    # The q-step ratio does not depend on p: it is formed once per q.
+    q_steps = [
+        (q, ladder_coeff_r(S, q - 3) / ladder_coeff_r(Q, q - 2)) for q in range(qhi, qlo, -2)
+    ]
     for p in range(plo, phi + 1, 2):
-        for q in range(qhi, qlo, -2):
-            step = ladder_coeff_r(S, q - 3) / ladder_coeff_r(Q, q - 2)
+        for q, step in q_steps:
             tau[(p, q - 2)] = tau[(p, q)] * step
 
     sign = -1 if (P.twice - R.twice) == (Q.twice - S.twice) else 1

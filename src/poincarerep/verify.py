@@ -29,6 +29,17 @@ exactly through the kernel on (2A+1)-dimensional matrices, make all 15
 residuals zero.  Any other set, or a failing one-spin check, takes the 15
 commutators.
 
+The sweep settles the 24 vector verdicts of each momentum set it checks
+by the same algebra.  The paper gives each entry of V as a factor of the
+spins (A, C) times a factor of (B, D), so each family of a block is, up to
+its sign, f(dp) x g(dq), and [X x 1, f x g] = (X f - f X') x g.  One
+kernel call proves that factorization on the block's four families,
+re-indexed as one matrix of rank one; then the 24 residuals are zero when
+twelve one-spin checks, rectangular residuals M(X) f - f M(Y) - c f', are
+zero.  Their verdicts are kept for one ``sweep`` call, keyed by the exact
+factor values, so each distinct factor pair is checked once.  A failed
+proof or one-spin check takes ``check_vector_rules``' 24 commutators.
+
 Rule identifiers: "JJ.xy" means [J_x, J_y] against its right-hand side,
 "KV.zt" means [K_z, V_t], "PP.xt" means [P_x, P_t], and so on.  The axis
 letters are x, y, z for generators and x, y, z, t for vector components.
@@ -52,18 +63,20 @@ from .cg import RatioFit, equivalence_ratio
 from .generators import (
     SPIN_BASIS, SPIN_BASIS_INVERSE, GeneratorSet, block_sum, irrep_generators, rotation_rep,
 )
-from .matrix import Matrix, commutator, first_nonzero_of_sum
+from .matrix import Matrix, commutator, first_nonzero_of_sum, residual
 from .momentum import momentum_from_vectors
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar
 from .spins import Spin, SpinPair
 from .vectors import (
     BLOCKS,
     COMPONENTS,
+    FAMILIES,
     FAMILY,
     FAMILY_INVERSE,
     CaseTag,
     FreeParams,
     VectorSet,
+    block_bounds,
     classify_case,
 )
 
@@ -291,6 +304,53 @@ def _one_spin_algebra_holds(spins: tuple[SpinPair, ...]) -> bool:
     return True
 
 
+# The relative signs of the families (V+, V-, F+, F-) in a block of the
+# closed form, which negates V-.  With these signs taken out, the four
+# families of a solution block form one rank-one matrix (see
+# ``_settled_vector_rules``).
+_SIGNS = (1, -1, 1, 1)
+# The half, 0 or 1, that a delta +1 or -1 of ``FAMILIES`` picks.
+_HALF = {1: 0, -1: 1}
+
+
+def _one_spin_sides(family: _Family) -> tuple:
+    """The one-spin checks that the pairs of ``family`` reduce to, once the split is proved.
+
+    Where a block's families are signed products f(dp) x g(dq), f a
+    one-spin matrix on the (A, C) index and g on the (B, D) index, an A
+    ladder acts as X x 1, and [X x 1, f x g] = (X f - f X') x g.  So a pair
+    whose generator is an A ladder reduces to a one-spin rule on the f
+    factors when every family of its right-hand side has the dq of its own
+    family, and so shares its g; a B pair likewise on the g factors when
+    they share dp.  This is checked here, once, on the restated family.
+    Returns, for the A ladders (side 0) and the B ladders (side 1), each
+    check as (ladder within its spin, half, rhs): M_a(X) h - h M_a(Y) = sum
+    of c * h' over (c, half') in rhs, h the side's factor that the half
+    picks, with the families' signs folded into c.
+    """
+    sides = []
+    for side in (0, 1):
+        checks = []
+        for a, b, rhs in family.pairs:
+            if a // 3 != side:
+                continue
+            if any(FAMILIES[m][1 - side] != FAMILIES[b][1 - side] for _, m in rhs):
+                raise AssertionError("the vector pairs do not split into one-spin rules")
+            checks.append((a % 3, _HALF[FAMILIES[b][side]], tuple(
+                (c if _SIGNS[m] == _SIGNS[b] else -c, _HALF[FAMILIES[m][side]]) for c, m in rhs
+            )))
+        # A check that two pairs reduce to is kept once; sorted, so that
+        # sides with the same checks give equal tuples.
+        sides.append(tuple(sorted(dict.fromkeys(checks), key=lambda check: check[:2])))
+    return tuple(sides)
+
+
+_VECTOR_SIDES = _one_spin_sides(_VECTOR)
+# Sides that run the same checks share memo entries, as the two of _VECTOR do.
+_SIDE_KEYS = tuple(_VECTOR_SIDES.index(checks) for checks in _VECTOR_SIDES)
+_VECTOR_HOLDS = tuple(RuleReport(rule_id, True) for rule_id, _ in _VECTOR.rules)
+
+
 def check_vector_rules(gen: GeneratorSet, vec: VectorSet) -> list[RuleReport]:
     """The 24 rules linear in the vector components."""
     if gen.dimension != vec.dimension:
@@ -306,6 +366,109 @@ def check_translations(mom: VectorSet) -> list[RuleReport]:
 def check_poincare(gen: GeneratorSet, mom: VectorSet) -> list[RuleReport]:
     """All 45 rules for a candidate full Poincare set (J, K, P)."""
     return check_lorentz(gen) + check_vector_rules(gen, mom) + check_translations(mom)
+
+
+def _settled_vector_rules(
+    gen: GeneratorSet, mom: VectorSet, memo: dict
+) -> list[RuleReport] | None:
+    """The 24 vector verdicts of a one-block set on standard generators, when they all hold.
+
+    The kept block has rows (p, q) over the spins (P, Q) and columns (r, s)
+    over (R, S); the generators act on it as M(P) x 1 from the left and
+    M(R) x 1 from the right, and as 1 x M(Q) and 1 x M(S).  Each family,
+    times its sign in ``_SIGNS``, is re-indexed with rows (dp, p, r) and
+    columns (dq, q, s) into one matrix z, and one kernel call proves z rank
+    one, in integers: u w - pivot * z = 0, with u its pivot column and w
+    its pivot row.  So family (dp, dq) is its sign times f(dp) x g(dq), f(dp)
+    the dp half of u / pivot and g(dq) the dq half of w, and each pair's
+    residual is, by ``_one_spin_sides``, a one-spin residual on the f (A
+    ladders) or on the g (B ladders) times the other factor.  The 24 rules
+    hold when those one-spin checks pass on the halves of u / pivot over
+    (P, R) and of w / pivot over (Q, S).  ``memo`` keeps each side's verdict
+    keyed by the exact integer form of its two halves and its spins, so an
+    equal side elsewhere is not checked again.  Returns None, for
+    ``check_vector_rules`` to decide, when z is not rank one, a pivot other
+    than 1 has more than one term, or a one-spin check fails.
+    """
+    if not gen.standard or gen.spins != mom.spins or mom.block not in BLOCKS[1:]:
+        return None
+    rows, cols = mom.spins if mom.block == "keep12" else mom.spins[::-1]
+    r0, r1, c0, c1 = block_bounds(mom.spins, mom.block.removeprefix("keep"))
+    P, Q, R, S = rows.left, rows.right, cols.left, cols.right
+    nq, nr, ns = Q.multiplicity, R.multiplicity, S.multiplicity
+    outer, inner = P.multiplicity * nr, nq * ns  # the (p, r) and the (q, s) positions
+    z: dict[int, dict[int, RadicalScalar]] = {}
+    for fam, sign, (dp, dq) in zip(mom.families, _SIGNS, FAMILIES):
+        top, left = _HALF[dp] * outer, _HALF[dq] * inner
+        for i, row in fam._rows.items():
+            if not r0 <= i < r1:
+                return None
+            p, q = divmod(i - r0, nq)
+            for j, v in row.items():
+                if not c0 <= j < c1:
+                    return None
+                r, s = divmod(j - c0, ns)
+                z.setdefault(top + p * nr + r, {})[left + q * ns + s] = v if sign > 0 else -v
+    if not z:
+        return list(_VECTOR_HOLDS)  # every family is zero, and so is every residual
+    i0 = min(z)
+    j0 = min(z[i0])
+    pivot = z[i0][j0]
+    height, width = 2 * outer, 2 * inner
+    column = {i: {0: row[j0]} for i, row in z.items() if j0 in row}
+    if not residual(
+        [(1, Matrix._from_rows(height, 1, column), Matrix._from_rows(1, width, {0: z[i0]}))],
+        [(pivot, Matrix._from_rows(height, width, z))],
+    ).is_zero():
+        return None
+    # u, then w from row ``height``, over the pivot: one kernel call, or none
+    # at a unit pivot, as every block of the sweep's closed form has.
+    scaled = {**column, **{height + j: {0: v} for j, v in z[i0].items()}}
+    if pivot != ONE:
+        if len(pivot._num) != 1:
+            return None
+        inverse = pivot.reciprocal_single()
+        scaled = Matrix._from_rows(height + width, 1, scaled).scale(inverse)._rows
+    factors = (({}, {}), ({}, {}))  # each side's halves, by one-spin position
+    for i, row in scaled.items():
+        if i < height:
+            half, pos = divmod(i, outer)
+            factors[0][half][pos] = row[0]
+        else:
+            half, pos = divmod(i - height, inner)
+            factors[1][half][pos] = row[0]
+    for side, (X, Y) in enumerate(((P, R), (Q, S))):
+        key = (_SIDE_KEYS[side], X.twice, Y.twice) + tuple(
+            tuple(sorted((pos, v._den, tuple(v._num.items())) for pos, v in half.items()))
+            for half in factors[side]
+        )
+        holds = memo.get(key)
+        if holds is None:
+            holds = memo[key] = _one_spin_rules_hold(_VECTOR_SIDES[side], X, Y, factors[side])
+        if not holds:
+            return None
+    return list(_VECTOR_HOLDS)
+
+
+def _one_spin_rules_hold(checks: tuple, X: Spin, Y: Spin, halves: tuple) -> bool:
+    """Whether M_a(X) h - h M_a(Y) - sum of c * h' is zero for each check of ``_one_spin_sides``.
+
+    Each half holds one (2X+1) x (2Y+1) factor by row-major position; M is
+    ``rotation_rep``.
+    """
+    ny = Y.multiplicity
+    hs = []
+    for half in halves:
+        cells: dict[int, dict[int, RadicalScalar]] = {}
+        for pos, v in half.items():
+            x, y = divmod(pos, ny)
+            cells.setdefault(x, {})[y] = v
+        hs.append(Matrix._from_rows(X.multiplicity, ny, cells))
+    lx, ly = rotation_rep(X), rotation_rep(Y)
+    return all(
+        residual([(1, lx[a], hs[h]), (-1, hs[h], ly[a])], [(c, hs[m]) for c, m in rhs]).is_zero()
+        for a, h, rhs in checks
+    )
 
 
 def _both_blocks(first: list[RuleReport], second: list[RuleReport]) -> list[RuleReport]:
@@ -337,6 +500,11 @@ def sweep(bound: int) -> dict:
     linear in P) or 1/r**2 (translation rules, quadratic), so the
     closed-form verdicts are replayed under the CG label; otherwise CG is
     checked directly.
+
+    A checked momentum set's 24 vector verdicts come from
+    ``_settled_vector_rules`` when it proves them all, with one memo of
+    one-spin verdicts for the whole call, and from ``check_vector_rules``
+    otherwise, with the same reports.
     """
     one = FreeParams(ONE, ONE)
     admissible = checks = 0
@@ -351,6 +519,12 @@ def sweep(bound: int) -> dict:
             checks += 1
             if not rep.holds:
                 failures.append(f"{tag}:{rep.rule_id}")
+
+    # One-spin verdicts, keyed by the factor values they checked.
+    one_spin: dict[tuple, bool] = {}
+
+    def vector_rules(gen: GeneratorSet, mom: VectorSet) -> list[RuleReport]:
+        return _settled_vector_rules(gen, mom, one_spin) or check_vector_rules(gen, mom)
 
     def irrep(pair: SpinPair) -> tuple[GeneratorSet, list[RuleReport]]:
         if pair not in irreps:
@@ -380,7 +554,7 @@ def sweep(bound: int) -> dict:
             if source == "clebsch-gordan" and scaled:
                 kept = by_source["closed-form"][1:]
             else:
-                kept = [(check_vector_rules(gen, mom), check_translations(mom)) for mom in moms]
+                kept = [(vector_rules(gen, mom), check_translations(mom)) for mom in moms]
             by_source[source] = (split, *kept)
         return recursion, not isinstance(fit, RatioFit), by_source
 

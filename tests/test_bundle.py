@@ -7,6 +7,7 @@ import json
 import re
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -537,6 +538,35 @@ def test_a_large_generated_bundle_takes_the_fast_path(tmp_path, monkeypatch):
     loaded = load_bundle(str(path))
     monkeypatch.undo()
     assert loaded.dumps() == path.read_text()
+
+
+# tracemalloc's peak in ``save_bundle`` per byte of the file it writes, for
+# the (8,8,7,7) keep12 bundle.  Written one matrix at a time it reads 0.47
+# (338 kB for 714 kB, keep21 0.53); joined and encoded whole it read 2.0.
+SAVE_PEAK_PER_FILE_BYTE = 0.8
+
+
+def test_saving_a_large_bundle_holds_one_matrix_at_a_time(tmp_path):
+    path = tmp_path / "b.json"
+    saved = _generated((8, 8, 7, 7), "closed-form", "keep12", FreeParams(ONE, ONE))
+    tracemalloc.start()
+    try:
+        save_bundle(saved, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == saved.dumps()
+    assert peak < SAVE_PEAK_PER_FILE_BYTE * path.stat().st_size
+
+
+def test_a_value_past_the_digit_limit_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text("as it was")
+    big = RadicalScalar.from_rational(10 ** 5000)
+    vec = closed_form_vectors(spin(1), spin(0), spin(0), spin(1), FreeParams(big, ONE))
+    with pytest.raises(ValueError):
+        save_bundle(MatrixBundle.of("closed-form", vec), str(path))
+    assert path.read_text() == "as it was"
 
 
 HALF = '[{"d":1,"im":[0,1],"re":[1,2]}]'  # the first J_z cell in _make_bundle()

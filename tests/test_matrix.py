@@ -114,6 +114,28 @@ def test_commutator_minus_rhs_matches_reference(case):
     assert _canonical(out)
 
 
+@st.composite
+def intertwiner_cases(draw):
+    """(x, a, y, c, b): x n x n, a and b n x m, y m x m, c an exact scalar."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return (
+        draw(matrices(n, n)), draw(matrices(n, m)), draw(matrices(m, m)),
+        draw(_factors), draw(matrices(n, m)),
+    )
+
+
+@given(intertwiner_cases())
+@settings(max_examples=60, deadline=None)
+def test_a_rectangular_residual_matches_reference(case):
+    x, a, y, c, b = case
+    out = matrix.residual([(1, x, a), (-1, a, y)], [(c, b)])
+    expected = entrywise(
+        lambda xa, ay, bv: xa - ay - c * bv, reference_matmul(x, a), reference_matmul(a, y), b
+    )
+    assert out == expected and (out.rows, out.cols) == (a.rows, a.cols)
+    assert _canonical(out)
+
+
 @given(commutators_with_rhs(), _factors)
 @settings(max_examples=60, deadline=None)
 def test_rhs_equal_to_the_commutator_cancels_it(case, u):
@@ -337,6 +359,14 @@ def test_shape_mismatches_raise():
     for z in (Matrix(2, 3), Matrix(3, 2), Matrix.identity(3)):
         with pytest.raises(ValueError):
             commutator(Matrix.identity(2), Matrix.identity(2), [(1, z)])
+    for products, rhs in (
+        ([], []),
+        ([(1, Matrix(2, 3), Matrix(2, 3))], []),
+        ([(1, Matrix(2, 3), Matrix(3, 2)), (1, Matrix(3, 2), Matrix(2, 3))], []),
+        ([(1, Matrix(2, 3), Matrix(3, 2))], [(1, Matrix(2, 3))]),
+    ):
+        with pytest.raises(ValueError):
+            matrix.residual(products, rhs)
 
 
 def test_from_entries_checks_indices_drops_zeros_and_coerces():

@@ -447,19 +447,26 @@ class TestSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("vectors_from_source", "commutator"):
+        for name in ("vectors_from_source", "commutator", "residual"):
             monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
         monkeypatch.setattr(
             NoSolutionError, "__init__", counted("NoSolutionError", NoSolutionError.__init__)
         )
         report = sweep(3)
         assert report["admissible"] == 36 and report["allHold"]
-        # 18 pairs x 3 sources; 16 irreps x 3 one-spin rules per distinct
-        # spin (4 irreps of one spin, 12 of two: 84 in all) plus 18 pairs x 2
-        # block choices x (24 vector + 6 translation) closed-form rules.  The
-        # CG verdicts come from its ratio fit.  No route is asked to build one
-        # of the 220 inadmissible quadruples.
-        assert calls == {"vectors_from_source": 54, "commutator": 3 * (4 + 12 * 2) + 1080}
+        # 18 pairs x 3 sources.  Commutators: 16 irreps x 3 one-spin rules per
+        # distinct spin (4 irreps of one spin, 12 of two: 84 in all) plus 18
+        # pairs x 2 block choices x 6 translation rules.  The 24 vector rules
+        # of each of those 36 blocks take one rank-one proof, and the six
+        # one-spin pairs (X, Y) with |X - Y| = 1/2 six one-spin checks each,
+        # shared by every block and both spin factors that meet them.  The CG
+        # verdicts come from its ratio fit.  No route is asked to build one of
+        # the 220 inadmissible quadruples.
+        assert calls == {
+            "vectors_from_source": 54,
+            "commutator": 3 * (4 + 12 * 2) + 18 * 2 * 6,
+            "residual": 18 * 2 + 6 * 6,
+        }
         assert calls["NoSolutionError"] == 0
 
 
@@ -539,6 +546,129 @@ class TestCgReplay:
         assert isinstance(fit, RatioFit) and not getattr(fit, ratio)
         report = sweep(3)
         assert any(f.startswith("0,1,1,0:clebsch-gordan:keep") for f in report["failures"])
+        assert report == reference_sweep(3)
+
+
+def _spied_settling(monkeypatch) -> list:
+    """(block spins, settled?) for each momentum set the sweep settles or checks."""
+    seen = []
+    settle = verify._settled_vector_rules
+
+    def spied(gen, mom, memo):
+        reports = settle(gen, mom, memo)
+        rows, cols = mom.spins if mom.block == "keep12" else mom.spins[::-1]
+        block_spins = tuple(s.twice for s in (rows.left, rows.right, cols.left, cols.right))
+        seen.append((block_spins, reports is not None))
+        return reports
+
+    monkeypatch.setattr(verify, "_settled_vector_rules", spied)
+    return seen
+
+
+def _fallen_back(seen: list) -> set:
+    return {block_spins for block_spins, settled in seen if not settled}
+
+
+class TestSettledVectorRules:
+    """A momentum set's 24 vector verdicts come from its proved one-spin factors, or are checked."""
+
+    def test_the_vector_pairs_split_into_one_spin_rules(self):
+        # [M+, f+] = 0, [M+, f-] = -f+, [M-, f+] = -f-, [M-, f-] = 0 and
+        # [Mz, f+-] = +-f+-/2: f+ and f- are the two components of a spin-1/2
+        # tensor operator, on the (A, C) factors and on the (B, D) ones alike.
+        half = Fraction(1, 2)
+        assert verify._VECTOR_SIDES[0] == verify._VECTOR_SIDES[1] == (
+            (0, 0, ()), (0, 1, ((-1, 0),)), (1, 0, ((-1, 1),)),
+            (1, 1, ()), (2, 0, ((half, 0),)), (2, 1, ((-half, 1),)),
+        )
+        assert verify._SIDE_KEYS == (0, 0)
+        # [A+, V+] against a right-hand side in V-, whose dq differs: the
+        # residual no longer splits into an (A, C) factor times a shared one.
+        crossed = verify._Family(tuple(
+            (a, b, [(ONE, 1)]) if (a, b) == (0, 0) else (a, b, rhs)
+            for a, b, rhs in verify._VECTOR.pairs
+        ), ())
+        with pytest.raises(AssertionError, match="do not split"):
+            verify._one_spin_sides(crossed)
+
+    def test_settled_verdicts_equal_the_commutators(self):
+        # At t = -i sqrt(3/2) every pivot is t, and the factors over it are
+        # the ones of t = 1.
+        t = sqrt_of_rational(Fraction(3, 2)).times_i() * -1
+        memo = {}
+        blocks = 0
+        for quad in itertools.product(range(5), repeat=4):
+            A, B, C, D = (spin(tw) for tw in quad)
+            if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
+                continue
+            gen = direct_sum(SpinPair(A, B), SpinPair(C, D))
+            for params in (UNIT, FreeParams(t, t)):
+                vec = closed_form_vectors(A, B, C, D, params)
+                for block in BLOCKS[1:]:
+                    mom = momentum_from_vectors(vec, block)
+                    settled = verify._settled_vector_rules(gen, mom, memo)
+                    assert settled is not None, (quad, params, block)
+                    assert settled == check_vector_rules(gen, mom), (quad, params, block)
+                    blocks += 1
+        # One memo entry for each of the 8 ordered pairs of doubled spins
+        # X, Y <= 4 with |X - Y| = 1, shared by both factors of every block.
+        assert blocks == 2 * 128 and len(memo) == 8
+
+    def test_a_bumped_entry_fails_the_proof_and_is_checked(self, monkeypatch):
+        # The last entry of V+ in the 12-block of 2,3,3,2 is in neither the
+        # pivot row nor the pivot column: only the rank-one proof sees it.
+        def bumped(block, block_spins):
+            if block_spins != (2, 3, 3, 2):
+                return block
+            vp, *rest = block
+            *_, (i, j, _) = vp.nonzero_items()
+            return (vp + Matrix.from_entries(vp.rows, vp.cols, {(i, j): ONE}), *rest)
+
+        _edit_routes(monkeypatch, {"closed-form": bumped})
+        seen = _spied_settling(monkeypatch)
+        report = sweep(3)
+        assert _fallen_back(seen) == {(2, 3, 3, 2)}
+        assert any(f.startswith("2,3,3,2:closed-form:keep12:") for f in report["failures"])
+        assert report == reference_sweep(3)
+
+    def test_a_scaled_family_is_checked(self, monkeypatch):
+        # V+ of one block times 3 still factors on its own, but no longer
+        # forms one rank-one matrix with the other three families.
+        def scaled(block, block_spins):
+            if block_spins != (2, 3, 3, 2):
+                return block
+            vp, *rest = block
+            return (vp.scale(3), *rest)
+
+        _edit_routes(monkeypatch, {"closed-form": scaled})
+        seen = _spied_settling(monkeypatch)
+        report = sweep(3)
+        assert _fallen_back(seen) == {(2, 3, 3, 2)}
+        assert any(f.startswith("2,3,3,2:closed-form:keep12:") for f in report["failures"])
+        assert report == reference_sweep(3)
+
+    def test_a_rescaled_factor_is_checked_not_recalled(self, monkeypatch):
+        # Doubling the first outer row of V+ and F+ in the 12-block of
+        # 2,3,3,2 scales one entry of their shared (A, C) factor: the block
+        # still proves rank one, but its one-spin factors are no longer the
+        # ones that blocks of (1, 3/2) met earlier, so they are checked again.
+        def rescaled(block, block_spins):
+            if block_spins != (2, 3, 3, 2):
+                return block
+            nq = block_spins[1] + 1
+            return tuple(
+                Matrix.from_entries(fam.rows, fam.cols, {
+                    (i, j): v * 2 if k in (0, 2) and i < nq else v
+                    for i, j, v in fam.nonzero_items()
+                })
+                for k, fam in enumerate(block)
+            )
+
+        _edit_routes(monkeypatch, {"closed-form": rescaled})
+        seen = _spied_settling(monkeypatch)
+        report = sweep(3)
+        assert _fallen_back(seen) == {(2, 3, 3, 2)}
+        assert any(f.startswith("2,3,3,2:closed-form:keep12:") for f in report["failures"])
         assert report == reference_sweep(3)
 
 
