@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cg import cg_vector_matrices
 from .generators import (
@@ -210,11 +210,23 @@ class MatrixBundle:
 
         Standard J and K are written by ``_generator_pieces`` from the
         one-spin tables, and every matrix the bundle holds by
-        ``_matrix_pieces``; the pieces of the whole text are joined once.
+        ``_matrix_pieces``; the text is ``chunks()`` joined.
         ``tests/oracles.py`` holds the dict this text encodes, and the tests
         compare the two byte for byte.
         """
-        return "".join(self._pieces(self._matrix_texts()))
+        return "".join(self.chunks())
+
+    def chunks(self) -> Iterator[str]:
+        """The canonical text in the chunks a writer takes one at a time.
+
+        Every piece of the text is formed before this returns, so a
+        ValueError from an integer past Python's digit limit comes before
+        anything is written.  Each matrix's pieces are joined only as that
+        matrix's chunk is reached, so the whole text is never held at once.
+        """
+        # Each matrix's pieces, nested in a list, stay one element of ``pieces``.
+        pieces = self._pieces([[matrix] for matrix in self._matrix_texts()])
+        return (piece if isinstance(piece, str) else "".join(piece) for piece in pieces)
 
     def _matrix_texts(self) -> list[list[str]]:
         """The pieces of the text of each matrix, in MATRIX_KEYS order."""
@@ -699,14 +711,12 @@ def load_bundle(path: str) -> MatrixBundle:
 
 
 def save_bundle(bundle: MatrixBundle, path: str) -> None:
-    """Write ``bundle.dumps()`` to ``path``, one matrix at a time.
+    """Write ``bundle.dumps()`` to ``path``, one matrix at a time (``MatrixBundle.chunks``).
 
-    Every piece of the text is formed before the file is opened, so a
-    ValueError from an integer past Python's digit limit leaves the file as
-    it was.  Each matrix's pieces are then joined only as that matrix is
-    written, so the whole text is never held, nor encoded, at once.
+    The chunks are formed before the file is opened, so a ValueError from
+    an integer past Python's digit limit leaves the file as it was, and the
+    whole text is never held, nor encoded, at once.
     """
-    # Each matrix's pieces, nested in a list, stay one element of ``pieces``.
-    pieces = bundle._pieces([[matrix] for matrix in bundle._matrix_texts()])
+    chunks = bundle.chunks()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(piece if isinstance(piece, str) else "".join(piece) for piece in pieces)
+        fh.writelines(chunks)

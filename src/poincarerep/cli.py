@@ -122,6 +122,17 @@ def _write_text(text: str, out: str | None) -> None:
             raise CliError(f"cannot write {out}: {exc}") from exc
 
 
+def _write_bundle(bundle: MatrixBundle, out: str | None) -> None:
+    """The bundle's canonical text to ``out``, or to stdout, one matrix at a time."""
+    if out is None:
+        sys.stdout.writelines(bundle.chunks())
+        return
+    try:
+        save_bundle(bundle, out)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
+
+
 def _load(path: str) -> MatrixBundle:
     try:
         return load_bundle(path)
@@ -223,7 +234,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     bundle = _load(args.infile)
     if args.format == "exact-json":
-        _write_text(bundle.dumps(), args.out)
+        _write_bundle(bundle, args.out)
         return EXIT_OK
     mats = bundle.matrices()
     if args.format == "float-json":

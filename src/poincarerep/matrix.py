@@ -7,7 +7,7 @@ stored form (nonzero values at positions inside the shape), unchecked;
 ``Matrix.window``, ``place``, ``change_basis``, the kernel and its
 row-by-row ``first_nonzero_of_sum``, the bundle loader,
 ``vectors.pattern_vectors``, ``VectorSet.cartesian``, the generator
-builders (``rotation_rep``, ``irrep_generators``) and the sweep's
+builders (``rotation_rep``, ``irrep_generators``) and the
 one-spin settling of the vector rules (``verify``) use it.
 Nothing changes a matrix after it is made.  Entries are held
 sparsely (zeros dropped) so products of the very sparse spin matrices

@@ -29,16 +29,22 @@ exactly through the kernel on (2A+1)-dimensional matrices, make all 15
 residuals zero.  Any other set, or a failing one-spin check, takes the 15
 commutators.
 
-The sweep settles the 24 vector verdicts of each momentum set it checks
-by the same algebra.  The paper gives each entry of V as a factor of the
-spins (A, C) times a factor of (B, D), so each family of a block is, up to
-its sign, f(dp) x g(dq), and [X x 1, f x g] = (X f - f X') x g.  One
-kernel call proves that factorization on the block's four families,
-re-indexed as one matrix of rank one; then the 24 residuals are zero when
-twelve one-spin checks, rectangular residuals M(X) f - f M(Y) - c f', are
-zero.  Their verdicts are kept for one ``sweep`` call, keyed by the exact
-factor values, so each distinct factor pair is checked once.  A failed
-proof or one-spin check takes ``check_vector_rules``' 24 commutators.
+The 24 vector verdicts of every set on standard generators, in
+``verify --in`` and in the sweep alike, are settled by the same algebra.
+The paper gives each entry of V as a factor of the spins (A, C) times a
+factor of (B, D), so each family of an off-diagonal block is, up to its
+sign, f(dp) x g(dq), and [X x 1, f x g] = (X f - f X') x g.  One kernel
+call per block that holds an entry proves that factorization on the
+block's four families, re-indexed as one matrix of rank one; then the
+block's 24 residuals are zero when twelve one-spin checks, rectangular
+residuals M(X) f - f M(Y) - c f', are zero.  J and K are block-diagonal,
+so the residuals of the 12- and 21-blocks sit in disjoint positions, and
+a set holds when each of its blocks does.  The sweep keeps the one-spin
+verdicts for one ``sweep`` call, keyed by the exact factor values, so
+each distinct factor pair is checked once.  An entry on a diagonal
+block, or a failed proof or one-spin check, takes ``_check``'s 24
+commutators, which give every report and first violation as before.  The
+6 translation verdicts always take their commutators.
 
 Rule identifiers: "JJ.xy" means [J_x, J_y] against its right-hand side,
 "KV.zt" means [K_z, V_t], "PP.xt" means [P_x, P_t], and so on.  The axis
@@ -76,7 +82,6 @@ from .vectors import (
     CaseTag,
     FreeParams,
     VectorSet,
-    block_bounds,
     classify_case,
 )
 
@@ -307,7 +312,7 @@ def _one_spin_algebra_holds(spins: tuple[SpinPair, ...]) -> bool:
 # The relative signs of the families (V+, V-, F+, F-) in a block of the
 # closed form, which negates V-.  With these signs taken out, the four
 # families of a solution block form one rank-one matrix (see
-# ``_settled_vector_rules``).
+# ``_block_settles``).
 _SIGNS = (1, -1, 1, 1)
 # The half, 0 or 1, that a delta +1 or -1 of ``FAMILIES`` picks.
 _HALF = {1: 0, -1: 1}
@@ -351,10 +356,62 @@ _SIDE_KEYS = tuple(_VECTOR_SIDES.index(checks) for checks in _VECTOR_SIDES)
 _VECTOR_HOLDS = tuple(RuleReport(rule_id, True) for rule_id, _ in _VECTOR.rules)
 
 
-def check_vector_rules(gen: GeneratorSet, vec: VectorSet) -> list[RuleReport]:
-    """The 24 rules linear in the vector components."""
+def _sort_entries(vec: VectorSet) -> tuple | None:
+    """A set's family entries sorted by off-diagonal block, in one scan.
+
+    Returns (row spins, column spins, z) for each off-diagonal block that
+    holds an entry, or None when an entry lies on a diagonal block.  z is
+    the block's four families, each times its sign in ``_SIGNS``, re-indexed
+    as one matrix: the entry of family (dp, dq) at row (p, q) and column
+    (r, s) of the block, over the spins (P, Q) of its rows and (R, S) of its
+    columns, sits at row (dp, p, r) and column (dq, q, s) of z.
+    """
+    pair1, pair2 = vec.spins
+    n1 = pair1.dimension
+    n = n1 + pair2.dimension
+    layouts = []  # per block: first row, column range, and the strides of z
+    for rows, cols, r0, c0, c1 in ((pair1, pair2, 0, n1, n), (pair2, pair1, n1, 0, n1)):
+        nq, nr, ns = rows.right.multiplicity, cols.left.multiplicity, cols.right.multiplicity
+        layouts.append((r0, c0, c1, nq, nr, ns, rows.left.multiplicity * nr, nq * ns))
+    zs: tuple[dict, dict] = ({}, {})
+    for fam, sign, (dp, dq) in zip(vec.families, _SIGNS, FAMILIES):
+        for i, row in fam._rows.items():
+            if i >= n:
+                return None
+            b = i >= n1
+            r0, c0, c1, nq, nr, ns, outer, inner = layouts[b]
+            z = zs[b]
+            p, q = divmod(i - r0, nq)
+            top, left = _HALF[dp] * outer + p * nr, _HALF[dq] * inner + q * ns
+            for j, v in row.items():
+                if not c0 <= j < c1:
+                    return None
+                r, s = divmod(j - c0, ns)
+                z.setdefault(top + r, {})[left + s] = v if sign > 0 else -v
+    pairs = ((pair1, pair2), (pair2, pair1))
+    return tuple((*spins, z) for spins, z in zip(pairs, zs) if z)
+
+
+def check_vector_rules(
+    gen: GeneratorSet, vec: VectorSet, memo: dict | None = None
+) -> list[RuleReport]:
+    """The 24 rules linear in the vector components.
+
+    On the standard generators of the set's spins they all hold when no
+    entry lies on a diagonal block and each block that holds an entry
+    settles (``_block_settles``): J and K are block-diagonal, so each
+    residual is those of the 12- and 21-blocks in disjoint positions.  Any
+    other set, or a failed proof or one-spin check, takes the 24
+    commutators of ``_check``, which also give each violation.  ``memo``
+    keeps one-spin verdicts across calls (the sweep passes one per call).
+    """
     if gen.dimension != vec.dimension:
         raise ValueError("generator and vector dimensions differ")
+    if gen.standard and gen.spins == vec.spins:
+        blocks = _sort_entries(vec)
+        memo = {} if memo is None else memo
+        if blocks is not None and all(_block_settles(*held, memo) for held in blocks):
+            return list(_VECTOR_HOLDS)
     return _check(_VECTOR, gen.spin_basis, vec.families)
 
 
@@ -368,49 +425,27 @@ def check_poincare(gen: GeneratorSet, mom: VectorSet) -> list[RuleReport]:
     return check_lorentz(gen) + check_vector_rules(gen, mom) + check_translations(mom)
 
 
-def _settled_vector_rules(
-    gen: GeneratorSet, mom: VectorSet, memo: dict
-) -> list[RuleReport] | None:
-    """The 24 vector verdicts of a one-block set on standard generators, when they all hold.
+def _block_settles(rows: SpinPair, cols: SpinPair, z: dict, memo: dict) -> bool:
+    """Whether the 24 residuals of one block, z as ``_sort_entries`` gives it, are proved zero.
 
-    The kept block has rows (p, q) over the spins (P, Q) and columns (r, s)
-    over (R, S); the generators act on it as M(P) x 1 from the left and
-    M(R) x 1 from the right, and as 1 x M(Q) and 1 x M(S).  Each family,
-    times its sign in ``_SIGNS``, is re-indexed with rows (dp, p, r) and
-    columns (dq, q, s) into one matrix z, and one kernel call proves z rank
-    one, in integers: u w - pivot * z = 0, with u its pivot column and w
-    its pivot row.  So family (dp, dq) is its sign times f(dp) x g(dq), f(dp)
-    the dp half of u / pivot and g(dq) the dq half of w, and each pair's
-    residual is, by ``_one_spin_sides``, a one-spin residual on the f (A
-    ladders) or on the g (B ladders) times the other factor.  The 24 rules
-    hold when those one-spin checks pass on the halves of u / pivot over
-    (P, R) and of w / pivot over (Q, S).  ``memo`` keeps each side's verdict
-    keyed by the exact integer form of its two halves and its spins, so an
-    equal side elsewhere is not checked again.  Returns None, for
-    ``check_vector_rules`` to decide, when z is not rank one, a pivot other
-    than 1 has more than one term, or a one-spin check fails.
+    The block has rows (p, q) over the spins (P, Q) and columns (r, s) over
+    (R, S); the generators act on it as M(P) x 1 from the left and M(R) x 1
+    from the right, and as 1 x M(Q) and 1 x M(S).  One kernel call proves
+    z rank one, in integers: u w - pivot * z = 0, with u its pivot column
+    and w its pivot row.  So family (dp, dq) is its sign times
+    f(dp) x g(dq), f(dp) the dp half of u / pivot and g(dq) the dq half of
+    w, and each pair's residual is, by ``_one_spin_sides``, a one-spin
+    residual on the f (A ladders) or on the g (B ladders) times the other
+    factor.  The 24 rules hold when those one-spin checks pass on the
+    halves of u over (P, R) and of w over (Q, S): each check is linear and
+    homogeneous in its side's two halves, so it holds on u / pivot exactly
+    when it holds on u.  A single-term pivot other than 1 is divided out of
+    both, so that equal factors at another scale meet the same memo entry;
+    a multi-term one is not.  ``memo`` keeps each side's verdict keyed by
+    the exact integer form of the two halves it checked and its spins.
     """
-    if not gen.standard or gen.spins != mom.spins or mom.block not in BLOCKS[1:]:
-        return None
-    rows, cols = mom.spins if mom.block == "keep12" else mom.spins[::-1]
-    r0, r1, c0, c1 = block_bounds(mom.spins, mom.block.removeprefix("keep"))
     P, Q, R, S = rows.left, rows.right, cols.left, cols.right
-    nq, nr, ns = Q.multiplicity, R.multiplicity, S.multiplicity
-    outer, inner = P.multiplicity * nr, nq * ns  # the (p, r) and the (q, s) positions
-    z: dict[int, dict[int, RadicalScalar]] = {}
-    for fam, sign, (dp, dq) in zip(mom.families, _SIGNS, FAMILIES):
-        top, left = _HALF[dp] * outer, _HALF[dq] * inner
-        for i, row in fam._rows.items():
-            if not r0 <= i < r1:
-                return None
-            p, q = divmod(i - r0, nq)
-            for j, v in row.items():
-                if not c0 <= j < c1:
-                    return None
-                r, s = divmod(j - c0, ns)
-                z.setdefault(top + p * nr + r, {})[left + q * ns + s] = v if sign > 0 else -v
-    if not z:
-        return list(_VECTOR_HOLDS)  # every family is zero, and so is every residual
+    outer, inner = P.multiplicity * R.multiplicity, Q.multiplicity * S.multiplicity
     i0 = min(z)
     j0 = min(z[i0])
     pivot = z[i0][j0]
@@ -420,17 +455,14 @@ def _settled_vector_rules(
         [(1, Matrix._from_rows(height, 1, column), Matrix._from_rows(1, width, {0: z[i0]}))],
         [(pivot, Matrix._from_rows(height, width, z))],
     ).is_zero():
-        return None
-    # u, then w from row ``height``, over the pivot: one kernel call, or none
-    # at a unit pivot, as every block of the sweep's closed form has.
-    scaled = {**column, **{height + j: {0: v} for j, v in z[i0].items()}}
-    if pivot != ONE:
-        if len(pivot._num) != 1:
-            return None
-        inverse = pivot.reciprocal_single()
-        scaled = Matrix._from_rows(height + width, 1, scaled).scale(inverse)._rows
+        return False
+    # u, then w from row ``height``: over the pivot by one kernel call when
+    # it is a single term other than 1, else as they are.
+    halves = {**column, **{height + j: {0: v} for j, v in z[i0].items()}}
+    if pivot != ONE and len(pivot._num) == 1:
+        halves = Matrix._from_rows(height + width, 1, halves).scale(pivot.reciprocal_single())._rows
     factors = (({}, {}), ({}, {}))  # each side's halves, by one-spin position
-    for i, row in scaled.items():
+    for i, row in halves.items():
         if i < height:
             half, pos = divmod(i, outer)
             factors[0][half][pos] = row[0]
@@ -446,8 +478,8 @@ def _settled_vector_rules(
         if holds is None:
             holds = memo[key] = _one_spin_rules_hold(_VECTOR_SIDES[side], X, Y, factors[side])
         if not holds:
-            return None
-    return list(_VECTOR_HOLDS)
+            return False
+    return True
 
 
 def _one_spin_rules_hold(checks: tuple, X: Spin, Y: Spin, halves: tuple) -> bool:
@@ -501,10 +533,9 @@ def sweep(bound: int) -> dict:
     closed-form verdicts are replayed under the CG label; otherwise CG is
     checked directly.
 
-    A checked momentum set's 24 vector verdicts come from
-    ``_settled_vector_rules`` when it proves them all, with one memo of
-    one-spin verdicts for the whole call, and from ``check_vector_rules``
-    otherwise, with the same reports.
+    Each checked momentum set's vector verdicts come from
+    ``check_vector_rules``, given one memo of one-spin verdicts for the
+    whole call.
     """
     one = FreeParams(ONE, ONE)
     admissible = checks = 0
@@ -522,9 +553,6 @@ def sweep(bound: int) -> dict:
 
     # One-spin verdicts, keyed by the factor values they checked.
     one_spin: dict[tuple, bool] = {}
-
-    def vector_rules(gen: GeneratorSet, mom: VectorSet) -> list[RuleReport]:
-        return _settled_vector_rules(gen, mom, one_spin) or check_vector_rules(gen, mom)
 
     def irrep(pair: SpinPair) -> tuple[GeneratorSet, list[RuleReport]]:
         if pair not in irreps:
@@ -554,7 +582,10 @@ def sweep(bound: int) -> dict:
             if source == "clebsch-gordan" and scaled:
                 kept = by_source["closed-form"][1:]
             else:
-                kept = [(vector_rules(gen, mom), check_translations(mom)) for mom in moms]
+                kept = [
+                    (check_vector_rules(gen, mom, one_spin), check_translations(mom))
+                    for mom in moms
+                ]
             by_source[source] = (split, *kept)
         return recursion, not isinstance(fit, RatioFit), by_source
 

@@ -7,7 +7,9 @@ the matrix oracles form every entry with RadicalScalar arithmetic, one
 entry at a time, and ``ReferenceScalar`` keeps a Fraction pair per
 radicand where RadicalScalar keeps integers over one denominator.  ``reference_sweep`` checks every admissible
 quadruple of the sweep from scratch, with no verdict replayed from its
-swapped partner or from the closed-form route.  ``reference_check_poincare``
+swapped partner or from the closed-form route, and each vector and
+translation rule by its commutator, with no verdict settled by the
+one-spin factorization.  ``reference_check_poincare``
 checks each of the 45 rules by one commutator of the Cartesian matrices
 J_x ... K_z and V_x ... V_t, where the library checks them in the spin and
 family bases.
@@ -56,11 +58,12 @@ from poincarerep.vectors import (
 )
 from poincarerep.verify import (
     AXES,
+    _TRANSLATIONS,
+    _VECTOR,
     RuleReport,
     _both_blocks,
+    _check,
     check_lorentz,
-    check_translations,
-    check_vector_rules,
     epsilon,
 )
 
@@ -508,14 +511,17 @@ def reference_sweep(bound: int) -> dict:
         for source in ("closed-form", "clebsch-gordan"):
             vec = vecs[source]
             moms = {choice: momentum_from_vectors(vec, choice) for choice in BLOCKS[1:]}
-            rules = {choice: check_vector_rules(gen, mom) for choice, mom in moms.items()}
+            rules = {
+                choice: _check(_VECTOR, gen.spin_basis, mom.families)
+                for choice, mom in moms.items()
+            }
             halves = zip(*(mom.components() for mom in moms.values()), vec.components())
             if any(p12 + p21 != v for p12, p21, v in halves):
                 failures.append(f"{label}:{source}:block-split")
             run(f"{label}:{source}:V", _both_blocks(*rules.values()))
             for choice, mom in moms.items():
                 run(f"{label}:{source}:{choice}", rules[choice])
-                run(f"{label}:{source}:{choice}", check_translations(mom))
+                run(f"{label}:{source}:{choice}", _check(_TRANSLATIONS, mom.families, mom.families))
     return {
         "sweepBound": bound,
         "quadruples": total,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarerep import bundle, generators
+from poincarerep import bundle, cli, generators
 from poincarerep.bundle import (
     MATRIX_KEYS,
     SOURCES,
@@ -556,6 +556,26 @@ def test_saving_a_large_bundle_holds_one_matrix_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert path.read_text() == saved.dumps()
+    assert peak < SAVE_PEAK_PER_FILE_BYTE * path.stat().st_size
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+def test_exporting_a_large_bundle_holds_one_matrix_at_a_time(tmp_path, monkeypatch, to_stdout):
+    # The write step of `export --format exact-json` alone, after the load.
+    # It reads 0.42 of the file to --out and 0.41 to stdout; joined and
+    # encoded whole it read 2.0.
+    path, out, stdout_path = (tmp_path / name for name in ("b.json", "e.json", "stdout.json"))
+    save_bundle(_generated((8, 8, 7, 7), "closed-form", "keep12", FreeParams(ONE, ONE)), str(path))
+    loaded = load_bundle(str(path))
+    with open(stdout_path, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            cli._write_bundle(loaded, None if to_stdout else str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert (stdout_path if to_stdout else out).read_bytes() == path.read_bytes()
     assert peak < SAVE_PEAK_PER_FILE_BYTE * path.stat().st_size
 
 

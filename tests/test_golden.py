@@ -60,6 +60,17 @@ EDITED_JX_REPORT_DIGESTS = {
     6: "e5708553a3db6dabd4490035d1f0eae60c032e23c6a4e3d63e816941eccda4c3",
 }
 
+# sha256 of the `verify --in` report of a canonical (2,1,1,2) bundle with one
+# V cell rewritten from 1 to 2, keyed (block, matrix, row-major position).
+# Vx cell 30 lies in the 12-block of a keep12 file, off the pivot row and
+# column of its rank-one factorization, so only the proof sees the edit; Vz
+# cell 85 lies in the 21-block of a both file.  Recorded with the release
+# before the vector rules of a bundle were settled by their one-spin factors.
+EDITED_V_REPORT_DIGESTS = {
+    ("keep12", "Vx", 30): "b1e7da5e7a05c3d78850679a255a150603ee0adc8d8305af423e04d77ede9d4b",
+    ("both", "Vz", 85): "f058c9394c42ef29b6bc10832c30f878588585480f624e68b689cea3f985b2a9",
+}
+
 # sha256 of the `equiv --out` payloads of the 36 admissible quadruples with
 # doubled spins <= 3, concatenated in itertools.product order, keyed like
 # EQUIV_VARIANTS.
@@ -220,6 +231,29 @@ def test_a_canonical_bundle_with_an_edited_j_x_takes_the_general_path(tmp_path, 
         assert {"JJ", "JK"} <= failing
         if pos == 6:
             assert failing <= {"JJ", "JK", "KK"}
+
+
+def test_a_canonical_bundle_with_an_edited_v_cell_takes_the_general_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bundle, report = Path("bundle.json"), Path("report.json")
+    one, two = ([{"d": 1, "im": [0, 1], "re": [k, 1]}] for k in (1, 2))
+    for (block, key, pos), want in EDITED_V_REPORT_DIGESTS.items():
+        assert main(["gen", "--spins", "2,1,1,2", "--block", block, "--out", str(bundle)]) == 0
+        data = json.loads(bundle.read_text())
+        assert data["matrices"][key][pos] == one
+        data["matrices"][key][pos] = two
+        text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        # Still canonical, so the fast loader reads it; J and K are the standard ones.
+        loaded = bundle_module._canonical_bundle(text)
+        assert loaded is not None and loaded.JK is None
+        bundle.write_text(text)
+        assert main(["verify", "--in", str(bundle), "--out", str(report)]) == 1
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == want, (block, key, pos)
+        failing = {r["ruleId"] for r in json.loads(report.read_text())["rules"] if not r["holds"]}
+        vector = {rule for rule in failing if rule[:2] in ("JV", "KV")}
+        assert vector and failing - vector == (set() if block == "keep12" else {
+            "PP.xt", "PP.xy", "PP.xz", "PP.yt", "PP.yz", "PP.zt"
+        })
 
 
 # name -> (equiv options after --spins, exit code of every quadruple)

@@ -54,6 +54,11 @@ from poincarerep.verify import (
 )
 
 UNIT = FreeParams(ONE, ONE)
+# The first dressing of perfbench's dressed workload: every entry has two terms.
+DRESSED = FreeParams(
+    RadicalScalar.from_terms([(6, Fraction(3, 4), 0), (10, 0, Fraction(2, 5))]),
+    RadicalScalar.from_terms([(3, Fraction(-5, 7), 0), (14, 0, Fraction(1, 3))]),
+)
 
 
 def _weyl_rep():
@@ -550,18 +555,17 @@ class TestCgReplay:
 
 
 def _spied_settling(monkeypatch) -> list:
-    """(block spins, settled?) for each momentum set the sweep settles or checks."""
+    """(block spins, settled?) for each block whose vector rules are settled or checked."""
     seen = []
-    settle = verify._settled_vector_rules
+    settle = verify._block_settles
 
-    def spied(gen, mom, memo):
-        reports = settle(gen, mom, memo)
-        rows, cols = mom.spins if mom.block == "keep12" else mom.spins[::-1]
+    def spied(rows, cols, z, memo):
+        settled = settle(rows, cols, z, memo)
         block_spins = tuple(s.twice for s in (rows.left, rows.right, cols.left, cols.right))
-        seen.append((block_spins, reports is not None))
-        return reports
+        seen.append((block_spins, settled))
+        return settled
 
-    monkeypatch.setattr(verify, "_settled_vector_rules", spied)
+    monkeypatch.setattr(verify, "_block_settles", spied)
     return seen
 
 
@@ -591,28 +595,58 @@ class TestSettledVectorRules:
         with pytest.raises(AssertionError, match="do not split"):
             verify._one_spin_sides(crossed)
 
-    def test_settled_verdicts_equal_the_commutators(self):
-        # At t = -i sqrt(3/2) every pivot is t, and the factors over it are
-        # the ones of t = 1.
+    def test_settled_verdicts_equal_the_commutators(self, monkeypatch):
+        # Every set the routes build settles, in each block choice: at unit
+        # parameters; at t = -i sqrt(3/2), whose pivots are t and not 1, and
+        # whose factors over it are those of t = 1; and at a dressing whose
+        # pivots have two terms, so its factors are checked undivided.
+        check = verify._check
+        fallbacks = []
+        monkeypatch.setattr(
+            verify, "_check", lambda family, *args: fallbacks.append(family) or check(family, *args)
+        )
         t = sqrt_of_rational(Fraction(3, 2)).times_i() * -1
-        memo = {}
-        blocks = 0
+        memo, dressed_memo = {}, {}
+        sets = 0
         for quad in itertools.product(range(5), repeat=4):
-            A, B, C, D = (spin(tw) for tw in quad)
-            if classify_case(A, B, C, D) is CaseTag.NO_SOLUTION:
+            spins = tuple(spin(tw) for tw in quad)
+            if classify_case(*spins) is CaseTag.NO_SOLUTION:
                 continue
-            gen = direct_sum(SpinPair(A, B), SpinPair(C, D))
-            for params in (UNIT, FreeParams(t, t)):
-                vec = closed_form_vectors(A, B, C, D, params)
-                for block in BLOCKS[1:]:
-                    mom = momentum_from_vectors(vec, block)
-                    settled = verify._settled_vector_rules(gen, mom, memo)
-                    assert settled is not None, (quad, params, block)
-                    assert settled == check_vector_rules(gen, mom), (quad, params, block)
-                    blocks += 1
+            gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
+            for params, sources, one_spin in (
+                (UNIT, SOURCES, memo), (FreeParams(t, t), ("closed-form",), memo),
+                (DRESSED, SOURCES, dressed_memo),
+            ):
+                for source in sources:
+                    full = vectors_from_source(source, spins, params)
+                    for block in BLOCKS:
+                        vec = full if block == "both" else momentum_from_vectors(full, block)
+                        want = check(verify._VECTOR, gen.spin_basis, vec.families)
+                        assert check_vector_rules(gen, vec, one_spin) == want, (quad, source, block)
+                        sets += 1
+        assert not fallbacks
         # One memo entry for each of the 8 ordered pairs of doubled spins
-        # X, Y <= 4 with |X - Y| = 1, shared by both factors of every block.
-        assert blocks == 2 * 128 and len(memo) == 8
+        # X, Y <= 4 with |X - Y| = 1, shared by both factors of every block
+        # and by every route, whose blocks are proportional.
+        assert sets == 64 * (3 * 3 + 3 + 3 * 3) and len(memo) == 8
+
+    def test_a_both_set_with_a_bumped_21_entry_is_checked(self, monkeypatch):
+        # The last entry of V+ in the 21-block of 2,3,3,2: the 12-block still
+        # settles, the 21-block fails its proof, and the set takes the 24
+        # commutators, with their first violations.
+        spins = tuple(spin(tw) for tw in (2, 3, 3, 2))
+        vec = closed_form_vectors(*spins, UNIT)
+        vp, *rest = oracles.block(vec, "21")
+        *_, (i, j, _) = vp.nonzero_items()
+        b21 = (vp + Matrix.from_entries(vp.rows, vp.cols, {(i, j): ONE}), *rest)
+        bumped = oracles.from_blocks(vec.spins, vec.params, oracles.block(vec, "12"), b21)
+        gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
+        seen = _spied_settling(monkeypatch)
+        reports = check_vector_rules(gen, bumped)
+        assert seen == [((2, 3, 3, 2), True), ((3, 2, 2, 3), False)]
+        assert reports == verify._check(verify._VECTOR, gen.spin_basis, bumped.families)
+        assert not all(r.holds for r in reports)
+        assert any(r.first_violation for r in reports)
 
     def test_a_bumped_entry_fails_the_proof_and_is_checked(self, monkeypatch):
         # The last entry of V+ in the 12-block of 2,3,3,2 is in neither the
