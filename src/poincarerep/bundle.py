@@ -366,11 +366,10 @@ def _generator_pieces(p1: SpinPair, p2: SpinPair) -> list[list[str]]:
 
     # columns[p][slot]: the texts of one ladder of one irrep in G_p, over
     # the one-spin rows, None where the ladder has no entry; each ladder
-    # cell is (position, slot, one-spin row).  A spin's ladders, and the
-    # texts of one ladder times one coefficient, are made once.
+    # cell is (position, slot, one-spin row).  The texts of one ladder times
+    # one coefficient are made once.
     columns: dict[int, list[list[str | None]]] = {p: [] for p in _OFF_DIAGONAL}
     made: dict[tuple, list[str | None]] = {}
-    reps: dict[Spin, tuple[Matrix, ...]] = {}
     positions: list[int] = []
     slots: list[tuple[int, int]] = []
     diagonal: dict[int, tuple[list[int], list[str]]] = {p: ([], []) for p, _, _ in _DIAGONAL}
@@ -382,9 +381,7 @@ def _generator_pieces(p1: SpinPair, p2: SpinPair) -> list[list[str]]:
         for a, units in _LADDERS:
             outer, sign = _LADDER_PLACES[a]
             spin = pair.left if outer else pair.right
-            if spin not in reps:
-                reps[spin] = rotation_rep(spin)
-            ladder = reps[spin][0 if sign > 0 else 1]._rows
+            ladder = rotation_rep(spin)[0 if sign > 0 else 1]._rows
             entries = [
                 next(iter(ladder[idx].values())) if idx in ladder else None
                 for idx in range(spin.multiplicity)

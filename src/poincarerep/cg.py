@@ -33,9 +33,12 @@ usual contravariant tabulation this flips the sign of the t component.
 Coupling selection rules enforce A = C +/- 1/2, B = D +/- 1/2, so
 inadmissible spins yield identically zero blocks.
 
-``equivalence_ratio`` compares two vector sets on their family blocks; it
-reads Cartesian entries, one cell at a time from the families, only to fit
-the ratio and to report a mismatch.
+``equivalence_ratio`` compares two vector sets on their family blocks.
+It fits each block's ratio at the candidate's first single-term Cartesian
+entry, then compares the stored cells of the four families, reference =
+ratio * candidate, with each distinct candidate value scaled once in one
+kernel call per block.  Only when a cell differs does it form the residual
+and read the Cartesian entry it reports.
 """
 
 from __future__ import annotations
@@ -43,16 +46,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator
 
 from .generators import ladder_coeff_r, ladder_coeff_s
-from .matrix import linear_combination
+from .matrix import Matrix, linear_combination
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from .spins import Spin, SpinPair
 from .vectors import (
     COMPONENTS, Block, Coeff, FreeParams, VectorSet, _block_pair, block_bounds, cartesian_entry,
-    pattern_vectors,
+    _product_memo, pattern_vectors,
 )
 
 
@@ -150,7 +153,9 @@ def _signed_squares(
     return den, {k: square.numerator * (den // square.denominator) for k, square in squares.items()}
 
 
-def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Coeff:
+def cg_block(
+    P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar, memo: dict | None = None
+) -> Coeff:
     """The coupling entry formula of the block, rows (p,q) of (P,Q) and columns (r,s) of (R,S).
 
     The family (dp, dq) entry is lam * <1/2 dp/2, R r|P p> <1/2 -dq/2, Q q|S s>,
@@ -158,6 +163,9 @@ def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Coeff:
     block as signed squares over one denominator, so an entry is fixed by
     the signed product of two table numerators: each distinct one is one
     square root times lam, and every entry equal to it is that one object.
+    ``cg_vector_matrices`` shares ``memo`` between its two blocks
+    (``vectors._product_memo``), so at t12 = t21 an equal value of both
+    blocks is one object too.
     """
     den1, left = _signed_squares({
         (p, dp): clebsch_gordan(_HALF, dp, R, p - dp, P, p)
@@ -168,7 +176,7 @@ def cg_block(P: Spin, Q: Spin, R: Spin, S: Spin, lam: RadicalScalar) -> Coeff:
         for q in Q.projections() for dq in (1, -1)
     })
     den = den1 * den2
-    values: dict[int, RadicalScalar] = {}
+    values = _product_memo(memo, den, lam)
 
     def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
         key = left[p, dp] * right[q, dq]
@@ -190,7 +198,7 @@ def cg_vector_matrices(
     return pattern_vectors(
         (SpinPair(A, B), SpinPair(C, D)),
         params,
-        *_block_pair(cg_block, A, B, C, D, params.t12, params.t21),
+        *_block_pair(partial(cg_block, memo={}), A, B, C, D, params.t12, params.t21),
     )
 
 
@@ -239,30 +247,70 @@ def _fit(reference: Block, candidate: Block) -> RadicalScalar:
     raise ValueError("cannot fit a ratio: candidate block has no single-term entries")
 
 
+def _proportional(reference: Block, candidate: Block, ratio: RadicalScalar, bounds) -> bool:
+    """Whether reference = ratio * candidate at every stored cell of the block at ``bounds``.
+
+    ``candidate`` holds only the block; ``reference`` is read in place.  Each
+    distinct candidate value, by identity, is scaled by one kernel call for
+    the whole block.  A cell that only one side holds, including one whose
+    scaled value is zero, is a difference, so this is the zero test of the
+    residual reference - ratio * candidate.
+    """
+    r0, r1, c0, c1 = bounds
+    distinct = {id(v): v for fam in candidate for row in fam._rows.values() for v in row.values()}
+    scaled = {}
+    if distinct:
+        line = Matrix._from_rows(1, len(distinct), {0: dict(enumerate(distinct.values()))})
+        cells = line.scale(ratio)._rows.get(0, {})
+        scaled = {key: cells.get(j) for j, key in enumerate(distinct)}
+    for ref, cand in zip(reference, candidate):
+        held = 0
+        for i, row in cand._rows.items():
+            ref_row = ref._rows.get(i, {})
+            for j, v in row.items():
+                value, got = scaled[id(v)], ref_row.get(j)
+                if got is not value and got != value:
+                    return False
+                held += value is not None
+        in_block = sum(
+            1 for i, row in ref._rows.items() if r0 <= i < r1 for j in row if c0 <= j < c1
+        )
+        if in_block != held:
+            return False
+    return True
+
+
 def equivalence_ratio(
     reference: VectorSet, candidate: VectorSet
 ) -> "RatioFit | RatioMismatch":
     """Fit one constant per off-diagonal block or report the first mismatch.
 
-    Each block is read as a momentum set reads it, as the window of every
-    family at ``block_bounds``.  The residual reference - ratio * candidate
-    is formed on those families.  When it is nonzero, the mismatch is its
-    first nonzero Cartesian entry, in the order V_x, V_y, V_z, V_t, at its
-    row and column within the block.  An all-zero candidate block fits with
-    ratio 1, so it matches only an all-zero reference block.
+    The candidate's block is read as a momentum set reads it, as the window
+    of every family at ``block_bounds``; the reference is read in place.
+    The ratio is fitted by ``_fit``, and each stored cell of the block's
+    families is compared: reference = ratio * candidate.  Only when a cell
+    differs is the residual reference - ratio * candidate formed on the
+    windows of both, and the mismatch is its first nonzero Cartesian entry,
+    in the order V_x, V_y, V_z, V_t, at its row and column within the
+    block.  An all-zero candidate block fits with ratio 1, so it matches
+    only an all-zero reference block.
     """
     if reference.spins != candidate.spins:
         raise ValueError("vector sets live on different representations")
     ratios = {}
     for which in ("12", "21"):
         bounds = r0, _, c0, _ = block_bounds(reference.spins, which)
-        ref, cand = (tuple(fam.window(*bounds) for fam in v.families) for v in (reference, candidate))
-        ratio = _fit(ref, cand)
-        residuals = tuple(linear_combination([(ONE, r), (-ratio, c)]) for r, c in zip(ref, cand))
-        if not all(res.is_zero() for res in residuals):
-            for k, mu in enumerate(COMPONENTS):
-                for row, col, _ in _cartesian_items(residuals, k):
-                    ref_mu, cand_mu = (cartesian_entry(b, k, row, col) for b in (ref, cand))
-                    return RatioMismatch(which, mu, row - r0, col - c0, ref_mu, cand_mu)
+        cand = tuple(fam.window(*bounds) for fam in candidate.families)
+        ratio = _fit(reference.families, cand)
+        if not _proportional(reference.families, cand, ratio, bounds):
+            ref = tuple(fam.window(*bounds) for fam in reference.families)
+            residuals = tuple(
+                linear_combination([(ONE, r), (-ratio, c)]) for r, c in zip(ref, cand)
+            )
+            if not all(res.is_zero() for res in residuals):
+                for k, mu in enumerate(COMPONENTS):
+                    for row, col, _ in _cartesian_items(residuals, k):
+                        ref_mu, cand_mu = (cartesian_entry(b, k, row, col) for b in (ref, cand))
+                        return RatioMismatch(which, mu, row - r0, col - c0, ref_mu, cand_mu)
         ratios[which] = ratio
     return RatioFit(ratio12=ratios["12"], ratio21=ratios["21"])

@@ -15,6 +15,13 @@ text straight from the one-spin tables, with the strides
 ``irrep_generators`` uses and the coefficients in ``_LADDERS`` and
 ``_DIAGONAL``; ``gen`` writes that text, and ``verify --in`` recognises it.
 
+Every one-spin quantity comes from two tables built once per spin and
+process: the ladder coefficients r(X, m), which ``ladder_coeff_r`` and
+``ladder_coeff_s`` read, and ``rotation_rep(X)``, whose ladders hold the
+table's own values.  The generator placers, the J/K text writer, the
+one-spin checks of ``verify``, the recursion route and the CG tables all
+read the same objects.
+
 Basis convention, fixed once for the whole package: within an irreducible
 block (A,B) the index pair (a, b) runs with a descending from +A to -A as
 the outer index and b descending from +B to -B as the inner index, so the
@@ -26,23 +33,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .matrix import Matrix, block_diag, change_basis, place
 from .radical import ZERO, RadicalScalar, gaussian_table, sqrt_of_rational
 from .spins import Spin, SpinPair
 
 
+# One ladder table and one rotation_rep per doubled spin, kept for the
+# process and shared by every caller, so each is built once and each
+# Matrix keeps its packed kernel form.  Only tables are cached: every check
+# built on them still runs its kernel zero test.  The bound caps memory in
+# a long-lived process: spin X's tables hold about 3(2X+1) values, and with
+# their packed forms take about 5.7 MB at doubled spin 2046, the largest
+# the command line's dimension limit admits (a no-solution (2046/2, 0) +
+# (0, 0)), so at most about 185 MB; a spin up to doubled 12, the sweep's
+# limit, takes under 30 kB.
+_SPIN_TABLE_SIZE = 32
+
+
+@lru_cache(maxsize=_SPIN_TABLE_SIZE)
+def _ladder_table(twice: int) -> dict[int, RadicalScalar]:
+    """r(X, m) = sqrt((X - m)(X + m + 1)) at each doubled m below the top of the ladder.
+
+    Every value is nonzero; read-only, since every caller shares it.
+    """
+    return {
+        m: sqrt_of_rational(Fraction((twice - m) * (twice + m + 2), 4))
+        for m in range(-twice, twice, 2)
+    }
+
+
 def ladder_coeff_r(spin: Spin, m: int) -> RadicalScalar:
     """Raising coefficient sqrt((A - m)(A + m + 1)) at doubled m; zero off the ladder."""
-    if abs(m) > spin.twice or (spin.twice - m) % 2:
-        return ZERO
-    return sqrt_of_rational(Fraction((spin.twice - m) * (spin.twice + m + 2), 4))
+    return _ladder_table(spin.twice).get(m, ZERO)
 
 
 def ladder_coeff_s(spin: Spin, m: int) -> RadicalScalar:
     """Lowering coefficient sqrt((A + m)(A - m + 1)) = r at -m."""
-    return ladder_coeff_r(spin, -m)
+    return _ladder_table(spin.twice).get(-m, ZERO)
 
 
 def rotation_rep(spin: Spin) -> tuple[Matrix, Matrix, Matrix]:
@@ -52,17 +81,24 @@ def rotation_rep(spin: Spin) -> tuple[Matrix, Matrix, Matrix]:
     unit per position, so M+ has r_m at (idx - 1, idx) and M- has s_m at
     (idx + 1, idx); Mz is diagonal with the projection values.  r_m is
     nonzero below the top of the ladder and s_m above its bottom, so the
-    only zero cell left out is Mz's at m = 0.
+    only zero cell left out is Mz's at m = 0.  Built once per spin and
+    shared: M+ and M- hold the ladder table's own values.
     """
-    n = spin.multiplicity
+    return _rotation_rep(spin.twice)
+
+
+@lru_cache(maxsize=_SPIN_TABLE_SIZE)
+def _rotation_rep(twice: int) -> tuple[Matrix, Matrix, Matrix]:
+    n = twice + 1
+    ladder = _ladder_table(twice)
     mplus, mminus, mz = {}, {}, {}
-    for idx, m in enumerate(spin.projections()):
+    for idx, m in enumerate(Spin(twice).projections()):
         if m:
             mz[idx] = {idx: RadicalScalar.from_rational(Fraction(m, 2))}
         if idx > 0:
-            mplus[idx - 1] = {idx: ladder_coeff_r(spin, m)}
+            mplus[idx - 1] = {idx: ladder[m]}
         if idx < n - 1:
-            mminus[idx + 1] = {idx: ladder_coeff_s(spin, m)}
+            mminus[idx + 1] = {idx: ladder[-m]}
     return tuple(Matrix._from_rows(n, n, rows) for rows in (mplus, mminus, mz))
 
 

@@ -21,15 +21,20 @@ Two independent construction routes are provided and must agree exactly:
   matrices by anchoring the two free parameters at the extreme index of
   each off-diagonal block and stepping the ladder recursions across the
   index lattice, then assembling F+ and F- from commutators with the
-  ladder coefficients.
+  ladder coefficients.  The coefficients r(X, m) are read from each
+  spin's ladder table, built once per process (``generators``), and each
+  step ratio is formed once in the loop it depends on.
 
 Both routes, like the Clebsch-Gordan route in ``cg``, supply only the
 entry formula ``coeff(dp, dq, p, q)`` of each family; ``pattern_vectors``
 writes the entries of both off-diagonal blocks straight into the rows of
-the four n x n families, skipping zeros.  The closed-form and
-Clebsch-Gordan routes keep their factor tables and product memos for one
-route call, and each block of a set they generate holds each distinct
-value as one object, so the Cartesian view negates or turns each once.
+the four n x n families, skipping zeros.  Each route keeps one memo for a
+route call, shared by both blocks, so a set it generates holds each
+distinct value as one object, and the Cartesian view negates or turns
+each once.  The closed-form and Clebsch-Gordan memos are keyed on the
+signed product, the block's denominator and t's integers; the recursion's
+on the values themselves, and on the operands of each F+- entry, so an
+entry whose operands recur takes its value without the two products.
 Each route states only its 12-block; ``_block_pair`` applies the
 selection rule and gives the 21-block's formula by exchanging the roles
 of the two irreps.
@@ -46,13 +51,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from .matrix import Matrix, change_basis
 from .radical import ZERO, RadicalScalar, gaussian_table, sqrt_of_rational
 from .spins import Spin, SpinPair
-from .generators import ladder_coeff_r
+from .generators import _ladder_table
 
 
 class CaseTag(enum.Enum):
@@ -325,7 +330,9 @@ def _one_spin(X: Spin, Y: Spin) -> tuple[int, dict[tuple[int, int], int]]:
     return 2, {(x, s): Y.twice - s * x + 1 for x, s in pairs}
 
 
-def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> Coeff:
+def _closed_form_block(
+    P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar, memo: dict | None = None
+) -> Coeff:
     """The closed-form entry formula of the block, rows (p,q) of (P,Q) and columns of (R,S).
 
     Family (dp, dq) has t * f(P, R, p, dp) * f(Q, S, q, dq), negated on V-.
@@ -333,12 +340,14 @@ def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> 
     sqrt(x1) sqrt(x2) = sqrt(x1 x2) and each table has one denominator, an
     entry is fixed by the signed product of two table numerators: each
     distinct one is one square root times t, and every entry equal to it is
-    that one object.
+    that one object.  ``closed_form_vectors`` shares ``memo`` between its
+    two blocks (``_product_memo``), so at t12 = t21 an equal value of both
+    blocks is one object too.
     """
     den1, left = _one_spin(P, R)
     den2, right = _one_spin(Q, S)
     den = den1 * den2
-    values: dict[int, RadicalScalar] = {}
+    values = _product_memo(memo, den, t)
 
     def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
         key = left[p, dp] * right[q, dq]
@@ -353,6 +362,24 @@ def _closed_form_block(P: Spin, Q: Spin, R: Spin, S: Spin, t: RadicalScalar) -> 
     return coeff
 
 
+def _product_memo(memo: dict | None, den: int, scale: RadicalScalar) -> dict[int, RadicalScalar]:
+    """The values of one route call at one block denominator and scale, keyed by signed product.
+
+    A closed-form or CG block keys each entry on the signed product of two
+    one-spin numerators over ``den``, times ``scale``; the memo is keyed on
+    ``den`` and the scale's integer form, so blocks that agree on both share
+    their entry objects.  Without a memo the values are the block's own.
+    """
+    if memo is None:
+        return {}
+    return memo.setdefault((den, _integer_form(scale)), {})
+
+
+def _integer_form(value: RadicalScalar) -> tuple:
+    """The value's denominator and sorted terms: equal values have equal forms."""
+    return value._den, tuple(sorted(value._num.items()))
+
+
 def closed_form_vectors(
     A: Spin, B: Spin, C: Spin, D: Spin, params: FreeParams
 ) -> VectorSet:
@@ -360,7 +387,9 @@ def closed_form_vectors(
     return pattern_vectors(
         (SpinPair(A, B), SpinPair(C, D)),
         params,
-        *_block_pair(_closed_form_block, A, B, C, D, params.t12, params.t21),
+        *_block_pair(
+            partial(_closed_form_block, memo={}), A, B, C, D, params.t12, params.t21
+        ),
     )
 
 
@@ -401,21 +430,21 @@ def _solve_block(
     """
     plo, phi = max(-P.twice, -R.twice + 1), min(P.twice, R.twice + 1)
     qlo, qhi = max(-Q.twice, -S.twice + 1), min(Q.twice, S.twice + 1)
+    rP, rQ, rR, rS = (_ladder_table(X.twice) for X in (P, Q, R, S))
 
     tau: dict[tuple[int, int], RadicalScalar] = {(phi, qhi): anchor}
     for p in range(phi, plo, -2):
-        step = ladder_coeff_r(R, p - 3) / ladder_coeff_r(P, p - 2)
+        step = rR.get(p - 3, ZERO) / rP.get(p - 2, ZERO)
         tau[(p - 2, qhi)] = tau[(p, qhi)] * step
     # The q-step ratio does not depend on p: it is formed once per q.
-    q_steps = [
-        (q, ladder_coeff_r(S, q - 3) / ladder_coeff_r(Q, q - 2)) for q in range(qhi, qlo, -2)
-    ]
+    q_steps = [(q, rS.get(q - 3, ZERO) / rQ.get(q - 2, ZERO)) for q in range(qhi, qlo, -2)]
     for p in range(plo, phi + 1, 2):
         for q, step in q_steps:
             tau[(p, q - 2)] = tau[(p, q)] * step
 
-    sign = -1 if (P.twice - R.twice) == (Q.twice - S.twice) else 1
-    return tau, {(-p, -q): val * sign for (p, q), val in tau.items()}
+    if (P.twice - R.twice) == (Q.twice - S.twice):
+        return tau, {(-p, -q): -val for (p, q), val in tau.items()}
+    return tau, {(-p, -q): val for (p, q), val in tau.items()}
 
 
 def recursion_solve(
@@ -429,18 +458,42 @@ def recursion_solve(
 def _place_block(
     P: Spin, Q: Spin, R: Spin, S: Spin,
     coeffs: tuple[dict[tuple[int, int], RadicalScalar], dict[tuple[int, int], RadicalScalar]],
+    memo: tuple[dict, dict],
 ) -> Coeff:
-    """The entry formula of one block, rows (p,q) of (P,Q) and columns of (R,S), from (tau, ups)."""
-    tau, ups = coeffs
+    """The entry formula of one block, rows (p,q) of (P,Q) and columns of (R,S), from (tau, ups).
+
+    ``memo`` is shared by the blocks of one route call: ``shared`` maps the
+    integer form of each value placed to the one object that has it, so
+    equal entries are one object, and ``products`` maps the operands of an
+    F+- entry, r1 u1 - r2 u2, to its value.  The r's are ladder-table
+    objects and the u's shared ones, so their identities stand for their
+    integer forms, and equal operands take their value without the two
+    products.
+    """
+    shared, products = memo
+
+    def one(value: RadicalScalar) -> RadicalScalar:
+        return shared.setdefault(_integer_form(value), value)
+
+    tau, ups = ({k: one(v) for k, v in part.items()} for part in coeffs)
+    rP, rQ, rR, rS = (_ladder_table(X.twice) for X in (P, Q, R, S))
+
+    def difference(r1: RadicalScalar, u1: RadicalScalar, r2: RadicalScalar, u2: RadicalScalar):
+        key = (id(r1), id(u1), id(r2), id(u2))
+        value = products.get(key)
+        if value is None:
+            value = products[key] = one(r1 * u1 - r2 * u2)
+        return value
 
     def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
         if dp == dq:
             return (tau if dp > 0 else ups)[(p, q)]
+        u = ups.get((p, q), ZERO)
         if dp > 0:
-            return (ladder_coeff_r(P, p - 2) * ups.get((p - 2, q), ZERO)
-                    - ladder_coeff_r(R, p - 1) * ups.get((p, q), ZERO))
-        return (ladder_coeff_r(Q, q - 2) * ups.get((p, q - 2), ZERO)
-                - ladder_coeff_r(S, q - 1) * ups.get((p, q), ZERO))
+            return difference(
+                rP.get(p - 2, ZERO), ups.get((p - 2, q), ZERO), rR.get(p - 1, ZERO), u
+            )
+        return difference(rQ.get(q - 2, ZERO), ups.get((p, q - 2), ZERO), rS.get(q - 1, ZERO), u)
 
     return coeff
 
@@ -457,7 +510,8 @@ def vectors_from_coefficients(coeffs: TUCoefficients) -> VectorSet:
         coeffs.spins,
         coeffs.params,
         *_block_pair(
-            _place_block, pair1.left, pair1.right, pair2.left, pair2.right,
+            partial(_place_block, memo=({}, {})),
+            pair1.left, pair1.right, pair2.left, pair2.right,
             (coeffs.t12, coeffs.u12), (coeffs.t21, coeffs.u21),
         ),
     )

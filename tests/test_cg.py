@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import block, racah_cg_signed_square, reference_equivalence_ratio, spin
 
+from poincarerep import cg
 from poincarerep.cg import (
     RatioFit,
     RatioMismatch,
@@ -268,6 +269,76 @@ class TestEquivalenceRatio:
         for fit in (equivalence_ratio, reference_equivalence_ratio):
             with pytest.raises(ValueError, match="no single-term entries"):
                 fit(v, beta)
+
+
+class TestCellFit:
+    """The fit compares stored cells and forms a residual only where one differs."""
+
+    DRESSED = FreeParams(
+        RadicalScalar.from_terms([(6, Fraction(3, 4), 0), (10, 0, Fraction(2, 5))]),
+        RadicalScalar.from_terms([(3, Fraction(-5, 7), 0), (14, 0, Fraction(1, 3))]),
+    )
+
+    @staticmethod
+    def _spied(monkeypatch):
+        calls = []
+        combine = cg.linear_combination
+        monkeypatch.setattr(cg, "linear_combination", lambda terms: calls.append(1) or combine(terms))
+        return calls
+
+    @staticmethod
+    def _edited(vec, mu, row, col, value):
+        comps = list(vec.components())
+        k = "xyzt".index(mu)
+        entries = {(r, c): v for r, c, v in comps[k].nonzero_items()}
+        assert (row, col) not in entries
+        entries[row, col] = value
+        comps[k] = Matrix.from_entries(vec.dimension, vec.dimension, entries)
+        return VectorSet.from_cartesian(vec.spins, vec.params, tuple(comps))
+
+    def test_a_proportional_pair_forms_no_residual(self, monkeypatch):
+        calls = self._spied(monkeypatch)
+        for q in [(1, 1, 0, 0), (2, 1, 1, 2), (4, 5, 5, 4), (3, 2, 2, 1)]:
+            spins = tuple(spin(t) for t in q)
+            v = closed_form_vectors(*spins, self.DRESSED)
+            fit = equivalence_ratio(v, cg_vector_matrices(*spins, UNIT_PARAMS))
+            assert isinstance(fit, RatioFit), q
+        assert calls == []
+
+    def test_a_cell_one_side_holds_is_a_mismatch(self, monkeypatch):
+        # A 12-block cell that no family holds, given a V_y entry on one side
+        # only: the reference's (ref-only) or the candidate's (cand-only).
+        spins = (spin(2), spin(1), spin(1), spin(2))
+        v = closed_form_vectors(*spins, UNIT_PARAMS)
+        beta = cg_vector_matrices(*spins, UNIT_PARAMS)
+        n1 = v.block1_dim
+        row, col = next(
+            (r, c) for r in range(n1) for c in range(n1, v.dimension)
+            if not any(fam.get(r, c) for fam in v.families)
+        )
+        extra = sqrt_of_rational(2)
+        calls = self._spied(monkeypatch)
+        for ref, cand in ((self._edited(v, "y", row, col, extra), beta),
+                          (v, self._edited(beta, "y", row, col, extra))):
+            fit = equivalence_ratio(ref, cand)
+            assert isinstance(fit, RatioMismatch)
+            assert fit == reference_equivalence_ratio(ref, cand)
+        assert calls
+
+    def test_a_zero_ratio_block(self):
+        # t12 = 0 zeroes the reference's 12-block: the ratio is 0, which fits
+        # only while the reference block stays all zero.
+        spins = (spin(2), spin(1), spin(1), spin(2))
+        v = closed_form_vectors(*spins, FreeParams(ZERO, ONE))
+        beta = cg_vector_matrices(*spins, UNIT_PARAMS)
+        fit = equivalence_ratio(v, beta)
+        assert isinstance(fit, RatioFit) and fit.ratio12 == ZERO
+        assert fit == reference_equivalence_ratio(v, beta)
+        n1, n = v.block1_dim, v.dimension
+        row, col, _ = beta.component("z").window(0, n1, n1, n).first_nonzero()
+        edited = self._edited(v, "z", row, col, ONE)
+        assert equivalence_ratio(edited, beta) == reference_equivalence_ratio(edited, beta)
+        assert isinstance(equivalence_ratio(edited, beta), RatioMismatch)
 
 
 # 0-3 terms over small radicands: zero, single-term and multi-term values.

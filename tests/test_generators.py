@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from oracles import conjugate_transpose, spin
 
-from poincarerep import bundle
-from poincarerep.bundle import generator_texts, matrix_text
+from poincarerep import bundle, cli, generators, matrix
+from poincarerep.bundle import SOURCES, generator_texts, matrix_text
 from poincarerep.generators import (
     GeneratorSet,
     block_sum,
@@ -20,7 +20,7 @@ from poincarerep.generators import (
 )
 from poincarerep.matrix import Matrix, place
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
-from poincarerep.spins import SpinPair
+from poincarerep.spins import Spin, SpinPair
 from poincarerep.verify import check_lorentz
 
 
@@ -301,3 +301,63 @@ class TestUncheckedConstruction:
             with pytest.raises(IndexError, match="outside 3x3 matrix"):
                 place(3, 3, [(part, r0, c0)])
         assert place(3, 3, [(part, 1, 1)]) == Matrix.from_entries(3, 3, {(1, 1): ONE, (2, 2): ONE})
+
+
+class TestOneSpinTables:
+    """Each spin's ladder table and rotation_rep are built once and shared, never changed."""
+
+    CACHED = (generators._ladder_table, generators._rotation_rep)
+
+    def test_a_repeat_call_returns_the_same_objects(self):
+        for twice in range(9):
+            s = spin(twice)
+            assert rotation_rep(s) is rotation_rep(Spin(twice))
+            table = generators._ladder_table(twice)
+            assert table is generators._ladder_table(twice)
+            for m in range(-twice - 2, twice + 3):
+                assert ladder_coeff_r(s, m) is table.get(m, ZERO)
+                assert ladder_coeff_s(s, m) is table.get(-m, ZERO)
+            # The ladders hold the table's own values.
+            mplus, mminus, _ = rotation_rep(s)
+            held = [v for m in (mplus, mminus) for _, _, v in m.nonzero_items()]
+            assert all(any(v is r for r in table.values()) for v in held), twice
+
+    def test_they_equal_a_fresh_build(self):
+        for twice in range(13):
+            assert rotation_rep(spin(twice)) == generators._rotation_rep.__wrapped__(twice)
+            fresh = generators._ladder_table.__wrapped__(twice)
+            assert generators._ladder_table(twice) == fresh
+            for m in range(-twice - 3, twice + 4):
+                on_ladder = abs(m) <= twice and (twice - m) % 2 == 0
+                expected = sqrt_of_rational(
+                    Fraction((twice - m) * (twice + m + 2), 4) if on_ladder else 0
+                )
+                assert ladder_coeff_r(spin(twice), m) == expected, (twice, m)
+
+    def test_the_caches_are_bounded(self):
+        for cached in self.CACHED:
+            assert cached.cache_info().maxsize == generators._SPIN_TABLE_SIZE == 32
+
+    def test_a_round_leaves_every_cached_table_as_built(self, tmp_path, monkeypatch):
+        # A dressed gen + verify --in + equiv round shares the tables with
+        # every layer; afterwards each cached table still equals a fresh
+        # build, and each packed kernel form the integer form of its rows.
+        for cached in self.CACHED:
+            cached.cache_clear()
+        monkeypatch.chdir(tmp_path)
+        ts = ["--t12=3/4*sqrt(6)+2/5*i*sqrt(10)", "--t21=-5/7*sqrt(3)+1/3*i*sqrt(14)"]
+        for source in SOURCES:
+            assert cli.main(["gen", "--spins", "4,5,5,4", "--source", source, *ts,
+                             "--out", "b.json"]) == 0
+            assert cli.main(["verify", "--in", "b.json", "--out", "r.json"]) == 1
+        assert cli.main(["equiv", "--spins", "4,5,5,4", *ts, "--out", "e.json"]) == 0
+        assert cli.main(["verify", "--sweep", "2", "--out", "s.json"]) == 0
+        spins = (0, 1, 2, 4, 5)  # the sweep's and the round's
+        assert [c.cache_info().currsize for c in self.CACHED] == [len(spins)] * 2
+        for twice in spins:
+            hits = [c.cache_info().hits for c in self.CACHED]
+            tables = [c(twice) for c in self.CACHED]
+            assert [c.cache_info().hits for c in self.CACHED] == [h + 1 for h in hits]
+            assert tables == [c.__wrapped__(twice) for c in self.CACHED], twice
+            for m in tables[1]:
+                assert m._packed is None or m._packed == matrix._pack(m._rows), twice

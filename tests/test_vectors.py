@@ -355,26 +355,44 @@ class TestPatternBlock:
             zero = block(vec, "12" if params.t12 == 0 else "21")
             assert all(part.is_zero() for part in zero), (quad, params)
 
-    @pytest.mark.parametrize("source", ["closed-form", "clebsch-gordan"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_equal_entries_are_one_object(self, source, monkeypatch):
         # Each distinct product is scaled once and shared, so the Cartesian
         # view maps each distinct value of each family once.
         params = free_params(
-            RadicalScalar.from_terms([(6, Fraction(3, 4), 0), (10, 0, Fraction(2, 5))]),
+            _dressed(),
             RadicalScalar.from_terms([(3, Fraction(-5, 7), 0), (14, 0, Fraction(1, 3))]),
         )
         vec = vectors_from_source(source, tuple(spin(t) for t in (4, 5, 5, 4)), params)
-        distinct = 0
-        for fam in vec.families:
-            values = [value for _, _, value in fam.nonzero_items()]
-            by_integers = {(v._den, tuple(sorted(v._num.items()))) for v in values}
-            assert len({id(v) for v in values}) == len(by_integers) < len(values)
-            distinct += len(by_integers)
-        calls = []
-        map_cell = matrix._map_cell
-        monkeypatch.setattr(matrix, "_map_cell", lambda *args: calls.append(1) or map_cell(*args))
-        change_basis(FAMILY_INVERSE, vec.families)
-        assert len(calls) == distinct
+        _assert_one_object_per_value(vec, monkeypatch)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_equal_entries_of_both_blocks_are_one_object(self, source, monkeypatch):
+        # Each route keeps one memo for both blocks, keyed on t's integers:
+        # at t12 = t21, given as two equal objects, an equal value of the
+        # 12- and the 21-block is one object too.
+        vec = vectors_from_source(
+            source, tuple(spin(t) for t in (4, 5, 5, 4)), free_params(_dressed(), _dressed())
+        )
+        _assert_one_object_per_value(vec, monkeypatch)
+
+
+def _dressed():
+    return RadicalScalar.from_terms([(6, Fraction(3, 4), 0), (10, 0, Fraction(2, 5))])
+
+
+def _assert_one_object_per_value(vec, monkeypatch):
+    distinct = 0
+    for fam in vec.families:
+        values = [value for _, _, value in fam.nonzero_items()]
+        by_integers = {(v._den, tuple(sorted(v._num.items()))) for v in values}
+        assert len({id(v) for v in values}) == len(by_integers) < len(values)
+        distinct += len(by_integers)
+    calls = []
+    map_cell = matrix._map_cell
+    monkeypatch.setattr(matrix, "_map_cell", lambda *args: calls.append(1) or map_cell(*args))
+    change_basis(FAMILY_INVERSE, vec.families)
+    assert len(calls) == distinct
 
 
 class TestFromBlocks:

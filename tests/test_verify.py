@@ -407,8 +407,8 @@ class TestSweep:
     def test_replayed_verdicts_equal_a_full_check(self, monkeypatch):
         block = vectors._closed_form_block
 
-        def negated_f_plus(P, Q, R, S, t):
-            coeff = block(P, Q, R, S, t)
+        def negated_f_plus(P, Q, R, S, t, **memo):
+            coeff = block(P, Q, R, S, t, **memo)
             if tuple(s.twice for s in (P, Q, R, S)) not in _NEGATED_F_PLUS:
                 return coeff
 
