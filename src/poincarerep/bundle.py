@@ -145,10 +145,12 @@ class MatrixBundle:
     holds V always but J and K only when they are not the standard ones
     (``JK`` is None otherwise, as for every bundle ``gen`` writes); both
     loaders read a file whose J and K are the standard ones that way.  Its
-    J and K in the file are then ``generator_texts`` of the spins, and
-    ``cartesian`` reads them from that text on first use.  The generators
-    and the vectors in the paper's bases are formed when first read, so a
-    command that only writes the matrices out forms neither.
+    J and K in the file are then ``generator_texts`` of the spins, and its
+    ``generators`` the standard set of ``direct_sum``, whose J and K
+    ``cartesian`` reads.  The generators and the vectors in the paper's
+    bases are formed when first read, so a command that only writes the
+    matrices out forms neither, and a check settled by the spins places no
+    spin basis.
     """
 
     source: str  # one of SOURCES
@@ -185,10 +187,8 @@ class MatrixBundle:
 
     @cached_property
     def cartesian(self) -> tuple[Matrix, ...]:
-        """The ten matrices in MATRIX_KEYS order; standard J and K are read from their text."""
-        if self.JK is not None:
-            return self.JK + self.V
-        return standard_generators(self.pairs) + self.V
+        """The ten matrices in MATRIX_KEYS order; standard J and K are ``direct_sum``'s."""
+        return (self.generators.cartesian if self.JK is None else self.JK) + self.V
 
     @cached_property
     def generators(self) -> GeneratorSet:
@@ -437,13 +437,6 @@ def generator_texts(p1: SpinPair, p2: SpinPair) -> tuple[str, ...]:
     return tuple("".join(pieces) for pieces in _generator_pieces(p1, p2))
 
 
-def standard_generators(pairs: tuple[SpinPair, SpinPair]) -> tuple[Matrix, ...]:
-    """The standard (Jx, Jy, Jz, Kx, Ky, Kz) of the two irreps, read from their text."""
-    n = pairs[0].dimension + pairs[1].dimension
-    decoded: dict[str, RadicalScalar] = {}
-    return tuple(_span_matrix(text, n, decoded) for text in generator_texts(*pairs))
-
-
 def _compact(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -513,7 +506,7 @@ def bundle_from_json_dict(data: dict) -> MatrixBundle:
     def read(matrices: dict, n: int, pairs: tuple[SpinPair, SpinPair]):
         mats = tuple(matrix_from_json(matrices[key], n, n) for key in MATRIX_KEYS)
         jk = mats[:6]
-        return (None if jk == standard_generators(pairs) else jk), mats[6:]
+        return (None if jk == direct_sum(*pairs).cartesian else jk), mats[6:]
 
     return _checked_bundle(data, read)
 

@@ -26,7 +26,8 @@ and (V_z - V_t)/2.  ``cg_block`` states only this entry formula,
 formula rests on one-spin factor tables: the CG coefficients of each
 spin are formed once per block and held as signed squares over one
 denominator, each distinct signed product of two of them is one square
-root scaled by lam once, and every entry equal to it is that one object.
+root scaled by lam once, and every entry equal to it is that one object
+(``vectors._product_coeff``, which the closed form shares).
 The signs are those of the 12-block of the spin (1/2,0)+(0,1/2) vector
 matrices in this package's basis and metric convention; relative to the
 usual contravariant tabulation this flips the sign of the t component.
@@ -54,8 +55,8 @@ from .matrix import Matrix, linear_combination
 from .radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from .spins import Spin, SpinPair
 from .vectors import (
-    COMPONENTS, Block, Coeff, FreeParams, VectorSet, _block_pair, block_bounds, cartesian_entry,
-    _product_memo, pattern_vectors,
+    COMPONENTS, Block, Coeff, FactorTable, FreeParams, VectorSet, _block_pair, _product_coeff,
+    block_bounds, cartesian_entry, pattern_vectors,
 )
 
 
@@ -132,9 +133,7 @@ def clebsch_gordan(j1: Spin, m1: int, j2: Spin, m2: int, J: Spin, M: int) -> Rad
 _HALF = Spin(1)
 
 
-def _signed_squares(
-    factors: dict[tuple[int, int], RadicalScalar],
-) -> tuple[int, dict[tuple[int, int], int]]:
+def _signed_squares(factors: dict[tuple[int, int], RadicalScalar]) -> FactorTable:
     """(den, n) with factors[k] = sign(n[k]) sqrt(|n[k]| / den), over one denominator.
 
     A CG coefficient is zero or one real term (re / den) sqrt(d), so its
@@ -160,35 +159,17 @@ def cg_block(
 
     The family (dp, dq) entry is lam * <1/2 dp/2, R r|P p> <1/2 -dq/2, Q q|S s>,
     negated on (-1, +1).  The CG factors of each spin are tabled once per
-    block as signed squares over one denominator, so an entry is fixed by
-    the signed product of two table numerators: each distinct one is one
-    square root times lam, and every entry equal to it is that one object.
-    ``cg_vector_matrices`` shares ``memo`` between its two blocks
-    (``vectors._product_memo``), so at t12 = t21 an equal value of both
-    blocks is one object too.
+    block as signed squares over one denominator (``vectors._product_coeff``).
     """
-    den1, left = _signed_squares({
+    left = _signed_squares({
         (p, dp): clebsch_gordan(_HALF, dp, R, p - dp, P, p)
         for p in P.projections() for dp in (1, -1)
     })
-    den2, right = _signed_squares({
+    right = _signed_squares({
         (q, dq): clebsch_gordan(_HALF, -dq, Q, q, S, q - dq)
         for q in Q.projections() for dq in (1, -1)
     })
-    den = den1 * den2
-    values = _product_memo(memo, den, lam)
-
-    def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
-        key = left[p, dp] * right[q, dq]
-        if dp < dq:
-            key = -key
-        value = values.get(key)
-        if value is None:
-            root = sqrt_of_rational(Fraction(abs(key), den))
-            value = values[key] = (root if key > 0 else -root) * lam
-        return value
-
-    return coeff
+    return _product_coeff(left, right, lam, (-1, 1), memo)
 
 
 def cg_vector_matrices(

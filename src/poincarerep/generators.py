@@ -6,13 +6,15 @@ B+, B-, Bz); J = A + B and K = -i(A - B) are a view formed from them by
 (``from_cartesian``), the probes and hand-built sets.
 
 The paper starts from the standard J and K, so they are fixed by the
-spins alone.  A set placed by ``irrep_generators``, ``block_sum`` or
-``direct_sum`` is marked ``standard``: its spin basis is rotation_rep(A)
-on the outer index and rotation_rep(B) on the inner one, block by block,
-and ``verify.check_lorentz`` settles its rules from the one-spin algebra.
+spins alone, and a set built from its spins alone (``GeneratorSet(spins)``,
+as ``irrep_generators`` and ``direct_sum`` build it) is ``standard``: its
+spin basis is rotation_rep(A) on the outer index and rotation_rep(B) on
+the inner one, block by block, placed only when first read.
+``verify.check_lorentz`` settles its rules from the one-spin algebra
+without placing it.  A set given its matrices is never standard.
 ``bundle.generator_texts`` writes the standard J and K of two irreps as
-text straight from the one-spin tables, with the strides
-``irrep_generators`` uses and the coefficients in ``_LADDERS`` and
+text straight from the one-spin tables, with the strides of
+``_place_spin_basis`` and the coefficients in ``_LADDERS`` and
 ``_DIAGONAL``; ``gen`` writes that text, and ``verify --in`` recognises it.
 
 Every one-spin quantity comes from two tables built once per spin and
@@ -31,11 +33,11 @@ diagonal of J_z starts at its maximum.  In a two-block direct sum the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .matrix import Matrix, block_diag, change_basis, place
+from .matrix import Matrix, change_basis
 from .radical import ZERO, RadicalScalar, gaussian_table, sqrt_of_rational
 from .spins import Spin, SpinPair
 
@@ -118,22 +120,21 @@ _SPIN_INVERSE_TWICE = _kron([[1, 1], [-1j, 1j]], [[1, 1, 0], [-1j, 1j, 0], [0, 0
 SPIN_BASIS_INVERSE = gaussian_table(_SPIN_INVERSE_TWICE, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """A representation's generators as (A+, A-, Az, B+, B-, Bz); J and K are a view.
 
-    ``standard`` is true only for a set placed by ``irrep_generators``,
-    ``block_sum`` or ``direct_sum``, whose spin basis is the one-spin
-    ladders of its spins placed block by block; it takes no part in
-    equality, which compares the matrices.
+    ``formed`` holds the spin basis of a set given by its matrices
+    (``from_cartesian``, hand-built sets); None, the default, makes the set
+    the standard generators of ``spins``, placed only when ``spin_basis`` is
+    first read.  Equality compares the spins and the spin bases.
     """
 
     spins: tuple[SpinPair, ...]
-    spin_basis: tuple[Matrix, ...]
-    standard: bool = field(default=False, compare=False)
+    formed: tuple[Matrix, ...] | None = None
 
     def __post_init__(self):
-        if (count := len(self.spin_basis)) != 6:
+        if self.formed is not None and (count := len(self.formed)) != 6:
             raise ValueError(f"a generator set holds 6 spin-basis matrices, not {count}")
 
     @classmethod
@@ -142,8 +143,18 @@ class GeneratorSet:
         return cls(spins, change_basis(SPIN_BASIS, J + K))
 
     @property
+    def standard(self) -> bool:
+        """Whether the set is the standard generators of its spins, fixed by them alone."""
+        return self.formed is None
+
+    @property
     def dimension(self) -> int:
-        return self.spin_basis[0].rows
+        return sum(pair.dimension for pair in self.spins)
+
+    @cached_property
+    def spin_basis(self) -> tuple[Matrix, ...]:
+        """(A+, A-, Az, B+, B-, Bz): ``formed``, or the standard ones placed on first use."""
+        return self.formed if self.formed is not None else _place_spin_basis(self.spins)
 
     @cached_property
     def cartesian(self) -> tuple[Matrix, ...]:
@@ -158,38 +169,49 @@ class GeneratorSet:
     def K(self) -> tuple[Matrix, ...]:
         return self.cartesian[3:]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneratorSet):
+            return NotImplemented
+        return self.spins == other.spins and (
+            self.standard and other.standard or self.spin_basis == other.spin_basis
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.spins)
+
+
+def _place_spin_basis(spins: tuple[SpinPair, ...]) -> tuple[Matrix, ...]:
+    """The standard (A+, A-, Az, B+, B-, Bz) of ``spins``, each irrep on its diagonal block.
+
+    Within the irrep (A,B), A+-, Az are rotation_rep(A) on the outer index
+    a, with stride mult(B), and B+-, Bz are rotation_rep(B) on the inner
+    index b.
+    """
+    n = sum(pair.dimension for pair in spins)
+    basis: list[dict[int, dict[int, RadicalScalar]]] = [{} for _ in range(6)]
+    offset = 0
+    for pair in spins:
+        nb = pair.right.multiplicity
+        for rows, m in zip(basis[:3], rotation_rep(pair.left)):
+            for i, row in m._rows.items():
+                for k in range(offset, offset + nb):
+                    rows[i * nb + k] = {j * nb + k: v for j, v in row.items()}
+        for rows, m in zip(basis[3:], rotation_rep(pair.right)):
+            for a in range(offset, offset + pair.dimension, nb):
+                for i, row in m._rows.items():
+                    rows[a + i] = {a + j: v for j, v in row.items()}
+        offset += pair.dimension
+    return tuple(Matrix._from_rows(n, n, rows) for rows in basis)
+
 
 def irrep_generators(pair: SpinPair) -> GeneratorSet:
-    """Generators of the (A,B) irrep, placed from ``rotation_rep``.
-
-    A+-, Az are rotation_rep(A) on the outer index a, with stride mult(B),
-    and B+-, Bz are rotation_rep(B) on the inner index b.
-    """
-    n, nb = pair.dimension, pair.right.multiplicity
-    outer = (
-        Matrix._from_rows(n, n, {
-            i * nb + k: {j * nb + k: v for j, v in row.items()}
-            for i, row in m._rows.items()
-            for k in range(nb)
-        })
-        for m in rotation_rep(pair.left)
-    )
-    inner = (
-        place(n, n, [(m, a * nb, a * nb) for a in range(pair.left.multiplicity)])
-        for m in rotation_rep(pair.right)
-    )
-    return GeneratorSet(spins=(pair,), spin_basis=(*outer, *inner), standard=True)
+    """The standard generators of the (A,B) irrep."""
+    return GeneratorSet((pair,))
 
 
 def direct_sum(p1: SpinPair, p2: SpinPair) -> GeneratorSet:
-    """Block-diagonal generators for (A,B) + (C,D), first block first."""
-    return block_sum(irrep_generators(p1), irrep_generators(p2))
-
-
-def block_sum(g1: GeneratorSet, g2: GeneratorSet) -> GeneratorSet:
-    """Block-diagonal generators of two representations, g1's block first."""
-    basis = tuple(block_diag(a, b) for a, b in zip(g1.spin_basis, g2.spin_basis))
-    return GeneratorSet(g1.spins + g2.spins, basis, g1.standard and g2.standard)
+    """The standard block-diagonal generators of (A,B) + (C,D), first block first."""
+    return GeneratorSet((p1, p2))
 
 
 # The coefficients of 2 G_p on N = (A+, A-, Az, B+, B-, Bz): for each
@@ -204,7 +226,7 @@ _LADDERS = [
 ]
 _DIAGONAL = [(p, row[2], row[5]) for p, row in enumerate(_SPIN_INVERSE_TWICE) if row[2] or row[5]]
 
-# Where ``irrep_generators`` puts each ladder a of ``_LADDERS`` within an
+# Where ``_place_spin_basis`` puts each ladder a of ``_LADDERS`` within an
 # irrep: (on the outer index, +1 for a raising ladder or -1 for a lowering
 # one).  The one-spin matrix of a raising ladder holds row idx at column
 # idx + 1, and of a lowering one at idx - 1; A+- act on the outer index

@@ -7,7 +7,7 @@ stored form (nonzero values at positions inside the shape), unchecked;
 ``Matrix.window``, ``place``, ``change_basis``, the kernel and its
 row-by-row ``first_nonzero_of_sum``, the bundle loader,
 ``vectors.pattern_vectors``, ``VectorSet.cartesian``, the generator
-builders (``rotation_rep``, ``irrep_generators``) and the
+builders (``rotation_rep`` and the standard spin basis) and the
 one-spin settling of the vector rules (``verify``) use it.
 Nothing changes a matrix after it is made.  Entries are held
 sparsely (zeros dropped) so products of the very sparse spin matrices
@@ -30,12 +30,13 @@ A basis change (``change_basis``: each output a fixed linear combination
 of the same input matrices) runs outside the kernel, cell by cell.  The
 two ``from_cartesian`` constructors call it, as ``verify --in`` reads a
 bundle's V, or J and K edited by hand, and so does
-``GeneratorSet.cartesian`` for the probes and hand-built sets; ``gen``
-writes its matrices without one, and the standard J and K of a bundle
-are placed in the spin basis by ``direct_sum``.  The
-inputs' values at one position are mapped through the whole table as one
-exact integer sum per output, over the lcm of that cell's own
-denominators only, and each distinct tuple of values is mapped once.
+``GeneratorSet.cartesian`` for the probes, hand-built sets and the
+export of a bundle's standard J and K; ``gen`` writes its matrices
+without one, and a standard set's spin basis is placed directly, when a
+check falls back to its commutators.  The inputs' values at one
+position are mapped through the whole table as one exact integer sum
+per output, over the lcm of that cell's own denominators only, and each
+distinct tuple of values is mapped once.
 """
 
 from __future__ import annotations

@@ -31,10 +31,12 @@ writes the entries of both off-diagonal blocks straight into the rows of
 the four n x n families, skipping zeros.  Each route keeps one memo for a
 route call, shared by both blocks, so a set it generates holds each
 distinct value as one object, and the Cartesian view negates or turns
-each once.  The closed-form and Clebsch-Gordan memos are keyed on the
-signed product, the block's denominator and t's integers; the recursion's
-on the values themselves, and on the operands of each F+- entry, so an
-entry whose operands recur takes its value without the two products.
+each once.  The closed-form and Clebsch-Gordan routes share one entry
+formula over their own one-spin tables (``_product_coeff``), whose memo
+is keyed on the signed product, the block's denominator and t's
+integers; the recursion's on the values themselves, and on the operands
+of each F+- entry, so an entry whose operands recur takes its value
+without the two products.
 Each route states only its 12-block; ``_block_pair`` applies the
 selection rule and gives the 21-block's formula by exchanging the roles
 of the two irreps.
@@ -97,6 +99,9 @@ Block = tuple[Matrix, Matrix, Matrix, Matrix]
 
 # A route's entry formula for one block: coeff(dp, dq, p, q), see pattern_vectors.
 Coeff = Callable[[int, int, int, int], RadicalScalar]
+
+# One-spin factors over one denominator, (den, n): factor k = sign(n[k]) sqrt(|n[k]| / den).
+FactorTable = tuple[int, dict[tuple[int, int], int]]
 
 # The delta patterns (2(p-r), 2(q-s)) of a block's four families: V+ and V-,
 # then F+ = (V_z + V_t)/2 and F- = (V_z - V_t)/2.
@@ -315,7 +320,7 @@ def _block_pair(block: Callable, A: Spin, B: Spin, C: Spin, D: Spin, arg12, arg2
 # Closed-form route
 # ---------------------------------------------------------------------------
 
-def _one_spin(X: Spin, Y: Spin) -> tuple[int, dict[tuple[int, int], int]]:
+def _one_spin(X: Spin, Y: Spin) -> FactorTable:
     """The factors f of row spin X, column spin Y, as (den, n): f = sign(n) sqrt(|n| / den).
 
     n maps (x, s) to the factor's signed numerator, for x over the doubled
@@ -336,43 +341,37 @@ def _closed_form_block(
     """The closed-form entry formula of the block, rows (p,q) of (P,Q) and columns of (R,S).
 
     Family (dp, dq) has t * f(P, R, p, dp) * f(Q, S, q, dq), negated on V-.
-    The one-spin factor tables are formed once per block.  Since
-    sqrt(x1) sqrt(x2) = sqrt(x1 x2) and each table has one denominator, an
-    entry is fixed by the signed product of two table numerators: each
-    distinct one is one square root times t, and every entry equal to it is
-    that one object.  ``closed_form_vectors`` shares ``memo`` between its
-    two blocks (``_product_memo``), so at t12 = t21 an equal value of both
-    blocks is one object too.
     """
-    den1, left = _one_spin(P, R)
-    den2, right = _one_spin(Q, S)
+    return _product_coeff(_one_spin(P, R), _one_spin(Q, S), t, (-1, -1), memo)
+
+
+def _product_coeff(
+    left: FactorTable, right: FactorTable, scale: RadicalScalar, negated: tuple, memo: dict | None
+) -> Coeff:
+    """Family (dp, dq) at (p, q): scale * left[p, dp] * right[q, dq], negated on ``negated``.
+
+    Since sqrt(x1) sqrt(x2) = sqrt(x1 x2), an entry is fixed by the signed
+    product of two table numerators: each distinct one is one square root
+    times ``scale``, and every entry equal to it is that one object.
+    ``memo``, shared by a route call's two blocks, is keyed on the block
+    denominator and the scale's integer form, so at t12 = t21 an equal
+    value of both blocks is one object too.
+    """
+    (den1, left), (den2, right) = left, right
     den = den1 * den2
-    values = _product_memo(memo, den, t)
+    values = {} if memo is None else memo.setdefault((den, _integer_form(scale)), {})
 
     def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
         key = left[p, dp] * right[q, dq]
-        if dp == dq < 0:
+        if (dp, dq) == negated:
             key = -key
         value = values.get(key)
         if value is None:
             root = sqrt_of_rational(Fraction(abs(key), den))
-            value = values[key] = (root if key > 0 else -root) * t
+            value = values[key] = (root if key > 0 else -root) * scale
         return value
 
     return coeff
-
-
-def _product_memo(memo: dict | None, den: int, scale: RadicalScalar) -> dict[int, RadicalScalar]:
-    """The values of one route call at one block denominator and scale, keyed by signed product.
-
-    A closed-form or CG block keys each entry on the signed product of two
-    one-spin numerators over ``den``, times ``scale``; the memo is keyed on
-    ``den`` and the scale's integer form, so blocks that agree on both share
-    their entry objects.  Without a memo the values are the block's own.
-    """
-    if memo is None:
-        return {}
-    return memo.setdefault((den, _integer_form(scale)), {})
 
 
 def _integer_form(value: RadicalScalar) -> tuple:

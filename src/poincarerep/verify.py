@@ -18,16 +18,17 @@ its first nonzero row, which holds the same first nonzero entry.  A
 ``GeneratorSet`` holds its spin basis and a ``VectorSet`` its families,
 each placed directly or, for a loaded bundle, formed from its Cartesian
 matrices when the bundle's ``generators`` or ``vectors`` is first read; a
-bundle whose J and K are the standard ones of its spins places its
-generators by ``direct_sum``.
+bundle whose J and K are the standard ones of its spins holds the
+standard set of ``direct_sum``.
 
-The 15 Lorentz verdicts of a standard set (one placed by
-``irrep_generators``, ``block_sum`` or ``direct_sum``) are settled by the
-one-spin algebra: its spin basis is M_a(A) x 1 and 1 x M_b(B) block by
-block, so the three ladder relations of each distinct spin, checked
-exactly through the kernel on (2A+1)-dimensional matrices, make all 15
-residuals zero.  Any other set, or a failing one-spin check, takes the 15
-commutators.
+A standard set (built from its spins alone, by ``irrep_generators`` or
+``direct_sum``) places its spin basis only when a check reads it, so a
+check that settles its verdicts from the spins places none.  Its 15
+Lorentz verdicts are settled by the one-spin algebra: its spin basis is
+M_a(A) x 1 and 1 x M_b(B) block by block, so the three ladder relations
+of each distinct spin, checked exactly through the kernel on
+(2A+1)-dimensional matrices, make all 15 residuals zero.  A set formed
+from its matrices, or a failing one-spin check, takes the 15 commutators.
 
 The 24 vector verdicts of every set on standard generators, in
 ``verify --in`` and in the sweep alike, are settled by the same algebra.
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from .bundle import SOURCES, scalar_to_json, vectors_from_source
 from .cg import RatioFit, equivalence_ratio
 from .generators import (
-    SPIN_BASIS, SPIN_BASIS_INVERSE, GeneratorSet, block_sum, irrep_generators, rotation_rep,
+    SPIN_BASIS, SPIN_BASIS_INVERSE, GeneratorSet, direct_sum, irrep_generators, rotation_rep,
 )
 from .matrix import Matrix, commutator, first_nonzero_of_sum, residual
 from .momentum import momentum_from_vectors
@@ -284,14 +285,15 @@ _LORENTZ_HOLDS = tuple(RuleReport(rule_id, True) for rule_id, _ in _LORENTZ.rule
 def check_lorentz(gen: GeneratorSet) -> list[RuleReport]:
     """The 15 homogeneous rules among the J and K matrices.
 
-    A standard set's verdicts come from the one-spin algebra.  Its spin
-    basis is, block by block, A_a = M_a(A) x 1 and B_b = 1 x M_b(B) for the
-    ladders (M+, M-, Mz) = rotation_rep of each spin, so [A_a, B_b] = 0 and
-    [A_a, A_b] - rhs = ([M_a, M_b] - rhs) x 1, and likewise for B.  So when
-    [M+, M-] = 2Mz and [Mz, M+-] = +-M+- hold exactly for each distinct
-    spin, as three kernel zero tests on (2A+1)-dimensional matrices, every
-    one of the 15 residuals is zero.  Any other set, or any failure, takes
-    the 15 commutators of ``_check``, which also give each violation.
+    A standard set's verdicts come from the one-spin algebra, and its spin
+    basis is not placed.  That basis is, block by block, A_a = M_a(A) x 1
+    and B_b = 1 x M_b(B) for the ladders (M+, M-, Mz) = rotation_rep of
+    each spin, so [A_a, B_b] = 0 and [A_a, A_b] - rhs = ([M_a, M_b] - rhs)
+    x 1, and likewise for B.  So when [M+, M-] = 2Mz and [Mz, M+-] = +-M+-
+    hold exactly for each distinct spin, as three kernel zero tests on
+    (2A+1)-dimensional matrices, every one of the 15 residuals is zero.  A
+    formed set, or any failure, takes the 15 commutators of ``_check``,
+    which also give each violation.
     """
     if gen.standard and _one_spin_algebra_holds(gen.spins):
         return list(_LORENTZ_HOLDS)
@@ -400,9 +402,10 @@ def check_vector_rules(
     On the standard generators of the set's spins they all hold when no
     entry lies on a diagonal block and each block that holds an entry
     settles (``_block_settles``): J and K are block-diagonal, so each
-    residual is those of the 12- and 21-blocks in disjoint positions.  Any
-    other set, or a failed proof or one-spin check, takes the 24
-    commutators of ``_check``, which also give each violation.  ``memo``
+    residual is those of the 12- and 21-blocks in disjoint positions; the
+    spin basis is not placed.  Any other set, or a failed proof or one-spin
+    check, takes the 24 commutators of ``_check``, which also give each
+    violation.  ``memo``
     keeps one-spin verdicts across calls (the sweep passes one per call).
     """
     if gen.dimension != vec.dimension:
@@ -540,7 +543,7 @@ def sweep(bound: int) -> dict:
     one = FreeParams(ONE, ONE)
     admissible = checks = 0
     failures: list[str] = []
-    irreps: dict[SpinPair, tuple[GeneratorSet, list[RuleReport]]] = {}
+    irreps: dict[SpinPair, list[RuleReport]] = {}  # each irrep's Lorentz verdicts
     # Verdicts of a checked quadruple, keyed by its partner, which pops them.
     pending: dict[tuple[int, ...], tuple] = {}
 
@@ -554,10 +557,9 @@ def sweep(bound: int) -> dict:
     # One-spin verdicts, keyed by the factor values they checked.
     one_spin: dict[tuple, bool] = {}
 
-    def irrep(pair: SpinPair) -> tuple[GeneratorSet, list[RuleReport]]:
+    def irrep(pair: SpinPair) -> list[RuleReport]:
         if pair not in irreps:
-            gen = irrep_generators(pair)
-            irreps[pair] = (gen, check_lorentz(gen))
+            irreps[pair] = check_lorentz(irrep_generators(pair))
         return irreps[pair]
 
     def verdicts(spins: tuple[Spin, ...], gen: GeneratorSet) -> tuple:
@@ -595,13 +597,13 @@ def sweep(bound: int) -> dict:
             continue
         admissible += 1
         label = ",".join(str(t) for t in quad)
-        (gen1, rules1), (gen2, rules2) = irrep(SpinPair(A, B)), irrep(SpinPair(C, D))
-        run(label + ":lorentz", _both_blocks(rules1, rules2))
+        pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
+        run(label + ":lorentz", _both_blocks(irrep(pair1), irrep(pair2)))
         if quad in pending:
             recursion, cg, swapped = pending.pop(quad)
             by_source = {s: (split, k12, k21) for s, (split, k21, k12) in swapped.items()}
         else:
-            recursion, cg, by_source = verdicts((A, B, C, D), block_sum(gen1, gen2))
+            recursion, cg, by_source = verdicts((A, B, C, D), direct_sum(pair1, pair2))
             pending[quad[2:] + quad[:2]] = (recursion, cg, by_source)
         if recursion:
             failures.append(f"{label}:recursion-mismatch")

@@ -40,7 +40,7 @@ from poincarerep.bundle import (
     vectors_from_source,
 )
 from poincarerep.cg import RatioFit, RatioMismatch
-from poincarerep.generators import block_sum, irrep_generators
+from poincarerep.generators import direct_sum, irrep_generators
 from poincarerep.matrix import Matrix, commutator, linear_combination
 from poincarerep.momentum import momentum_from_vectors
 from poincarerep.radical import I_UNIT, ONE, ZERO, RadicalScalar, _coerce, normalize_radical
@@ -483,8 +483,7 @@ def reference_sweep(bound: int) -> dict:
 
     def irrep(pair: SpinPair):
         if pair not in irreps:
-            gen = irrep_generators(pair)
-            irreps[pair] = (gen, check_lorentz(gen))
+            irreps[pair] = check_lorentz(irrep_generators(pair))
         return irreps[pair]
 
     for quad in itertools.product(range(bound + 1), repeat=4):
@@ -499,9 +498,9 @@ def reference_sweep(bound: int) -> dict:
                 pass
             continue
         admissible += 1
-        (gen1, rules1), (gen2, rules2) = irrep(SpinPair(A, B)), irrep(SpinPair(C, D))
-        gen = block_sum(gen1, gen2)
-        run(label + ":lorentz", _both_blocks(rules1, rules2))
+        pair1, pair2 = SpinPair(A, B), SpinPair(C, D)
+        gen = direct_sum(pair1, pair2)
+        run(label + ":lorentz", _both_blocks(irrep(pair1), irrep(pair2)))
         vecs = {source: vectors_from_source(source, (A, B, C, D), one) for source in SOURCES}
         closed = vecs["closed-form"]
         if any(vecs["recursion"].component(mu) != closed.component(mu) for mu in COMPONENTS):

@@ -1,6 +1,8 @@
 """Ladder matrices and Lorentz generators against hand-evaluated values."""
 
+import hashlib
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -11,7 +13,6 @@ from poincarerep import bundle, cli, generators, matrix
 from poincarerep.bundle import SOURCES, generator_texts, matrix_text
 from poincarerep.generators import (
     GeneratorSet,
-    block_sum,
     direct_sum,
     irrep_generators,
     ladder_coeff_r,
@@ -21,7 +22,8 @@ from poincarerep.generators import (
 from poincarerep.matrix import Matrix, place
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import Spin, SpinPair
-from poincarerep.verify import check_lorentz
+from poincarerep.vectors import FreeParams, closed_form_vectors
+from poincarerep.verify import check_lorentz, check_vector_rules
 
 
 class TestLadderCoefficients:
@@ -215,19 +217,46 @@ class TestCartesianPlacement:
 
 
 class TestStandardMark:
-    """Only the placing constructors mark a set as the standard generators of its spins."""
+    """A set built from its spins alone is standard; one given its matrices is not."""
 
     def test_placed_sets_are_standard(self):
         p1, p2 = SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(0))
         assert irrep_generators(p1).standard and direct_sum(p1, p2).standard
-        assert block_sum(irrep_generators(p1), irrep_generators(p2)).standard
 
     def test_formed_and_hand_built_sets_are_not(self):
         g = direct_sum(SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(0)))
         formed = GeneratorSet.from_cartesian(g.spins, g.J, g.K)
         assert formed == g and not formed.standard
         assert not GeneratorSet(g.spins, g.spin_basis).standard
-        assert not block_sum(formed, irrep_generators(SpinPair(spin(0), spin(0)))).standard
+
+    def test_no_value_marks_a_set_standard(self):
+        g = direct_sum(SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(2)))
+        with pytest.raises(TypeError):
+            GeneratorSet(g.spins, g.spin_basis, True)
+        with pytest.raises(AttributeError):
+            g.standard = False
+
+    def test_a_formed_set_is_checked_by_its_matrices(self):
+        # The standard (2,1)+(1,2) with A+ replaced by A-: 28 of the 39
+        # generator-linear rules fail, each at the first violation pinned here
+        # (recorded when a flag could still declare such a set standard and
+        # pass all 39).
+        g = direct_sum(SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(2)))
+        broken = GeneratorSet(g.spins, (g.spin_basis[1], *g.spin_basis[1:]))
+        vec = closed_form_vectors(spin(2), spin(1), spin(1), spin(2), FreeParams(ONE, ONE))
+        reports = check_lorentz(broken) + check_vector_rules(broken, vec)
+        failing = [r.to_json() for r in reports if not r.holds]
+        assert len(reports) == 39 and len(failing) == 28
+        assert [r["ruleId"] for r in failing] == [
+            *(f"JJ.{ij}" for ij in ("xy", "xz", "yz")),
+            *(f"JK.{ij}" for ij in ("xy", "xz", "yx", "yz", "zx", "zy")),
+            *(f"KK.{ij}" for ij in ("xy", "xz", "yz")),
+            *(f"{x}V.{i}{mu}" for x in "JK" for i in "xy" for mu in "xyzt"),
+        ]
+        text = json.dumps(failing, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "76e92d09e3935e13085ca042a4be44f6f8130984524068e4031e802014089a8d"
+        )
 
 
 def _checked_rotation_rep(s):

@@ -18,10 +18,12 @@ Re-record (only when an output change is intended) with
 import hashlib
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from poincarerep import bundle as bundle_module
+from poincarerep import generators
 from poincarerep.bundle import MatrixBundle, vectors_from_source
 from poincarerep.cli import main
 from poincarerep.momentum import momentum_from_vectors
@@ -211,8 +213,41 @@ def test_corrupted_bundle_reports(tmp_path, monkeypatch):
     assert corrupted_report_digests() == CORRUPTED_REPORT_DIGESTS
 
 
+def spin_bases(monkeypatch) -> Counter:
+    """Counts of the spin bases placed for standard sets and formed from a file's J and K."""
+    made = Counter()
+    place, form = generators._place_spin_basis, generators.GeneratorSet.from_cartesian.__func__
+
+    def placed(spins):
+        made["placed"] += 1
+        return place(spins)
+
+    def formed(cls, *args):
+        made["formed"] += 1
+        return form(cls, *args)
+
+    monkeypatch.setattr(generators, "_place_spin_basis", placed)
+    monkeypatch.setattr(generators.GeneratorSet, "from_cartesian", classmethod(formed))
+    return made
+
+
+def test_a_gen_written_bundle_places_no_spin_basis(tmp_path, monkeypatch):
+    # Its J and K are the standard ones, and every check settles its verdicts
+    # from the spins, so verify --in forms no n x n generator matrix.
+    monkeypatch.chdir(tmp_path)
+    made = spin_bases(monkeypatch)
+    for source in SOURCES:
+        for block in BLOCKS:
+            options = ["--source", source, "--block", block, "--out", "bundle.json"]
+            assert main(["gen", "--spins", "4,5,5,4", *options]) == 0
+            code = 1 if block == "both" else 0
+            assert main(["verify", "--in", "bundle.json", "--out", "report.json"]) == code
+    assert made == {}
+
+
 def test_a_canonical_bundle_with_an_edited_j_x_takes_the_general_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    made = spin_bases(monkeypatch)
     bundle, report = Path("bundle.json"), Path("report.json")
     for pos, want in EDITED_JX_REPORT_DIGESTS.items():
         assert main(["gen", "--spins", "2,1,1,2", "--block", "keep12", "--out", str(bundle)]) == 0
@@ -225,7 +260,10 @@ def test_a_canonical_bundle_with_an_edited_j_x_takes_the_general_path(tmp_path, 
         assert loaded is not None and loaded.JK is not None
         assert not loaded.generators.standard
         bundle.write_text(text)
+        made.clear()
         assert main(["verify", "--in", str(bundle), "--out", str(report)]) == 1
+        # The checks read the basis formed from the file's J and K.
+        assert made == {"formed": 1}
         assert hashlib.sha256(report.read_bytes()).hexdigest() == want, pos
         failing = {r["ruleId"][:2] for r in json.loads(report.read_text())["rules"] if not r["holds"]}
         assert {"JJ", "JK"} <= failing
@@ -235,6 +273,7 @@ def test_a_canonical_bundle_with_an_edited_j_x_takes_the_general_path(tmp_path, 
 
 def test_a_canonical_bundle_with_an_edited_v_cell_takes_the_general_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    made = spin_bases(monkeypatch)
     bundle, report = Path("bundle.json"), Path("report.json")
     one, two = ([{"d": 1, "im": [0, 1], "re": [k, 1]}] for k in (1, 2))
     for (block, key, pos), want in EDITED_V_REPORT_DIGESTS.items():
@@ -247,7 +286,10 @@ def test_a_canonical_bundle_with_an_edited_v_cell_takes_the_general_path(tmp_pat
         loaded = bundle_module._canonical_bundle(text)
         assert loaded is not None and loaded.JK is None
         bundle.write_text(text)
+        made.clear()
         assert main(["verify", "--in", str(bundle), "--out", str(report)]) == 1
+        # The failed proof falls back to the commutators, which place the basis.
+        assert made == {"placed": 1}
         assert hashlib.sha256(report.read_bytes()).hexdigest() == want, (block, key, pos)
         failing = {r["ruleId"] for r in json.loads(report.read_text())["rules"] if not r["holds"]}
         vector = {rule for rule in failing if rule[:2] in ("JV", "KV")}

@@ -457,6 +457,8 @@ class TestSweep:
         monkeypatch.setattr(
             NoSolutionError, "__init__", counted("NoSolutionError", NoSolutionError.__init__)
         )
+        placed = counted("_place_spin_basis", generators._place_spin_basis)
+        monkeypatch.setattr(generators, "_place_spin_basis", placed)
         report = sweep(3)
         assert report["admissible"] == 36 and report["allHold"]
         # 18 pairs x 3 sources.  Commutators: 16 irreps x 3 one-spin rules per
@@ -466,13 +468,13 @@ class TestSweep:
         # one-spin pairs (X, Y) with |X - Y| = 1/2 six one-spin checks each,
         # shared by every block and both spin factors that meet them.  The CG
         # verdicts come from its ratio fit.  No route is asked to build one of
-        # the 220 inadmissible quadruples.
+        # the 220 inadmissible quadruples, and no spin basis is placed.
         assert calls == {
             "vectors_from_source": 54,
             "commutator": 3 * (4 + 12 * 2) + 18 * 2 * 6,
             "residual": 18 * 2 + 6 * 6,
         }
-        assert calls["NoSolutionError"] == 0
+        assert calls["NoSolutionError"] == 0 and calls["_place_spin_basis"] == 0
 
 
 def _edit_routes(monkeypatch, edits):
