@@ -8,7 +8,7 @@ commutation rules.
 
 from .radical import RadicalScalar, normalize_radical, sqrt_of_rational, ZERO, ONE, I_UNIT
 from .spins import Spin, SpinPair
-from .matrix import Matrix, commutator, anticommutator, block_diag
+from .matrix import Matrix, commutator, anticommutator
 from .generators import (
     GeneratorSet,
     direct_sum,
@@ -52,7 +52,7 @@ from .probes import CliffordReport, check_clifford, finite_covariance_check, mat
 __all__ = [
     "RadicalScalar", "normalize_radical", "sqrt_of_rational", "ZERO", "ONE", "I_UNIT",
     "Spin", "SpinPair",
-    "Matrix", "commutator", "anticommutator", "block_diag",
+    "Matrix", "commutator", "anticommutator",
     "GeneratorSet", "direct_sum", "irrep_generators",
     "ladder_coeff_r", "ladder_coeff_s", "rotation_rep",
     "CaseTag", "FreeParams", "NoSolutionError", "SELECTION_RULE",

@@ -288,10 +288,9 @@ def equivalence_ratio(
             residuals = tuple(
                 linear_combination([(ONE, r), (-ratio, c)]) for r, c in zip(ref, cand)
             )
-            if not all(res.is_zero() for res in residuals):
-                for k, mu in enumerate(COMPONENTS):
-                    for row, col, _ in _cartesian_items(residuals, k):
-                        ref_mu, cand_mu = (cartesian_entry(b, k, row, col) for b in (ref, cand))
-                        return RatioMismatch(which, mu, row - r0, col - c0, ref_mu, cand_mu)
+            for k, mu in enumerate(COMPONENTS):
+                for row, col, _ in _cartesian_items(residuals, k):
+                    ref_mu, cand_mu = (cartesian_entry(b, k, row, col) for b in (ref, cand))
+                    return RatioMismatch(which, mu, row - r0, col - c0, ref_mu, cand_mu)
         ratios[which] = ratio
     return RatioFit(ratio12=ratios["12"], ratio21=ratios["21"])

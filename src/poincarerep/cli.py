@@ -131,6 +131,13 @@ def _write_bundle(bundle: MatrixBundle, out: str | None) -> None:
         save_bundle(bundle, out)
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}") from exc
+    except ValueError:
+        # A literal near the limit times a radical or a coefficient of the
+        # route can give an entry more digits than the loader would read.
+        raise CliError(
+            f"cannot write {out}: a matrix entry holds an integer of more than"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _load(path: str) -> MatrixBundle:
@@ -147,17 +154,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.block != "both":
         vec = momentum_from_vectors(vec, args.block)
     bundle = MatrixBundle.of(args.source, vec)
-    try:
-        save_bundle(bundle, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
-    except ValueError:
-        # A literal near the limit times a radical or a coefficient of the
-        # route can give an entry more digits than the loader would read.
-        raise CliError(
-            f"cannot write {args.out}: a matrix entry holds an integer of more than"
-            f" {sys.get_int_max_str_digits()} digits"
-        ) from None
+    _write_bundle(bundle, args.out)
     sys.stdout.write(
         f"wrote {bundle.dimension}x{bundle.dimension} bundle ({bundle.case.value}, "
         f"source={args.source}, block={args.block}) to {args.out}\n"
@@ -264,20 +261,19 @@ def cmd_export(args: argparse.Namespace) -> int:
             raise CliError("a matrix entry is too large for a float") from None
         _write_text(text + "\n", args.out)
         return EXIT_OK
-    if args.format == "plain":
-        lines = [
-            f"spins (doubled): {','.join(str(t) for t in bundle.spins)}"
-            f"  case: {bundle.case.value}  block: {bundle.block}"
-            f"  dimension: {bundle.dimension}",
-            f"t12 = {bundle.params.t12}   t21 = {bundle.params.t21}",
-        ]
-        for key, mat in mats.items():
-            lines.append("")
-            lines.append(f"{key}:")
-            lines.append(str(mat))
-        _write_text("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-    raise CliError(f"unknown format {args.format!r}")
+    # plain: the parser's choices admit no other format.
+    lines = [
+        f"spins (doubled): {','.join(str(t) for t in bundle.spins)}"
+        f"  case: {bundle.case.value}  block: {bundle.block}"
+        f"  dimension: {bundle.dimension}",
+        f"t12 = {bundle.params.t12}   t21 = {bundle.params.t21}",
+    ]
+    for key, mat in mats.items():
+        lines.append("")
+        lines.append(f"{key}:")
+        lines.append(str(mat))
+    _write_text("\n".join(lines) + "\n", args.out)
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):

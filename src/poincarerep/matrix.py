@@ -4,7 +4,7 @@ A Matrix is an immutable value: ``Matrix(rows, cols)`` is the zero matrix
 and ``Matrix.from_entries`` is the only public way to give one entries.
 ``Matrix._from_rows`` takes rows its caller has already formed in the
 stored form (nonzero values at positions inside the shape), unchecked;
-``Matrix.window``, ``place``, ``change_basis``, the kernel and its
+``Matrix.window``, ``change_basis``, the kernel and its
 row-by-row ``first_nonzero_of_sum``, the bundle loader,
 ``vectors.pattern_vectors``, ``VectorSet.cartesian``, the generator
 builders (``rotation_rep`` and the standard spin basis) and the
@@ -42,7 +42,7 @@ distinct tuple of values is mapped once.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .radical import I_UNIT, ONE, ZERO, RadicalScalar, RationalLike, _coerce, _make
 
@@ -202,29 +202,6 @@ class Matrix:
         cells = [[str(self.get(i, j)) for j in range(self.cols)] for i in range(self.rows)]
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
-
-
-def place(rows: int, cols: int, parts: Iterable[tuple[Matrix, int, int]]) -> Matrix:
-    """The rows x cols matrix holding each part with its (0, 0) entry at (r0, c0).
-
-    Each part's extent is checked once: IndexError if it does not lie
-    inside the shape.  Where parts overlap, a later one's entries win.
-    """
-    out: dict[int, dict[int, RadicalScalar]] = {}
-    for part, r0, c0 in parts:
-        if not (0 <= r0 and r0 + part.rows <= rows and 0 <= c0 and c0 + part.cols <= cols):
-            raise IndexError(
-                f"a {part.rows}x{part.cols} part at ({r0},{c0}) outside {rows}x{cols} matrix"
-            )
-        for i, row in part._rows.items():
-            target = out.setdefault(r0 + i, {})
-            for j, v in row.items():
-                target[c0 + j] = v
-    return Matrix._from_rows(rows, cols, out)
-
-
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    return place(a.rows + b.rows, a.cols + b.cols, [(a, 0, 0), (b, a.rows, a.cols)])
 
 
 def commutator(

@@ -33,10 +33,10 @@ route call, shared by both blocks, so a set it generates holds each
 distinct value as one object, and the Cartesian view negates or turns
 each once.  The closed-form and Clebsch-Gordan routes share one entry
 formula over their own one-spin tables (``_product_coeff``), whose memo
-is keyed on the signed product, the block's denominator and t's
-integers; the recursion's on the values themselves, and on the operands
-of each F+- entry, so an entry whose operands recur takes its value
-without the two products.
+is keyed on each signed product over its block's denominator, in lowest
+terms, and on t's integers; the recursion's on the values themselves,
+and on the operands of each F+- entry, so an entry whose operands recur
+takes its value without the two products.
 Each route states only its 12-block; ``_block_pair`` applies the
 selection rule and gives the 21-block's formula by exchanging the roles
 of the two irreps.
@@ -54,6 +54,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from math import gcd
 from typing import Callable
 
 from .matrix import Matrix, change_basis
@@ -351,24 +352,27 @@ def _product_coeff(
     """Family (dp, dq) at (p, q): scale * left[p, dp] * right[q, dq], negated on ``negated``.
 
     Since sqrt(x1) sqrt(x2) = sqrt(x1 x2), an entry is fixed by the signed
-    product of two table numerators: each distinct one is one square root
-    times ``scale``, and every entry equal to it is that one object.
-    ``memo``, shared by a route call's two blocks, is keyed on the block
-    denominator and the scale's integer form, so at t12 = t21 an equal
-    value of both blocks is one object too.
+    product n of two table numerators over the block denominator: each
+    distinct n / den, keyed in lowest terms, is one square root times
+    ``scale``, and every entry equal to it is that one object.  ``memo``,
+    shared by a route call's two blocks, is keyed on the scale's integer
+    form, so at t12 = t21 an equal value of both blocks is one object too,
+    also where their denominators differ (cases 1 and 4).
     """
     (den1, left), (den2, right) = left, right
     den = den1 * den2
-    values = {} if memo is None else memo.setdefault((den, _integer_form(scale)), {})
+    values = {} if memo is None else memo.setdefault(_integer_form(scale), {})
 
     def coeff(dp: int, dq: int, p: int, q: int) -> RadicalScalar:
-        key = left[p, dp] * right[q, dq]
+        n = left[p, dp] * right[q, dq]
         if (dp, dq) == negated:
-            key = -key
+            n = -n
+        g = gcd(n, den)
+        key = n // g, den // g
         value = values.get(key)
         if value is None:
-            root = sqrt_of_rational(Fraction(abs(key), den))
-            value = values[key] = (root if key > 0 else -root) * scale
+            root = sqrt_of_rational(Fraction(abs(n), den))
+            value = values[key] = (root if n > 0 else -root) * scale
         return value
 
     return coeff

@@ -366,7 +366,8 @@ def _sort_entries(vec: VectorSet) -> tuple | None:
     the block's four families, each times its sign in ``_SIGNS``, re-indexed
     as one matrix: the entry of family (dp, dq) at row (p, q) and column
     (r, s) of the block, over the spins (P, Q) of its rows and (R, S) of its
-    columns, sits at row (dp, p, r) and column (dq, q, s) of z.
+    columns, sits at row (dp, p, r) and column (dq, q, s) of z.  Every
+    family is n x n, as ``check_vector_rules`` has checked.
     """
     pair1, pair2 = vec.spins
     n1 = pair1.dimension
@@ -378,8 +379,6 @@ def _sort_entries(vec: VectorSet) -> tuple | None:
     zs: tuple[dict, dict] = ({}, {})
     for fam, sign, (dp, dq) in zip(vec.families, _SIGNS, FAMILIES):
         for i, row in fam._rows.items():
-            if i >= n:
-                return None
             b = i >= n1
             r0, c0, c1, nq, nr, ns, outer, inner = layouts[b]
             z = zs[b]
@@ -407,8 +406,10 @@ def check_vector_rules(
     check, takes the 24 commutators of ``_check``, which also give each
     violation.  ``memo``
     keeps one-spin verdicts across calls (the sweep passes one per call).
+    ValueError unless every family is n x n, n the generators' dimension.
     """
-    if gen.dimension != vec.dimension:
+    n = gen.dimension
+    if any(fam.rows != n or fam.cols != n for fam in vec.families):
         raise ValueError("generator and vector dimensions differ")
     if gen.standard and gen.spins == vec.spins:
         blocks = _sort_entries(vec)

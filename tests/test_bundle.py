@@ -258,6 +258,12 @@ def _generated(quad, source, block, params):
     return MatrixBundle.of(source, vec)
 
 
+def test_an_unknown_source_is_refused():
+    spins = tuple(Spin(t) for t in (1, 1, 0, 0))
+    with pytest.raises(ValueError, match="source must be one of closed-form, recursion,"):
+        vectors_from_source("racah", spins, FreeParams(ONE, ONE))
+
+
 @given(
     quad=st.sampled_from(ADMISSIBLE),
     source=st.sampled_from(SOURCES),

@@ -271,6 +271,12 @@ class TestEquivalenceRatio:
                 fit(v, beta)
 
 
+    def test_sets_of_different_spins_cannot_be_fitted(self):
+        v = closed_form_vectors(spin(1), spin(0), spin(0), spin(1), UNIT_PARAMS)
+        w = closed_form_vectors(spin(0), spin(1), spin(1), spin(0), UNIT_PARAMS)
+        with pytest.raises(ValueError, match="different representations"):
+            equivalence_ratio(v, w)
+
 class TestCellFit:
     """The fit compares stored cells and forms a residual only where one differs."""
 

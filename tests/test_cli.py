@@ -864,3 +864,56 @@ class TestDigitLimit:
         with unlimited_int_digits():
             ratio = json.loads(out.read_text())["ratio12"]["terms"]
             assert len(str(ratio[0]["re"][0])) > 4300
+
+    def test_an_entry_past_the_limit_is_not_written(self, tmp_path):
+        # In case 4 at (1,1)+(3/2,3/2) one entry is 2 t: at t = 9...9 of the
+        # limit's length, its integer has one digit too many to be read back.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is None:
+            pytest.skip("this Python converts integers of any length to text")
+        out = tmp_path / "g.json"
+        argv = ["gen", "--spins", "2,2,3,3", f"--t12={'9' * limit}", "--out", str(out)]
+        code, err, _ = _run(argv)
+        assert code == EXIT_BAD_INPUT
+        assert err == (
+            f"error: cannot write {out}: a matrix entry holds an integer of more than"
+            f" {limit} digits\n"
+        )
+        assert not out.exists()
+
+
+class TestWriteErrors:
+    """A command whose --out cannot be opened exits 3 with one line and writes nothing."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("in") / "b.json"
+        assert main(["gen", "--spins", "2,1,1,2", "--block", "keep12", "--out", str(path)]) == EXIT_OK
+        return path
+
+    ARGV = {
+        "gen": ["gen", "--spins", "2,1,1,2"],
+        "verify-in": ["verify", "--in", "{bundle}"],
+        "verify-sweep": ["verify", "--sweep", "1"],
+        "equiv": ["equiv", "--spins", "2,1,1,2"],
+        **{
+            f"export-{fmt}": ["export", "--in", "{bundle}", "--format", fmt]
+            for fmt in ("exact-json", "float-json", "plain")
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_an_unwritable_out_is_input_error(self, bundle, tmp_path, command, target):
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "missing" / "o.txt" if target == "missing-directory" else work
+        argv = [arg.format(bundle=bundle) for arg in self.ARGV[command]]
+        code, err, _ = _run(argv + ["--out", str(out)])
+        assert code == EXIT_BAD_INPUT
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}: "), err
+        assert [p.name for p in tmp_path.rglob("*")] == ["work"]
+
+    def test_a_negative_sweep_bound_is_input_error(self, capsys):
+        assert main(["verify", "--sweep", "-1"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == "error: --sweep bound must be nonnegative\n"

@@ -19,7 +19,7 @@ from poincarerep.generators import (
     ladder_coeff_s,
     rotation_rep,
 )
-from poincarerep.matrix import Matrix, place
+from poincarerep.matrix import Matrix
 from poincarerep.radical import ONE, ZERO, RadicalScalar, sqrt_of_rational
 from poincarerep.spins import Spin, SpinPair
 from poincarerep.vectors import FreeParams, closed_form_vectors
@@ -323,13 +323,6 @@ class TestUncheckedConstruction:
                 for a, b in zip(_checked_irrep_basis(p1), _checked_irrep_basis(p2))
             ]
             assert list(direct_sum(p1, p2).spin_basis) == expected, (p1, p2)
-
-    def test_a_part_outside_the_shape_is_refused(self):
-        part = Matrix.identity(2)
-        for r0, c0 in ((2, 0), (0, 2), (-1, 0), (0, -1), (3, 3)):
-            with pytest.raises(IndexError, match="outside 3x3 matrix"):
-                place(3, 3, [(part, r0, c0)])
-        assert place(3, 3, [(part, 1, 1)]) == Matrix.from_entries(3, 3, {(1, 1): ONE, (2, 2): ONE})
 
 
 class TestOneSpinTables:

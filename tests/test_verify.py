@@ -650,6 +650,47 @@ class TestSettledVectorRules:
         assert not all(r.holds for r in reports)
         assert any(r.first_violation for r in reports)
 
+    def test_an_entry_on_a_diagonal_block_takes_the_commutators(self, monkeypatch):
+        # One V+ entry in the (A,B) block: no block is settled, and the 24
+        # commutators give the reports.
+        spins = tuple(spin(tw) for tw in (2, 1, 1, 2))
+        vec = closed_form_vectors(*spins, UNIT)
+        plus, *rest = vec.families
+        stray = Matrix.from_entries(plus.rows, plus.cols, {(0, 0): ONE})
+        strayed = VectorSet(vec.spins, vec.params, (plus + stray, *rest))
+        gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
+        seen = _spied_settling(monkeypatch)
+        calls = _counted_commutators(monkeypatch)
+        reports = check_vector_rules(gen, strayed)
+        assert seen == [] and len(calls) == 24
+        assert reports == verify._check(verify._VECTOR, gen.spin_basis, strayed.families)
+        assert not all(r.holds for r in reports)
+
+    @pytest.mark.parametrize("entry", [None, "outside"])
+    def test_a_family_of_another_shape_is_refused(self, monkeypatch, entry):
+        # V- one row and column larger than n, with or without an entry
+        # outside the n x n corner: no verdict comes back, settled or not.
+        spins = tuple(spin(tw) for tw in (2, 1, 1, 2))
+        vec = closed_form_vectors(*spins, UNIT)
+        plus, minus, *rest = vec.families
+        n = vec.dimension
+        entries = {(i, j): v for i, j, v in minus.nonzero_items()}
+        if entry:
+            entries[n, 0] = ONE
+        bigger = Matrix.from_entries(n + 1, n + 1, entries)
+        hand = VectorSet(vec.spins, vec.params, (plus, bigger, *rest))
+        gen = direct_sum(SpinPair(*spins[:2]), SpinPair(*spins[2:]))
+        seen = _spied_settling(monkeypatch)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            check_vector_rules(gen, hand)
+        assert seen == []
+
+    def test_generators_of_another_dimension_are_refused(self):
+        gen = direct_sum(SpinPair(spin(2), spin(1)), SpinPair(spin(1), spin(2)))
+        vec = closed_form_vectors(*(spin(tw) for tw in (1, 1, 0, 0)), UNIT)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            check_vector_rules(gen, vec)
+
     def test_a_bumped_entry_fails_the_proof_and_is_checked(self, monkeypatch):
         # The last entry of V+ in the 12-block of 2,3,3,2 is in neither the
         # pivot row nor the pivot column: only the rank-one proof sees it.
